@@ -32,7 +32,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler, parse_collapsed, sample_profile
 from repro.obs.tracing import Tracer, set_default_tracer, span
 from repro.serve.client import ServeClient
-from repro.serve.server import BackgroundServer, FlightRecorder, ServeConfig
+from repro.serve.server import BackgroundServer, ServeConfig
 from repro.service.api import ProvisionRequest, provision_batch
 from repro.service.store import ScheduleStore
 
@@ -180,22 +180,17 @@ def test_serve_loopback_load(report, headline, tmp_path):
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _trace_machinery_once(flights, hist_series):
+def _trace_machinery_once(hist_series):
     """Exactly the correlation work one warm request adds to the serve
-    path: a trace scope, the request/plan/lead spans, a flight record
-    with its hop timeline, and one exemplar-bearing observation."""
+    path: a trace scope, the request/plan/lead/pool spans with the
+    request's status, and one exemplar-bearing observation."""
     with _context.trace_context("ab" * 8, "cd" * 8):
-        flight = flights.begin("/plan")
-        flight.trace_id = "ab" * 8
-        flight.hop("admit", inflight=1)
-        with span("serve.request", endpoint="/plan"):
-            flight.hop("coalesce", outcome="led", leader_trace_id=None)
-            flight.hop("pool.submit")
+        with span("serve.request", endpoint="/plan", inflight=1) as attrs:
             with span("serve.plan", n=12, d=2):
                 with span("serve.coalesce.lead"):
-                    pass
-            flight.hop("pool.done", seconds=0.0)
-        flights.finish(flight, 200)
+                    with span("serve.pool"):
+                        pass
+            attrs["status"] = 200
     hist_series.observe(0.001, trace_id="ab" * 8)
 
 
@@ -219,14 +214,13 @@ def test_tracing_overhead_within_budget(report, headline, tmp_path):
     tracer = Tracer()
     old = set_default_tracer(tracer)
     try:
-        flights = FlightRecorder(128)
         series = MetricsRegistry().histogram(
             "h_seconds", "overhead probe",
             exemplars=True).labels(endpoint="/plan")
         iterations = 2000
         start = perf_counter()
         for _ in range(iterations):
-            _trace_machinery_once(flights, series)
+            _trace_machinery_once(series)
         per_request = (perf_counter() - start) / iterations
     finally:
         set_default_tracer(old)

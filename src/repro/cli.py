@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request processing deadline in seconds; "
                         "0 disables (default 30)")
     p.add_argument("--flight-capacity", type=int, default=128,
-                   help="requests retained by the /debugz flight "
-                        "recorder (default 128)")
+                   help="server traces GET /debugz returns, newest first "
+                        "(default 128)")
     p.add_argument("--cache-dir", default=None,
                    help="schedule-store root (default: "
                         "$XDG_CACHE_HOME/repro/schedules)")
@@ -583,6 +583,11 @@ def _cmd_serve(args) -> int:
     async def _run() -> None:
         server = ScheduleServer(config, store=store, registry=registry)
         host, port = await server.start()
+        # Handlers before the pid/ready files: a SIGTERM sent the moment
+        # the ready file appears must drain, not kill, the server.
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(sig, server.begin_drain)
         print(f"serving on http://{host}:{port} "
               f"(jobs={config.jobs}, max_inflight={config.max_inflight})",
               file=sys.stderr, flush=True)
@@ -598,9 +603,6 @@ def _cmd_serve(args) -> int:
             tmp = Path(f"{args.ready_file}.tmp")
             tmp.write_text(f"{host} {port}\n")
             tmp.replace(args.ready_file)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, server.begin_drain)
         await server.wait_closed()
         print("drained; exiting", file=sys.stderr)
 

@@ -24,21 +24,25 @@ or completion order.  The one exception is the stochastic node-outage
 timeline, which needs temporal correlation (a crashed node *stays* crashed
 for a sojourn) and therefore uses one seeded generator per node, again
 independent of query order.
+
+Recovery from those faults waits by one :class:`RetryPolicy`: the seeded
+exponential backoff and the retry loop every retrying layer shares.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro._validation import check_int, check_probability
 
-__all__ = ["FaultPlan", "ActiveFaults", "WORKER_FAULT_KINDS",
+__all__ = ["FaultPlan", "ActiveFaults", "RetryPolicy", "WORKER_FAULT_KINDS",
            "PROXY_FAULT_KINDS", "unit_hash"]
 
 #: Fault kinds a :class:`FaultPlan` may inject into a pool worker.  ``"ok"``
@@ -326,6 +330,86 @@ class FaultPlan:
             kwargs["targeted_worker_faults"] = tuple(
                 (digest, tuple(kinds)) for digest, kinds in sorted(targeted.items()))
         return cls(**kwargs)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Seeded exponential backoff, and the one retry loop that waits by it.
+
+    Retry ``k`` (1-based) of *key* waits ``min(cap, base * 2**(k-1))``
+    seconds scaled by :meth:`FaultPlan.backoff_jitter`, a seeded draw in
+    ``[0.5, 1.5)``: two runs with the same seed back off identically, yet
+    different keys spread out.  Every waiting layer uses it — the serve
+    and failover clients between attempts (:meth:`run`), the provisioning
+    runtime between task retries, the supervisor between restarts, and
+    the circuit breaker before its half-open probe (``cap == base``).
+
+    Attributes
+    ----------
+    retries:
+        Extra attempts :meth:`run` makes beyond the first.
+    base, cap:
+        The backoff schedule in seconds; *cap* also caps a server hint.
+    budget_s:
+        Wall-clock seconds the retries of one :meth:`run` may spend in
+        total (the clients' ``retry_budget_s``); ``None`` is unbounded.
+    seed:
+        Seed of the jitter draws.
+    """
+
+    retries: int = 3
+    base: float = 0.05
+    cap: float = 2.0
+    budget_s: float | None = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_int(self.retries, "retries", minimum=0)
+        check_int(self.seed, "seed", minimum=0)
+        if self.base < 0 or self.cap < 0:
+            raise ValueError("backoff base and cap must be >= 0")
+        if self.budget_s is not None and self.budget_s < 0:
+            raise ValueError("retry_budget_s must be >= 0 or None")
+
+    def delay(self, key: str, attempt: int,
+              hint: float | None = None) -> float:
+        """Seconds to wait before retry *attempt* (1-based) of *key*.
+
+        A server's ``retry_after_s`` *hint* replaces the seeded backoff —
+        the server knows its own queue — capped at :attr:`cap` so a
+        confused server cannot park a client.
+        """
+        if hint is not None:
+            return min(hint, self.cap)
+        backoff = min(self.cap, self.base * 2.0 ** max(0, attempt - 1))
+        return backoff * FaultPlan(seed=self.seed).backoff_jitter(key,
+                                                                  attempt)
+
+    def run(self, key: str,
+            attempt: Callable[[int], tuple[Any, bool, float | None]], *,
+            clock: Callable[[], float] = time.monotonic,
+            sleep: Callable[[float], None] = time.sleep) -> Any:
+        """Call ``attempt(n)`` for ``n = 0, 1, ...``; return its outcome.
+
+        *attempt* returns ``(outcome, retry, hint)``.  An outcome with
+        ``retry`` false is final and returned at once.  A retryable one
+        is tried again after :meth:`delay` (*hint* is the server's
+        ``retry_after_s`` or None) until :attr:`retries` extra attempts
+        are spent or the next wait would overrun :attr:`budget_s`; the
+        last outcome is then returned for the caller to surface.
+        Exceptions raised by *attempt* propagate at once.
+        """
+        deadline = None if self.budget_s is None else clock() + self.budget_s
+        n = 0
+        while True:
+            outcome, retry, hint = attempt(n)
+            if not retry or n >= self.retries:
+                return outcome
+            n += 1
+            wait = self.delay(key, n, hint)
+            if deadline is not None and clock() + wait > deadline:
+                return outcome
+            sleep(wait)
 
 
 class ActiveFaults:

@@ -7,12 +7,15 @@ Where did the time go?  Instrumented code brackets each stage with::
     with span("provision.evaluate", tasks=len(tasks)):
         ...
 
-Spans nest (the recorder tracks depth), cost two ``perf_counter`` calls
-plus one append, and land in a bounded in-memory :class:`Tracer` — old
-spans fall off the front, so tracing can stay on in long-running
-processes.  A :class:`Tracer` exports its spans to JSONL
-(:meth:`~Tracer.to_jsonl`) and aggregates them into the per-name summary
-behind the CLI's ``--profile`` table (:meth:`~Tracer.summary_table`).
+Spans nest (depth follows the context, like the trace ids, so it stays
+right across asyncio tasks and worker threads), cost two
+``perf_counter`` calls plus one append, and land in a bounded in-memory
+:class:`Tracer` ring — old spans fall off the front, so tracing can stay
+on in long-running processes; the schedule server's ``/debugz`` reads
+its newest request traces straight from that ring.  A :class:`Tracer`
+exports its spans to JSONL (:meth:`~Tracer.to_jsonl`) and aggregates
+them into the per-name summary behind the CLI's ``--profile`` table
+(:meth:`~Tracer.summary_table`).
 
 Like the metrics registry, a process-global default tracer serves
 un-threaded instrumentation and :func:`set_default_tracer` scopes it
@@ -25,7 +28,10 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+from collections import deque
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -37,6 +43,11 @@ from repro.obs import context as _context
 __all__ = ["SpanRecord", "Tracer", "span", "default_tracer",
            "set_default_tracer", "read_jsonl", "assemble_traces",
            "render_trace_trees"]
+
+#: Spans open around the current position.  A context variable, so each
+#: asyncio task and each executor hop (``contextvars.copy_context``) sees
+#: its own enclosing spans, never another thread's.
+_open_spans: ContextVar[int] = ContextVar("repro_open_spans", default=0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ class SpanRecord:
 
 
 class Tracer:
-    """A bounded recorder of finished spans.
+    """A bounded, thread-safe recorder of finished spans.
 
     Parameters
     ----------
@@ -110,29 +121,43 @@ class Tracer:
     def __init__(self, capacity: int = 10_000, *, enabled: bool = True):
         self.capacity = check_int(capacity, "capacity", minimum=1)
         self.enabled = enabled
-        self.spans: list[SpanRecord] = []
-        self.dropped = 0
-        self._depth = 0
+        self._spans: deque[SpanRecord] = deque(maxlen=capacity)
+        self._recorded = 0
+        self._lock = threading.Lock()
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """The retained spans, oldest first (a snapshot)."""
+        with self._lock:
+            return list(self._spans)
+
+    @property
+    def dropped(self) -> int:
+        """Spans recorded but no longer retained."""
+        with self._lock:
+            return self._recorded - len(self._spans)
 
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[None]:
+    def span(self, name: str, **attrs: Any) -> Iterator[dict[str, Any]]:
         """Time a stage: ``with tracer.span("planner.evaluate", n=20): ...``
 
         Records a :class:`SpanRecord` on exit (also when the body
         raises — the exception propagates, the duration is kept).
+        Yields the span's attribute dict, so the body can add attributes
+        it learns late (an answer's status, say).
         """
         if not self.enabled:
-            yield
+            yield attrs
             return
         ctx, token = _context.enter_span()
-        depth = self._depth
-        self._depth = depth + 1
+        depth = _open_spans.get()
+        depth_token = _open_spans.set(depth + 1)
         start = perf_counter()
         try:
-            yield
+            yield attrs
         finally:
             duration = perf_counter() - start
-            self._depth = depth
+            _open_spans.reset(depth_token)
             _context.exit_span(token)
             self._record(SpanRecord(name, start, duration, depth, attrs,
                                     trace_id=ctx.trace_id,
@@ -155,21 +180,20 @@ class Tracer:
         _context.exit_span(token)
         now = perf_counter()
         self._record(SpanRecord(name, now - duration_s, duration_s,
-                                self._depth, attrs,
+                                _open_spans.get(), attrs,
                                 trace_id=ctx.trace_id, span_id=ctx.span_id,
                                 parent_id=ctx.parent_id, pid=os.getpid()))
 
     def _record(self, record: SpanRecord) -> None:
-        self.spans.append(record)
-        if len(self.spans) > self.capacity:
-            excess = len(self.spans) - self.capacity
-            del self.spans[:excess]
-            self.dropped += excess
+        with self._lock:
+            self._spans.append(record)
+            self._recorded += 1
 
     def clear(self) -> None:
         """Forget every recorded span (the drop counter too)."""
-        self.spans.clear()
-        self.dropped = 0
+        with self._lock:
+            self._spans.clear()
+            self._recorded = 0
 
     # ------------------------------------------------------------------
     # export

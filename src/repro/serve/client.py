@@ -2,27 +2,19 @@
 
 The counterpart of :mod:`repro.serve.server`, built on stdlib
 ``http.client`` only.  Used by ``repro call``, the acceptance tests and
-the loopback load benchmark — one implementation of the retry policy so
-every consumer behaves identically.
+the loopback load benchmark.
 
 Retry policy: connection-level failures (refused, reset, timed out
 sockets) and responses carrying a code in
 :data:`repro.serve.protocol.RETRYABLE_CODES` (``overloaded``,
-``draining``) are retried up to *retries* times with exponential backoff.
-The backoff jitter is **seeded** via the same
-:meth:`repro.faults.FaultPlan.backoff_jitter` draw the fault-tolerant
-runtime uses — two clients with the same seed back off identically, so a
-load test's retry storm is byte-reproducible.  When a retryable response
-carries the server's ``retry_after_s`` hint, the hint (capped at
-*backoff_cap*) replaces the seeded backoff for that retry — the server
-knows its own queue depth better than the client does.  Anything else
-(``400``, ``404``, ``504``...) raises :class:`ServeError` immediately:
-retrying a request the server *rejected* cannot help.
-
-*retry_budget_s* bounds the whole retry storm in wall-clock terms: once
-the next sleep would overrun the budget, the client stops retrying and
-surfaces the final outcome instead — a saturated fleet cannot amplify
-itself indefinitely.
+``draining``) are retried by :meth:`repro.faults.RetryPolicy.run` — the
+same seeded backoff the runtime, the supervisor and the failover client
+wait by, so two clients with the same seed back off identically and a
+load test's retry storm is byte-reproducible.  A response's
+``retry_after_s`` hint (capped at *backoff_cap*) replaces the seeded
+backoff for that retry, and *retry_budget_s* bounds the whole storm in
+wall-clock terms.  Anything else (``400``, ``404``, ``504``...) is final
+at once: retrying a request the server *rejected* cannot help.
 
 Trace correlation (generate-or-forward): every ``POST`` body gains a
 ``trace_id`` — the active :func:`repro.obs.context.trace_context` when
@@ -37,17 +29,17 @@ from __future__ import annotations
 
 import http.client
 import json
-import time
-from typing import Any
+from functools import partial
+from typing import Any, Sequence
 
 from repro._validation import check_int
-from repro.faults import FaultPlan
+from repro.faults import RetryPolicy
 from repro.obs import context as _context
 from repro.obs.tracing import span
 from repro.serve import protocol
 from repro.service.api import ProvisionRequest, ProvisionResult
 
-__all__ = ["ServeClient", "ServeError"]
+__all__ = ["ServeClient", "ServeEndpoints", "ServeError"]
 
 
 class ServeError(RuntimeError):
@@ -83,11 +75,65 @@ class ServeError(RuntimeError):
             or self.code in protocol.RETRYABLE_CODES
 
 
-class ServeClient:
+class ServeEndpoints:
+    """Typed helpers for the server's JSON endpoints, over ``self.call``.
+
+    Shared by :class:`ServeClient` (one server) and
+    :class:`~repro.serve.failover.FailoverClient` (the first healthy
+    endpoint of a fleet); a subclass supplies ``call(method, path,
+    body)`` returning the parsed response document.
+    """
+
+    def health(self) -> dict[str, Any]:
+        """``GET /healthz`` — serving/draining state and inflight count."""
+        return self.call("GET", "/healthz")
+
+    def metrics_snapshot(self) -> dict[str, Any]:
+        """``GET /metrics.json`` — the ``repro-metrics`` snapshot."""
+        return self.call("GET", "/metrics.json")
+
+    def provision(self, requests: Sequence[ProvisionRequest
+                                           | dict[str, Any]], *,
+                  include_schedules: bool = True) -> list[dict[str, Any]]:
+        """``POST /provision`` — returns the raw result documents.
+
+        Result lines have exactly the shape ``repro provision`` writes;
+        parse them with :meth:`ProvisionResult.from_dict` (requires
+        ``include_schedules=True`` for successful results).
+        """
+        docs = [r.to_dict() if isinstance(r, ProvisionRequest) else r
+                for r in requests]
+        doc = self.call("POST", "/provision", {
+            "requests": docs, "include_schedules": include_schedules})
+        return doc["results"]
+
+    def provision_results(self, requests: Sequence[ProvisionRequest
+                                                   | dict[str, Any]]
+                          ) -> list[ProvisionResult]:
+        """:meth:`provision`, parsed back into :class:`ProvisionResult`."""
+        return [ProvisionResult.from_dict(doc)
+                for doc in self.provision(requests, include_schedules=True)]
+
+    def plan(self, n: int, d: int, max_duty: float | str, *,
+             balanced: bool = False,
+             include_schedule: bool = True) -> dict[str, Any]:
+        """``POST /plan`` — one request, one raw result document."""
+        doc = self.call("POST", "/plan", {
+            "n": n, "d": d, "max_duty": max_duty, "balanced": balanced,
+            "include_schedule": include_schedule})
+        return doc["result"]
+
+
+class ServeClient(ServeEndpoints):
     """Talk to a running :class:`~repro.serve.server.ScheduleServer`.
 
     Thread-compatible: every call opens its own connection, so one
     client instance may be shared across load-generator threads.
+
+    Attributes
+    ----------
+    policy:
+        The :class:`~repro.faults.RetryPolicy` every request retries by.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8177, *,
@@ -95,47 +141,22 @@ class ServeClient:
                  backoff_base: float = 0.05, backoff_cap: float = 2.0,
                  retry_budget_s: float | None = None,
                  seed: int = 0) -> None:
-        """Configure the endpoint and the retry/backoff schedule.
+        """Configure the endpoint and its retry policy.
 
-        *retries* counts extra attempts beyond the first; retry ``k``
-        waits ``min(cap, base * 2**(k-1))`` seconds scaled by the seeded
-        jitter in ``[0.5, 1.5)``, unless the response carried a
-        ``retry_after_s`` hint (used instead, capped at *backoff_cap*).
-        *retry_budget_s* is the wall-clock budget the retries of one
-        request may spend in total; ``None`` means unbounded.
+        *retries* counts extra attempts beyond the first; *backoff_base*,
+        *backoff_cap*, *retry_budget_s* (wall-clock seconds the retries
+        of one request may spend; ``None`` is unbounded) and *seed* are
+        the remaining :class:`~repro.faults.RetryPolicy` fields.
         """
         self.host = host
         self.port = check_int(port, "port", minimum=1)
         self.timeout = timeout
-        self.retries = check_int(retries, "retries", minimum=0)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        if retry_budget_s is not None and retry_budget_s < 0:
-            raise ValueError("retry_budget_s must be >= 0 or None")
-        self.retry_budget_s = retry_budget_s
-        self._jitter = FaultPlan(seed=seed)
+        self.policy = RetryPolicy(retries, backoff_base, backoff_cap,
+                                  retry_budget_s, seed)
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def backoff_delay(self, path: str, attempt: int) -> float:
-        """Seconds to sleep before retry *attempt* (1-based) of *path*."""
-        base = min(self.backoff_cap,
-                   self.backoff_base * 2.0 ** max(0, attempt - 1))
-        return base * self._jitter.backoff_jitter(path, attempt)
-
-    def retry_delay(self, path: str, attempt: int, *,
-                    retry_after_s: float | None = None) -> float:
-        """Seconds to sleep before retry *attempt*, honouring the hint.
-
-        The server's ``retry_after_s`` hint wins when present (capped at
-        *backoff_cap* so a confused server cannot park a client); absent
-        a hint the seeded :meth:`backoff_delay` applies.
-        """
-        if retry_after_s is not None:
-            return min(retry_after_s, self.backoff_cap)
-        return self.backoff_delay(path, attempt)
-
     def request(self, method: str, path: str,
                 body: dict[str, Any] | None = None) -> tuple[int, bytes, str]:
         """One HTTP exchange with retries; returns
@@ -160,45 +181,38 @@ class ServeClient:
             # Serialized once: every retry of this call reuses the same
             # trace_id, so a retried request stays one trace.
             payload = json.dumps(body).encode("utf-8")
-        deadline = None if self.retry_budget_s is None \
-            else time.monotonic() + self.retry_budget_s
-        last_exc: OSError | None = None
-        attempt = 0
-        while True:
-            reached = False
-            hint: float | None = None
-            conn = http.client.HTTPConnection(self.host, self.port,
-                                             timeout=self.timeout)
-            try:
-                conn.request(method, path, body=payload,
-                             headers={"Content-Type": "application/json"})
-                response = conn.getresponse()
-                data = response.read()
-                status = response.status
-                content_type = response.getheader("Content-Type", "")
-                reached = True
-            except (OSError, http.client.HTTPException) as exc:
-                last_exc = exc if isinstance(exc, OSError) \
-                    else OSError(str(exc))
-            finally:
-                conn.close()
-            if reached and _error_code(status, data) \
-                    not in protocol.RETRYABLE_CODES:
-                return status, data, content_type
-            if reached:
-                hint = _retry_hint(data)
-            if attempt >= self.retries:
-                break
-            attempt += 1
-            delay = self.retry_delay(path, attempt, retry_after_s=hint)
-            if deadline is not None and time.monotonic() + delay > deadline:
-                break  # the budget is spent: surface the final outcome
-            time.sleep(delay)
-        if reached:
-            return status, data, content_type
-        raise ServeError(0, "unavailable",
-                         f"{self.host}:{self.port} unreachable after "
-                         f"{attempt + 1} attempts: {last_exc}")
+        outcome = self.policy.run(
+            path, partial(self._exchange, method, path, payload))
+        if isinstance(outcome, ServeError):
+            raise outcome
+        return outcome
+
+    def _exchange(self, method: str, path: str, payload: bytes | None,
+                  attempt: int) -> tuple[Any, bool, float | None]:
+        """One HTTP exchange, as an attempt of :meth:`RetryPolicy.run`.
+
+        The outcome is ``(status, body_bytes, content_type)``, or a
+        :class:`ServeError` when the server could not be reached; that
+        and a retryable error code ask for a retry.
+        """
+        conn = http.client.HTTPConnection(self.host, self.port,
+                                         timeout=self.timeout)
+        try:
+            conn.request(method, path, body=payload,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            data = response.read()
+            answer = (response.status, data,
+                      response.getheader("Content-Type", ""))
+        except (OSError, http.client.HTTPException) as exc:
+            return ServeError(0, "unavailable",
+                              f"{self.host}:{self.port} unreachable after "
+                              f"{attempt + 1} attempts: {exc}"), True, None
+        finally:
+            conn.close()
+        if _error_code(answer[0], data) in protocol.RETRYABLE_CODES:
+            return answer, True, _retry_hint(data)
+        return answer, False, None
 
     def call(self, method: str, path: str,
              body: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -231,12 +245,8 @@ class ServeClient:
                          retry_after_s=protocol.retry_after_hint(doc))
 
     # ------------------------------------------------------------------
-    # endpoints
+    # per-server endpoints
     # ------------------------------------------------------------------
-    def health(self) -> dict[str, Any]:
-        """``GET /healthz`` — serving/draining state and inflight count."""
-        return self.call("GET", "/healthz")
-
     def metrics_text(self) -> str:
         """``GET /metrics`` — the Prometheus text exposition."""
         status, data, _ct = self.request("GET", "/metrics")
@@ -245,16 +255,12 @@ class ServeClient:
                              "metrics endpoint failed")
         return data.decode("utf-8")
 
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """``GET /metrics.json`` — the ``repro-metrics`` snapshot."""
-        return self.call("GET", "/metrics.json")
-
     def slo(self) -> dict[str, Any]:
         """``GET /slo`` — objectives, compliance and burn rates."""
         return self.call("GET", "/slo")
 
     def debugz(self) -> dict[str, Any]:
-        """``GET /debugz`` — the server's flight-recorder dump."""
+        """``GET /debugz`` — the spans of the server's newest traces."""
         return self.call("GET", "/debugz")
 
     def metrics_history(self) -> dict[str, Any]:
@@ -276,36 +282,6 @@ class ServeClient:
             raise ServeError(status, _error_code(status, data) or "internal",
                              "profilez endpoint failed")
         return data.decode("utf-8")
-
-    def provision(self, requests: list[ProvisionRequest | dict[str, Any]], *,
-                  include_schedules: bool = True) -> list[dict[str, Any]]:
-        """``POST /provision`` — returns the raw result documents.
-
-        Result lines have exactly the shape ``repro provision`` writes;
-        parse them with :meth:`ProvisionResult.from_dict` (requires
-        ``include_schedules=True`` for successful results).
-        """
-        docs = [r.to_dict() if isinstance(r, ProvisionRequest) else r
-                for r in requests]
-        doc = self.call("POST", "/provision", {
-            "requests": docs, "include_schedules": include_schedules})
-        return doc["results"]
-
-    def provision_results(self, requests: list[ProvisionRequest
-                                               | dict[str, Any]]
-                          ) -> list[ProvisionResult]:
-        """:meth:`provision`, parsed back into :class:`ProvisionResult`."""
-        return [ProvisionResult.from_dict(doc)
-                for doc in self.provision(requests, include_schedules=True)]
-
-    def plan(self, n: int, d: int, max_duty: float | str, *,
-             balanced: bool = False,
-             include_schedule: bool = True) -> dict[str, Any]:
-        """``POST /plan`` — one request, one raw result document."""
-        doc = self.call("POST", "/plan", {
-            "n": n, "d": d, "max_duty": max_duty, "balanced": balanced,
-            "include_schedule": include_schedule})
-        return doc["result"]
 
 
 def _retry_hint(data: bytes) -> float | None:

@@ -76,17 +76,13 @@ class Coalescer:
         return len(self._inflight)
 
     async def run(self, key: Hashable,
-                  compute: Callable[[], Awaitable[Any]], *,
-                  on_outcome: Callable[[str, str | None], None]
-                  | None = None) -> Any:
+                  compute: Callable[[], Awaitable[Any]]) -> Any:
         """Await the (possibly shared) computation for *key*.
 
         *compute* is only invoked when no flight for *key* exists; its
         result (or exception) is delivered to every waiter of the
         flight.  Awaiting this method is cancellable per waiter — the
-        shared computation itself is not.  *on_outcome*, when given, is
-        called synchronously with ``("led" | "joined",
-        leader_trace_id)`` before awaiting.
+        shared computation itself is not.
 
         Trace correlation: the flight remembers its leader's
         ``trace_id``; a joining waiter records a zero-work
@@ -102,17 +98,12 @@ class Coalescer:
                                     leader_trace_id=leader_trace_id)
             _log.debug("coalesce_joined",
                        extra={"leader_trace_id": leader_trace_id})
-            if on_outcome is not None:
-                on_outcome("joined", leader_trace_id)
         else:
             self._led.inc()
             task = asyncio.get_running_loop().create_task(
                 self._lead(key, compute))
             self._inflight[key] = task
-            leader_trace_id = _context.current_trace_id()
-            self._flight_trace[key] = leader_trace_id
-            if on_outcome is not None:
-                on_outcome("led", leader_trace_id)
+            self._flight_trace[key] = _context.current_trace_id()
         # shield(): cancelling one waiter must not cancel the flight the
         # other waiters (and the leader's bookkeeping) depend on.
         return await asyncio.shield(task)

@@ -12,19 +12,19 @@ requests over several endpoints round-robin and wraps each in a
 * **half-open** — exactly one probe request is let through; success
   closes the breaker, failure re-opens it with a fresh seeded timeout.
 
-The reset timeout is jittered by the same
-:meth:`repro.faults.FaultPlan.backoff_jitter` draw every other backoff in
-the stack uses, keyed on ``(endpoint, open_count)`` — two clients with
+The reset timeout is a :class:`repro.faults.RetryPolicy` delay with
+``cap == base``, keyed on ``(endpoint, open_count)`` — two clients with
 the same seed probe at identical offsets, so a chaos run's failover
 behaviour is reproducible, yet a real fleet's probes do not stampede.
 
 Retries against *different* endpoints replace the single-endpoint retry
-ladder: each inner client runs with ``retries=0`` and this layer owns the
-policy — seeded exponential backoff between attempts, the server's
-``retry_after_s`` hint when one was offered, and a total *retry_budget_s*
-wall-clock cap so a retry storm cannot outlive its usefulness.  Every
-outcome lands in the metrics registry (``repro_failover_*`` series), so
-endpoint health is visible in the same snapshot as everything else.
+ladder: each inner client runs with ``retries=0`` and this layer's
+:meth:`~repro.faults.RetryPolicy.run` owns the policy — seeded
+exponential backoff between attempts, the server's ``retry_after_s`` hint
+when one was offered, and a total *retry_budget_s* wall-clock cap so a
+retry storm cannot outlive its usefulness.  Every outcome lands in the
+metrics registry (``repro_failover_*`` series), so endpoint health is
+visible in the same snapshot as everything else.
 
 Failure contract, identical to :class:`ServeClient`: every call either
 returns a parsed response or raises a typed
@@ -35,16 +35,15 @@ never an unbounded hang.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro._validation import check_int
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.obs import context as _context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import span
-from repro.serve.client import ServeClient, ServeError
-from repro.service.api import ProvisionRequest, ProvisionResult
+from repro.serve.client import ServeClient, ServeEndpoints, ServeError
 
 __all__ = ["BREAKER_CLOSED", "BREAKER_OPEN", "BREAKER_HALF_OPEN",
            "CircuitBreaker", "FailoverClient"]
@@ -66,8 +65,8 @@ class CircuitBreaker:
 
     Pure state machine over an injectable *clock* (tests pin time); the
     only nondeterminism in a real run is the wall clock itself — the
-    reset timeout's jitter is a seeded draw keyed on
-    ``(endpoint, open_count)``.
+    reset timeout is ``policy.delay(f"breaker:{endpoint}", open_count)``,
+    seeded by *plan*.
     """
 
     def __init__(self, endpoint: str, *, failure_threshold: int = 3,
@@ -86,7 +85,9 @@ class CircuitBreaker:
         if reset_timeout_s <= 0:
             raise ValueError("reset_timeout_s must be positive")
         self.reset_timeout_s = reset_timeout_s
-        self.plan = plan if plan is not None else FaultPlan()
+        self.policy = RetryPolicy(
+            base=reset_timeout_s, cap=reset_timeout_s,
+            seed=plan.seed if plan is not None else 0)
         self._clock = clock
         self._on_transition = on_transition
         self._state = BREAKER_CLOSED
@@ -103,11 +104,6 @@ class CircuitBreaker:
     def opens(self) -> int:
         """How many times this breaker has opened."""
         return self._opens
-
-    def reset_delay(self, open_count: int) -> float:
-        """The seeded open->half-open delay for the *open_count*-th open."""
-        return self.reset_timeout_s * self.plan.backoff_jitter(
-            f"breaker:{self.endpoint}", open_count)
 
     def seconds_until_probe(self) -> float:
         """Seconds until an open breaker admits its probe (0 if not open)."""
@@ -145,7 +141,8 @@ class CircuitBreaker:
                 or (self._state == BREAKER_CLOSED
                     and self._failures >= self.failure_threshold):
             self._opens += 1
-            self._open_until = self._clock() + self.reset_delay(self._opens)
+            self._open_until = self._clock() + self.policy.delay(
+                f"breaker:{self.endpoint}", self._opens)
             self._transition(BREAKER_OPEN)
 
     def _transition(self, state: str) -> None:
@@ -183,15 +180,16 @@ class _Endpoint:
         self.rejected = requests.labels(endpoint=name, outcome="rejected")
 
 
-class FailoverClient:
+class FailoverClient(ServeEndpoints):
     """Spread requests over endpoints; survive the death of any of them.
 
     *endpoints* is a non-empty sequence of ``"host:port"`` strings or
     ``(host, port)`` pairs.  *retries* counts extra attempts beyond the
-    first, each against the next healthy endpoint in rotation.  All the
-    knobs of the single-endpoint client (*timeout*, *backoff_base*,
-    *backoff_cap*, *retry_budget_s*, *seed*) apply to the failover layer
-    itself; the inner per-endpoint clients run single-shot.
+    first, each against the next healthy endpoint in rotation.  The
+    retry knobs of the single-endpoint client (*backoff_base*,
+    *backoff_cap*, *retry_budget_s*, *seed*) form this layer's
+    :attr:`policy`; the inner per-endpoint clients run single-shot with
+    *timeout*.
     """
 
     def __init__(self, endpoints: Iterable[Any], *, timeout: float = 60.0,
@@ -207,15 +205,10 @@ class FailoverClient:
         specs = [_parse_endpoint(spec) for spec in endpoints]
         if not specs:
             raise ValueError("FailoverClient needs at least one endpoint")
-        self.retries = check_int(retries, "retries", minimum=0)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        if retry_budget_s is not None and retry_budget_s < 0:
-            raise ValueError("retry_budget_s must be >= 0 or None")
-        self.retry_budget_s = retry_budget_s
+        self.policy = RetryPolicy(retries, backoff_base, backoff_cap,
+                                  retry_budget_s, seed)
         self.registry = registry if registry is not None \
             else default_registry()
-        self._plan = FaultPlan(seed=seed)
         self._clock = clock
         self._sleep = sleep
         self._calls = 0
@@ -237,15 +230,14 @@ class FailoverClient:
             "repro_failover_exhausted_total",
             "Calls that failed after every retry (or budget).").labels()
 
+        plan = FaultPlan(seed=seed)
         self._endpoints: list[_Endpoint] = []
         for host, port in specs:
             name = f"{host}:{port}"
-            client = ServeClient(host, port, timeout=timeout, retries=0,
-                                 backoff_base=backoff_base,
-                                 backoff_cap=backoff_cap, seed=seed)
+            client = ServeClient(host, port, timeout=timeout, retries=0)
             breaker = CircuitBreaker(
                 name, failure_threshold=failure_threshold,
-                reset_timeout_s=breaker_reset_s, plan=self._plan,
+                reset_timeout_s=breaker_reset_s, plan=plan,
                 clock=clock, on_transition=self._record_transition)
             self._state_gauge.labels(endpoint=name).set(0.0)
             self._endpoints.append(_Endpoint(name, client, breaker,
@@ -270,12 +262,6 @@ class FailoverClient:
         """Endpoint -> current breaker state."""
         return {ep.name: ep.breaker.state for ep in self._endpoints}
 
-    def backoff_delay(self, path: str, attempt: int) -> float:
-        """The seeded inter-attempt backoff (1-based *attempt*)."""
-        base = min(self.backoff_cap,
-                   self.backoff_base * 2.0 ** max(0, attempt - 1))
-        return base * self._plan.backoff_jitter(path, attempt)
-
     # ------------------------------------------------------------------
     # the failover loop
     # ------------------------------------------------------------------
@@ -299,55 +285,47 @@ class FailoverClient:
 
     def _call_rotation(self, method: str, path: str,
                        body: dict[str, Any] | None) -> dict[str, Any]:
-        deadline = None if self.retry_budget_s is None \
-            else self._clock() + self.retry_budget_s
         start = self._calls
         self._calls += 1
-        last_error: ServeError | None = None
-        attempt = 0
-        while True:
-            ep = self._select(start + attempt)
-            hint: float | None = None
+        last_error = ServeError(0, "unavailable",
+                                "every endpoint's circuit breaker is open")
+
+        def attempt(n: int) -> tuple[Any, bool, float | None]:
+            nonlocal last_error
+            ep = self._select(start + n)
             if ep is None:
                 # Every breaker is open: the only useful wait is until
                 # the soonest one half-opens.
-                hint = min(e.breaker.seconds_until_probe()
-                           for e in self._endpoints)
-                if last_error is None:
-                    last_error = ServeError(
-                        0, "unavailable",
-                        "every endpoint's circuit breaker is open")
-            else:
-                try:
-                    doc = ep.client.call(method, path, body)
-                except ServeError as exc:
-                    if not exc.retryable:
-                        # The endpoint is alive and answered with a
-                        # verdict; that is endpoint *health*, even
-                        # though the caller's request failed.
-                        ep.breaker.record_success()
-                        ep.rejected.inc()
-                        raise
-                    ep.breaker.record_failure()
-                    ep.failed.inc()
-                    last_error = exc
-                    hint = exc.retry_after_s
-                else:
+                return last_error, True, min(
+                    e.breaker.seconds_until_probe() for e in self._endpoints)
+            try:
+                doc = ep.client.call(method, path, body)
+            except ServeError as exc:
+                if not exc.retryable:
+                    # The endpoint is alive and answered with a verdict;
+                    # that is endpoint *health*, even though the
+                    # caller's request failed.
                     ep.breaker.record_success()
-                    ep.ok.inc()
-                    return doc
-            if attempt >= self.retries:
-                break
-            attempt += 1
-            delay = min(hint, self.backoff_cap) if hint is not None \
-                else self.backoff_delay(path, attempt)
-            if deadline is not None and self._clock() + delay > deadline:
-                break  # the budget is spent: surface the final outcome
-            self._retries_total.inc()
-            self._sleep(delay)
-        self._exhausted.inc()
-        assert last_error is not None
-        raise last_error
+                    ep.rejected.inc()
+                    raise
+                ep.breaker.record_failure()
+                ep.failed.inc()
+                last_error = exc
+                return exc, True, exc.retry_after_s
+            ep.breaker.record_success()
+            ep.ok.inc()
+            return doc, False, None
+
+        outcome = self.policy.run(path, attempt, clock=self._clock,
+                                  sleep=self._retry_sleep)
+        if isinstance(outcome, ServeError):
+            self._exhausted.inc()
+            raise outcome
+        return outcome
+
+    def _retry_sleep(self, delay: float) -> None:
+        self._retries_total.inc()
+        self._sleep(delay)
 
     def _select(self, slot: int) -> _Endpoint | None:
         """The first endpoint in rotation whose breaker admits *slot*."""
@@ -362,40 +340,3 @@ class FailoverClient:
         self._transitions.labels(endpoint=endpoint, state=state).inc()
         self._state_gauge.labels(endpoint=endpoint).set(
             _STATE_LEVEL[state])
-
-    # ------------------------------------------------------------------
-    # endpoint conveniences (mirroring ServeClient)
-    # ------------------------------------------------------------------
-    def health(self) -> dict[str, Any]:
-        """``GET /healthz`` against the first healthy endpoint."""
-        return self.call("GET", "/healthz")
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """``GET /metrics.json`` against the first healthy endpoint."""
-        return self.call("GET", "/metrics.json")
-
-    def provision(self, requests: Sequence[ProvisionRequest
-                                           | dict[str, Any]], *,
-                  include_schedules: bool = True) -> list[dict[str, Any]]:
-        """``POST /provision`` — raw result documents (see ServeClient)."""
-        docs = [r.to_dict() if isinstance(r, ProvisionRequest) else r
-                for r in requests]
-        doc = self.call("POST", "/provision", {
-            "requests": docs, "include_schedules": include_schedules})
-        return doc["results"]
-
-    def provision_results(self, requests: Sequence[ProvisionRequest
-                                                   | dict[str, Any]]
-                          ) -> list[ProvisionResult]:
-        """:meth:`provision`, parsed back into :class:`ProvisionResult`."""
-        return [ProvisionResult.from_dict(doc)
-                for doc in self.provision(requests, include_schedules=True)]
-
-    def plan(self, n: int, d: int, max_duty: float | str, *,
-             balanced: bool = False,
-             include_schedule: bool = True) -> dict[str, Any]:
-        """``POST /plan`` — one request, one raw result document."""
-        doc = self.call("POST", "/plan", {
-            "n": n, "d": d, "max_duty": max_duty, "balanced": balanced,
-            "include_schedule": include_schedule})
-        return doc["result"]

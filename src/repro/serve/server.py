@@ -19,9 +19,9 @@ One process, nine endpoints, no dependencies beyond the stdlib:
 ``GET /slo``              objectives evaluated against the live
                           registry, with rolling burn rates
                           (``repro-slo`` report)
-``GET /debugz``           the flight recorder: hop timelines of the
-                          last K completed/failed requests, trace ids
-                          included
+``GET /debugz``           the spans of the newest K server traces
+                          (answered or refused requests), read from
+                          the tracer's ring
 ``GET /profilez``         sample every server thread (event loop *and*
                           worker pool) for ``?seconds=N`` at ``?hz=H``;
                           returns collapsed stacks (text/plain, ready
@@ -32,7 +32,7 @@ Every admitted request runs inside a
 :func:`repro.obs.context.trace_context` — adopted from the body's
 additive ``trace_id``/``parent_id`` fields when the client sent them,
 freshly generated otherwise — so its spans, its log lines, its store
-lookups and its flight-recorder entry all share one ``trace_id``, and
+lookups and its ``/debugz`` timeline all share one ``trace_id``, and
 the executor hop propagates the context into the planner thread via
 ``contextvars.copy_context``.  Success envelopes echo ``trace_id``.
 
@@ -67,8 +67,6 @@ import asyncio
 import contextvars
 import json
 import threading
-import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from time import perf_counter
@@ -83,7 +81,7 @@ from repro.obs import slo as _slo
 from repro.obs import timeseries as _timeseries
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.tracing import span
+from repro.obs.tracing import default_tracer, span
 from repro.serve import protocol
 from repro.serve.coalesce import Coalescer
 from repro.service.api import (
@@ -94,7 +92,7 @@ from repro.service.api import (
 from repro.service.store import ScheduleStore
 
 __all__ = ["ServeConfig", "ScheduleServer", "BackgroundServer",
-           "FlightRecord", "FlightRecorder", "SERVE_LATENCY_BUCKETS"]
+           "SERVE_LATENCY_BUCKETS"]
 
 _log = get_logger("serve.server")
 
@@ -137,7 +135,7 @@ class ServeConfig:
     max_body_bytes:
         Largest request body accepted; beyond it, ``413``.
     flight_capacity:
-        Requests the ``/debugz`` flight recorder retains (oldest drop).
+        Server traces ``/debugz`` returns, newest first.
     slo_threshold_s, slo_latency_target, slo_availability_target:
         The ``/slo`` endpoint's stock objectives: *slo_latency_target*
         of requests under *slo_threshold_s* (pick a histogram bucket
@@ -183,85 +181,6 @@ class ServeConfig:
         for name in ("slo_latency_target", "slo_availability_target"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be a fraction in (0, 1)")
-
-
-class FlightRecord:
-    """The hop timeline of one admitted (or refused) request.
-
-    Mutable while the request is in flight; :meth:`FlightRecorder.begin`
-    hands one out and :meth:`finish` freezes outcome and duration.  Hops
-    (``admit``, ``coalesce``, ``pool.submit``, ``pool.done``, ...) carry
-    offsets from the request's start, so a ``/debugz`` entry reads as a
-    self-contained timeline.
-    """
-
-    __slots__ = ("endpoint", "trace_id", "started_unix", "_started",
-                 "hops", "status", "error", "duration_s")
-
-    def __init__(self, endpoint: str):
-        self.endpoint = endpoint
-        self.trace_id: str | None = None
-        self.started_unix = time.time()
-        self._started = perf_counter()
-        self.hops: list[dict[str, Any]] = []
-        self.status: int | None = None
-        self.error: str | None = None
-        self.duration_s: float | None = None
-
-    def hop(self, name: str, **attrs: Any) -> None:
-        """Append a timeline entry at the current offset."""
-        entry = {"hop": name,
-                 "t_s": round(perf_counter() - self._started, 6)}
-        entry.update(attrs)
-        self.hops.append(entry)
-
-    def finish(self, status: int, error: str | None = None) -> None:
-        """Freeze the outcome (idempotent — first call wins)."""
-        if self.status is None:
-            self.status = status
-            self.error = error
-            self.duration_s = round(perf_counter() - self._started, 6)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (one ``/debugz`` entry)."""
-        doc: dict[str, Any] = {"endpoint": self.endpoint,
-                               "trace_id": self.trace_id,
-                               "started_unix": round(self.started_unix, 6),
-                               "status": self.status,
-                               "duration_s": self.duration_s,
-                               "hops": list(self.hops)}
-        if self.error is not None:
-            doc["error"] = self.error
-        return doc
-
-
-class FlightRecorder:
-    """A bounded ring of the last *capacity* finished requests.
-
-    The in-memory black box behind ``GET /debugz``: always on, O(K)
-    memory, and answerable while the server is saturated (ops endpoints
-    bypass admission).  Entries land in the ring at :meth:`finish` time
-    only — an in-flight request is visible in ``/healthz``'s inflight
-    count, not here.
-    """
-
-    def __init__(self, capacity: int = 128):
-        self.capacity = check_int(capacity, "capacity", minimum=1)
-        self._ring: deque[FlightRecord] = deque(maxlen=capacity)
-
-    def begin(self, endpoint: str) -> FlightRecord:
-        """A fresh record for one request (not yet in the ring)."""
-        return FlightRecord(endpoint)
-
-    def finish(self, record: FlightRecord, status: int,
-               error: str | None = None) -> None:
-        """Freeze *record* and append it to the ring."""
-        record.finish(status, error)
-        self._ring.append(record)
-
-    def to_list(self) -> list[dict[str, Any]]:
-        """Every retained record, newest first."""
-        return [record.to_dict() for record in reversed(self._ring)]
 
 
 class ScheduleServer:
@@ -313,7 +232,6 @@ class ScheduleServer:
         self._computed = self.registry.counter(
             "repro_serve_plans_computed_total",
             "Planner evaluations actually run (post-coalescing).").labels()
-        self._flights = FlightRecorder(self.config.flight_capacity)
         self._objectives = _slo.default_serve_objectives(
             threshold_s=self.config.slo_threshold_s,
             latency_target=self.config.slo_latency_target,
@@ -409,8 +327,7 @@ class ScheduleServer:
         report = provision_batch_report([request], store=self.store, jobs=1)
         return report.results[0]
 
-    async def _answer(self, request: ProvisionRequest,
-                      flight: FlightRecord | None = None) -> ProvisionResult:
+    async def _answer(self, request: ProvisionRequest) -> ProvisionResult:
         """Resolve one request through the coalescer and worker pool."""
         try:
             key = request.signature()
@@ -422,28 +339,17 @@ class ScheduleServer:
 
         async def compute() -> ProvisionResult:
             self._computed.inc()
-            if flight is not None:
-                flight.hop("pool.submit")
-            # copy_context(): contextvars do not cross the executor hop
-            # by themselves; the snapshot carries the trace context (and
-            # the coalesce.lead span) into the planner thread, so store
-            # lookups and runtime task spans land in the right tree.
-            ctx = contextvars.copy_context()
-            started = perf_counter()
-            try:
+            with span("serve.pool"):
+                # copy_context(): contextvars do not cross the executor
+                # hop by themselves; the snapshot carries the trace
+                # context (and the serve.pool span) into the planner
+                # thread, so store lookups and runtime task spans land
+                # in the right tree.
+                ctx = contextvars.copy_context()
                 return await loop.run_in_executor(
                     self._executor, ctx.run, self._plan_fn, request)
-            finally:
-                if flight is not None:
-                    flight.hop("pool.done",
-                               seconds=round(perf_counter() - started, 6))
 
-        def note(outcome: str, leader_trace_id: str | None) -> None:
-            if flight is not None:
-                flight.hop("coalesce", outcome=outcome,
-                           leader_trace_id=leader_trace_id)
-
-        result = await self._coalescer.run(key, compute, on_outcome=note)
+        result = await self._coalescer.run(key, compute)
         # Joined waiters echo their own request document (identical
         # signature, possibly different spelling of max_duty).
         if result.request is not request:
@@ -574,8 +480,8 @@ class ScheduleServer:
         if path == "/debugz":
             _require(method, "GET")
             return 200, _encode(protocol.ok_doc(
-                capacity=self._flights.capacity,
-                requests=self._flights.to_list())), "application/json"
+                capacity=self.config.flight_capacity,
+                traces=self._recent_traces())), "application/json"
         if path in ("/provision", "/plan"):
             _require(method, "POST")
             return await self._admit(path, raw, info)
@@ -627,6 +533,27 @@ class ScheduleServer:
         return (200, prof.collapsed().encode("utf-8"),
                 "text/plain; charset=utf-8")
 
+    def _recent_traces(self) -> list[list[dict[str, Any]]]:
+        """The ``/debugz`` view: the newest ``flight_capacity`` server
+        traces still in the tracer's ring.
+
+        A server trace holds a ``serve.request`` or ``serve.refused``
+        span; traces come newest-finished first, each as its spans in
+        start order.
+        """
+        spans = default_tracer().spans
+        newest: dict[str, list[dict[str, Any]]] = {}
+        for record in reversed(spans):
+            if len(newest) == self.config.flight_capacity:
+                break
+            if record.name in ("serve.request", "serve.refused"):
+                newest.setdefault(record.trace_id, [])
+        for record in spans:
+            if record.trace_id in newest:
+                newest[record.trace_id].append(record.to_dict())
+        return [sorted(docs, key=lambda doc: doc["start_s"])
+                for docs in newest.values()]
+
     def _retry_after_hint(self) -> float:
         """Backoff hint (seconds) for refused requests, from queue depth.
 
@@ -642,57 +569,46 @@ class ScheduleServer:
         """Admission control around the two provisioning endpoints.
 
         Admitted requests run inside a trace context (adopted from the
-        body's ``trace_id``/``parent_id`` or freshly generated) and
-        leave a :class:`FlightRecord` in the ``/debugz`` ring; refusals
-        are recorded too, with the refusal as their only hop.
+        body's ``trace_id``/``parent_id`` or freshly generated) under a
+        ``serve.request`` span carrying the admission-time ``inflight``
+        count and the answer's ``status``; a refusal leaves a zero-length
+        ``serve.refused`` span instead.
         """
         if self._draining:
-            self._record_refusal(path, protocol.ERR_DRAINING)
-            raise protocol.ProtocolError(
-                protocol.ERR_DRAINING,
-                "server is draining for shutdown; retry elsewhere",
-                retry_after_s=self._retry_after_hint())
+            self._refuse(path, protocol.ERR_DRAINING,
+                         "server is draining for shutdown; retry elsewhere")
         if self._active >= self.config.max_inflight:
-            self._record_refusal(path, protocol.ERR_OVERLOADED)
-            raise protocol.ProtocolError(
-                protocol.ERR_OVERLOADED,
-                f"admission bound of {self.config.max_inflight} in-flight "
-                "requests reached; retry with backoff",
-                retry_after_s=self._retry_after_hint())
+            self._refuse(path, protocol.ERR_OVERLOADED,
+                         f"admission bound of {self.config.max_inflight} "
+                         "in-flight requests reached; retry with backoff")
         self._active += 1
         self._inflight_gauge.set(self._active)
-        flight = self._flights.begin(path)
         try:
             doc = protocol.parse_body(raw)
             trace_id, parent_id = protocol.pop_trace(doc)
             with _context.trace_context(trace_id=trace_id,
                                         parent_id=parent_id) as tctx:
-                flight.trace_id = tctx.trace_id
                 info["trace_id"] = tctx.trace_id
-                flight.hop("admit", inflight=self._active)
                 handler = (self._handle_provision if path == "/provision"
                            else self._handle_plan)
-                with span("serve.request", endpoint=path):
-                    if self.config.request_deadline_s is None:
-                        response = await handler(doc, flight)
-                    else:
-                        try:
-                            response = await asyncio.wait_for(
-                                handler(doc, flight),
-                                timeout=self.config.request_deadline_s)
-                        except asyncio.TimeoutError:
-                            raise protocol.ProtocolError(
-                                protocol.ERR_DEADLINE_EXCEEDED,
-                                "request exceeded its deadline of "
-                                f"{self.config.request_deadline_s}s")
-            self._flights.finish(flight, response[0])
+                with span("serve.request", endpoint=path,
+                          inflight=self._active) as attrs:
+                    try:
+                        response = await asyncio.wait_for(
+                            handler(doc),
+                            timeout=self.config.request_deadline_s)
+                    except asyncio.TimeoutError:
+                        attrs["status"] = 504
+                        raise protocol.ProtocolError(
+                            protocol.ERR_DEADLINE_EXCEEDED,
+                            "request exceeded its deadline of "
+                            f"{self.config.request_deadline_s}s")
+                    except Exception as exc:
+                        typed = isinstance(exc, protocol.ProtocolError)
+                        attrs["status"] = exc.status if typed else 500
+                        raise
+                    attrs["status"] = response[0]
             return response
-        except protocol.ProtocolError as exc:
-            self._flights.finish(flight, exc.status, error=exc.code)
-            raise
-        except Exception:
-            self._flights.finish(flight, 500, error=protocol.ERR_INTERNAL)
-            raise
         finally:
             self._active -= 1
             self._inflight_gauge.set(self._active)
@@ -700,29 +616,31 @@ class ScheduleServer:
                     and self._drained is not None:
                 self._drained.set()
 
-    def _record_refusal(self, path: str, code: str) -> None:
-        """One flight-recorder entry for a request refused at admission."""
-        flight = self._flights.begin(path)
-        flight.hop("refused", code=code, inflight=self._active)
-        self._flights.finish(flight, protocol.ERROR_STATUS[code], error=code)
+    def _refuse(self, path: str, code: str, message: str) -> None:
+        """Refuse a request at admission: one ``serve.refused`` span, then
+        the retryable error with a backoff hint."""
+        default_tracer().record("serve.refused", 0.0, endpoint=path,
+                                status=protocol.ERROR_STATUS[code],
+                                code=code, inflight=self._active)
+        raise protocol.ProtocolError(code, message,
+                                     retry_after_s=self._retry_after_hint())
 
-    async def _handle_provision(self, doc: dict[str, Any],
-                                flight: FlightRecord
+    async def _handle_provision(self, doc: dict[str, Any]
                                 ) -> tuple[int, bytes, str]:
         requests, include = protocol.parse_provision_body(doc)
         with span("serve.provision", requests=len(requests)):
             results = await asyncio.gather(
-                *(self._answer(req, flight) for req in requests))
+                *(self._answer(req) for req in requests))
         docs = [r.to_dict(include_schedule=include) for r in results]
         return 200, _encode(protocol.ok_doc(
             results=docs, trace_id=_context.current_trace_id())), \
             "application/json"
 
-    async def _handle_plan(self, doc: dict[str, Any],
-                           flight: FlightRecord) -> tuple[int, bytes, str]:
+    async def _handle_plan(self, doc: dict[str, Any]
+                           ) -> tuple[int, bytes, str]:
         request, include = protocol.parse_plan_body(doc)
         with span("serve.plan", n=request.n, d=request.d):
-            result = await self._answer(request, flight)
+            result = await self._answer(request)
         return 200, _encode(protocol.ok_doc(
             result=result.to_dict(include_schedule=include),
             trace_id=_context.current_trace_id())), \

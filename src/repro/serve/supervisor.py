@@ -5,9 +5,10 @@ failure; the paper's own standard is self-stabilization after transient
 faults.  :class:`Supervisor` closes the gap at the process level:
 
 * a crashed child (nonzero exit, or killed by a signal) is **restarted**
-  after a seeded exponential backoff — the delay sequence is a pure
-  :meth:`repro.faults.FaultPlan.backoff_jitter` draw, so a chaos run's
-  restart timeline is reproducible given the seed;
+  after the seeded exponential backoff of
+  :class:`repro.faults.RetryPolicy`, keyed ``"supervisor"`` and indexed
+  by the crash count in the window, so a chaos run's restart timeline is
+  reproducible given the seed;
 * a **crash loop** — more than ``max_restarts`` crashes inside
   ``restart_window_s`` — makes the supervisor give up and exit nonzero
   (exit code 3), because restarting a deterministically-broken server
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro._validation import check_int
-from repro.faults import FaultPlan
+from repro.faults import RetryPolicy
 from repro.obs import context as _context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -60,9 +61,8 @@ class SupervisorConfig:
     restart_window_s:
         Sliding window (seconds) the crash-loop detector counts over.
     backoff_base_s, backoff_cap_s:
-        Exponential restart backoff: crash ``k`` (within the window)
-        waits ``min(cap, base * 2**(k-1))`` seconds scaled by the seeded
-        jitter in ``[0.5, 1.5)``.
+        The :class:`~repro.faults.RetryPolicy` restart backoff: crash
+        ``k`` within the window waits ``policy.delay("supervisor", k)``.
     seed:
         Seed of the backoff jitter draws.
     """
@@ -92,6 +92,8 @@ class Supervisor:
 
     Attributes
     ----------
+    policy:
+        The restart backoff, built from the config.
     events:
         Auditable timeline of ``(kind, detail)`` tuples — ``start``
         (pid), ``exit`` (return code), ``backoff`` (seconds),
@@ -118,7 +120,9 @@ class Supervisor:
             else None
         self.registry = registry if registry is not None \
             else default_registry()
-        self._plan = FaultPlan(seed=self.config.seed)
+        self.policy = RetryPolicy(base=self.config.backoff_base_s,
+                                  cap=self.config.backoff_cap_s,
+                                  seed=self.config.seed)
         self._clock = clock
         self._sleep = sleep
         self._popen = popen
@@ -134,17 +138,6 @@ class Supervisor:
         self._crashes = self.registry.counter(
             "repro_supervisor_crashes_total",
             "Child exits the supervisor counted as crashes.").labels()
-
-    # ------------------------------------------------------------------
-    # policy
-    # ------------------------------------------------------------------
-    def backoff_delay(self, crash_index: int) -> float:
-        """Seconds to wait before the restart after crash *crash_index*
-        (1-based within the current window) — pure in ``(seed, index)``."""
-        base = min(self.config.backoff_cap_s,
-                   self.config.backoff_base_s
-                   * 2.0 ** max(0, crash_index - 1))
-        return base * self._plan.backoff_jitter("supervisor", crash_index)
 
     @property
     def child_pid(self) -> int | None:
@@ -222,7 +215,7 @@ class Supervisor:
                            extra={"crashes_in_window": crashes,
                                   "window_s": window})
                 return CRASH_LOOP_EXIT_CODE
-            delay = self.backoff_delay(crashes)
+            delay = self.policy.delay("supervisor", crashes)
             self.events.append(("backoff", delay))
             self.restarts += 1
             if delay > 0:

@@ -10,9 +10,9 @@ its guarantees under adversity:
   task's fate never decides another's;
 * a **per-task timeout** reclaims pool slots from hung workers (the pool
   is rebuilt, because a stuck process cannot be cancelled);
-* task-level exceptions and timeouts are **retried** with exponential
-  backoff and seeded jitter (:meth:`repro.faults.FaultPlan.backoff_jitter`
-  keeps even the jitter reproducible);
+* task-level exceptions and timeouts are **retried** after the seeded
+  exponential backoff of :class:`repro.faults.RetryPolicy` (even the
+  jitter is reproducible);
 * a dead pool (:class:`~concurrent.futures.process.BrokenProcessPool`) is
   **rebuilt** and its in-flight tasks re-enqueued; tasks repeatedly in
   flight at the moment of death are bisected — re-run alone — and
@@ -41,7 +41,7 @@ from typing import Any
 
 from repro._validation import check_int
 from repro.core.planner import GridPoint, Plan, evaluate_grid_point
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import default_tracer, span
@@ -91,12 +91,11 @@ class RuntimeConfig:
         burn beyond its first before it is finalized.  Pool deaths blamed
         on other tasks never charge this budget.
     backoff_base, backoff_cap:
-        Exponential-backoff schedule: retry ``k`` waits
-        ``min(cap, base * 2**(k-1))`` seconds, scaled by seeded jitter
-        in ``[0.5, 1.5)``.
+        The :class:`~repro.faults.RetryPolicy` backoff between a task's
+        retries.
     seed:
-        Seed for the backoff jitter (shared with any
-        :class:`~repro.faults.FaultPlan` semantics).
+        Seed for the backoff jitter (a :class:`~repro.faults.FaultPlan`
+        passed to the run seeds it instead).
     quarantine_after:
         How many pool deaths a task must be in flight for before it is
         bisected (re-run alone); a task that then kills its solo pool is
@@ -120,13 +119,11 @@ class RuntimeConfig:
         if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
             raise ValueError("need 0 <= backoff_base <= backoff_cap")
 
-    def backoff_delay(self, digest: str, fault_count: int,
-                      faults: FaultPlan | None) -> float:
-        """Seconds to wait before retry number *fault_count* of a task."""
-        base = min(self.backoff_cap,
-                   self.backoff_base * 2.0 ** max(0, fault_count - 1))
-        jitter_plan = faults if faults is not None else FaultPlan(seed=self.seed)
-        return base * jitter_plan.backoff_jitter(digest, fault_count)
+    def retry_policy(self, faults: FaultPlan | None) -> RetryPolicy:
+        """The task backoff; a fault plan's seed, when given, wins."""
+        return RetryPolicy(self.max_retries, self.backoff_base,
+                           self.backoff_cap,
+                           seed=self.seed if faults is None else faults.seed)
 
 
 @dataclass
@@ -462,8 +459,8 @@ def _run_inline(distinct, config: RuntimeConfig, checkpoint,
             _log.warning("task_retrying", extra={
                 "digest": digest[:12], "attempts": report.attempts,
                 "fault_count": report.fault_count, "error": error})
-            time.sleep(config.backoff_delay(digest, report.fault_count,
-                                            faults))
+            time.sleep(config.retry_policy(faults).delay(
+                digest, report.fault_count))
 
 
 def _run_pool(distinct, config: RuntimeConfig, checkpoint,
@@ -531,8 +528,8 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
             _log.warning("task_retrying", extra={
                 "digest": digest[:12], "attempts": report.attempts,
                 "fault_count": report.fault_count, "error": error})
-            retry_at[digest] = time.monotonic() + config.backoff_delay(
-                digest, report.fault_count, faults)
+            retry_at[digest] = time.monotonic() + config.retry_policy(
+                faults).delay(digest, report.fault_count)
 
     def rebuild_pool() -> None:
         nonlocal pool

@@ -181,8 +181,8 @@ class TestCrashLoop:
                                   backoff_base_s=0.01)
         a = Supervisor(["x"], config=config)
         b = Supervisor(["x"], config=config)
-        assert [a.backoff_delay(k) for k in (1, 2, 3)] \
-            == [b.backoff_delay(k) for k in (1, 2, 3)]
+        assert [a.policy.delay("supervisor", k) for k in (1, 2, 3)] \
+            == [b.policy.delay("supervisor", k) for k in (1, 2, 3)]
 
 
 class TestSupervisedCLI:

@@ -1,6 +1,8 @@
 """The span tracer: nesting, capacity, exports, profile summary."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -40,7 +42,9 @@ class TestSpans:
             with tracer.span("doomed"):
                 raise RuntimeError("boom")
         assert [r.name for r in tracer.spans] == ["doomed"]
-        assert tracer._depth == 0  # depth restored for the next span
+        with tracer.span("next"):  # depth restored for the next span
+            pass
+        assert tracer.spans[-1].depth == 0
 
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)
@@ -57,6 +61,63 @@ class TestSpans:
         assert tracer.dropped == 2
         tracer.clear()
         assert tracer.spans == [] and tracer.dropped == 0
+
+
+class TestThreads:
+    def test_depth_is_per_thread(self):
+        """A top-level span is depth 0 whatever another thread has open."""
+        tracer = Tracer()
+        inside, done = threading.Event(), threading.Event()
+
+        def hold_a_span():
+            with tracer.span("a.outer"):
+                inside.set()
+                assert done.wait(timeout=10)
+
+        holder = threading.Thread(target=hold_a_span)
+        holder.start()
+        try:
+            assert inside.wait(timeout=10)
+            with tracer.span("b.top"):
+                with tracer.span("b.inner"):
+                    pass
+        finally:
+            done.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        depths = {r.name: r.depth for r in tracer.spans}
+        assert depths == {"a.outer": 0, "b.top": 0, "b.inner": 1}
+
+    def test_concurrent_spans_keep_the_ring_exact(self):
+        """Threads all inside a span at once: depths stay per thread,
+        the ring keeps exactly *capacity* spans and counts the rest."""
+        tracer = Tracer(capacity=50)
+        threads, per_thread = 4, 200
+        inside = threading.Barrier(threads)
+
+        def record():
+            with tracer.span("outer"):
+                inside.wait(timeout=10)
+                for i in range(per_thread):
+                    with tracer.span("inner", i=i):
+                        pass
+
+        workers = [threading.Thread(target=record) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the recording threads
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        spans = tracer.spans
+        assert len(spans) == 50
+        assert tracer.dropped == threads * (per_thread + 1) - 50
+        assert {(r.name, r.depth) for r in spans} \
+            <= {("outer", 0), ("inner", 1)}
 
 
 class TestExports:

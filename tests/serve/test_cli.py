@@ -128,3 +128,31 @@ class TestServeProcess:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+    def test_sigterm_right_after_ready_file_still_drains(self, tmp_path):
+        """A SIGTERM the instant the ready file lands must drain.
+
+        The child patches ``Path.replace`` to signal itself right after
+        the atomic ready-file rename, the earliest moment a script can
+        see the server as ready.
+        """
+        ready = tmp_path / "ready"
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}:{env.get('PYTHONPATH', '')}"
+        child = (
+            "import os, pathlib, signal, sys\n"
+            "from repro.cli import main\n"
+            "real = pathlib.Path.replace\n"
+            "def replace(self, target):\n"
+            "    moved = real(self, target)\n"
+            f"    if str(target) == {str(ready)!r}:\n"
+            "        os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    return moved\n"
+            "pathlib.Path.replace = replace\n"
+            f"sys.exit(main(['serve', '--port', '0', '--no-cache', "
+            f"'--ready-file', {str(ready)!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "drained; exiting" in proc.stderr

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import BackgroundServer, ServeConfig
@@ -22,8 +22,8 @@ class TestBackoff:
     def test_delay_is_seeded_and_deterministic(self):
         a = ServeClient(port=1, seed=7)
         b = ServeClient(port=1, seed=7)
-        delays = [a.backoff_delay("/provision", k) for k in (1, 2, 3)]
-        assert delays == [b.backoff_delay("/provision", k) for k in (1, 2, 3)]
+        delays = [a.policy.delay("/provision", k) for k in (1, 2, 3)]
+        assert delays == [b.policy.delay("/provision", k) for k in (1, 2, 3)]
 
     def test_delay_matches_the_fault_plan_jitter(self):
         client = ServeClient(port=1, seed=3, backoff_base=0.1,
@@ -32,7 +32,7 @@ class TestBackoff:
         for attempt in (1, 2, 3):
             expected = 0.1 * 2.0 ** (attempt - 1) \
                 * jitter.backoff_jitter("/plan", attempt)
-            assert client.backoff_delay("/plan", attempt) == expected
+            assert client.policy.delay("/plan", attempt) == expected
 
     def test_delay_grows_then_caps(self):
         client = ServeClient(port=1, seed=0, backoff_base=0.1,
@@ -40,13 +40,13 @@ class TestBackoff:
         # The jitter factor is in [0.5, 1.5): the capped delay never
         # exceeds cap * 1.5 no matter how deep the ladder goes.
         for attempt in (1, 2, 3, 4, 5):
-            assert client.backoff_delay("/x", attempt) < 0.4 * 1.5
+            assert client.policy.delay("/x", attempt) < 0.4 * 1.5
 
     def test_distinct_seeds_distinct_schedules(self):
         a = ServeClient(port=1, seed=1)
         b = ServeClient(port=1, seed=2)
-        assert [a.backoff_delay("/p", k) for k in (1, 2, 3)] \
-            != [b.backoff_delay("/p", k) for k in (1, 2, 3)]
+        assert [a.policy.delay("/p", k) for k in (1, 2, 3)] \
+            != [b.policy.delay("/p", k) for k in (1, 2, 3)]
 
 
 class TestRetries:
@@ -66,15 +66,15 @@ class TestRetries:
                                  backoff_base=0.001)
             attempts = []
 
-            def lifting_delay(path, attempt, *, retry_after_s=None):
+            def lifting_delay(policy, key, attempt, hint=None):
                 # First backoff sleep: lift the overload so the retry
                 # lands on a healthy admission bound.  ServeConfig is
                 # frozen; tests may pry it open.
-                attempts.append((attempt, retry_after_s))
+                attempts.append((attempt, hint))
                 object.__setattr__(bs.server.config, "max_inflight", 64)
                 return 0.001
 
-            monkeypatch.setattr(client, "retry_delay", lifting_delay)
+            monkeypatch.setattr(RetryPolicy, "delay", lifting_delay)
             results = client.provision(
                 [ProvisionRequest(12, 2, 0.5)], include_schedules=False)
             assert "error" not in results[0]
@@ -107,9 +107,10 @@ class TestRetries:
 class TestRetryAfterHint:
     def test_hint_overrides_the_seeded_backoff(self):
         client = ServeClient(port=1, seed=0, backoff_cap=2.0)
-        assert client.retry_delay("/p", 1, retry_after_s=0.25) == 0.25
-        assert client.retry_delay("/p", 1, retry_after_s=99.0) == 2.0  # cap
-        assert client.retry_delay("/p", 1) == client.backoff_delay("/p", 1)
+        assert client.policy.delay("/p", 1, hint=0.25) == 0.25
+        assert client.policy.delay("/p", 1, hint=99.0) == 2.0  # cap
+        assert client.policy.delay("/p", 1) \
+            == 0.05 * FaultPlan(seed=0).backoff_jitter("/p", 1)  # no hint
 
     def test_overloaded_error_carries_the_hint(self):
         with BackgroundServer(ServeConfig(port=0, max_inflight=0)) as bs:

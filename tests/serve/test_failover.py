@@ -83,17 +83,17 @@ class TestCircuitBreaker:
         assert breaker.state == BREAKER_OPEN
         assert breaker.opens == 2
         assert breaker.seconds_until_probe() == pytest.approx(
-            breaker.reset_delay(2), abs=0.01)
+            breaker.policy.delay("breaker:a:1", 2), abs=0.01)
 
     def test_reset_delay_is_seeded_per_endpoint(self):
         plan = FaultPlan(seed=5)
         a = CircuitBreaker("a:1", plan=plan)
         b = CircuitBreaker("a:1", plan=FaultPlan(seed=5))
         other = CircuitBreaker("b:1", plan=plan)
-        assert [a.reset_delay(k) for k in (1, 2, 3)] \
-            == [b.reset_delay(k) for k in (1, 2, 3)]
-        assert [a.reset_delay(k) for k in (1, 2, 3)] \
-            != [other.reset_delay(k) for k in (1, 2, 3)]
+        assert [a.policy.delay("breaker:a:1", k) for k in (1, 2, 3)] \
+            == [b.policy.delay("breaker:a:1", k) for k in (1, 2, 3)]
+        assert [a.policy.delay("breaker:a:1", k) for k in (1, 2, 3)] \
+            != [other.policy.delay("breaker:b:1", k) for k in (1, 2, 3)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -194,8 +194,8 @@ class TestFailoverClient:
                            timeout=2.0, registry=reg, sleep=lambda _d: None)
         b = FailoverClient([f"127.0.0.1:{port}"], retries=3, seed=4,
                            timeout=2.0, sleep=lambda _d: None)
-        assert [a.backoff_delay("/healthz", k) for k in (1, 2, 3)] \
-            == [b.backoff_delay("/healthz", k) for k in (1, 2, 3)]
+        assert [a.policy.delay("/healthz", k) for k in (1, 2, 3)] \
+            == [b.policy.delay("/healthz", k) for k in (1, 2, 3)]
         with pytest.raises(ServeError):
             a.health()
         assert reg.get("repro_failover_exhausted_total").value() == 1

@@ -134,8 +134,9 @@ class TestBackoff:
                                   backoff_cap_s=5.0)
         a = Supervisor(["x"], config=config)
         b = Supervisor(["x"], config=config)
-        delays = [a.backoff_delay(k) for k in (1, 2, 3, 4)]
-        assert delays == [b.backoff_delay(k) for k in (1, 2, 3, 4)]
+        delays = [a.policy.delay("supervisor", k) for k in (1, 2, 3, 4)]
+        assert delays == [b.policy.delay("supervisor", k)
+                          for k in (1, 2, 3, 4)]
         jitter = FaultPlan(seed=9)
         for k, delay in enumerate(delays, start=1):
             expected = min(5.0, 0.2 * 2.0 ** (k - 1)) \
@@ -145,14 +146,15 @@ class TestBackoff:
     def test_distinct_seeds_distinct_schedules(self):
         a = Supervisor(["x"], config=SupervisorConfig(seed=1))
         b = Supervisor(["x"], config=SupervisorConfig(seed=2))
-        assert [a.backoff_delay(k) for k in (1, 2, 3)] \
-            != [b.backoff_delay(k) for k in (1, 2, 3)]
+        assert [a.policy.delay("supervisor", k) for k in (1, 2, 3)] \
+            != [b.policy.delay("supervisor", k) for k in (1, 2, 3)]
 
     def test_sleeps_match_the_published_schedule(self):
         config = SupervisorConfig(seed=3, backoff_base_s=0.01)
         sup, _popen, sleeps = _supervisor([1, 1, 0], config=config)
         sup.run()
-        assert sleeps == [sup.backoff_delay(1), sup.backoff_delay(2)]
+        assert sleeps == [sup.policy.delay("supervisor", 1),
+                          sup.policy.delay("supervisor", 2)]
 
 
 class TestConfigAndArgv:

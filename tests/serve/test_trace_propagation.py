@@ -7,6 +7,7 @@ pool, and everything the request touched is reassemblable from the span
 dump alone.
 """
 
+import json
 import socket
 import sys
 import threading
@@ -182,26 +183,29 @@ class TestSloEndpoint:
 
 
 class TestDebugz:
-    def test_flight_recorder_holds_hop_timelines(self, tiny_plan, tracer):
+    def test_debugz_holds_the_request_spans(self, tiny_plan, tracer):
         with BackgroundServer(ServeConfig(port=0, flight_capacity=8),
                               plan_fn=_plan_fn(tiny_plan)) as bs:
             client = ServeClient(bs.host, bs.port, retries=0)
             answer = client.call("POST", "/plan", dict(PLAN_DOC))
             doc = client.debugz()
         assert doc["capacity"] == 8
-        flights = doc["requests"]
-        assert flights  # newest first
-        flight = flights[0]
-        assert flight["endpoint"] == "/plan"
-        assert flight["status"] == 200
-        assert flight["trace_id"] == answer["trace_id"]
-        hops = [h["hop"] for h in flight["hops"]]
-        assert hops[0] == "admit"
+        traces = doc["traces"]
+        assert traces  # newest first
+        spans = {s["name"]: s for s in traces[0]}
+        request = spans["serve.request"]
+        assert request["attrs"]["endpoint"] == "/plan"
+        assert request["attrs"]["status"] == 200
+        assert request["attrs"]["inflight"] == 1
+        assert request["trace_id"] == answer["trace_id"]
         # The leader's timeline: coalesce verdict, then the pool hop.
-        assert (hops.index("coalesce") < hops.index("pool.submit")
-                < hops.index("pool.done"))
-        offsets = [h["t_s"] for h in flight["hops"]]
+        assert spans["serve.coalesce.lead"]["start_s"] \
+            <= spans["serve.pool"]["start_s"]
+        offsets = [s["start_s"] for s in traces[0]]
         assert offsets == sorted(offsets)
+        dump = "".join(json.dumps(s) + "\n"
+                       for trace in traces for s in trace)
+        assert validate_trace_lines(dump) == []
 
     def test_refusals_are_recorded_too(self, tiny_plan, tracer):
         release = threading.Event()
@@ -225,11 +229,12 @@ class TestDebugz:
                 release.set()
                 future.result(timeout=30)
             doc = client.debugz()
-        refused = [f for f in doc["requests"]
-                   if any(h["hop"] == "refused" for h in f["hops"])]
+        refused = [s for trace in doc["traces"] for s in trace
+                   if s["name"] == "serve.refused"]
         assert refused
-        assert refused[0]["status"] == 503
-        assert refused[0]["error"] == "overloaded"
+        assert refused[0]["attrs"]["status"] == 503
+        assert refused[0]["attrs"]["code"] == "overloaded"
+        assert refused[0]["duration_s"] == 0.0
 
 
 class TestExemplars:

@@ -58,8 +58,9 @@ class TestConfig:
 
     def test_backoff_is_seeded_and_capped(self):
         config = RuntimeConfig(backoff_base=0.1, backoff_cap=0.3, seed=4)
-        delays = [config.backoff_delay("abc", k, None) for k in (1, 2, 3, 9)]
-        assert delays == [config.backoff_delay("abc", k, None)
+        delays = [config.retry_policy(None).delay("abc", k)
+                  for k in (1, 2, 3, 9)]
+        assert delays == [config.retry_policy(None).delay("abc", k)
                           for k in (1, 2, 3, 9)]
         # jitter is in [0.5, 1.5): bounded by half the base / 1.5x the cap
         assert 0.05 <= delays[0] < 0.15
