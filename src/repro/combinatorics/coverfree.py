@@ -30,7 +30,8 @@ from repro.combinatorics.gf import field, prime_powers
 from repro.combinatorics.orthogonal import polynomial_code
 from repro.combinatorics.steiner import affine_plane, projective_plane, steiner_triple_system
 
-__all__ = ["CoverFreeFamily", "mask_from_set", "set_from_mask", "can_cover", "max_coverage"]
+__all__ = ["CoverFreeFamily", "mask_from_set", "list_from_mask", "set_from_mask",
+           "can_cover", "max_coverage"]
 
 
 def mask_from_set(elements: Iterable[int]) -> int:
@@ -41,16 +42,23 @@ def mask_from_set(elements: Iterable[int]) -> int:
     return mask
 
 
+def list_from_mask(mask: int) -> list[int]:
+    """Unpack a bitmask into its set bit positions, ascending.
+
+    Peels the lowest set bit (``mask & -mask``) once per member, so the
+    cost follows the popcount rather than the highest bit position.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def set_from_mask(mask: int) -> frozenset[int]:
     """Unpack a bitmask into a frozenset of bit positions."""
-    out = set()
-    bit = 0
-    while mask:
-        if mask & 1:
-            out.add(bit)
-        mask >>= 1
-        bit += 1
-    return frozenset(out)
+    return frozenset(list_from_mask(mask))
 
 
 def _prune_dominated(candidates: list[int]) -> list[int]:

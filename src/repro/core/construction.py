@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from math import ceil, gcd
 
 from repro._validation import check_class_params, check_int
+from repro.combinatorics.coverfree import list_from_mask
 from repro.core.schedule import Schedule
 from repro.core.throughput import optimal_transmitters_constrained
 
@@ -138,11 +139,9 @@ def _run_construction(source: Schedule, chunk_t: int, alpha_r: int,
     rx_out: list[int] = []
     origin: list[int] = []
     pad_pointer = 0  # round-robin start for balanced receiver padding
-    for i in range(source.frame_length):
-        t_elems = sorted(source.tx_set(i))
-        r_elems = sorted(source.rx_set(i))
-        t_chunks = divide(t_elems, chunk_t)
-        r_chunks = divide(r_elems, alpha_r)
+    for i, (t_source, r_source) in enumerate(zip(source.tx, source.rx)):
+        t_chunks = divide(list_from_mask(t_source), chunk_t)
+        r_chunks = divide(list_from_mask(r_source), alpha_r)
         for t_chunk in t_chunks:
             t_mask = 0
             for v in t_chunk:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro._validation import check_int
-from repro.combinatorics.coverfree import mask_from_set, set_from_mask
+from repro.combinatorics.coverfree import list_from_mask, mask_from_set, set_from_mask
 
 __all__ = ["Schedule"]
 
@@ -70,7 +70,7 @@ class Schedule:
             if t & r:
                 raise ValueError(
                     f"slot {i}: transmitter and receiver sets intersect "
-                    f"(nodes {sorted(set_from_mask(t & r))})"
+                    f"(nodes {list_from_mask(t & r)})"
                 )
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any
 
 from repro._validation import check_int
+from repro.combinatorics.coverfree import list_from_mask
 from repro.core.schedule import Schedule
 
 __all__ = ["schedule_to_dict", "schedule_from_dict", "save_schedule",
@@ -27,14 +28,14 @@ def schedule_to_dict(schedule: Schedule, *, meta: dict[str, Any] | None = None
     """Serializable representation: per-slot node lists plus metadata.
 
     Node lists (rather than opaque bitmask integers) keep the format
-    readable and language-neutral; frames are short, so size is a non-issue.
+    readable and language-neutral; each list is ascending.
     """
     doc: dict[str, Any] = {
         "format": "repro-schedule",
         "version": FORMAT_VERSION,
         "n": schedule.n,
-        "tx": [sorted(schedule.tx_set(i)) for i in range(schedule.frame_length)],
-        "rx": [sorted(schedule.rx_set(i)) for i in range(schedule.frame_length)],
+        "tx": [list_from_mask(m) for m in schedule.tx],
+        "rx": [list_from_mask(m) for m in schedule.rx],
     }
     if meta:
         doc["meta"] = dict(meta)
@@ -92,7 +93,7 @@ def family_to_dict(family) -> dict[str, Any]:
         "format": "repro-coverfree",
         "version": FORMAT_VERSION,
         "ground": family.ground,
-        "blocks": [sorted(b) for b in family.block_sets()],
+        "blocks": [list_from_mask(b) for b in family.blocks],
     }
 
 

@@ -19,7 +19,11 @@ interchange format of :mod:`repro.core.serialization` — a cache entry is
 a superset of a flashable schedule file.  Durability rules:
 
 * writes are atomic (`tmp` file + ``os.replace``) so a crashed process
-  never leaves a half-written entry;
+  never leaves a half-written entry, and a write that fails removes its
+  `tmp` file before the error reaches the caller;
+* entries are canonical JSON on one line (sorted keys, no whitespace);
+  readers only ``json.loads`` them, so indented entries written by
+  earlier versions still load;
 * loads are corruption-tolerant: any unreadable, unparsable, key-mismatched
   or semantically invalid entry is **quarantined** — moved into
   ``cache_dir/quarantine/`` for post-mortem instead of silently destroyed
@@ -42,6 +46,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -103,6 +108,13 @@ def plan_key(n: int, d: int, budget: Fraction, balanced: bool) -> dict[str, Any]
     }
 
 
+def _canonical_json(doc: dict[str, Any]) -> str:
+    """Sorted keys and no whitespace: the encoding of key digests and of
+    entries on disk.  Without an indent, ``json.dumps`` stays on
+    CPython's C encoder; any indent falls back to the pure-Python one."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def key_digest(key: dict[str, Any]) -> str:
     """SHA-256 of the canonical JSON encoding of a key document.
 
@@ -110,8 +122,7 @@ def key_digest(key: dict[str, Any]) -> str:
     stable across processes, machines and Python versions — the property
     the cross-process key-stability test pins down.
     """
-    canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(key).encode("utf-8")).hexdigest()
 
 
 class StoreStats:
@@ -384,7 +395,8 @@ class ScheduleStore:
         clear and are removed only by an explicit
         :meth:`clear_quarantine`.
         """
-        self._memory.clear()
+        with self._memory_lock:
+            self._memory.clear()
         removed = 0
         if self.cache_dir.is_dir():
             for path in self._entry_paths():
@@ -555,8 +567,15 @@ class ScheduleStore:
         # consumes the file the other is about to move.
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(_canonical_json(doc) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            # Entry walks only see ``??/*.json``, so a tmp file left by a
+            # failed write would never be cleared or scrubbed.
+            with suppress(OSError):
+                tmp.unlink()
+            raise
         self.stats.record_store()
         self._remember(digest, plan)
         default_tracer().record("store.put", perf_counter() - started,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.combinatorics.coverfree import (
     CoverFreeFamily,
     can_cover,
+    list_from_mask,
     mask_from_set,
     max_coverage,
     set_from_mask,
@@ -29,6 +30,18 @@ class TestMaskUtils:
 
     def test_set_from_zero(self):
         assert set_from_mask(0) == frozenset()
+
+    def test_list_from_zero(self):
+        assert list_from_mask(0) == []
+
+    @given(mask=st.integers(min_value=0, max_value=(1 << 600) - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_list_unpack_property(self, mask):
+        bits = list_from_mask(mask)
+        assert bits == sorted(set(bits))  # strictly ascending
+        assert mask_from_set(bits) == mask
+        assert set_from_mask(mask) == frozenset(bits)
+        assert len(bits) == mask.bit_count()
 
 
 def brute_can_cover(target: int, candidates, r: int) -> bool:

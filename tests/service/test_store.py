@@ -1,10 +1,13 @@
 """The persistent schedule store: keys, round trips, corruption handling."""
 
+import errno
 import json
 import os
 import subprocess
 import sys
 import threading
+import time
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +100,66 @@ class TestRoundTrip:
         assert len(store) == 2
         assert store.clear() == 2
         assert len(store) == 0
+        assert store.get_eval(plan.family, 12, 2, 2, 4, False) is None
+
+
+class TestEntryFormat:
+    """Entries are compact canonical JSON; indented ones still load."""
+
+    def test_new_entry_is_one_canonical_line(self, store):
+        plan = _some_plan()
+        key = eval_key(plan.family, 12, 2, 2, 4, False)
+        store.put_eval(plan.family, 12, 2, 2, 4, False, plan)
+        text = store.entry_path(key).read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+        # Same document the earlier indented layout held.
+        old = json.dumps(ScheduleStore._encode(key, plan), sort_keys=True,
+                         indent=1) + "\n"
+        assert doc == json.loads(old)
+
+    def test_indented_entry_from_earlier_versions_loads(self, store):
+        plan = _some_plan()
+        key = eval_key(plan.family, 12, 2, 2, 4, False)
+        path = store.entry_path(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(ScheduleStore._encode(key, plan),
+                                   sort_keys=True, indent=1) + "\n")
+        fresh = ScheduleStore(store.cache_dir)
+        assert fresh.get_eval(plan.family, 12, 2, 2, 4, False) == plan
+        assert fresh.stats.disk_hits == 1 and fresh.stats.corruptions == 0
+        report = fresh.scrub()
+        assert report.clean and report.scanned == 1 and report.ok == 1
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_write_leaves_no_tmp_file(self, store, monkeypatch,
+                                             stage):
+        """A full disk mid-write or a vanished shard at the rename: the
+        caller sees the error and the shard holds no stray tmp file."""
+        plan = _some_plan()
+        key = eval_key(plan.family, 12, 2, 2, 4, False)
+        if stage == "write":
+            real_write = Path.write_text
+
+            def full_disk(self, data, *args, **kwargs):
+                real_write(self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device",
+                              str(self))
+
+            monkeypatch.setattr(Path, "write_text", full_disk)
+        else:
+            def vanished(src, dst):
+                raise FileNotFoundError(errno.ENOENT, "No such file or "
+                                        "directory", str(dst))
+
+            monkeypatch.setattr(os, "replace", vanished)
+        with pytest.raises(OSError):
+            store.put_eval(plan.family, 12, 2, 2, 4, False, plan)
+        monkeypatch.undo()
+        assert list(store.entry_path(key).parent.iterdir()) == []
+        assert store.stats.stores == 0
         assert store.get_eval(plan.family, 12, 2, 2, 4, False) is None
 
 
@@ -269,6 +332,64 @@ class TestConcurrency:
             t.start()
         for t in threads:
             t.join(timeout=60)
+        assert failures == []
+        assert len(store._memory) <= 2
+
+    def test_clear_races_lru_gets_and_puts(self, tmp_path):
+        """clear() empties the LRU front under its lock, so it can never
+        land between a reader's or writer's lookup and move_to_end."""
+
+        class YieldingLRU(OrderedDict):
+            # Yield the GIL mid-update to widen the window an unlocked
+            # clear() would need.
+            def move_to_end(self, key, last=True):
+                time.sleep(0)
+                super().move_to_end(key, last)
+
+        store = ScheduleStore(tmp_path / "cache", memory_slots=2)
+        store._memory = YieldingLRU()
+        plans = {alpha_r: _some_plan(alpha_r=alpha_r)
+                 for alpha_r in (3, 4, 5, 6)}
+        barrier = threading.Barrier(4)
+        done = threading.Event()
+        failures = []
+
+        def churn():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(50):
+                    for alpha_r, plan in plans.items():
+                        store.put_eval(plan.family, 12, 2, 2, alpha_r,
+                                       False, plan)
+                        got = store.get_eval(plan.family, 12, 2, 2,
+                                             alpha_r, False)
+                        # A clear between the two calls makes a miss.
+                        assert got is None or got == plan
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        def clearer():
+            try:
+                barrier.wait(timeout=10)
+                while not done.is_set():
+                    store.clear()
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        churners = [threading.Thread(target=churn) for _ in range(3)]
+        clearing = threading.Thread(target=clearer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in [*churners, clearing]:
+                t.start()
+            for t in churners:
+                t.join(timeout=60)
+            done.set()
+            clearing.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*churners, clearing])
         assert failures == []
         assert len(store._memory) <= 2
 
