@@ -22,5 +22,5 @@ outputs:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis test_output.txt bench_output.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

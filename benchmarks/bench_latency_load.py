@@ -31,10 +31,3 @@ def test_latency_load_curve(benchmark, report):
         assert b >= a - 1.0
     assert latencies[-1] > 10 * analytic
     report(table, "latency_load")
-    from repro.analysis.ascii_plot import line_plot
-
-    import sys
-    sys.stdout.write("\n" + line_plot(
-        [r["rate_per_slot"] for r in rows], latencies, log_y=True,
-        title="Figure E17: mean latency (slots, log) vs offered load "
-              "(pkts/slot)", width=50, height=10) + "\n")

@@ -2,8 +2,9 @@
 
 Two generations live here:
 
-* :func:`sweep` — the original 36-line serial cartesian runner, kept for
-  the benchmarks and examples that call a Python function per point;
+* :func:`sweep` — the original 36-line serial cartesian runner, kept as
+  the serial baseline ``benchmarks/bench_sweep.py`` times the engine
+  against;
 * the **sweep engine** — :class:`SweepSpec` / :class:`SweepRunner` — which
   expands a simulation parameter grid (schedule family × n × D × traffic ×
   seeds), deduplicates points, fans fixed-size *shards* out over the

@@ -13,9 +13,10 @@ Two classical sanity anchors the tests pin down:
   over 7 points.
 
 The search is exponential — it is a verification instrument for the
-benchmark ``bench_substrate_scale.py`` and the tests, not a construction
-path.  Symmetry is broken by enumerating candidate blocks in a fixed
-order and only appending blocks later in that order.
+tests (the Fano anchor backs the maximality claim in
+``docs/substrates.md``), not a construction path.  Symmetry is broken
+by enumerating candidate blocks in a fixed order and only appending
+blocks later in that order.
 """
 
 from __future__ import annotations

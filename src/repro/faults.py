@@ -36,7 +36,7 @@ import json
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -171,13 +171,6 @@ class FaultPlan:
         """True when the plan injects any simulator-side fault."""
         return bool(self.node_crash_rate > 0 or self.link_loss > 0
                     or self.node_outages)
-
-    @property
-    def worker_active(self) -> bool:
-        """True when the plan injects any provisioning-worker fault."""
-        return bool(self.worker_crash_rate > 0 or self.worker_hang_rate > 0
-                    or self.worker_slow_rate > 0 or self.worker_error_rate > 0
-                    or self.targeted_worker_faults)
 
     @property
     def proxy_active(self) -> bool:
@@ -443,29 +436,9 @@ class ActiveFaults:
         toggles = self._extend_timeline(node, slot)
         return bisect_right(toggles, slot) % 2 == 0
 
-    def down_count(self, slot: int) -> int:
-        """Number of nodes down in *slot* (for metrics accounting)."""
-        return sum(1 for x in range(self.n) if not self.node_up(x, slot))
-
     def link_delivers(self, slot: int, src: int, dst: int) -> bool:
         """Delegate to :meth:`FaultPlan.link_delivers`."""
         return self.plan.link_delivers(slot, src, dst)
-
-    def outage_epochs(self, node: int, horizon: int
-                      ) -> Iterator[tuple[int, int | None]]:
-        """Yield the (start, end) downtime epochs of *node* up to *horizon*.
-
-        Scripted epochs come first, then generated stochastic ones;
-        useful for reporting and for asserting determinism in tests.
-        """
-        yield from self._scripted.get(node, ())
-        if self.plan.node_crash_rate <= 0.0:
-            return
-        toggles = self._extend_timeline(node, horizon)
-        for i in range(0, len(toggles) - 1, 2):
-            yield toggles[i], toggles[i + 1]
-        if len(toggles) % 2 == 1:
-            yield toggles[-1], None
 
     def _extend_timeline(self, node: int, slot: int) -> list[int]:
         """Generate the node's toggle slots past *slot*; return them."""

@@ -32,7 +32,7 @@ import json
 import threading
 from bisect import bisect_left
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.obs import context as _context
 
@@ -142,12 +142,12 @@ class _Metric:
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = self._series_cls(key)
+            series = self._series.setdefault(key, self._series_cls(key))
         return series
 
-    def series(self) -> Iterator[Any]:
-        """Every series of this metric, in insertion order."""
-        return iter(self._series.values())
+    def series(self) -> list[Any]:
+        """Every series of this metric, in insertion order (a copy)."""
+        return list(self._series.values())
 
 
 class Counter(_Metric):
@@ -167,7 +167,7 @@ class Counter(_Metric):
 
     def total(self) -> float:
         """Sum over every series of this counter."""
-        return sum(s.value for s in self._series.values())
+        return sum(s.value for s in self.series())
 
 
 class Gauge(_Metric):
@@ -208,8 +208,8 @@ class Histogram(_Metric):
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = HistogramSeries(
-                key, self.bounds, exemplars=self.exemplars)
+            series = self._series.setdefault(key, HistogramSeries(
+                key, self.bounds, exemplars=self.exemplars))
         return series
 
     def observe(self, value: float, **labels: Any) -> None:
@@ -222,8 +222,11 @@ class MetricsRegistry:
 
     Instrument accessors are idempotent: asking twice for the same name
     returns the same object, and asking for a name already registered as
-    a different kind raises.  Series creation is locked; increments on
-    bound series are plain attribute arithmetic.
+    a different kind raises.  Registration is locked; series creation is
+    one ``dict.setdefault``, so threads binding the same labels at once
+    share one series.  Snapshots and exports walk copies, so worker
+    threads may add metrics and series while a scrape runs.  Increments
+    on bound series are plain attribute arithmetic.
     """
 
     def __init__(self) -> None:
@@ -293,7 +296,7 @@ class MetricsRegistry:
         counters: dict[str, Any] = {}
         gauges: dict[str, Any] = {}
         histograms: dict[str, Any] = {}
-        for name, metric in self._metrics.items():
+        for name, metric in list(self._metrics.items()):
             if metric.kind == "counter":
                 counters[name] = {
                     "help": metric.help,
@@ -407,7 +410,7 @@ class MetricsRegistry:
             return "{" + ",".join(parts) + "}" if parts else ""
 
         lines: list[str] = []
-        for name, metric in self._metrics.items():
+        for name, metric in list(self._metrics.items()):
             if metric.help:
                 lines.append(f"# HELP {name} {esc_help(metric.help)}")
             lines.append(f"# TYPE {name} {metric.kind}")

@@ -199,9 +199,9 @@ class Tracer:
     # export
     # ------------------------------------------------------------------
     def to_jsonl(self, path: str | Path) -> None:
-        """Write one JSON object per span, in record order — the same
-        line-delimited convention as
-        :meth:`repro.simulation.trace.TraceRecorder.to_jsonl`."""
+        """Write one JSON object per span, in record order (JSONL).
+
+        :func:`read_jsonl` loads the file back."""
         with Path(path).open("w") as fh:
             for record in self.spans:
                 fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")

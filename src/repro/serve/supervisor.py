@@ -139,12 +139,6 @@ class Supervisor:
             "repro_supervisor_crashes_total",
             "Child exits the supervisor counted as crashes.").labels()
 
-    @property
-    def child_pid(self) -> int | None:
-        """PID of the currently running child, or None."""
-        child = self._child
-        return child.pid if child is not None else None
-
     def request_stop(self, sig: int = signal.SIGTERM) -> None:
         """End supervision: forward *sig* to the child, stop restarting.
 

@@ -29,7 +29,7 @@ from repro.simulation.traffic import (
 from repro.simulation.energy import EnergyModel, EnergyAccount, RadioState
 from repro.simulation.engine import Simulator, Packet
 from repro.simulation.metrics import Metrics
-from repro.simulation.routing import sink_tree, next_hop_table
+from repro.simulation.routing import sink_tree
 from repro.simulation.drift import ClockDrift
 
 __all__ = [
@@ -44,6 +44,5 @@ __all__ = [
     "Packet",
     "Metrics",
     "sink_tree",
-    "next_hop_table",
     "ClockDrift",
 ]

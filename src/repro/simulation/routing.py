@@ -1,4 +1,4 @@
-"""Convergecast routing: BFS sink trees and next-hop tables.
+"""Convergecast routing: BFS sink trees and hop counts.
 
 Multi-hop experiments (periodic sensing to a sink) need a forwarding rule.
 The standard WSN choice is a shortest-path tree rooted at the sink,
@@ -15,7 +15,7 @@ from collections import deque
 from repro._validation import check_int
 from repro.simulation.topology import Topology
 
-__all__ = ["sink_tree", "next_hop_table", "hop_counts"]
+__all__ = ["sink_tree", "hop_counts"]
 
 
 def sink_tree(topology: Topology, sink: int) -> dict[int, int]:
@@ -36,11 +36,6 @@ def sink_tree(topology: Topology, sink: int) -> dict[int, int]:
                 parent[v] = u
                 queue.append(v)
     return parent
-
-
-def next_hop_table(topology: Topology, sink: int) -> dict[int, int]:
-    """Alias of :func:`sink_tree` under its forwarding-table name."""
-    return sink_tree(topology, sink)
 
 
 def hop_counts(topology: Topology, sink: int) -> dict[int, int]:

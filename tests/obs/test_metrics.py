@@ -1,6 +1,8 @@
 """The metrics registry: instruments, snapshots, merge, exports."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -279,3 +281,65 @@ class TestDefaultRegistry:
         finally:
             set_default_registry(old)
         assert default_registry() is old
+
+
+class TestThreads:
+    def test_scrapes_race_worker_threads_adding_metrics_and_series(self):
+        """Worker threads register metrics and bind new series while a
+        scrape walks the registry: no scrape fails, and threads binding
+        the same new labels at once share one series."""
+        reg = MetricsRegistry()
+        counter = reg.counter("tasks_total")
+        hist = reg.histogram("task_seconds")
+        keys = 3000
+        start = threading.Barrier(4)
+        done = threading.Event()
+        failures = []
+
+        def bind():
+            try:
+                start.wait(timeout=10)
+                for i in range(keys):
+                    counter.labels(key=i).inc()
+                    hist.labels(key=i).observe(0.01)
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        def register():
+            try:
+                start.wait(timeout=10)
+                for i in range(keys):
+                    reg.gauge(f"level_{i}").set(i)
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        def scrape():
+            try:
+                start.wait(timeout=10)
+                while not done.is_set():
+                    reg.snapshot()
+                    reg.to_prometheus()
+                    counter.total()
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        workers = [threading.Thread(target=bind),
+                   threading.Thread(target=bind),
+                   threading.Thread(target=register)]
+        scraper = threading.Thread(target=scrape)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the four threads
+        try:
+            for t in [*workers, scraper]:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            done.set()
+            scraper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*workers, scraper])
+        assert failures == []
+        assert len(reg.names()) == 2 + keys
+        assert [s.value for s in counter.series()] == [2.0] * keys
+        assert [s.count for s in hist.series()] == [2] * keys

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.simulation.routing import hop_counts, next_hop_table, sink_tree
-from repro.simulation.topology import Topology, grid, ring, star
+from repro.simulation.routing import hop_counts, sink_tree
+from repro.simulation.topology import Topology, grid, ring
 
 
 class TestSinkTree:
@@ -48,10 +48,6 @@ class TestSinkTree:
     def test_sink_validated(self):
         with pytest.raises(ValueError):
             sink_tree(grid(2, 2), 7)
-
-    def test_next_hop_alias(self):
-        topo = star(5, 4)
-        assert next_hop_table(topo, 0) == sink_tree(topo, 0)
 
     def test_hop_counts_consistent_with_parents(self):
         topo = grid(4, 3)

@@ -1,11 +1,12 @@
-"""Examples don't rot: smoke-run the fast ones end to end.
+"""Examples don't rot: every script in examples/ runs end to end.
 
-The slower field studies (environment_monitoring, dynamic_topology,
-mobile_fleet) take tens of seconds and are exercised through their
-underlying experiment functions elsewhere; here the two fast examples run
-for real so the documented entry points stay working.
+Each example must carry a module docstring and exit 0; the slowest,
+environment_monitoring, takes about ten seconds.  Three also have their
+printed results checked.  Runs are cached, so each script runs once.
 """
 
+import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,10 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
+SCRIPTS = sorted(p.name for p in EXAMPLES.glob("*.py"))
 
 
+@functools.cache
 def run_example(name: str) -> str:
     result = subprocess.run(
         [sys.executable, str(EXAMPLES / name)],
@@ -22,6 +25,18 @@ def run_example(name: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_example_runs(name):
+    run_example(name)
+
+
+def test_all_examples_exist_and_have_docstrings():
+    assert SCRIPTS
+    for name in SCRIPTS:
+        tree = ast.parse((EXAMPLES / name).read_text())
+        assert ast.get_docstring(tree), f"{name} has no module docstring"
 
 
 def test_quickstart():
@@ -36,31 +51,7 @@ def test_schedule_planner():
     assert "round-trip verified" in out
 
 
-def test_all_examples_exist_and_have_docstrings():
-    expected = {
-        "quickstart.py",
-        "environment_monitoring.py",
-        "duty_cycle_tradeoff.py",
-        "dynamic_topology.py",
-        "schedule_planner.py",
-        "mobile_fleet.py",
-        "jammed_slot_diagnosis.py",
-    }
-    found = {p.name for p in EXAMPLES.glob("*.py")}
-    assert expected <= found
-    for name in expected:
-        text = (EXAMPLES / name).read_text()
-        assert text.lstrip().startswith(('"""', '#!'))
-        assert '"""' in text
-
-
 @pytest.mark.parametrize("name", ["duty_cycle_tradeoff.py"])
 def test_tradeoff_example(name):
     out = run_example(name)
     assert "Theorem 8" in out
-
-
-def test_jammed_slot_diagnosis():
-    out = run_example("jammed_slot_diagnosis.py")
-    assert "RECOVERED" in out
-    assert "MISMATCH" not in out
