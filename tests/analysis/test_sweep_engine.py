@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -185,3 +186,25 @@ class TestQuarantine:
         degraded = [r for r in chaotic.rows
                     if "shard quarantined" in r.get("error", "")]
         assert len(degraded) == 3
+
+
+class TestGolden:
+    """SHA-256 of the merged rows of a saturated Figure 2 sweep over
+    every family the benchmark sweeps, recorded before the kernel's
+    collision counting was rewritten: per-link success counts,
+    collisions and energy must stay byte-identical whatever computes
+    them."""
+
+    SPEC = SweepSpec(families=("tdma", "polynomial", "projective", "mols"),
+                     ns=(36, 64), ds=(2, 4), traffics=("saturated",),
+                     seeds=(2007,), frames=3, alpha_t=2, alpha_r=6)
+    DIGEST = "631532a4203913aded6844e52108f3253db807fa561723c3c699937204761475"
+
+    def test_saturated_construction_rows(self):
+        result = SweepRunner(self.SPEC, jobs=1, shard_size=16).run()
+        assert len(result.rows) == 16
+        # Theorem 2's guarantee: every link succeeds at least once a frame.
+        assert all(row["metrics"]["min_link_throughput"] >= 1
+                   for row in result.rows)
+        text = "".join(render_row(row) + "\n" for row in result.rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

@@ -1,5 +1,7 @@
 """Steiner triple systems, difference triples, and finite planes."""
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -110,6 +112,46 @@ class TestProjectivePlane:
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError):
             projective_plane(6)
+
+
+class TestProjectiveGolden:
+    """SHA-256 of ``[v, lines]`` with each line a sorted point list,
+    recorded before the incidence test was vectorized: the line order and every line's points are pinned for each order ``q``,
+    so the substrates and schedules built on them cannot drift."""
+
+    DIGESTS = {
+        2: "c2f5bf6ad5f0ab7e45c113fa9aa0bd87272adfb8931764fbdf4738fe982a7d22",
+        3: "e83c2a23b3a5d060277cc865ac32c3f7442086818049c919cfa508994c7a6f48",
+        4: "ccf8801027c6e61ae675e45261433344812b4b7fd15069df4ba967789c613410",
+        5: "fb4e487f357a010db2bfd3531378ffc18a2f9b7eb6828fdbf6bd7d3910fe4134",
+        7: "42f11b4db10366f8f7e1abe87ad488311d06288b4eb5a4dc37f04f2707f0ecc0",
+        8: "c6518b1a4a4ff720818d3633c952d273a7321d7268d8cfaee308939edd6acde8",
+        9: "c5503fae89d84753a06c9d18df640ccfe5d17d67e3f85b9c732c9b1413e3a41e",
+        11: "6cbef9a884b6e7c7ed210cad3920a0b34fbbbf901cd7937158193656e3b1cb58",
+        13: "bafaecd1964eb1e21faa693eaa0730b4ea9cca3057398302dc697a91cdfba8cc",
+        16: "2f6bf8f61d1c030fa1962d10f816b9edc8e07127c8cbff3ef69f410ccde30df0",
+        17: "968234d403a07c2c2b7cec68b1b44dca79670e0a39cba6600637b5f97b88e5d3",
+        19: "d2a501b6c5a4233e81fd0814ebf37170c60077843ed8ff1942adc73a9f5808d9",
+        23: "9dbccceda5378035dec1d009f71073950be7fb7a47ea292045b4ce42dfb6ef0e",
+        25: "cc947acffcd599b082f60ee213c1862d75304c6d03b4bcf51572b011a020c8e5",
+        27: "8c050545eb59a099e0bdacab88f71f6e20af3b46788f420adc727931b5b41783",
+        29: "31f5831ded854ea67b755dcb1729a4e114d722c4b68cba8255076446ed5ba2c6",
+        31: "08eb536fc07ba4d60de92c607cf4f96f91998aad8c73180c26af9832cb946a86",
+        32: "ed3677f9eae502bbfb59419532f609f8896f078d3fc2f0e39bb3fe7deb159586",
+    }
+
+    def test_every_prime_power_order_up_to_32(self):
+        from repro.combinatorics.gf import is_prime_power
+
+        assert sorted(self.DIGESTS) == [q for q in range(2, 33)
+                                        if is_prime_power(q)]
+
+    @pytest.mark.parametrize("q", sorted(DIGESTS))
+    def test_lines_match_digest(self, q):
+        v, lines = projective_plane(q)
+        text = json.dumps([v, [sorted(line) for line in lines]],
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[q]
 
 
 class TestProjectiveVerifier:
