@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from math import isqrt
 from pathlib import Path
@@ -454,8 +455,15 @@ class SweepRunner:
         """Atomic tmp-then-replace write, same discipline as the store."""
         path = self._checkpoint_path(task.key())
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text("".join(render_row(row) + "\n" for row in rows))
-        os.replace(tmp, path)
+        try:
+            tmp.write_text("".join(render_row(row) + "\n" for row in rows))
+            os.replace(tmp, path)
+        except BaseException:
+            # Resume reads only ``<digest>.jsonl``, so a tmp file left by
+            # a failed write would sit in the directory for good.
+            with suppress(OSError):
+                tmp.unlink()
+            raise
 
     def _load_checkpoint(self, task: ShardTask
                          ) -> list[dict[str, Any]] | None:

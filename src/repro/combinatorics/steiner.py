@@ -27,8 +27,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from repro._validation import check_int
-from repro.combinatorics.gf import GF, field, is_prime_power
+from repro.combinatorics.gf import field, is_prime_power
 
 __all__ = [
     "steiner_triple_system",
@@ -199,15 +201,6 @@ def is_steiner_triple_system(v: int, blocks: list[frozenset[int]]) -> bool:
     return len(seen) == v * (v - 1) // 2
 
 
-def _normalize(f: GF, vec: tuple[int, int, int]) -> tuple[int, int, int] | None:
-    """Scale *vec* so its first nonzero coordinate is 1; None for the zero vector."""
-    for i, coord in enumerate(vec):
-        if coord != 0:
-            inv = f.inv(coord)
-            return tuple(f.mul(inv, c) for c in vec)[:3]  # type: ignore[return-value]
-    return None
-
-
 def projective_plane(q: int) -> tuple[int, list[frozenset[int]]]:
     """The projective plane ``PG(2, q)`` for a prime power *q*.
 
@@ -220,28 +213,23 @@ def projective_plane(q: int) -> tuple[int, list[frozenset[int]]]:
     if not is_prime_power(q):
         raise ValueError(f"q must be a prime power, got {q}")
     f = field(q)
-    # Points: normalized representatives of 1-dim subspaces of GF(q)^3.
-    points: list[tuple[int, int, int]] = []
-    index: dict[tuple[int, int, int], int] = {}
-    for x in range(q):
-        for y in range(q):
-            for z in range(q):
-                rep = _normalize(f, (x, y, z))
-                if rep is not None and rep not in index:
-                    index[rep] = len(points)
-                    points.append(rep)
+    # Points: the representatives of the 1-dim subspaces of GF(q)^3 whose
+    # first nonzero coordinate is 1, in lexicographic order — (0,0,1),
+    # then (0,1,z), then (1,y,z).  This is the order a scan of GF(q)^3
+    # first meets each subspace in, and it fixes every point and line
+    # index the substrates and schedules are built from.
+    points = np.array([(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+                      + [(1, y, z) for y in range(q) for z in range(q)])
     v = q * q + q + 1
-    if len(points) != v:  # pragma: no cover - field-arithmetic invariant
-        raise AssertionError(f"PG(2,{q}) has {len(points)} points, expected {v}")
+    xs, ys, zs = points.T
     # Lines are also indexed by normalized coefficient vectors [a:b:c];
-    # point (x,y,z) lies on line (a,b,c) iff ax + by + cz == 0.
+    # point (x,y,z) lies on line (a,b,c) iff ax + by + cz == 0, tested
+    # for all points at once per line (O(v) working memory).
     lines: list[frozenset[int]] = []
-    for a, b, c in points:
-        members = frozenset(
-            index[p]
-            for p in points
-            if f.add(f.add(f.mul(a, p[0]), f.mul(b, p[1])), f.mul(c, p[2])) == 0
-        )
+    for a, b, c in points.tolist():
+        dot = f.add_vec(f.add_vec(f.mul_vec(a, xs), f.mul_vec(b, ys)),
+                        f.mul_vec(c, zs))
+        members = frozenset(np.flatnonzero(dot == 0).tolist())
         if len(members) != q + 1:  # pragma: no cover - invariant
             raise AssertionError(
                 f"line {(a, b, c)} of PG(2,{q}) has {len(members)} points"

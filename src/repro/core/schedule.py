@@ -238,25 +238,23 @@ class Schedule:
     # ------------------------------------------------------------------
     def tx_matrix(self) -> np.ndarray:
         """Boolean matrix of shape ``(L, n)``: slot x node transmit eligibility."""
-        out = np.zeros((self.frame_length, self.n), dtype=bool)
-        for i in range(self.frame_length):
-            m = self.tx[i]
-            while m:
-                low = m & -m
-                out[i, low.bit_length() - 1] = True
-                m ^= low
-        return out
+        return self._unpack(self.tx)
 
     def rx_matrix(self) -> np.ndarray:
         """Boolean matrix of shape ``(L, n)``: slot x node receive eligibility."""
-        out = np.zeros((self.frame_length, self.n), dtype=bool)
-        for i in range(self.frame_length):
-            m = self.rx[i]
-            while m:
-                low = m & -m
-                out[i, low.bit_length() - 1] = True
-                m ^= low
-        return out
+        return self._unpack(self.rx)
+
+    def _unpack(self, masks: tuple[int, ...]) -> np.ndarray:
+        """Node bitmasks as boolean matrix rows, unpacked in one step.
+
+        Node ``x`` is bit ``x % 8`` of byte ``x // 8`` of a mask's
+        little-endian bytes, the order ``bitorder="little"`` unpacks."""
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(
+            b"".join([m.to_bytes(width, "little") for m in masks]),
+            dtype=np.uint8).reshape(len(masks), width)
+        return np.unpackbits(packed, axis=1, count=self.n,
+                             bitorder="little").view(bool)
 
     def restricted_to(self, n: int) -> "Schedule":
         """Restrict the schedule to the first *n* node identifiers.

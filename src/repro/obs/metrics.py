@@ -225,8 +225,12 @@ class MetricsRegistry:
     a different kind raises.  Registration is locked; series creation is
     one ``dict.setdefault``, so threads binding the same labels at once
     share one series.  Snapshots and exports walk copies, so worker
-    threads may add metrics and series while a scrape runs.  Increments
-    on bound series are plain attribute arithmetic.
+    threads may add metrics and series while a scrape runs.  The copies
+    are of ``values()``, never ``items()``: copying items allocates a
+    tuple per entry, an allocation can run the garbage collector, and a
+    finalizer's Python code can switch threads (or register a metric
+    itself) halfway through the copy.  Increments on bound series are
+    plain attribute arithmetic.
     """
 
     def __init__(self) -> None:
@@ -296,7 +300,8 @@ class MetricsRegistry:
         counters: dict[str, Any] = {}
         gauges: dict[str, Any] = {}
         histograms: dict[str, Any] = {}
-        for name, metric in list(self._metrics.items()):
+        for metric in list(self._metrics.values()):
+            name = metric.name
             if metric.kind == "counter":
                 counters[name] = {
                     "help": metric.help,
@@ -410,7 +415,8 @@ class MetricsRegistry:
             return "{" + ",".join(parts) + "}" if parts else ""
 
         lines: list[str] = []
-        for name, metric in list(self._metrics.items()):
+        for metric in list(self._metrics.values()):
+            name = metric.name
             if metric.help:
                 lines.append(f"# HELP {name} {esc_help(metric.help)}")
             lines.append(f"# TYPE {name} {metric.kind}")

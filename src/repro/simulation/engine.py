@@ -108,8 +108,9 @@ class Simulator:
         :meth:`run` (see *vectorize*), the fast path the sweep engine
         rides.
     vectorize:
-        Allow the vectorized saturated-mode kernel (matrix collision
-        resolution over whole frames).  It engages only when
+        Allow the vectorized saturated-mode kernel (collision
+        resolution over whole frames as exact integer counts on the
+        directed links).  It engages only when
         ``instrument=False`` and the run is eligible — saturated traffic,
         synchronous clocks, no fault plan, no capture — and is *exact*:
         the property suite pins it bit-for-bit against the scalar
@@ -390,68 +391,91 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def _vector_eligible(self) -> bool:
-        """True when the matrix kernel reproduces the scalar path exactly.
+        """True when the vectorized kernel reproduces the scalar path
+        exactly.
 
         Saturated traffic under perfect synchrony with no fault plan and
         no capture lottery is memoryless: every slot's outcome is a pure
         function of the frame position, so whole frames collapse into one
-        batch of matrix operations.
+        batch of array operations.
         """
         return (self._vectorize and not self._instrument
                 and self.traffic.saturated and self._sync
                 and self._faults is None and self.capture_probability == 0.0)
 
     def _matrices(self) -> tuple[np.ndarray, ...]:
-        """Adjacency and eligibility matrices, built once per simulator."""
+        """Directed links, neighbour table and node x slot eligibility
+        matrices, built once per simulator."""
         if self._mats is None:
             n = self.topology.n
             adj = np.zeros((n, n), dtype=bool)
             for u, v in self.topology.edges:
                 adj[u, v] = adj[v, u] = True
-            tx_elig = self.schedule.tx_matrix()[:, :n]
-            rx = self.schedule.rx_matrix()[:, :n]
-            self._mats = (adj, tx_elig, rx)
+            # Directed links (x, y) in row-major order; as adjacency is
+            # symmetric, the links leaving y also list y's neighbours.
+            xs, ys = np.nonzero(adj)
+            degree = np.bincount(xs, minlength=n)
+            # nbrs[y]: y's neighbours, padded with the sentinel node n
+            # whose transmit row the kernel keeps all zero.
+            nbrs = np.full((n, degree.max(initial=0)), n, dtype=np.intp)
+            first = np.cumsum(degree) - degree
+            nbrs[xs, np.arange(len(xs)) - first[xs]] = ys
+            # Node-major rows, so every per-node gather copies whole rows.
+            tx_elig = np.ascontiguousarray(self.schedule.tx_matrix()[:, :n].T)
+            rx = np.ascontiguousarray(self.schedule.rx_matrix()[:, :n].T)
+            self._mats = (xs, ys, degree, nbrs, tx_elig, rx)
         return self._mats
 
     def _run_vectorized(self, frames: int) -> None:
         """Advance *frames* whole frames with per-slot collision resolution
-        as matrix algebra; exact replica of ``frames * L`` scalar steps."""
+        as exact integer counts over the directed links; an exact replica
+        of ``frames * L`` scalar steps."""
         n = self.topology.n
         length = self.schedule.frame_length
-        adj, tx_elig, rx = self._matrices()
-        # Rows in *simulated* order: the run may start mid-frame.
+        xs, ys, degree, nbrs, tx_elig, rx = self._matrices()
+        # Columns in *simulated* order: the run may start mid-frame.
         offset = self._slot % length
         if offset:
-            tx_elig = np.roll(tx_elig, -offset, axis=0)
-            rx = np.roll(rx, -offset, axis=0)
-        degree = adj.sum(axis=1)
+            tx_elig = np.roll(tx_elig, -offset, axis=1)
+            rx = np.roll(rx, -offset, axis=1)
         # Actual transmitters per slot: eligible and with someone to hear.
-        tx = tx_elig & (degree > 0)[None, :]
-        adj_i = adj.astype(np.int64)
-        talkers = tx.astype(np.int64) @ adj_i      # (L, n): transmitting nbrs
+        # Row n is the all-zero row the neighbour table's padding selects.
+        tx_pad = np.zeros((n + 1, length), dtype=bool)
+        np.logical_and(tx_elig, (degree > 0)[:, None], out=tx_pad[:n])
+        tx = tx_pad[:n]
+        # talkers[y, s]: transmitting neighbours of y in slot s, one
+        # neighbour-table column at a time, in a dtype that holds any
+        # degree (a hub may have more than 255 neighbours).
+        talkers = np.zeros((n, length),
+                           dtype=np.min_scalar_type(nbrs.shape[1]))
+        tx_u8 = tx_pad.view(np.uint8)
+        for column in nbrs.T:
+            talkers += tx_u8[column]
         clean = rx & (talkers == 1)                # unique-talker listeners
-        # successes[x, y]: slots where x transmits and y hears exactly one
-        # neighbour — x is then necessarily that neighbour when x ~ y.
-        successes = (tx.astype(np.int64).T @ clean.astype(np.int64)) * adj_i
-        tx_slots = tx.sum(axis=0, dtype=np.int64)  # attempts per frame / nbr
-        collisions = (rx & (talkers >= 2)).sum(axis=0, dtype=np.int64)
+        # successes per link (x, y): slots where x transmits and y hears
+        # exactly one neighbour — which is then necessarily x.
+        successes = (tx[xs] & clean[ys]).sum(axis=1, dtype=np.int64)
+        tx_slots = tx.sum(axis=1, dtype=np.int64)  # attempts per frame / nbr
+        collisions = (rx & (talkers >= 2)).sum(axis=1, dtype=np.int64)
 
         m = self.metrics
-        for x in np.nonzero(tx_slots)[0]:
-            count = int(tx_slots[x]) * frames
-            for y in np.nonzero(adj[x])[0]:
-                m.attempts[(int(x), int(y))] += count
-        for x, y in zip(*np.nonzero(successes)):
-            m.successes[(int(x), int(y))] += int(successes[x, y]) * frames
-        for y in np.nonzero(collisions)[0]:
-            m.collisions[int(y)] += int(collisions[y]) * frames
+        links = list(zip(xs.tolist(), ys.tolist()))
+        for link, count in zip(links, tx_slots[xs].tolist()):
+            if count:
+                m.attempts[link] += count * frames
+        for link, count in zip(links, successes.tolist()):
+            if count:
+                m.successes[link] += count * frames
+        for y, count in enumerate(collisions.tolist()):
+            if count:
+                m.collisions[y] += count * frames
 
         # Energy: state occupancy per node over one frame, scaled.
         model = self.energy.model
         idle = (tx_elig & ~tx if not self.idle_transmitters_sleep
                 else np.zeros_like(tx))
         awake = tx | rx | idle
-        tx_ct, rx_ct, idle_ct = (a.sum(axis=0, dtype=np.int64)
+        tx_ct, rx_ct, idle_ct = (a.sum(axis=1, dtype=np.int64)
                                  for a in (tx, rx, idle))
         sleep_ct = length - tx_ct - rx_ct - idle_ct
         for state, counts in ((RadioState.TRANSMIT, tx_ct),
@@ -465,14 +489,14 @@ class Simulator:
         # Wakeups: sleep->awake edges.  In the steady state frames repeat,
         # so the frame boundary compares against the previous frame's last
         # slot; frame 0 alone compares against the recorded history.
-        prev = np.roll(awake, 1, axis=0)           # steady-state predecessor
-        steady = (awake & ~prev).sum(axis=0, dtype=np.int64)
+        prev = np.roll(awake, 1, axis=1)           # steady-state predecessor
+        steady = (awake & ~prev).sum(axis=1, dtype=np.int64)
         was = np.asarray(self._was_awake, dtype=bool)
-        first = steady - (awake[0] & ~awake[-1]) + (awake[0] & ~was)
+        first = steady - (awake[:, 0] & ~awake[:, -1]) + (awake[:, 0] & ~was)
         wakeups = first + steady * (frames - 1)
         self.energy.wakeups += wakeups
         self.energy.spent_mj += wakeups * model.wakeup_mj
-        self._was_awake = awake[-1].tolist()
+        self._was_awake = awake[:, -1].tolist()
 
         self._slot += frames * length
         m.slots = self._slot

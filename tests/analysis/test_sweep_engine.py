@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +163,33 @@ class TestCheckpointResume:
                              checkpoint_dir=ckpt, resume=True).run()
         assert second.resumed_shards == len(first.shard_digests) - 1
         assert second.to_jsonl() == first.to_jsonl()
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path, monkeypatch,
+                                             stage):
+        """A full disk mid-write or a failed rename: the sweep fails with
+        the error and the checkpoint directory holds no stray tmp file."""
+        if stage == "write":
+            real_write = Path.write_text
+
+            def full_disk(self, data, *args, **kwargs):
+                real_write(self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device",
+                              str(self))
+
+            monkeypatch.setattr(Path, "write_text", full_disk)
+        else:
+            def vanished(src, dst):
+                raise FileNotFoundError(errno.ENOENT, "No such file or "
+                                        "directory", str(dst))
+
+            monkeypatch.setattr(os, "replace", vanished)
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(OSError):
+            SweepRunner(SPEC, jobs=1, shard_size=3,
+                        checkpoint_dir=ckpt).run()
+        monkeypatch.undo()
+        assert list(ckpt.iterdir()) == []
 
 
 class TestQuarantine:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.schedule import Schedule
 from tests.conftest import random_schedule_strategy
@@ -161,3 +162,31 @@ def test_counts_sum_to_popcounts(sched):
 @settings(max_examples=30, deadline=None)
 def test_matrix_roundtrip_property(sched):
     assert Schedule.from_matrices(sched.tx_matrix(), sched.rx_matrix()) == sched
+
+
+@st.composite
+def wide_schedules(draw):
+    """Schedules over up to 200 nodes (masks of one to 25 bytes), with
+    the byte-boundary sizes 8, 64, 65 and 100 drawn often."""
+    n = draw(st.one_of(st.sampled_from((8, 64, 65, 100)),
+                       st.integers(min_value=1, max_value=200)))
+    masks = st.integers(min_value=0, max_value=2**n - 1)
+    length = draw(st.integers(min_value=1, max_value=12))
+    tx = tuple(draw(masks) for _ in range(length))
+    rx = tuple(draw(masks) & ~t for t in tx)
+    return Schedule(n, tx, rx)
+
+
+@given(sched=wide_schedules())
+@settings(max_examples=60, deadline=None)
+def test_matrices_match_bitwise_reference(sched):
+    """Row i, column x is bit x of the slot-i mask, for any width."""
+    for masks, matrix in ((sched.tx, sched.tx_matrix()),
+                          (sched.rx, sched.rx_matrix())):
+        assert matrix.dtype == bool
+        assert matrix.shape == (sched.frame_length, sched.n)
+        expected = [[(m >> x) & 1 == 1 for x in range(sched.n)]
+                    for m in masks]
+        assert matrix.tolist() == expected
+    assert Schedule.from_matrices(sched.tx_matrix(),
+                                  sched.rx_matrix()) == sched

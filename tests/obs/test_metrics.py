@@ -1,5 +1,6 @@
 """The metrics registry: instruments, snapshots, merge, exports."""
 
+import gc
 import json
 import sys
 import threading
@@ -343,3 +344,36 @@ class TestThreads:
         assert len(reg.names()) == 2 + keys
         assert [s.value for s in counter.series()] == [2.0] * keys
         assert [s.count for s in hist.series()] == [2] * keys
+
+    def test_scrape_survives_a_collection_mid_copy(self):
+        """A garbage collection can run while a scrape copies the
+        registry, and a finalizer's Python code can then switch threads
+        and register a metric.  Registering from the finalizer itself
+        makes that interleaving deterministic: no scrape may fail."""
+        reg = MetricsRegistry()
+        # More entries than the interpreter keeps spare pairs for, so a
+        # copy of items() has to allocate and can trigger a collection.
+        keys = 3000
+        for i in range(keys):
+            reg.gauge(f"level_{i}").set(i)
+        late = iter(range(200))
+
+        class Garbage:
+            def __init__(self):
+                self.cycle = self          # only the collector frees it
+
+            def __del__(self):
+                i = next(late, None)
+                if i is not None:
+                    reg.gauge(f"late_{i}")
+                    Garbage()              # for the next collection
+
+        thresholds = gc.get_threshold()
+        Garbage()
+        gc.set_threshold(1)                # collect at every allocation
+        try:
+            reg.snapshot()
+            reg.to_prometheus()
+        finally:
+            gc.set_threshold(*thresholds)
+        assert len(reg.names()) == keys + 200   # every finalizer ran

@@ -4,8 +4,9 @@ The fast path (``instrument=False`` + eligible run) must be an *exact*
 replica of the scalar slot loop — same metric dictionaries, including
 which keys exist, and same energy accounting down to the wakeup edges.
 The randomized deep-dive lives in ``test_engine_property.py`` (slow
-tier); these are the fast, targeted scenarios plus the uninstrumented
-allocation contract.
+tier); these are the fast, targeted scenarios, the sweep-scale
+constructions (multi-byte masks, frames of thousands of slots) and the
+uninstrumented allocation contract.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.nonsleeping import tdma_schedule
+from repro.core.construction import construct
+from repro.core.nonsleeping import polynomial_schedule, tdma_schedule
 from repro.core.schedule import Schedule
 from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry, default_registry, set_default_registry
@@ -21,7 +23,13 @@ from repro.obs.tracing import Tracer, default_tracer, set_default_tracer
 from repro.simulation.drift import ClockDrift
 from repro.simulation.energy import RadioState
 from repro.simulation.engine import Simulator
-from repro.simulation.topology import grid, ring, star
+from repro.simulation.topology import (
+    Topology,
+    grid,
+    ring,
+    star,
+    worst_case_regular,
+)
 from repro.simulation.traffic import PoissonTraffic, SaturatedTraffic
 
 
@@ -112,6 +120,76 @@ class TestExactEquivalence:
         _assert_equal(scalar, fast)
         # Everyone woke at most once from the initial all-asleep state.
         assert int(fast.energy.wakeups.max()) <= 1
+
+
+@pytest.fixture(scope="module")
+def tdma_100():
+    """The Figure 2 construction the sweeps run: L = 1700 over n = 100."""
+    return construct(tdma_schedule(100), 4, 2, 6)
+
+
+class TestSweepScale:
+    """Kernel == scalar reference on real constructions at sweep size:
+    13-byte masks, thousands of slots per frame, degree-0 nodes and a
+    hub whose talker count overflows a byte."""
+
+    def test_tdma_construction(self, tdma_100):
+        assert tdma_100.frame_length == 1700
+        topo = worst_case_regular(100, 4, seed=7)
+        scalar, fast = _pair(topo, tdma_100)
+        scalar.run(2)
+        fast.run(2)
+        _assert_equal(scalar, fast)
+
+    def test_polynomial_construction(self):
+        sched = construct(polynomial_schedule(70, 4), 4, 2, 6)
+        assert sched.frame_length == 3564
+        topo = worst_case_regular(70, 4, seed=7)
+        scalar, fast = _pair(topo, sched)
+        scalar.run(1)
+        fast.run(1)
+        _assert_equal(scalar, fast)
+
+    def test_smaller_network_with_isolated_nodes(self, tdma_100):
+        # 90 of the schedule's 100 nodes, and nodes 80-89 have no link.
+        topo = Topology(90, worst_case_regular(80, 4, seed=7).edges)
+        assert [topo.degree(x) for x in range(80, 90)] == [0] * 10
+        scalar, fast = _pair(topo, tdma_100)
+        scalar.run(1)
+        fast.run(1)
+        _assert_equal(scalar, fast)
+
+    def test_idle_transmitters_stay_awake(self, tdma_100):
+        topo = worst_case_regular(100, 4, seed=7)
+        scalar, fast = _pair(topo, tdma_100, idle_transmitters_sleep=False)
+        scalar.run(1)
+        fast.run(1)
+        _assert_equal(scalar, fast)
+
+    def test_mid_frame_start(self, tdma_100):
+        topo = worst_case_regular(100, 4, seed=7)
+        scalar, fast = _pair(topo, tdma_100)
+        scalar.run_slots(850)
+        fast.run_slots(850)
+        scalar.run(1)
+        fast.run(1)
+        _assert_equal(scalar, fast)
+
+    def test_hub_talker_count_past_a_byte(self):
+        # 257 and 256 simultaneous talkers at the hub wrap to 1 and 0 in
+        # an 8-bit count: a false clean reception and a lost collision.
+        topo = star(300, 299)
+        leaves = range(1, 300)
+        sched = Schedule.from_sets(
+            300, tx_sets=[range(1, 258), range(1, 257), [0], [1]],
+            rx_sets=[[0], [0], leaves, [0]])
+        scalar, fast = _pair(topo, sched)
+        scalar.run(3)
+        fast.run(3)
+        _assert_equal(scalar, fast)
+        assert fast.metrics.collisions[0] == 6
+        assert set(fast.metrics.successes) \
+            == {(1, 0)} | {(0, y) for y in leaves}
 
 
 class TestEligibilityGate:
