@@ -1,13 +1,18 @@
-"""Shared argument-validation helpers.
+"""Shared argument-validation and wire-document helpers.
 
 Every public entry point of :mod:`repro` validates its arguments through the
 small helpers in this module so that error messages are uniform and the
 validation logic is tested in exactly one place.
+
+The wire-format validators, which live beside each format's writer and
+return problem strings instead of raising, share the helpers at the end.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import json
+from dataclasses import MISSING, fields
+from typing import Any, Callable, Iterable, Mapping, get_type_hints
 
 
 def check_int(value: object, name: str, *, minimum: int | None = None,
@@ -85,3 +90,60 @@ def check_nonnegative_float(value: object, name: str) -> float:
     if not value >= 0.0 or value == float("inf"):
         raise ValueError(f"{name} must be a non-negative finite float, got {value}")
     return value
+
+
+def is_a(value: object, kind: type | tuple[type, ...]) -> bool:
+    """Whether JSON *value* is a *kind*, never counting ``bool`` as ``int``."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def required_fields(cls: type) -> dict[str, Any]:
+    """Required fields of dataclass *cls* and their JSON types.
+
+    The fields without a default, each with the type a document may carry
+    for it (``float`` also admits ``int``).
+    """
+    hints = get_type_hints(cls)
+    return {f.name: (int, float) if hints[f.name] is float else hints[f.name]
+            for f in fields(cls) if f.default is MISSING}
+
+
+def header_problems(doc: Mapping[str, Any], fmt: str,
+                    version: int) -> list[str]:
+    """Problems with a wire document's ``format``/``version`` header.
+
+    Every versioned document opens with these two members; the list is
+    empty when they declare *fmt* version *version*.
+    """
+    problems = []
+    if doc.get("format") != fmt:
+        problems.append(f"'format' must be {fmt!r}, got {doc.get('format')!r}")
+    if doc.get("version") != version:
+        problems.append(f"'version' must be {version}, "
+                        f"got {doc.get('version')!r}")
+    return problems
+
+
+def jsonl_problems(text: str, check: Callable[[Any], list[str]]
+                   ) -> tuple[list[Any], list[str]]:
+    """Run *check* on every line of a JSONL document.
+
+    Returns the documents *check* passed and every problem, prefixed
+    ``line N:``; a blank or unparseable line is a problem too.
+    """
+    docs: list[Any] = []
+    problems: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            problems.append(f"line {lineno}: blank line")
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            problems.append(f"line {lineno}: unparseable: {exc}")
+            continue
+        found = check(doc)
+        problems.extend(f"line {lineno}: {p}" for p in found)
+        if not found:
+            docs.append(doc)
+    return docs, problems

@@ -24,6 +24,9 @@ Determinism is the engine's contract, enforced by the regression suite:
 * shard identity is the SHA-256 digest of the canonical ``(spec, points)``
   document, so a checkpoint can never be replayed against the wrong grid.
 
+:func:`validate_row` checks one result row against that schema and
+:func:`validate_rows` a whole JSONL document of them.
+
 Simulations run with ``instrument=False``, unlocking the vectorized
 saturated-mode kernel of :class:`repro.simulation.engine.Simulator`.
 """
@@ -41,7 +44,8 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro._validation import check_int
+from repro._validation import check_int, header_problems, is_a, \
+    jsonl_problems, required_fields
 from repro.faults import FaultPlan
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -50,7 +54,8 @@ from repro.service.runtime import RuntimeConfig, TaskReport, execute_tasks
 from repro.service.store import key_digest
 
 __all__ = ["sweep", "SweepSpec", "SweepPoint", "ShardTask", "SweepResult",
-           "SweepRunner", "ROW_FORMAT", "ROW_VERSION", "render_row"]
+           "SweepRunner", "ROW_FORMAT", "ROW_VERSION", "render_row",
+           "validate_row", "validate_rows"]
 
 _log = get_logger("analysis.sweeps")
 
@@ -266,6 +271,20 @@ def _build_schedule(spec: SweepSpec, point: SweepPoint):
                      balanced=spec.balanced)
 
 
+#: Row schema: the ``point`` members and their types, and the ``metrics``
+#: members :func:`_evaluate_point` writes; True marks the ones that may
+#: be null (mean latency when nothing was delivered).
+_POINT_FIELDS = required_fields(SweepPoint)
+_METRIC_FIELDS = {
+    "slots": False, "frame_length": False, "duty_cycle": False,
+    "attempts": False, "successes": False, "collisions": False,
+    "mean_link_throughput": False, "min_link_throughput": False,
+    "delivery_ratio": False, "dropped": False,
+    "mean_latency_slots": True, "awake_fraction": False,
+    "total_energy_mj": False, "energy_fairness": False,
+}
+
+
 def _evaluate_point(spec: SweepSpec, point: SweepPoint) -> dict[str, Any]:
     """One simulation run -> the canonical result row (never raises for a
     merely infeasible point: those produce deterministic error rows)."""
@@ -323,6 +342,52 @@ def render_row(row: dict[str, Any]) -> str:
     """Canonical JSON encoding of a result row: sorted keys, no
     whitespace — the byte-identical merge contract depends on it."""
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
+def validate_row(row: object) -> list[str]:
+    """Every way one result row breaks the row schema (empty list: valid).
+
+    The envelope header, a ``point`` typed like :class:`SweepPoint`, and
+    exactly one of ``metrics`` (every field :func:`_evaluate_point`
+    writes, numeric) or ``error`` (a string).
+    """
+    if not isinstance(row, dict):
+        return [f"row must be a JSON object, got {type(row).__name__}"]
+    problems = header_problems(row, ROW_FORMAT, ROW_VERSION)
+    point = row.get("point")
+    if not isinstance(point, dict):
+        problems.append("missing 'point' object")
+    else:
+        for name, kind in _POINT_FIELDS.items():
+            if not is_a(point.get(name), kind):
+                problems.append(f"point.{name}: must be {kind.__name__}, "
+                                f"got {point.get(name)!r}")
+    if ("metrics" in row) == ("error" in row):
+        problems.append("row must carry exactly one of 'metrics'/'error'")
+    if "error" in row and not isinstance(row["error"], str):
+        problems.append("'error' must be a string")
+    if "metrics" not in row:
+        return problems
+    metrics = row["metrics"]
+    if not isinstance(metrics, dict):
+        problems.append("'metrics' must be an object")
+    else:
+        for name, nullable in _METRIC_FIELDS.items():
+            if name not in metrics:
+                problems.append(f"metrics.{name}: missing")
+            elif not (metrics[name] is None and nullable
+                      or is_a(metrics[name], (int, float))):
+                problems.append(f"metrics.{name}: must be numeric, "
+                                f"got {metrics[name]!r}")
+    return problems
+
+
+def validate_rows(text: str) -> list[str]:
+    """Every problem of a JSONL file of result rows, by ``line N:``.
+
+    Blank and unparseable lines are problems too.
+    """
+    return jsonl_problems(text, validate_row)[1]
 
 
 # ----------------------------------------------------------------------
@@ -487,8 +552,7 @@ class SweepRunner:
                     "digest": task.key()[:12], "reason": "unparseable row"})
                 return None
             if (not isinstance(row, dict)
-                    or row.get("format") != ROW_FORMAT
-                    or row.get("version") != ROW_VERSION
+                    or header_problems(row, ROW_FORMAT, ROW_VERSION)
                     or row.get("point") != point.to_dict()):
                 _log.warning("checkpoint_invalid", extra={
                     "digest": task.key()[:12], "reason": "row mismatch"})

@@ -15,6 +15,9 @@ never existed on disk.  This module gives it a home:
   reports regressions beyond a per-metric noise threshold; ``repro obs
   bench-diff --baseline <file>`` wraps it and exits 1 on regression —
   the perf gate CI runs on the paper's hot paths.
+* :func:`validate_records` checks history records against the record
+  schema; :func:`parse_history_lines` tells a history file from other
+  documents (``tools/validate_metrics.py`` routes on it).
 
 **Direction** is inferred from the headline metric's name
 (:func:`lower_is_better`): time-flavoured suffixes (``_s``, ``_ms``,
@@ -37,13 +40,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
+
+from repro._validation import header_problems, is_a
 
 __all__ = ["HISTORY_FORMAT", "HISTORY_VERSION", "SUMMARY_FORMAT",
            "result_key", "lower_is_better", "load_sidecars",
            "history_record", "append_history", "read_history",
-           "latest_by_bench", "Comparison", "DiffReport", "diff",
-           "DEFAULT_THRESHOLD"]
+           "parse_history_lines", "validate_records", "latest_by_bench",
+           "Comparison", "DiffReport", "diff", "DEFAULT_THRESHOLD"]
 
 #: ``format`` marker of one history.jsonl record.
 HISTORY_FORMAT = "repro-bench-history"
@@ -158,14 +163,7 @@ def read_history(path: str | Path) -> list[dict[str, Any]]:
     fail loudly, not silently pass the gate).
     """
     records = []
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: unparseable: {exc}") from exc
+    for lineno, doc in _history_lines(Path(path).read_text(), path):
         if not isinstance(doc, dict) or doc.get("format") != HISTORY_FORMAT:
             raise ValueError(f"{path}:{lineno}: not a {HISTORY_FORMAT} "
                              f"record")
@@ -174,6 +172,81 @@ def read_history(path: str | Path) -> list[dict[str, Any]]:
                              f"{doc.get('version')!r}")
         records.append(doc)
     return records
+
+
+def _history_lines(text: str, source: str | Path
+                   ) -> Iterator[tuple[int, Any]]:
+    """``(line number, parsed JSON)`` per non-blank line of *text*;
+    raises ``ValueError`` naming *source* and the line it cannot parse."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{source}:{lineno}: unparseable: {exc}") \
+                from exc
+        yield lineno, doc
+
+
+def parse_history_lines(text: str, source: str | Path) -> list[Any] | None:
+    """The parsed lines of history JSONL *text*, for :func:`validate_records`.
+
+    None when the first non-blank line is not a history record on its
+    own: *text* is some other document.  A later line that does not
+    parse raises ``ValueError`` as :func:`read_history` does.
+    """
+    lines = _history_lines(text, source)
+    try:
+        _, first = next(lines, (0, None))
+    except ValueError:
+        return None
+    if not isinstance(first, dict) or first.get("format") != HISTORY_FORMAT:
+        return None
+    return [first, *(doc for _, doc in lines)]
+
+
+def validate_records(records: object) -> list[str]:
+    """Every way a list of history records breaks the record schema.
+
+    The schema is :func:`history_record`'s (empty list: valid).  Each
+    record needs the header, string ``bench`` and ``git_sha``, a
+    numeric ``recorded_unix`` and a ``results`` list of rows with a
+    non-empty string ``key``, a string ``name`` and, when present, a
+    ``headline`` with a string ``metric`` and a numeric ``value``.
+    """
+    if not isinstance(records, list):
+        return [f"expected a list of records, got {type(records).__name__}"]
+    problems: list[str] = []
+    for i, record in enumerate(records):
+        where = f"record[{i}]"
+        if not isinstance(record, dict):
+            problems.append(f"{where}: must be an object")
+            continue
+        problems.extend(f"{where}: {p}" for p in header_problems(
+            record, HISTORY_FORMAT, HISTORY_VERSION))
+        for name in ("bench", "git_sha"):
+            if not isinstance(record.get(name), str):
+                problems.append(f"{where}: missing string {name!r}")
+        if not is_a(record.get("recorded_unix"), (int, float)):
+            problems.append(f"{where}: missing numeric 'recorded_unix'")
+        rows = record.get("results")
+        if not isinstance(rows, list):
+            problems.append(f"{where}: missing 'results' list")
+            continue
+        for j, row in enumerate(rows):
+            spot = f"{where}.results[{j}]"
+            if not isinstance(row, dict):
+                problems.append(f"{spot}: must be an object")
+                continue
+            if not isinstance(row.get("key"), str) or not row["key"]:
+                problems.append(f"{spot}: missing non-empty string 'key'")
+            if not isinstance(row.get("name"), str):
+                problems.append(f"{spot}: missing string 'name'")
+            if row.get("headline") is not None and _headline(row) is None:
+                problems.append(f"{spot}: 'headline' must carry a "
+                                "string 'metric' and numeric 'value'")
+    return problems
 
 
 def latest_by_bench(records: Iterable[Mapping[str, Any]]
@@ -248,20 +321,21 @@ class DiffReport:
                 "missing_in_current": list(self.missing_in_current)}
 
 
+def _headline(row: Mapping[str, Any]) -> tuple[str, float] | None:
+    """``(metric, value)`` of *row*'s headline: None when it carries
+    none, or one without a string ``metric`` and a numeric ``value``."""
+    headline = row.get("headline")
+    if isinstance(headline, dict) and isinstance(headline.get("metric"), str) \
+            and is_a(headline.get("value"), (int, float)):
+        return headline["metric"], float(headline["value"])
+    return None
+
+
 def _headline_index(results: Iterable[Mapping[str, Any]]
                     ) -> dict[str, tuple[str, float]]:
     """``{row key: (metric, value)}`` for rows carrying a headline."""
-    index = {}
-    for row in results:
-        headline = row.get("headline")
-        if not isinstance(headline, dict):
-            continue
-        metric = headline.get("metric")
-        value = headline.get("value")
-        if isinstance(metric, str) and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            index[result_key(row)] = (metric, float(value))
-    return index
+    return {result_key(row): headline for row in results
+            if (headline := _headline(row)) is not None}
 
 
 def diff(current: Mapping[str, Mapping[str, Any]],

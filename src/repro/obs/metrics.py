@@ -24,6 +24,7 @@ gauges take the incoming value.  That is how process-pool workers report
 deltas in, so ``--jobs N`` and ``--jobs 1`` produce the same totals.
 Exports: :meth:`~MetricsRegistry.to_json` and
 :meth:`~MetricsRegistry.to_prometheus` (the text exposition format).
+:func:`validate_snapshot` checks a snapshot document against its schema.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from bisect import bisect_left
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro._validation import header_problems, is_a
 from repro.obs import context as _context
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "default_registry", "set_default_registry",
+           "default_registry", "set_default_registry", "validate_snapshot",
            "SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "DEFAULT_BUCKETS"]
 
 #: ``format`` marker of every snapshot document.
@@ -460,3 +462,98 @@ def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
     global _default
     old, _default = _default, registry
     return old
+
+
+def validate_snapshot(doc: object) -> list[str]:
+    """Every way *doc* breaks the snapshot schema (empty list: valid).
+
+    The contract of :meth:`MetricsRegistry.snapshot`: the header, the
+    three metric sections, labels mapping strings to strings, a numeric
+    ``value`` per counter or gauge series, and per histogram a numeric
+    ``buckets`` list with series whose ``counts`` (and optional
+    ``exemplars``: null, or a numeric ``value`` with a string or null
+    ``trace_id``) hold one entry per bucket plus the +Inf bucket.
+    """
+    if not isinstance(doc, dict):
+        return [f"snapshot must be a JSON object, got {type(doc).__name__}"]
+    problems = header_problems(doc, SNAPSHOT_FORMAT, SNAPSHOT_VERSION)
+    for kind in ("counters", "gauges", "histograms"):
+        section = doc.get(kind)
+        if not isinstance(section, dict):
+            problems.append(f"missing '{kind}' object")
+            continue
+        for name, metric in section.items():
+            if not isinstance(metric, dict):
+                problems.append(f"{name}: must be an object")
+                continue
+            if not isinstance(metric.get("help"), str):
+                problems.append(f"{name}: missing 'help' string")
+            problems.extend(_series_problems(name, kind, metric))
+    return problems
+
+
+def _series_problems(name: str, kind: str, metric: dict) -> list[str]:
+    """Problems of one metric's ``series`` list."""
+    series = metric.get("series")
+    if not isinstance(series, list):
+        return [f"{name}: 'series' must be a list, got {type(series).__name__}"]
+    problems: list[str] = []
+    buckets = metric.get("buckets")
+    if kind == "histograms" and (
+            not isinstance(buckets, list)
+            or not all(isinstance(b, (int, float)) for b in buckets)):
+        problems.append(f"{name}: 'buckets' must be a numeric list")
+        buckets = None
+    for i, entry in enumerate(series):
+        where = f"{name}.series[{i}]"
+        if not isinstance(entry, dict):
+            problems.append(f"{where}: must be an object")
+            continue
+        labels = entry.get("labels")
+        if not isinstance(labels, dict) or \
+                not all(isinstance(k, str) and isinstance(v, str)
+                        for k, v in labels.items()):
+            problems.append(f"{where}: 'labels' must map strings to strings")
+        if kind in ("counters", "gauges"):
+            if not isinstance(entry.get("value"), (int, float)):
+                problems.append(f"{where}: missing numeric 'value'")
+            continue
+        counts = entry.get("counts")
+        if not isinstance(counts, list) or \
+                not all(isinstance(c, int) for c in counts):
+            problems.append(f"{where}: 'counts' must be an integer list")
+        elif buckets is not None and len(counts) != len(buckets) + 1:
+            problems.append(f"{where}: len(counts)={len(counts)} != "
+                            f"len(buckets)+1={len(buckets) + 1}")
+        if not isinstance(entry.get("count"), int):
+            problems.append(f"{where}: missing integer 'count'")
+        if not isinstance(entry.get("sum"), (int, float)):
+            problems.append(f"{where}: missing numeric 'sum'")
+        if "exemplars" in entry:
+            problems.extend(_exemplar_problems(where, entry["exemplars"],
+                                               buckets))
+    return problems
+
+
+def _exemplar_problems(where: str, exemplars: object,
+                       buckets: list | None) -> list[str]:
+    """Problems of one histogram series' ``exemplars`` list."""
+    if not isinstance(exemplars, list):
+        return [f"{where}: 'exemplars' must be a list"]
+    problems: list[str] = []
+    if buckets is not None and len(exemplars) != len(buckets) + 1:
+        problems.append(f"{where}: len(exemplars)={len(exemplars)} != "
+                        f"len(buckets)+1={len(buckets) + 1}")
+    for j, ex in enumerate(exemplars):
+        if ex is None:
+            continue
+        spot = f"{where}.exemplars[{j}]"
+        if not isinstance(ex, dict):
+            problems.append(f"{spot}: must be null or an object")
+            continue
+        if not is_a(ex.get("value"), (int, float)):
+            problems.append(f"{spot}: missing numeric 'value'")
+        if "trace_id" not in ex or not (
+                ex["trace_id"] is None or isinstance(ex["trace_id"], str)):
+            problems.append(f"{spot}: 'trace_id' must be a string or null")
+    return problems

@@ -288,14 +288,15 @@ def parse_collapsed(text: str) -> Counter[tuple[str, ...]]:
 def looks_like_collapsed(text: str) -> bool:
     """Whether *text* parses as non-empty collapsed-stack output.
 
+    A line opening with ``{`` is a JSON record whatever it ends with, and
+    a line's count must end it: ``a;b 3 `` is not a profile.
     ``tools/validate_trace.py`` uses this to skip profile sidecars that
     arrive via the same artefact glob as span dumps.
     """
-    stripped = text.strip()
-    if not stripped:
+    if any(line.lstrip().startswith("{") for line in text.splitlines()):
         return False
     try:
-        return bool(parse_collapsed(stripped))
+        return bool(parse_collapsed(text))
     except ValueError:
         return False
 

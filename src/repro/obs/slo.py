@@ -27,7 +27,8 @@ point-in-time burn over a whole snapshot; :class:`BurnRateTracker`
 holds timestamped ``(good, total)`` samples and reports **rolling**
 burn rates over several windows at once (the multi-window alerting
 pattern: page on fast burn over short windows, ticket on slow burn
-over long ones).
+over long ones).  :func:`validate_report` checks a report document
+against its schema.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from repro._validation import header_problems, is_a, required_fields
+
 __all__ = ["Objective", "ObjectiveResult", "evaluate", "good_total",
-           "BurnRateTracker", "default_serve_objectives",
+           "validate_report", "BurnRateTracker", "default_serve_objectives",
            "SLO_REPORT_FORMAT", "SLO_REPORT_VERSION"]
 
 #: ``format`` marker of the report document ``evaluate`` produces.
@@ -200,6 +203,49 @@ def evaluate(objectives: Iterable[Objective],
         results.append(result)
     return {"format": SLO_REPORT_FORMAT, "version": SLO_REPORT_VERSION,
             "ok": overall_ok, "objectives": results}
+
+
+def validate_report(doc: object) -> list[str]:
+    """Every way *doc* breaks the :func:`evaluate` report schema.
+
+    Empty when valid.  The header, a boolean ``ok``, and an
+    ``objectives`` list whose entries carry the :class:`Objective`
+    fields without a default, the numeric
+    ``good``/``total``/``compliance``/``budget_burn`` and a boolean
+    ``ok``.
+    """
+    if not isinstance(doc, dict):
+        return [f"report must be a JSON object, got {type(doc).__name__}"]
+    problems = header_problems(doc, SLO_REPORT_FORMAT, SLO_REPORT_VERSION)
+    if not isinstance(doc.get("ok"), bool):
+        problems.append("missing boolean 'ok'")
+    entries = doc.get("objectives")
+    if not isinstance(entries, list):
+        return problems + ["missing 'objectives' list"]
+    required = required_fields(Objective)
+    for i, entry in enumerate(entries):
+        where = f"objectives[{i}]"
+        if not isinstance(entry, dict):
+            problems.append(f"{where}: must be an object")
+            continue
+        objective = entry.get("objective")
+        if not isinstance(objective, dict):
+            problems.append(f"{where}: missing 'objective' object")
+        else:
+            for name, kind in required.items():
+                value = objective.get(name)
+                if not is_a(value, kind):
+                    problems.append(f"{where}.objective.{name}: must be "
+                                    f"{getattr(kind, '__name__', 'numeric')}, "
+                                    f"got {value!r}")
+        for name in ("good", "total", "compliance", "budget_burn"):
+            value = entry.get(name)
+            if not is_a(value, (int, float)):
+                problems.append(f"{where}.{name}: must be numeric, "
+                                f"got {value!r}")
+        if not isinstance(entry.get("ok"), bool):
+            problems.append(f"{where}: missing boolean 'ok'")
+    return problems
 
 
 @dataclass

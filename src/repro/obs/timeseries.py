@@ -27,9 +27,13 @@ import time
 from collections import deque
 from typing import Any, Callable, Iterable, Mapping
 
+from repro._validation import header_problems, is_a
+from repro.obs.metrics import validate_snapshot
+
 __all__ = ["SnapshotRing", "counter_total", "counter_delta",
            "histogram_delta", "histogram_quantile", "gauge_values",
-           "parse_history", "HISTORY_FORMAT", "HISTORY_VERSION"]
+           "parse_history", "validate_history", "HISTORY_FORMAT",
+           "HISTORY_VERSION"]
 
 #: ``format`` marker of the history document.
 HISTORY_FORMAT = "repro-metrics-history"
@@ -48,8 +52,7 @@ class SnapshotRing:
 
     def __init__(self, capacity: int = 360, *,
                  clock: Callable[[], float] = time.time):
-        if not isinstance(capacity, int) or isinstance(capacity, bool) \
-                or capacity < 1:
+        if not is_a(capacity, int) or capacity < 1:
             raise ValueError(f"capacity must be a positive int, "
                              f"got {capacity!r}")
         self.capacity = capacity
@@ -95,6 +98,49 @@ def parse_history(doc: Any) -> list[dict[str, Any]]:
     if not isinstance(samples, list):
         raise ValueError("history document carries no 'samples' list")
     return samples
+
+
+def validate_history(doc: object) -> list[str]:
+    """Every way *doc* breaks the :meth:`SnapshotRing.to_doc` schema.
+
+    Empty when valid.  The header, a positive integer ``capacity`` the
+    ``samples`` do not exceed, an optional positive ``interval_s``, and
+    samples whose numeric ``t_unix`` never goes backwards and whose
+    ``snapshot`` passes :func:`~repro.obs.metrics.validate_snapshot`.
+    """
+    if not isinstance(doc, dict):
+        return [f"history must be a JSON object, got {type(doc).__name__}"]
+    problems = header_problems(doc, HISTORY_FORMAT, HISTORY_VERSION)
+    capacity = doc.get("capacity")
+    if not is_a(capacity, int) or capacity < 1:
+        problems.append(f"'capacity' must be a positive integer, "
+                        f"got {capacity!r}")
+    if "interval_s" in doc and (not is_a(doc["interval_s"], (int, float))
+                                or doc["interval_s"] <= 0):
+        problems.append(f"'interval_s' must be positive, "
+                        f"got {doc['interval_s']!r}")
+    samples = doc.get("samples")
+    if not isinstance(samples, list):
+        return problems + ["missing 'samples' list"]
+    if is_a(capacity, int) and len(samples) > max(capacity, 0):
+        problems.append(f"{len(samples)} samples exceed capacity {capacity}")
+    last_t = None
+    for i, sample in enumerate(samples):
+        where = f"samples[{i}]"
+        if not isinstance(sample, dict):
+            problems.append(f"{where}: must be an object")
+            continue
+        t = sample.get("t_unix")
+        if not is_a(t, (int, float)):
+            problems.append(f"{where}: missing numeric 't_unix'")
+        else:
+            if last_t is not None and t < last_t:
+                problems.append(f"{where}: t_unix went backwards "
+                                f"({t} < {last_t})")
+            last_t = t
+        problems.extend(f"{where}.snapshot: {p}"
+                        for p in validate_snapshot(sample.get("snapshot")))
+    return problems
 
 
 def _series_map(snapshot: Mapping[str, Any], section: str,

@@ -22,6 +22,10 @@ un-threaded instrumentation and :func:`set_default_tracer` scopes it
 (the CLI installs a fresh tracer per invocation).  A disabled tracer
 (``Tracer(enabled=False)``) turns :meth:`~Tracer.span` into a bare
 ``yield`` — the off switch for overhead-critical runs.
+
+Beside :func:`read_jsonl`, :func:`validate_span` and
+:func:`span_graph_problems` check span dumps against the documented
+schema and the correlation invariants trace reassembly depends on.
 """
 
 from __future__ import annotations
@@ -37,11 +41,12 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable, Iterator
 
-from repro._validation import check_int
+from repro._validation import check_int, is_a, jsonl_problems
 from repro.obs import context as _context
 
 __all__ = ["SpanRecord", "Tracer", "span", "default_tracer",
-           "set_default_tracer", "read_jsonl", "assemble_traces",
+           "set_default_tracer", "read_jsonl", "validate_span",
+           "span_graph_problems", "validate_jsonl", "assemble_traces",
            "render_trace_trees"]
 
 #: Spans open around the current position.  A context variable, so each
@@ -295,6 +300,98 @@ def read_jsonl(paths: Iterable[str | Path]) -> list[SpanRecord]:
                     raise ValueError(
                         f"{path}:{lineno}: not a span record: {exc}") from exc
     return records
+
+
+#: Members every exported span must carry, and their types.
+_SPAN_FIELDS = {"name": str, "start_s": (int, float),
+                "duration_s": (int, float), "trace_id": str, "span_id": str}
+
+
+def validate_span(span: object) -> list[str]:
+    """Every way one span breaks the :meth:`SpanRecord.to_dict` schema.
+
+    Empty when valid.  A string ``name``, numeric ``start_s``,
+    non-negative ``duration_s``, non-empty string ``trace_id`` and
+    ``span_id``; ``parent_id`` is a non-empty string or null, ``pid`` an
+    integer or null and ``attrs`` an object when present.
+    """
+    if not isinstance(span, dict):
+        return [f"span must be a JSON object, got {type(span).__name__}"]
+    problems: list[str] = []
+    for name, kind in _SPAN_FIELDS.items():
+        value = span.get(name)
+        if not is_a(value, kind):
+            problems.append(f"'{name}' must be "
+                            f"{getattr(kind, '__name__', 'numeric')}, "
+                            f"got {value!r}")
+        elif kind is str and not value:
+            problems.append(f"'{name}' must be non-empty")
+    duration = span.get("duration_s")
+    if isinstance(duration, (int, float)) and duration < 0:
+        problems.append(f"'duration_s' must be >= 0, got {duration!r}")
+    parent = span.get("parent_id")
+    if parent is not None and (not isinstance(parent, str) or not parent):
+        problems.append(f"'parent_id' must be a non-empty string or null, "
+                        f"got {parent!r}")
+    pid = span.get("pid")
+    if pid is not None and not is_a(pid, int):
+        problems.append(f"'pid' must be an integer or null, got {pid!r}")
+    attrs = span.get("attrs")
+    if attrs is not None and not isinstance(attrs, dict):
+        problems.append(f"'attrs' must be an object, got {attrs!r}")
+    return problems
+
+
+def span_graph_problems(spans: list[dict[str, Any]]) -> list[str]:
+    """Invariants across spans that each passed :func:`validate_span`.
+
+    Span ids are unique, and no span is its own ancestor (a parent id
+    absent from *spans* is fine: that is how a child process's subtree
+    names its remote caller).  Within one ``(trace_id, pid)`` a child
+    never starts before its parent; ``perf_counter`` epochs differ
+    between processes, so timestamps are compared per pid only.
+    """
+    problems: list[str] = []
+    by_id: dict[str, dict[str, Any]] = {}
+    for span in spans:
+        sid = span["span_id"]
+        if sid in by_id:
+            problems.append(f"span id {sid!r} appears more than once")
+        by_id[sid] = span
+    for span in spans:
+        seen = {span["span_id"]}
+        node = span
+        while True:
+            parent = by_id.get(node.get("parent_id") or "")
+            if parent is None:
+                break  # root, or a remote parent outside these spans
+            if parent["span_id"] in seen:
+                problems.append(f"span {span['span_id']!r} "
+                                f"({span['name']}): parentage cycle via "
+                                f"{parent['span_id']!r}")
+                break
+            seen.add(parent["span_id"])
+            node = parent
+        parent = by_id.get(span.get("parent_id") or "")
+        if parent is not None \
+                and parent.get("trace_id") == span.get("trace_id") \
+                and parent.get("pid") == span.get("pid") \
+                and span["start_s"] < parent["start_s"]:
+            problems.append(
+                f"span {span['span_id']!r} ({span['name']}) starts at "
+                f"{span['start_s']} before its parent "
+                f"{parent['span_id']!r} at {parent['start_s']}")
+    return problems
+
+
+def validate_jsonl(text: str) -> list[str]:
+    """Every problem of one :meth:`Tracer.to_jsonl` dump.
+
+    Each line's problems, prefixed ``line N:``, then the graph
+    invariants over its spans.
+    """
+    spans, problems = jsonl_problems(text, validate_span)
+    return problems + span_graph_problems(spans)
 
 
 def assemble_traces(

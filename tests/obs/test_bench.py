@@ -13,8 +13,10 @@ from repro.obs.bench import (
     latest_by_bench,
     load_sidecars,
     lower_is_better,
+    parse_history_lines,
     read_history,
     result_key,
+    validate_records,
 )
 
 
@@ -113,6 +115,46 @@ class TestHistoryIO:
         (tmp_path / "broken.json").write_text("{not json")
         _write_sidecar(tmp_path / "bench_x.json", _sidecar())
         assert list(load_sidecars(tmp_path)) == ["bench_x"]
+
+
+class TestValidateRecords:
+    def test_appended_history_is_valid(self, tmp_path):
+        results = tmp_path / "results"
+        results.mkdir()
+        _write_sidecar(results / "bench_x.json", _sidecar(rows=[
+            {"name": "t", "headline": {"metric": "mean_s", "value": 1.0}}]))
+        out = tmp_path / "history.jsonl"
+        append_history(results, out, git_sha="abc", recorded_unix=1.0)
+        records = parse_history_lines(out.read_text(), out)
+        assert records == read_history(out)
+        assert validate_records(records) == []
+
+    def test_every_record_problem_is_named(self):
+        record = history_record(_sidecar(), git_sha="sha", recorded_unix=1.0)
+        bad = dict(record, version=2, git_sha=None,
+                   results=[{"key": "", "name": "t",
+                             "headline": {"metric": "x_ms", "value": True}}])
+        assert validate_records([record, bad, "junk"]) == [
+            "record[1]: 'version' must be 1, got 2",
+            "record[1]: missing string 'git_sha'",
+            "record[1].results[0]: missing non-empty string 'key'",
+            "record[1].results[0]: 'headline' must carry a string "
+            "'metric' and numeric 'value'",
+            "record[2]: must be an object",
+        ]
+        assert validate_records({}) == ["expected a list of records, "
+                                        "got dict"]
+
+    def test_parse_tells_histories_from_other_documents(self):
+        record = json.dumps(history_record(_sidecar(), git_sha="s"))
+        assert parse_history_lines("", "h") is None
+        assert parse_history_lines("{\n}\n", "h") is None
+        assert parse_history_lines('{"format": "repro-metrics"}', "h") \
+            is None
+        assert len(parse_history_lines(f"\n{record}\n\n{record}\n",
+                                       "h")) == 2
+        with pytest.raises(ValueError, match=r"^h:2: unparseable: "):
+            parse_history_lines(f"{record}\n{{truncated\n", "h")
 
 
 class TestDiff:

@@ -142,13 +142,7 @@ class TestExports:
         assert doc == reg.snapshot()
 
     def test_snapshot_passes_the_shipped_validator(self, tmp_path):
-        import sys
-        from pathlib import Path
-        sys.path.insert(0, str(Path(__file__).parents[2] / "tools"))
-        try:
-            from validate_metrics import validate
-        finally:
-            sys.path.pop(0)
+        from repro.obs.metrics import validate_snapshot as validate
         reg = MetricsRegistry()
         reg.counter("c", "help").labels(status="ok").inc()
         reg.gauge("g", "help").labels().set(1.0)

@@ -172,6 +172,12 @@ class TestCollapsedFormat:
         assert looks_like_collapsed("a;b 3\n")
         assert not looks_like_collapsed("")
         assert not looks_like_collapsed('{"name": "span"}')
+        # A JSON record is never a stack, whatever follows it, and the
+        # count must end its line.
+        assert not looks_like_collapsed('{"x": 1} 3\n')
+        assert not looks_like_collapsed("a;b 3 ")
+        assert not looks_like_collapsed("a;b 3\n" + '{"x": 1} 3\n')
+        assert looks_like_collapsed("a;b 3\n\n  c;d 4\n")
 
 
 class TestTopTable:

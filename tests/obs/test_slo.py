@@ -1,11 +1,9 @@
 """SLO evaluation: objectives, compliance, burn rates — all pure."""
 
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import validate_snapshot as validate_metrics
 from repro.obs.slo import (
     SLO_REPORT_FORMAT,
     SLO_REPORT_VERSION,
@@ -15,13 +13,7 @@ from repro.obs.slo import (
     evaluate,
     good_total,
 )
-
-sys.path.insert(0, str(Path(__file__).parents[2] / "tools"))
-try:
-    from validate_metrics import validate as validate_metrics
-    from validate_metrics import validate_slo
-finally:
-    sys.path.pop(0)
+from repro.obs.slo import validate_report as validate_slo
 
 
 def _snapshot(*, fast=0, slow=0, ok=0, errors=0):

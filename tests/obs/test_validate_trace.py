@@ -4,9 +4,12 @@ import json
 import sys
 from pathlib import Path
 
+from repro.obs.profile import looks_like_collapsed as is_collapsed_profile
+from repro.obs.tracing import validate_jsonl as validate_lines
+from repro.obs.tracing import validate_span as validate
+
 sys.path.insert(0, str(Path(__file__).parents[2] / "tools"))
 try:
-    from validate_trace import is_collapsed_profile, validate, validate_lines
     from validate_trace import main as validate_trace_main
 finally:
     sys.path.pop(0)

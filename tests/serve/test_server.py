@@ -15,29 +15,27 @@ block on events; one end-to-end test runs the real planner.
 
 import http.client
 import json
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
 from repro.core.nonsleeping import mols_schedule
 from repro.core.planner import GridPoint, evaluate_grid_point
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import validate_snapshot as validate
 from repro.obs.profile import parse_collapsed
-from repro.obs.timeseries import counter_delta, counter_total, parse_history
+from repro.obs.timeseries import (
+    counter_delta,
+    counter_total,
+    parse_history,
+    validate_history,
+)
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import BackgroundServer, ServeConfig
 from repro.service.api import ProvisionRequest, ProvisionResult
 from repro.service.store import ScheduleStore
-
-sys.path.insert(0, str(Path(__file__).parents[2] / "tools"))
-try:
-    from validate_metrics import validate, validate_history
-finally:
-    sys.path.pop(0)
 
 
 @pytest.fixture(scope="module")

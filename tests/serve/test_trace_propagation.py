@@ -9,11 +9,9 @@ dump alone.
 
 import json
 import socket
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -22,16 +20,11 @@ from repro.core.planner import GridPoint, evaluate_grid_point
 from repro.obs import context as ctx
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, assemble_traces, set_default_tracer
+from repro.obs.tracing import validate_jsonl as validate_trace_lines
 from repro.serve.client import ServeClient
 from repro.serve.failover import FailoverClient
 from repro.serve.server import BackgroundServer, ServeConfig
 from repro.service.api import ProvisionRequest, ProvisionResult
-
-sys.path.insert(0, str(Path(__file__).parents[2] / "tools"))
-try:
-    from validate_trace import validate_lines as validate_trace_lines
-finally:
-    sys.path.pop(0)
 
 
 @pytest.fixture(scope="module")

@@ -437,13 +437,7 @@ class TestObservabilityFlags:
         # every evaluated task landed in the store (plus the plan entry)
         writes = doc["counters"]["repro_store_writes_total"]["series"][0]
         assert writes["value"] == total + 1
-        import sys
-        from pathlib import Path
-        sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
-        try:
-            from validate_metrics import validate
-        finally:
-            sys.path.pop(0)
+        from repro.obs.metrics import validate_snapshot as validate
         assert validate(doc) == []
 
     def test_trace_out_and_profile_cover_the_stages(self, tmp_path, capsys):

@@ -21,6 +21,8 @@ import pytest
 from repro.cli import main
 from repro.faults import FaultPlan
 from repro.analysis.sweeps import ShardTask, SweepSpec
+from repro.analysis.sweeps import validate_row as validate
+from repro.analysis.sweeps import validate_rows as validate_lines
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SPEC = DATA / "sweep_golden_spec.jsonl"
@@ -28,7 +30,6 @@ GOLDEN = DATA / "sweep_golden.jsonl"
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 try:
-    from validate_sweep import validate, validate_lines
     from validate_sweep import main as validate_main
 finally:
     sys.path.pop(0)

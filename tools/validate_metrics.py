@@ -1,27 +1,15 @@
-"""Validate a ``--metrics-out`` snapshot against the documented schema.
+"""Validate metrics snapshots, SLO reports and metrics or bench histories.
 
 Usage::
 
-    python tools/validate_metrics.py metrics.json
+    python tools/validate_metrics.py metrics.json [...]
 
-Checks the structural contract of :meth:`repro.obs.metrics.MetricsRegistry.
-snapshot` as documented in docs/observability.md — the format/version
-header, the three metric sections, and the per-series shapes (labels are
-string->string, counters/gauges carry ``value``, histograms carry a
-metric-level ``buckets`` list and per-series ``count``/``counts``/``sum``
-with ``len(counts) == len(buckets) + 1`` for the +Inf bucket).  A
-histogram series may also carry ``exemplars``: one entry per bucket
-(null, or an object with numeric ``value`` and a ``trace_id`` that is a
-string or null).
-
-``repro obs slo`` reports (format ``repro-slo``), ``GET
-/metrics/history`` payloads (format ``repro-metrics-history``, each
-sample's snapshot validated recursively) and ``repro-bench-history``
-JSONL files (one record per line) are validated too — :func:`main`
-dispatches on the document's ``format`` header (sniffing JSONL for the
-bench history), so CI runs one tool over every artefact; the unit tests
-import :func:`validate`, :func:`validate_slo`,
-:func:`validate_history` and :func:`validate_bench_history` directly.
+Each file is routed on its ``format`` header to the check that lives
+beside the format's writer (``_CHECKS`` below; docs/observability.md).
+A bench history is JSONL, one record per line, and is recognised by
+:func:`repro.obs.bench.parse_history_lines`; any other file is one JSON
+document, checked as a snapshot unless its header names a report or a
+metrics history.
 
 Exit codes: 0 valid, 1 invalid (problems on stderr), 2 unreadable input.
 """
@@ -32,291 +20,40 @@ import json
 import sys
 from pathlib import Path
 
-EXPECTED_FORMAT = "repro-metrics"
-EXPECTED_VERSION = 1
+try:
+    from repro.obs import bench, metrics, slo, timeseries
+except ImportError:  # run from the checkout without PYTHONPATH=src
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from repro.obs import bench, metrics, slo, timeseries
 
-SLO_FORMAT = "repro-slo"
-SLO_VERSION = 1
-
-HISTORY_FORMAT = "repro-metrics-history"
-HISTORY_VERSION = 1
-
-BENCH_HISTORY_FORMAT = "repro-bench-history"
-BENCH_HISTORY_VERSION = 1
-
-#: Required members of one ``objectives[i].objective`` sub-document.
-_OBJECTIVE_FIELDS = {"name": str, "kind": str, "metric": str,
-                     "target": (int, float)}
-
-#: Required numeric members of one ``objectives[i]`` result entry.
-_RESULT_FIELDS = ("good", "total", "compliance", "budget_burn")
-
-
-def _series_errors(name: str, kind: str, metric: dict) -> list[str]:
-    """Validate one metric's ``series`` list; returns problem strings."""
-    problems: list[str] = []
-    series = metric.get("series")
-    if not isinstance(series, list):
-        return [f"{name}: 'series' must be a list, got {type(series).__name__}"]
-    buckets = metric.get("buckets")
-    if kind == "histograms" and (
-            not isinstance(buckets, list)
-            or not all(isinstance(b, (int, float)) for b in buckets)):
-        problems.append(f"{name}: 'buckets' must be a numeric list")
-        buckets = None
-    for i, entry in enumerate(series):
-        where = f"{name}.series[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be an object")
-            continue
-        labels = entry.get("labels")
-        if not isinstance(labels, dict) or \
-                not all(isinstance(k, str) and isinstance(v, str)
-                        for k, v in labels.items()):
-            problems.append(f"{where}: 'labels' must map strings to strings")
-        if kind in ("counters", "gauges"):
-            if not isinstance(entry.get("value"), (int, float)):
-                problems.append(f"{where}: missing numeric 'value'")
-        else:  # histograms
-            counts = entry.get("counts")
-            if not isinstance(counts, list) or \
-                    not all(isinstance(c, int) for c in counts):
-                problems.append(f"{where}: 'counts' must be an integer list")
-            elif buckets is not None and len(counts) != len(buckets) + 1:
-                problems.append(
-                    f"{where}: len(counts)={len(counts)} != "
-                    f"len(buckets)+1={len(buckets) + 1}")
-            if not isinstance(entry.get("count"), int):
-                problems.append(f"{where}: missing integer 'count'")
-            if not isinstance(entry.get("sum"), (int, float)):
-                problems.append(f"{where}: missing numeric 'sum'")
-            if "exemplars" in entry:
-                problems.extend(_exemplar_errors(where, entry["exemplars"],
-                                                 buckets))
-    return problems
-
-
-def _exemplar_errors(where: str, exemplars: object,
-                     buckets: list | None) -> list[str]:
-    """Validate one histogram series' optional ``exemplars`` list."""
-    if not isinstance(exemplars, list):
-        return [f"{where}: 'exemplars' must be a list"]
-    problems: list[str] = []
-    if buckets is not None and len(exemplars) != len(buckets) + 1:
-        problems.append(f"{where}: len(exemplars)={len(exemplars)} != "
-                        f"len(buckets)+1={len(buckets) + 1}")
-    for j, ex in enumerate(exemplars):
-        if ex is None:
-            continue
-        spot = f"{where}.exemplars[{j}]"
-        if not isinstance(ex, dict):
-            problems.append(f"{spot}: must be null or an object")
-            continue
-        if not isinstance(ex.get("value"), (int, float)) or \
-                isinstance(ex.get("value"), bool):
-            problems.append(f"{spot}: missing numeric 'value'")
-        if "trace_id" not in ex or not (
-                ex["trace_id"] is None or isinstance(ex["trace_id"], str)):
-            problems.append(f"{spot}: 'trace_id' must be a string or null")
-    return problems
-
-
-def validate(doc: object) -> list[str]:
-    """All schema violations in *doc* (empty list == valid snapshot)."""
-    if not isinstance(doc, dict):
-        return [f"snapshot must be a JSON object, got {type(doc).__name__}"]
-    problems: list[str] = []
-    if doc.get("format") != EXPECTED_FORMAT:
-        problems.append(f"'format' must be {EXPECTED_FORMAT!r}, "
-                        f"got {doc.get('format')!r}")
-    if doc.get("version") != EXPECTED_VERSION:
-        problems.append(f"'version' must be {EXPECTED_VERSION}, "
-                        f"got {doc.get('version')!r}")
-    for kind in ("counters", "gauges", "histograms"):
-        section = doc.get(kind)
-        if not isinstance(section, dict):
-            problems.append(f"missing '{kind}' object")
-            continue
-        for name, metric in section.items():
-            if not isinstance(metric, dict):
-                problems.append(f"{name}: must be an object")
-                continue
-            if not isinstance(metric.get("help"), str):
-                problems.append(f"{name}: missing 'help' string")
-            problems.extend(_series_errors(name, kind, metric))
-    return problems
-
-
-def validate_slo(doc: object) -> list[str]:
-    """All schema violations in a ``repro-slo`` report (empty == valid)."""
-    if not isinstance(doc, dict):
-        return [f"report must be a JSON object, got {type(doc).__name__}"]
-    problems: list[str] = []
-    if doc.get("format") != SLO_FORMAT:
-        problems.append(f"'format' must be {SLO_FORMAT!r}, "
-                        f"got {doc.get('format')!r}")
-    if doc.get("version") != SLO_VERSION:
-        problems.append(f"'version' must be {SLO_VERSION}, "
-                        f"got {doc.get('version')!r}")
-    if not isinstance(doc.get("ok"), bool):
-        problems.append("missing boolean 'ok'")
-    entries = doc.get("objectives")
-    if not isinstance(entries, list):
-        return problems + ["missing 'objectives' list"]
-    for i, entry in enumerate(entries):
-        where = f"objectives[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be an object")
-            continue
-        objective = entry.get("objective")
-        if not isinstance(objective, dict):
-            problems.append(f"{where}: missing 'objective' object")
-        else:
-            for name, kind in _OBJECTIVE_FIELDS.items():
-                value = objective.get(name)
-                if not isinstance(value, kind) or isinstance(value, bool):
-                    problems.append(f"{where}.objective.{name}: must be "
-                                    f"{getattr(kind, '__name__', 'numeric')}, "
-                                    f"got {value!r}")
-        for name in _RESULT_FIELDS:
-            value = entry.get(name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"{where}.{name}: must be numeric, "
-                                f"got {value!r}")
-        if not isinstance(entry.get("ok"), bool):
-            problems.append(f"{where}: missing boolean 'ok'")
-    return problems
-
-
-def validate_history(doc: object) -> list[str]:
-    """All violations in a ``repro-metrics-history`` document (the
-    ``GET /metrics/history`` payload); each sample's snapshot is
-    validated with :func:`validate` recursively."""
-    if not isinstance(doc, dict):
-        return [f"history must be a JSON object, got {type(doc).__name__}"]
-    problems: list[str] = []
-    if doc.get("format") != HISTORY_FORMAT:
-        problems.append(f"'format' must be {HISTORY_FORMAT!r}, "
-                        f"got {doc.get('format')!r}")
-    if doc.get("version") != HISTORY_VERSION:
-        problems.append(f"'version' must be {HISTORY_VERSION}, "
-                        f"got {doc.get('version')!r}")
-    capacity = doc.get("capacity")
-    if not isinstance(capacity, int) or isinstance(capacity, bool) \
-            or capacity < 1:
-        problems.append(f"'capacity' must be a positive integer, "
-                        f"got {capacity!r}")
-    if "interval_s" in doc and (
-            not isinstance(doc["interval_s"], (int, float))
-            or isinstance(doc["interval_s"], bool)
-            or doc["interval_s"] <= 0):
-        problems.append(f"'interval_s' must be positive, "
-                        f"got {doc['interval_s']!r}")
-    samples = doc.get("samples")
-    if not isinstance(samples, list):
-        return problems + ["missing 'samples' list"]
-    if isinstance(capacity, int) and not isinstance(capacity, bool) \
-            and len(samples) > max(capacity, 0):
-        problems.append(f"{len(samples)} samples exceed capacity {capacity}")
-    last_t = None
-    for i, sample in enumerate(samples):
-        where = f"samples[{i}]"
-        if not isinstance(sample, dict):
-            problems.append(f"{where}: must be an object")
-            continue
-        t = sample.get("t_unix")
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            problems.append(f"{where}: missing numeric 't_unix'")
-        else:
-            if last_t is not None and t < last_t:
-                problems.append(f"{where}: t_unix went backwards "
-                                f"({t} < {last_t})")
-            last_t = t
-        problems.extend(f"{where}.snapshot: {p}"
-                        for p in validate(sample.get("snapshot")))
-    return problems
-
-
-def validate_bench_history(records: object) -> list[str]:
-    """All violations in a list of ``repro-bench-history`` records
-    (the parsed lines of ``benchmarks/results/history.jsonl``)."""
-    if not isinstance(records, list):
-        return [f"expected a list of records, got {type(records).__name__}"]
-    problems: list[str] = []
-    for i, record in enumerate(records):
-        where = f"record[{i}]"
-        if not isinstance(record, dict):
-            problems.append(f"{where}: must be an object")
-            continue
-        if record.get("format") != BENCH_HISTORY_FORMAT:
-            problems.append(f"{where}: 'format' must be "
-                            f"{BENCH_HISTORY_FORMAT!r}, "
-                            f"got {record.get('format')!r}")
-        if record.get("version") != BENCH_HISTORY_VERSION:
-            problems.append(f"{where}: 'version' must be "
-                            f"{BENCH_HISTORY_VERSION}, "
-                            f"got {record.get('version')!r}")
-        for name, kind in (("bench", str), ("git_sha", str)):
-            if not isinstance(record.get(name), kind):
-                problems.append(f"{where}: missing string {name!r}")
-        recorded = record.get("recorded_unix")
-        if not isinstance(recorded, (int, float)) or isinstance(recorded,
-                                                                bool):
-            problems.append(f"{where}: missing numeric 'recorded_unix'")
-        rows = record.get("results")
-        if not isinstance(rows, list):
-            problems.append(f"{where}: missing 'results' list")
-            continue
-        for j, row in enumerate(rows):
-            spot = f"{where}.results[{j}]"
-            if not isinstance(row, dict):
-                problems.append(f"{spot}: must be an object")
-                continue
-            if not isinstance(row.get("key"), str) or not row["key"]:
-                problems.append(f"{spot}: missing non-empty string 'key'")
-            if not isinstance(row.get("name"), str):
-                problems.append(f"{spot}: missing string 'name'")
-            headline = row.get("headline")
-            if headline is not None:
-                if not isinstance(headline, dict) \
-                        or not isinstance(headline.get("metric"), str) \
-                        or not isinstance(headline.get("value"),
-                                          (int, float)) \
-                        or isinstance(headline.get("value"), bool):
-                    problems.append(f"{spot}: 'headline' must carry a "
-                                    "string 'metric' and numeric 'value'")
-    return problems
-
-
-def _read_bench_history_lines(text: str) -> list | None:
-    """Parse *text* as bench-history JSONL; None when it is not that.
-
-    A file qualifies when every non-blank line is a JSON object and the
-    first one declares the ``repro-bench-history`` format — the sniff
-    :func:`main` uses to route ``history.jsonl`` artefacts.
-    """
-    records = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not records and (not isinstance(doc, dict) or
-                            doc.get("format") != BENCH_HISTORY_FORMAT):
-            return None
-        records.append(doc)
-    return records if records else None
+#: ``format`` -> (its check, the summary line of a valid document).
+_CHECKS = {
+    bench.HISTORY_FORMAT: (
+        bench.validate_records,
+        lambda records: f"valid bench history ({len(records)} record(s))"),
+    slo.SLO_REPORT_FORMAT: (
+        slo.validate_report,
+        lambda doc: f"valid slo report ({len(doc['objectives'])} "
+                    f"objectives, "
+                    f"{sum(not e.get('ok') for e in doc['objectives'])} "
+                    f"burned)"),
+    timeseries.HISTORY_FORMAT: (
+        timeseries.validate_history,
+        lambda doc: f"valid metrics history ({len(doc['samples'])} "
+                    f"sample(s), capacity {doc['capacity']})"),
+    metrics.SNAPSHOT_FORMAT: (
+        metrics.validate_snapshot,
+        lambda doc: "valid ({} counters, {} gauges, {} histograms; {} "
+                    "counter series)".format(
+                        len(doc["counters"]), len(doc["gauges"]),
+                        len(doc["histograms"]),
+                        sum(len(m.get("series", []))
+                            for m in doc["counters"].values()))),
+}
 
 
 def main(argv: list[str]) -> int:
-    """CLI entry point: validate each path argument; 0 iff all valid.
-
-    Dispatches on each document's ``format`` header: ``repro-metrics``
-    snapshots, ``repro-slo`` reports, ``repro-metrics-history`` payloads
-    and ``repro-bench-history`` JSONL files are all accepted.
-    """
+    """CLI entry point: validate each path argument; 0 iff all valid."""
     if not argv:
         print("usage: validate_metrics.py SNAPSHOT.json [...]",
               file=sys.stderr)
@@ -328,48 +65,29 @@ def main(argv: list[str]) -> int:
         except OSError as exc:
             print(f"{arg}: unreadable: {exc}", file=sys.stderr)
             return 2
-        bench_records = _read_bench_history_lines(text)
-        if bench_records is not None:
-            problems = validate_bench_history(bench_records)
-            kind = "bench history"
-            summary = (f"valid bench history ({len(bench_records)} "
-                       f"record(s))")
-            doc = None
-        else:
+        try:
+            doc = bench.parse_history_lines(text, arg)
+        except ValueError as exc:  # a later history line does not parse
+            print(exc, file=sys.stderr)
+            code = 1
+            continue
+        fmt = bench.HISTORY_FORMAT
+        if doc is None:
             try:
                 doc = json.loads(text)
             except json.JSONDecodeError as exc:
                 print(f"{arg}: unreadable: {exc}", file=sys.stderr)
                 return 2
             fmt = doc.get("format") if isinstance(doc, dict) else None
-            if fmt == SLO_FORMAT:
-                problems, kind = validate_slo(doc), "slo"
-            elif fmt == HISTORY_FORMAT:
-                problems, kind = validate_history(doc), "history"
-            else:
-                problems, kind = validate(doc), "snapshot"
+            if fmt not in (slo.SLO_REPORT_FORMAT, timeseries.HISTORY_FORMAT):
+                fmt = metrics.SNAPSHOT_FORMAT
+        check, summary = _CHECKS[fmt]
+        problems = check(doc)
         for problem in problems:
             print(f"{arg}: {problem}", file=sys.stderr)
             code = 1
-        if problems:
-            continue
-        if kind == "slo":
-            burned = sum(1 for e in doc["objectives"] if not e.get("ok"))
-            print(f"{arg}: valid slo report ({len(doc['objectives'])} "
-                  f"objectives, {burned} burned)")
-        elif kind == "history":
-            print(f"{arg}: valid metrics history "
-                  f"({len(doc['samples'])} sample(s), "
-                  f"capacity {doc['capacity']})")
-        elif kind == "bench history":
-            print(f"{arg}: {summary}")
-        else:
-            counters = sum(len(m.get("series", []))
-                           for m in doc["counters"].values())
-            print(f"{arg}: valid ({len(doc['counters'])} counters, "
-                  f"{len(doc['gauges'])} gauges, "
-                  f"{len(doc['histograms'])} histograms; "
-                  f"{counters} counter series)")
+        if not problems:
+            print(f"{arg}: {summary(doc)}")
     return code
 
 

@@ -2,15 +2,11 @@
 
 Usage::
 
-    python tools/validate_sweep.py results.jsonl
+    python tools/validate_sweep.py results.jsonl [...]
 
-Checks the structural contract of the sweep engine's result rows
-(:mod:`repro.analysis.sweeps`, documented in docs/sweeps.md): every line
-is a JSON object carrying the versioned ``repro-sweep-result`` envelope,
-a fully typed ``point`` (family, n, d, traffic, seed) and exactly one of
-``metrics`` (with the required numeric fields) or ``error`` (a string).
-CI runs it over the JSONL a tiny ``repro sweep`` emits; the unit tests
-import :func:`validate` and :func:`validate_lines` directly.
+Every line must be a result row that passes
+:func:`repro.analysis.sweeps.validate_row` (docs/sweeps.md).  The
+end-to-end benchmark loads this file and calls :func:`validate` by name.
 
 Exit codes: 0 valid, 1 invalid (problems on stderr), 2 unreadable input.
 """
@@ -21,84 +17,13 @@ import json
 import sys
 from pathlib import Path
 
-EXPECTED_FORMAT = "repro-sweep-result"
-EXPECTED_VERSION = 1
+try:
+    from repro.analysis import sweeps
+except ImportError:  # run from the checkout without PYTHONPATH=src
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from repro.analysis import sweeps
 
-#: Required ``point`` members and their types.
-_POINT_FIELDS = {"family": str, "n": int, "d": int, "traffic": str,
-                 "seed": int}
-
-#: Required ``metrics`` members; True marks fields that may also be null
-#: (e.g. mean latency when nothing was delivered).
-_METRIC_FIELDS = {
-    "slots": False, "frame_length": False, "duty_cycle": False,
-    "attempts": False, "successes": False, "collisions": False,
-    "mean_link_throughput": False, "min_link_throughput": False,
-    "delivery_ratio": False, "dropped": False,
-    "mean_latency_slots": True, "awake_fraction": False,
-    "total_energy_mj": False, "energy_fairness": False,
-}
-
-
-def validate(row: object) -> list[str]:
-    """All schema violations in one result *row* (empty list == valid)."""
-    if not isinstance(row, dict):
-        return [f"row must be a JSON object, got {type(row).__name__}"]
-    problems: list[str] = []
-    if row.get("format") != EXPECTED_FORMAT:
-        problems.append(f"'format' must be {EXPECTED_FORMAT!r}, "
-                        f"got {row.get('format')!r}")
-    if row.get("version") != EXPECTED_VERSION:
-        problems.append(f"'version' must be {EXPECTED_VERSION}, "
-                        f"got {row.get('version')!r}")
-    point = row.get("point")
-    if not isinstance(point, dict):
-        problems.append("missing 'point' object")
-    else:
-        for name, kind in _POINT_FIELDS.items():
-            value = point.get(name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                problems.append(f"point.{name}: must be {kind.__name__}, "
-                                f"got {value!r}")
-    has_metrics = "metrics" in row
-    has_error = "error" in row
-    if has_metrics == has_error:
-        problems.append("row must carry exactly one of 'metrics'/'error'")
-    if has_error and not isinstance(row["error"], str):
-        problems.append("'error' must be a string")
-    if has_metrics:
-        metrics = row["metrics"]
-        if not isinstance(metrics, dict):
-            problems.append("'metrics' must be an object")
-        else:
-            for name, nullable in _METRIC_FIELDS.items():
-                if name not in metrics:
-                    problems.append(f"metrics.{name}: missing")
-                    continue
-                value = metrics[name]
-                if value is None and nullable:
-                    continue
-                if not isinstance(value, (int, float)) or \
-                        isinstance(value, bool):
-                    problems.append(f"metrics.{name}: must be numeric, "
-                                    f"got {value!r}")
-    return problems
-
-
-def validate_lines(text: str) -> list[str]:
-    """Validate a whole JSONL document; problems are line-prefixed."""
-    problems: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            problems.append(f"line {lineno}: blank line")
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: unparseable: {exc}")
-            continue
-        problems.extend(f"line {lineno}: {p}" for p in validate(row))
-    return problems
+validate = sweeps.validate_row
 
 
 def main(argv: list[str]) -> int:
@@ -113,13 +38,12 @@ def main(argv: list[str]) -> int:
         except OSError as exc:
             print(f"{arg}: unreadable: {exc}", file=sys.stderr)
             return 2
-        problems = validate_lines(text)
+        problems = sweeps.validate_rows(text)
         for problem in problems:
             print(f"{arg}: {problem}", file=sys.stderr)
             code = 1
         if not problems:
-            rows = [json.loads(line) for line in text.splitlines()
-                    if line.strip()]
+            rows = [json.loads(line) for line in text.splitlines()]
             errors = sum(1 for row in rows if "error" in row)
             print(f"{arg}: valid ({len(rows)} rows, {errors} error rows)")
     return code

@@ -1,168 +1,39 @@
-"""Validate a ``--trace-out`` span dump against the documented schema.
+"""Validate ``--trace-out`` span dumps against the documented schema.
 
 Usage::
 
     python tools/validate_trace.py trace.jsonl [...]
 
-Checks the structural contract of
-:meth:`repro.obs.tracing.Tracer.to_jsonl` as documented in
-docs/observability.md — every line is one span object — plus the
-correlation invariants the trace-reassembly tooling (``repro obs
-report``) depends on:
-
-* every span carries a string ``name``, numeric ``start_s`` and a
-  non-negative ``duration_s``;
-* ``trace_id`` and ``span_id`` are present, non-empty strings;
-  ``parent_id`` is a string or null; ``pid`` is an integer or null;
-* span ids are unique within a file, and no span is its own ancestor —
-  the parentage recorded for each trace is **acyclic** (a parent id
-  pointing at a span absent from the dump is fine: that is how a child
-  process's subtree references its remote caller);
-* within one ``(trace_id, pid)`` a child span never starts before its
-  parent — timestamps along every resolvable parent chain are
-  monotone (``perf_counter`` epochs differ across processes, so the
-  check is per-pid by design).
-
-Collapsed-stack profile sidecars (``--sample-profile`` output) often
-land in the same artefact directory and arrive via the same glob; a
-file whose every line is ``frame;frame count`` is recognized, reported
-as skipped, and never fails validation — profiles are not span dumps.
+Every line must be a span that passes
+:func:`repro.obs.tracing.validate_span`; then the spans of all files
+together must pass :func:`repro.obs.tracing.span_graph_problems`, so a
+client dump and a server dump of the same trace validate as one graph.
+A file :func:`repro.obs.profile.looks_like_collapsed` recognises (a
+``--sample-profile`` sidecar caught by the same artefact glob) is
+reported as skipped and never fails validation.
 
 Exit codes: 0 valid, 1 invalid (problems on stderr), 2 unreadable input.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
-#: Required members and their accepted types (bool is never accepted).
-_FIELDS = {
-    "name": str,
-    "start_s": (int, float),
-    "duration_s": (int, float),
-    "trace_id": str,
-    "span_id": str,
-}
-
-
-def validate(span: object) -> list[str]:
-    """All schema violations in one *span* record (empty list == valid)."""
-    if not isinstance(span, dict):
-        return [f"span must be a JSON object, got {type(span).__name__}"]
-    problems: list[str] = []
-    for name, kind in _FIELDS.items():
-        value = span.get(name)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            problems.append(f"'{name}' must be "
-                            f"{getattr(kind, '__name__', 'numeric')}, "
-                            f"got {value!r}")
-        elif kind is str and not value:
-            problems.append(f"'{name}' must be non-empty")
-    duration = span.get("duration_s")
-    if isinstance(duration, (int, float)) and duration < 0:
-        problems.append(f"'duration_s' must be >= 0, got {duration!r}")
-    parent = span.get("parent_id")
-    if parent is not None and (not isinstance(parent, str) or not parent):
-        problems.append(f"'parent_id' must be a non-empty string or null, "
-                        f"got {parent!r}")
-    pid = span.get("pid")
-    if pid is not None and (not isinstance(pid, int) or isinstance(pid, bool)):
-        problems.append(f"'pid' must be an integer or null, got {pid!r}")
-    attrs = span.get("attrs")
-    if attrs is not None and not isinstance(attrs, dict):
-        problems.append(f"'attrs' must be an object, got {attrs!r}")
-    return problems
-
-
-def _graph_errors(spans: list[dict]) -> list[str]:
-    """Cross-span invariants: unique ids, acyclic parentage, per-pid
-    parent-before-child timestamps."""
-    problems: list[str] = []
-    by_id: dict[str, dict] = {}
-    for span in spans:
-        sid = span["span_id"]
-        if sid in by_id:
-            problems.append(f"span id {sid!r} appears more than once")
-        by_id[sid] = span
-    for span in spans:
-        seen = {span["span_id"]}
-        node = span
-        while True:
-            parent = by_id.get(node.get("parent_id") or "")
-            if parent is None:
-                break  # root, or a remote parent outside this dump
-            if parent["span_id"] in seen:
-                problems.append(f"span {span['span_id']!r} "
-                                f"({span['name']}): parentage cycle via "
-                                f"{parent['span_id']!r}")
-                break
-            seen.add(parent["span_id"])
-            node = parent
-        parent = by_id.get(span.get("parent_id") or "")
-        if parent is not None \
-                and parent.get("trace_id") == span.get("trace_id") \
-                and parent.get("pid") == span.get("pid") \
-                and span["start_s"] < parent["start_s"]:
-            problems.append(
-                f"span {span['span_id']!r} ({span['name']}) starts at "
-                f"{span['start_s']} before its parent "
-                f"{parent['span_id']!r} at {parent['start_s']}")
-    return problems
-
-
-def is_collapsed_profile(text: str) -> bool:
-    """Whether *text* is collapsed-stack profiler output, not spans.
-
-    Every non-blank line must be ``stack count`` where the stack holds
-    at least one ``;``-joined frame and the count is a bare integer —
-    a shape no span JSONL line can take (those start with ``{``).
-    Self-contained on purpose: this tool runs without ``PYTHONPATH=src``.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return False
-    for line in lines:
-        if line.lstrip().startswith("{"):
-            return False
-        stack, _, count = line.rpartition(" ")
-        if not stack or not count.isdigit():
-            return False
-    return True
-
-
-def validate_lines(text: str) -> list[str]:
-    """Validate a whole JSONL document; problems are line-prefixed."""
-    problems: list[str] = []
-    spans: list[dict] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            problems.append(f"line {lineno}: blank line")
-            continue
-        try:
-            span = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: unparseable: {exc}")
-            continue
-        line_problems = validate(span)
-        problems.extend(f"line {lineno}: {p}" for p in line_problems)
-        if not line_problems:
-            spans.append(span)
-    problems.extend(_graph_errors(spans))
-    return problems
+try:
+    from repro._validation import jsonl_problems
+    from repro.obs import profile, tracing
+except ImportError:  # run from the checkout without PYTHONPATH=src
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from repro._validation import jsonl_problems
+    from repro.obs import profile, tracing
 
 
 def main(argv: list[str]) -> int:
-    """CLI entry point: validate each path argument; 0 iff all valid.
-
-    The cross-span checks run over all files together, so a client dump
-    and a server dump of the same trace validate as one graph.
-    """
+    """CLI entry point: validate each path argument; 0 iff all valid."""
     if not argv:
         print("usage: validate_trace.py TRACE.jsonl [...]", file=sys.stderr)
         return 2
-    code = 0
     texts: list[tuple[str, str]] = []
     for arg in argv:
         try:
@@ -170,32 +41,19 @@ def main(argv: list[str]) -> int:
         except OSError as exc:
             print(f"{arg}: unreadable: {exc}", file=sys.stderr)
             return 2
+    code = 0
     all_spans: list[dict] = []
     for arg, text in texts:
-        if is_collapsed_profile(text):
+        if profile.looks_like_collapsed(text):
             print(f"{arg}: skipped (collapsed-stack profile, not a span "
                   "dump)")
             continue
-        problems = []
-        spans: list[dict] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                problems.append(f"line {lineno}: blank line")
-                continue
-            try:
-                span = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(f"line {lineno}: unparseable: {exc}")
-                continue
-            line_problems = validate(span)
-            problems.extend(f"line {lineno}: {p}" for p in line_problems)
-            if not line_problems:
-                spans.append(span)
+        spans, problems = jsonl_problems(text, tracing.validate_span)
         for problem in problems:
             print(f"{arg}: {problem}", file=sys.stderr)
             code = 1
         all_spans.extend(spans)
-    for problem in _graph_errors(all_spans):
+    for problem in tracing.span_graph_problems(all_spans):
         print(f"(merged): {problem}", file=sys.stderr)
         code = 1
     if code == 0:
