@@ -876,6 +876,7 @@ def _cmd_obs(args) -> int:
         return 0
     # slo: pure evaluation of objectives against an exported snapshot.
     from repro.obs import slo as _slo
+    from repro.obs.metrics import validate_snapshot
 
     if args.metrics is None:
         print("error: obs slo needs --metrics PATH", file=sys.stderr)
@@ -883,6 +884,11 @@ def _cmd_obs(args) -> int:
     try:
         with open(args.metrics) as fh:
             snapshot = json.load(fh)
+        problems = validate_snapshot(snapshot)
+        for problem in problems:
+            print(f"error: {args.metrics}: {problem}", file=sys.stderr)
+        if problems:
+            return 2
         if args.objectives is not None:
             with open(args.objectives) as fh:
                 docs = json.load(fh)

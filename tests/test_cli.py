@@ -599,6 +599,39 @@ class TestObs:
         assert main(["obs", "slo"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_slo_rejects_an_empty_object(self, tmp_path, capsys):
+        snap = tmp_path / "metrics.json"
+        snap.write_text("{}")
+        assert main(["obs", "slo", "--metrics", str(snap)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {snap}: 'format' must be 'repro-metrics', got None" \
+            in captured.err.splitlines()
+
+    def test_slo_rejects_a_metrics_history(self, tmp_path, capsys):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.timeseries import SnapshotRing
+
+        ring = SnapshotRing(4)
+        ring.append(MetricsRegistry().snapshot(), t_unix=1.0)
+        history = tmp_path / "history.json"
+        history.write_text(json.dumps(ring.to_doc()))
+        assert main(["obs", "slo", "--metrics", str(history)]) == 2
+        err = capsys.readouterr().err
+        assert "'format' must be 'repro-metrics', got " \
+            "'repro-metrics-history'" in err
+        assert "missing 'counters' object" in err
+
+    def test_slo_passes_a_snapshot_without_series(self, tmp_path, capsys):
+        from repro.obs.metrics import MetricsRegistry
+
+        snap = tmp_path / "metrics.json"
+        MetricsRegistry().write_json(snap)
+        assert main(["obs", "slo", "--metrics", str(snap)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True
+        assert all(e["total"] == 0 for e in report["objectives"])
+
 
 class TestCallTrace:
     def test_trace_flag_prints_the_trace_id(self, capsys):
