@@ -10,18 +10,21 @@ One process, nine endpoints, no dependencies beyond the stdlib:
 ``GET /healthz``          liveness + serving/draining state + inflight
 ``GET /metrics``          Prometheus text exposition of the registry
 ``GET /metrics.json``     the same registry as a ``repro-metrics``
-                          snapshot (validates with
-                          ``tools/validate_metrics.py``)
+                          snapshot (checked by
+                          :func:`repro.obs.metrics.validate_snapshot`)
 ``GET /metrics/history``  the last K registry snapshots, scraped on a
                           background task every ``history_interval_s``
-                          (``repro-metrics-history`` document; feeds
-                          ``repro obs top``)
+                          (``repro-metrics-history`` document, checked
+                          by :func:`repro.obs.timeseries.validate_history`;
+                          feeds ``repro obs top``)
 ``GET /slo``              objectives evaluated against the live
                           registry, with rolling burn rates
-                          (``repro-slo`` report)
+                          (``repro-slo`` report, checked by
+                          :func:`repro.obs.slo.validate_report`)
 ``GET /debugz``           the spans of the newest K server traces
                           (answered or refused requests), read from
-                          the tracer's ring
+                          the tracer's ring (each span checked by
+                          :func:`repro.obs.tracing.validate_span`)
 ``GET /profilez``         sample every server thread (event loop *and*
                           worker pool) for ``?seconds=N`` at ``?hz=H``;
                           returns collapsed stacks (text/plain, ready
