@@ -78,11 +78,16 @@ class EnergyAccount:
     def __post_init__(self) -> None:
         check_int(self.n, "n", minimum=1)
         self.spent_mj = np.zeros(self.n, dtype=np.float64)
-        self.state_slots = {s: np.zeros(self.n, dtype=np.int64) for s in RadioState}
+        # Slot counts per node and state (RadioState order); state_slots[s]
+        # is a view of column s, so charge_slot counts a whole slot with
+        # one indexed add on the flat cells node * 4 + state.
+        occupancy = np.zeros((self.n, len(RadioState)), dtype=np.int64)
+        self.state_slots = dict(zip(RadioState, occupancy.T))
+        self._cells = occupancy.reshape(-1)
+        self._rows = np.arange(self.n) * len(RadioState)
         self.wakeups = np.zeros(self.n, dtype=np.int64)
-        # charge() runs once per node per slot — the engine's hottest call
-        # (profiled); resolve the per-state cost once here.
         self._cost = {s: self.model.cost(s) for s in RadioState}
+        self._costs = np.array([self.model.cost(s) for s in RadioState])
 
     def charge(self, node: int, state: RadioState) -> None:
         """Charge *node* for one slot spent in *state*."""
@@ -93,6 +98,20 @@ class EnergyAccount:
         """Charge *node* one radio startup (sleep -> awake transition)."""
         self.spent_mj[node] += self.model.wakeup_mj
         self.wakeups[node] += 1
+
+    def charge_slot(self, states: np.ndarray, woke: np.ndarray) -> None:
+        """Charge every node one slot, then a startup where *woke* is set.
+
+        ``states[x]`` is the position of node x's state in
+        :class:`RadioState` order.  Each node gets the same float64
+        additions in the same order as :meth:`charge` followed by
+        :meth:`charge_wakeup`, so the spend is bit-for-bit the same.
+        """
+        self.spent_mj += self._costs[states]
+        self._cells[self._rows + states] += 1
+        if woke.any():
+            self.spent_mj[woke] += self.model.wakeup_mj
+            self.wakeups += woke
 
     def total_mj(self) -> float:
         """Network-wide energy spend in millijoules."""

@@ -50,6 +50,12 @@ from repro.simulation.topology import Topology
 
 __all__ = ["Packet", "Simulator"]
 
+# Radio states as positions in RadioState order (EnergyAccount.charge_slot).
+_TRANSMIT, _RECEIVE, _IDLE, _SLEEP = (
+    list(RadioState).index(state) for state in (
+        RadioState.TRANSMIT, RadioState.RECEIVE, RadioState.IDLE,
+        RadioState.SLEEP))
+
 
 @dataclass
 class Packet:
@@ -114,8 +120,8 @@ class Simulator:
         ``instrument=False`` and the run is eligible — saturated traffic,
         synchronous clocks, no fault plan, no capture — and is *exact*:
         the property suite pins it bit-for-bit against the scalar
-        reference (:meth:`_slow_slot_step`) and the analytic
-        ``|T(x, y, S)|``.  Set False to force the scalar path.
+        slot step and the analytic ``|T(x, y, S)|``.  Set False to
+        force the slot-by-slot path.
     faults:
         Optional :class:`repro.faults.FaultPlan`.  Crashed nodes neither
         transmit, listen nor sense (their queues survive a reboot); clean
@@ -162,13 +168,15 @@ class Simulator:
         self.queues: list[deque[Packet]] = [deque() for _ in range(topology.n)]
         self._pid = itertools.count()
         self._slot = 0
-        # Profiled hot path: under perfect synchrony every node agrees on
-        # the frame position and the schedule is immutable, so per-slot
-        # eligibility is cached per frame position instead of recomputed.
         self._sync = self.drift.is_synchronous
-        self._elig_cache: dict[int, tuple[list[bool], list[bool]]] = {}
+        # Neighbour sets, read once: Topology.neighbors validates its
+        # argument on every call, which the slot step cannot afford.
+        self._nbrs = tuple(topology.neighbors(x) for x in range(topology.n))
+        # Per-frame-position senders, listening flags and radio states
+        # (see _slot_tables), built at the first step.
+        self._tables: tuple[list[list[int]], list[bytes], np.ndarray] | None = None
         # Radio wakeup accounting: who was awake last slot.
-        self._was_awake = [False] * topology.n
+        self._was_awake = np.zeros(topology.n, dtype=bool)
         self._instrument = bool(instrument)
         self._vectorize = bool(vectorize)
         # Observability: registry series updated per frame from Metrics
@@ -194,35 +202,43 @@ class Simulator:
         # Lazily built matrices for the vectorized frame kernel.
         self._mats: tuple[np.ndarray, ...] | None = None
 
-    def _eligibility(self, slot: int) -> tuple[list[bool], list[bool]]:
-        """Per-node (tx_eligible, listening) flags for this true slot."""
-        n = self.topology.n
-        length = self.schedule.frame_length
-        if self._sync:
-            pos = slot % length
-            cached = self._elig_cache.get(pos)
-            if cached is None:
-                tx_mask = self.schedule.tx[pos]
-                rx_mask = self.schedule.rx[pos]
-                cached = (
-                    [bool(tx_mask >> x & 1) for x in range(n)],
-                    [bool(rx_mask >> x & 1) for x in range(n)],
-                )
-                self._elig_cache[pos] = cached
-            return cached
-        local = [self.drift.local_slot(x, slot, length) for x in range(n)]
-        return (
-            [bool(self.schedule.tx[local[x]] >> x & 1) for x in range(n)],
-            [bool(self.schedule.rx[local[x]] >> x & 1) for x in range(n)],
-        )
+    def _slot_tables(self) -> tuple[list[list[int]], list[bytes], np.ndarray]:
+        """(senders, listening, states) per frame position, built once.
+
+        ``senders[pos]`` lists the transmit-eligible nodes in ascending
+        order (saturated traffic: only those with a neighbour to hear
+        them), ``listening[pos][x]`` is 1 when x listens, and
+        ``states[pos, x]`` is x's radio state, as a position in
+        :class:`RadioState` order, unless it transmits.  A node's local
+        frame position is the true one plus its fixed clock offset, so
+        under drift too the pattern repeats every frame.
+        """
+        if self._tables is None:
+            n = self.topology.n
+            tx, rx = self.schedule.tx_matrix(), self.schedule.rx_matrix()
+            if self._sync:
+                tx, rx = tx[:, :n], rx[:, :n]
+            else:
+                length = self.schedule.frame_length
+                local = (np.arange(length)[:, None]
+                         + np.asarray(self.drift.offsets[:n])) % length
+                tx, rx = tx[local, np.arange(n)], rx[local, np.arange(n)]
+            states = np.full(tx.shape, _SLEEP, dtype=np.int8)
+            if not self.idle_transmitters_sleep:
+                states[tx] = _IDLE
+            states[rx] = _RECEIVE
+            if self.traffic.saturated:
+                tx = tx & np.array([len(nbrs) > 0 for nbrs in self._nbrs])
+            self._tables = ([row.nonzero()[0].tolist() for row in tx],
+                            [row.tobytes() for row in rx], states)
+        return self._tables
 
     # ------------------------------------------------------------------
     def _route(self, holder: int, final_dst: int) -> int | None:
         """Next hop for a packet at *holder* bound for *final_dst*."""
-        if final_dst in self.topology.neighbors(holder):
+        if final_dst in self._nbrs[holder]:
             return final_dst
-        hop = self.next_hops.get(holder)
-        return hop
+        return self.next_hops.get(holder)
 
     def _enqueue(self, node: int, packet: Packet) -> None:
         if len(self.queues[node]) >= self.queue_limit:
@@ -244,98 +260,108 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the simulation by one slot."""
-        slot = self._slot
-        n = self.topology.n
-        if not self.traffic.saturated:
-            self._admit_arrivals(slot)
+        """Advance the simulation by one slot.
 
-        # Per-node beliefs about the current frame position (cached when
-        # all clocks agree).
-        tx_eligible, listening = self._eligibility(slot)
+        The work follows the nodes that act: this position's senders,
+        the listening neighbours of the actual transmitters (visited in
+        ascending order, so capture draws, forwarding and latencies keep
+        that order) and one vector charge of every node's energy.  A
+        listener no transmitter reaches hears nothing and draws nothing.
+        """
+        slot = self._slot
+        m = self.metrics
+        nbrs = self._nbrs
+        faults = self._faults
+        saturated = self.traffic.saturated
+        if not saturated:
+            self._admit_arrivals(slot)
+        pos = slot % self.schedule.frame_length
+        senders, listening, states = self._tables or self._slot_tables()
+        senders, listening, states = senders[pos], listening[pos], states[pos]
 
         # Injected node outages: a crashed node neither transmits nor
-        # listens (copy the flags — the synchronous path caches them).
-        if self._faults is not None:
-            up = [self._faults.node_up(x, slot) for x in range(n)]
-            down = n - sum(up)
+        # listens, and sleeps.
+        down: list[int] = []
+        if faults is not None:
+            down = [x for x in range(self.topology.n)
+                    if not faults.node_up(x, slot)]
             if down:
-                self.metrics.record_nodes_down(down)
-                tx_eligible = [tx_eligible[x] and up[x] for x in range(n)]
-                listening = [listening[x] and up[x] for x in range(n)]
+                m.record_nodes_down(len(down))
+                dead = set(down)
+                senders = [x for x in senders if x not in dead]
+                listening = bytearray(listening)
+                for x in down:
+                    listening[x] = 0
 
         transmissions: dict[int, Packet | None] = {}
-        if self.traffic.saturated:
-            for x in range(n):
-                if tx_eligible[x] and self.topology.degree(x) > 0:
-                    transmissions[x] = None  # broadcast measurement frame
-                    for y in self.topology.neighbors(x):
-                        self.metrics.record_attempt(x, y)
+        attempts = m.attempts
+        if saturated:
+            for x in senders:
+                transmissions[x] = None  # broadcast measurement frame
+                for y in nbrs[x]:
+                    attempts[(x, y)] += 1
         else:
-            for x in range(n):
-                if not tx_eligible[x] or not self.queues[x]:
+            queues = self.queues
+            for x in senders:
+                queue = queues[x]
+                if not queue:
                     continue
                 # Receiver-aware send: first queued packet whose next hop
                 # listens this slot (by the *receiver's* clock).
-                queue = self.queues[x]
-                chosen = None
                 for idx, pkt in enumerate(queue):
                     if listening[pkt.next_hop]:
-                        chosen = idx
+                        del queue[idx]
+                        transmissions[x] = pkt
+                        attempts[(x, pkt.next_hop)] += 1
                         break
-                if chosen is None:
-                    continue
-                pkt = queue[chosen]
-                del queue[chosen]
-                transmissions[x] = pkt
-                self.metrics.record_attempt(x, pkt.next_hop)
 
-        # Collision resolution at every listener.
-        received: dict[int, tuple[int, Packet | None]] = {}
-        for y in range(n):
-            if not listening[y]:
-                continue
-            talkers = [x for x in self.topology.neighbors(y) if x in transmissions]
-            if len(talkers) > 1:
-                self.metrics.record_collision(y)
+        # Collision resolution at the listening neighbours of this slot's
+        # transmitters: heard[y] is y's one talker, or None for two or more.
+        heard: dict[int, int | None] = {}
+        for x in transmissions:
+            for y in nbrs[x]:
+                if listening[y]:
+                    heard[y] = None if y in heard else x
+        capture = self.capture_probability
+        received: list[tuple[int, int]] = []
+        for y in sorted(heard):
+            x = heard[y]
+            if x is None:
+                m.record_collision(y)
                 # Optional capture effect (robustness probe; the paper's
-                # model has none): one random talker survives the pile-up.
-                if self.capture_probability > 0.0 and \
-                        self.rng.random() < self.capture_probability:
-                    winner = talkers[int(self.rng.integers(len(talkers)))]
-                    if self._faults is not None and \
-                            not self._faults.link_delivers(slot, winner, y):
-                        self.metrics.record_link_loss()
-                    else:
-                        received[y] = (winner, transmissions[winner])
-            elif len(talkers) == 1:
-                # Injected link loss destroys an otherwise-clean frame;
-                # in queued mode the sender requeues and retransmits.
-                if self._faults is not None and \
-                        not self._faults.link_delivers(slot, talkers[0], y):
-                    self.metrics.record_link_loss()
-                else:
-                    received[y] = (talkers[0], transmissions[talkers[0]])
+                # model has none): one random talker survives the pile-up,
+                # drawn in y's adjacency order.
+                if not capture or self.rng.random() >= capture:
+                    continue
+                talkers = [t for t in nbrs[y] if t in transmissions]
+                x = talkers[int(self.rng.integers(len(talkers)))]
+            # Injected link loss destroys an otherwise-clean frame; in
+            # queued mode the sender requeues and retransmits.
+            if faults is not None and not faults.link_delivers(slot, x, y):
+                m.record_link_loss()
+            else:
+                received.append((x, y))
 
         handed_off: set[int] = set()
-        for y, (x, pkt) in received.items():
+        for x, y in received:
+            pkt = transmissions[x]
             if pkt is None:
                 # Saturated measurement mode: every clean reception is a
                 # per-link success.
-                self.metrics.record_success(x, y)
+                m.record_success(x, y)
                 continue
             if pkt.next_hop != y:
                 continue  # overheard a frame meant for someone else
-            handed_off.add(pkt.pid)
-            self.metrics.record_success(x, y)
+            handed_off.add(x)
+            m.record_success(x, y)
             if y == pkt.final_dst:
                 # Latency counts occupied slots: a packet born and delivered
                 # in the same slot spent one slot in the air.
-                self.metrics.record_delivery(slot - pkt.created + 1)
+                m.record_delivery(slot - pkt.created + 1)
             else:
                 hop = self._route(y, pkt.final_dst)
                 if hop is None:
-                    self.metrics.dropped += 1
+                    m.dropped += 1
                 else:
                     pkt.next_hop = hop
                     self._enqueue(y, pkt)
@@ -343,35 +369,23 @@ class Simulator:
         # In queued mode an unheard unicast stays with the sender: the
         # packet was removed above, so requeue at the front on failure
         # (including when only bystanders overheard it).
-        if not self.traffic.saturated:
+        if not saturated:
             for x, pkt in transmissions.items():
-                if pkt is not None and pkt.pid not in handed_off:
+                if x not in handed_off:
                     self.queues[x].appendleft(pkt)
 
         # Energy accounting, including the sleep->awake startup cost.
-        for x in range(n):
-            if x in transmissions:
-                awake = True
-                self.energy.charge(x, RadioState.TRANSMIT)
-            elif listening[x]:
-                awake = True
-                self.energy.charge(x, RadioState.RECEIVE)
-            elif tx_eligible[x] and not self.idle_transmitters_sleep:
-                awake = True
-                self.energy.charge(x, RadioState.IDLE)
-            else:
-                awake = False
-                self.energy.charge(x, RadioState.SLEEP)
-            if awake and not self._was_awake[x]:
-                self.energy.charge_wakeup(x)
-            self._was_awake[x] = awake
+        states = states.astype(np.intp)
+        if down:
+            states[down] = _SLEEP
+        if transmissions:
+            states[list(transmissions)] = _TRANSMIT
+        awake = states != _SLEEP
+        self.energy.charge_slot(states, awake > self._was_awake)
+        self._was_awake = awake
 
         self._slot += 1
-        self.metrics.slots = self._slot
-
-    #: The pre-vectorization scalar slot step, kept by name as the exact
-    #: reference the property suite replays against the vectorized kernel.
-    _slow_slot_step = step
+        m.slots = self._slot
 
     def _flush_observability(self, slots: int, elapsed: float) -> None:
         """Publish Metrics deltas to the registry (once per frame/run)."""
@@ -491,12 +505,12 @@ class Simulator:
         # slot; frame 0 alone compares against the recorded history.
         prev = np.roll(awake, 1, axis=1)           # steady-state predecessor
         steady = (awake & ~prev).sum(axis=1, dtype=np.int64)
-        was = np.asarray(self._was_awake, dtype=bool)
+        was = self._was_awake
         first = steady - (awake[:, 0] & ~awake[:, -1]) + (awake[:, 0] & ~was)
         wakeups = first + steady * (frames - 1)
         self.energy.wakeups += wakeups
         self.energy.spent_mj += wakeups * model.wakeup_mj
-        self._was_awake = awake[:, -1].tolist()
+        self._was_awake = awake[:, -1].copy()
 
         self._slot += frames * length
         m.slots = self._slot
@@ -525,7 +539,7 @@ class Simulator:
             with span("sim.frame", frame=frame, slots=length):
                 for _ in range(length):
                     self.step()
-            self._flush_observability(frames * length,
+            self._flush_observability((frame + 1) * length,
                                       perf_counter() - started)
         return self.metrics
 

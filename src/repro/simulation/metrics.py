@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +77,22 @@ class Metrics:
     def record_nodes_down(self, count: int) -> None:
         """Count *count* crashed nodes for the current slot."""
         self.node_down_slots += count
+
+    def merge(self, other: "Metrics") -> None:
+        """Add *other*'s counts into these, field by field.
+
+        Numbers add, per-key counts add per key and latencies append in
+        order, so the runs of consecutive epochs merge into one.
+        """
+        for name in (f.name for f in fields(self)):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, list):
+                mine.extend(theirs)
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            else:
+                setattr(self, name, mine + theirs)
 
     # -- reporting ------------------------------------------------------------
     def link_success_rate(self, src: int, dst: int) -> float:

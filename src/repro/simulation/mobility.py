@@ -158,16 +158,5 @@ def run_with_mobility(schedule, traffic_factory, mobility, *,
         traffic = traffic_factory(topo)
         hops = sink_tree(topo, sink) if sink is not None else None
         sim = Simulator(topo, schedule, traffic, next_hops=hops, **kwargs)
-        metrics = sim.run_slots(slots_per_epoch)
-        merged.slots += metrics.slots
-        merged.generated += metrics.generated
-        merged.delivered += metrics.delivered
-        merged.dropped += metrics.dropped
-        merged.latencies.extend(metrics.latencies)
-        for key, value in metrics.attempts.items():
-            merged.attempts[key] += value
-        for key, value in metrics.successes.items():
-            merged.successes[key] += value
-        for key, value in metrics.collisions.items():
-            merged.collisions[key] += value
+        merged.merge(sim.run_slots(slots_per_epoch))
     return merged

@@ -18,7 +18,7 @@ neighbour demand separately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,16 +57,25 @@ class PoissonTraffic:
     rate: float
     rng: np.random.Generator
     saturated: bool = False
+    _targets: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_positive_float(self.rate, "rate")
+        self._targets = tuple(tuple(sorted(self.topology.neighbors(x)))
+                              for x in range(self.topology.n))
 
     def arrivals(self, slot: int) -> list[tuple[int, int]]:
-        """Sample this slot's newborn ``(src, dst)`` pairs."""
+        """Sample this slot's newborn ``(src, dst)`` pairs.
+
+        One Poisson count per node, then one destination draw per packet,
+        source by source in ascending order; only sources that drew a
+        packet are visited.
+        """
         out = []
         counts = self.rng.poisson(self.rate, size=self.topology.n)
-        for src in range(self.topology.n):
-            nbrs = sorted(self.topology.neighbors(src))
+        for src in counts.nonzero()[0].tolist():
+            nbrs = self._targets[src]
             if not nbrs:
                 continue
             for _ in range(int(counts[src])):
@@ -89,15 +98,18 @@ class PeriodicSensingTraffic:
     sink: int
     period: int
     saturated: bool = False
+    _by_phase: dict[int, list[tuple[int, int]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_int(self.sink, "sink", minimum=0, maximum=self.topology.n - 1)
         check_int(self.period, "period", minimum=1)
+        self._by_phase = {}
+        for src in range(self.topology.n):
+            if src != self.sink:
+                self._by_phase.setdefault(src % self.period, []).append(
+                    (src, self.sink))
 
     def arrivals(self, slot: int) -> list[tuple[int, int]]:
-        """Reports born in this slot."""
-        out = []
-        for src in range(self.topology.n):
-            if src != self.sink and slot % self.period == src % self.period:
-                out.append((src, self.sink))
-        return out
+        """Reports born in this slot, in ascending source order."""
+        return list(self._by_phase.get(slot % self.period, ()))

@@ -1,5 +1,7 @@
 """The slot-synchronous engine: collision model, queues, energy, drift."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.core.construction import construct
 from repro.core.nonsleeping import polynomial_schedule, tdma_schedule
 from repro.core.schedule import Schedule
 from repro.core.throughput import guaranteed_slots
+from repro.obs.metrics import MetricsRegistry
+from repro.simulation import engine
 from repro.simulation.drift import ClockDrift
 from repro.simulation.energy import RadioState
 from repro.simulation.engine import Simulator
@@ -229,3 +233,30 @@ class TestValidation:
         sim = Simulator(ring(4), tdma_schedule(4), SaturatedTraffic(ring(4)))
         m = sim.run_slots(7)
         assert m.slots == 7
+
+
+class TestObservability:
+    def test_slots_per_second_gauge_is_right_after_every_frame(
+            self, monkeypatch):
+        # A clock that ticks one second per reading: every frame of 30
+        # slots takes one second, so each flush must read 30 slots/s.
+        ticks = itertools.count()
+        monkeypatch.setattr(engine, "perf_counter",
+                            lambda: float(next(ticks)))
+        registry = MetricsRegistry()
+        rates = []
+        flush = Simulator._flush_observability
+
+        def recording_flush(self, slots, elapsed):
+            flush(self, slots, elapsed)
+            gauge = registry.snapshot()["gauges"]["repro_sim_slots_per_second"]
+            rates.append(gauge["series"][0]["value"])
+
+        monkeypatch.setattr(Simulator, "_flush_observability",
+                            recording_flush)
+        sched = Schedule.non_sleeping(6, [[x] for x in range(6)] * 5)
+        assert sched.frame_length == 30
+        sim = Simulator(ring(6), sched, SaturatedTraffic(ring(6)),
+                        registry=registry)
+        sim.run(4)
+        assert rates == [30.0] * 4

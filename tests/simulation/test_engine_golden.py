@@ -25,7 +25,6 @@ from repro.core.schedule import Schedule
 from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.drift import ClockDrift
-from repro.simulation.energy import RadioState
 from repro.simulation.engine import Simulator
 from repro.simulation.routing import sink_tree
 from repro.simulation.topology import grid, star, unit_disk, worst_case_regular
@@ -34,30 +33,7 @@ from repro.simulation.traffic import (
     PoissonTraffic,
     SaturatedTraffic,
 )
-
-
-def state_document(sim: Simulator) -> dict:
-    """Every observable piece of a simulator's state, JSON-ready."""
-    m, energy = sim.metrics, sim.energy
-    return {
-        "slots": m.slots,
-        "attempts": sorted(m.attempts.items()),
-        "successes": sorted(m.successes.items()),
-        "collisions": sorted(m.collisions.items()),
-        "generated": m.generated,
-        "delivered": m.delivered,
-        "dropped": m.dropped,
-        "latencies": m.latencies,
-        "link_losses": m.link_losses,
-        "node_down_slots": m.node_down_slots,
-        "queues": [[(p.pid, p.src, p.final_dst, p.created, p.next_hop)
-                    for p in queue] for queue in sim.queues],
-        "state_slots": {s.value: energy.state_slots[s].tolist()
-                        for s in RadioState},
-        "wakeups": energy.wakeups.tolist(),
-        "spent_mj": [float(v).hex() for v in energy.spent_mj],
-        "rng": sim.rng.bit_generator.state,
-    }
+from tests.simulation.scalar_reference import state_document
 
 
 def state_digest(sim: Simulator) -> str:

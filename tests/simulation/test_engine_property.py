@@ -1,18 +1,22 @@
-"""Property suite: vectorized engine == scalar reference == theory.
+"""Property suites for the simulator's two exact fast paths.
 
-~200 randomized cases (seeded stdlib :mod:`random`, no hypothesis) over
-random topologies in ``N_n^D`` and random valid schedules.  For each
-case the saturated-mode per-frame per-link success counts from the
-vectorized kernel must equal
-
-* the analytic ``|T(x, y, S)|`` of :func:`repro.core.throughput.
-  guaranteed_slots` with ``S`` the receiver's true other neighbours —
-  the paper's theory/simulation bridge (experiment E8); and
-* the pre-vectorization scalar path (:meth:`Simulator._slow_slot_step`),
+* :func:`test_vectorized_equals_scalar_equals_theory` — ~200 randomized
+  saturated cases (seeded stdlib :mod:`random`) over random topologies
+  in ``N_n^D`` and random valid schedules.  The per-frame per-link
+  success counts of the vectorized kernel must equal the analytic
+  ``|T(x, y, S)|`` of :func:`repro.core.throughput.guaranteed_slots`
+  with ``S`` the receiver's true other neighbours — the paper's
+  theory/simulation bridge (experiment E8) — and the original scalar
+  slot step (:func:`tests.simulation.scalar_reference.slow_slot_step`),
   dictionary for dictionary, energy cell for energy cell.
+* :func:`test_step_equals_scalar_reference` — Hypothesis draws in-class
+  topologies, random and duty-cycled schedules, all three traffics,
+  clock drift, fault plans and capture; :meth:`Simulator.step` must
+  leave exactly the state the original scalar step leaves, energy
+  equal bit for bit.
 
-Marked ``slow``: the fast tier (``-m "not slow"``) skips it, CI's full
-matrix runs it.
+Marked ``slow``: the fast tier (``-m "not slow"``) skips them, CI's full
+matrix runs them.
 """
 
 from __future__ import annotations
@@ -21,13 +25,26 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.construction import construct
+from repro.core.nonsleeping import polynomial_schedule
 from repro.core.schedule import Schedule
 from repro.core.throughput import guaranteed_slots
+from repro.faults import FaultPlan
+from repro.obs.metrics import MetricsRegistry
+from repro.simulation.drift import ClockDrift
 from repro.simulation.energy import RadioState
 from repro.simulation.engine import Simulator
+from repro.simulation.routing import sink_tree
 from repro.simulation.topology import Topology
-from repro.simulation.traffic import SaturatedTraffic
+from repro.simulation.traffic import (
+    PeriodicSensingTraffic,
+    PoissonTraffic,
+    SaturatedTraffic,
+)
+from tests.simulation.scalar_reference import assert_same_state, slow_slot_step
 
 pytestmark = pytest.mark.slow
 
@@ -97,7 +114,7 @@ def test_vectorized_equals_scalar_equals_theory(seed):
         slow = Simulator(topo, sched, SaturatedTraffic(topo),
                          instrument=False, vectorize=False)
         for _ in range(frames * length):
-            slow._slow_slot_step()
+            slow_slot_step(slow)
         ms = slow.metrics
         assert dict(ms.attempts) == dict(mf.attempts), case
         assert dict(ms.successes) == dict(mf.successes), case
@@ -109,3 +126,80 @@ def test_vectorized_equals_scalar_equals_theory(seed):
             assert (slow.energy.state_slots[state]
                     == fast.energy.state_slots[state]).all(), case
         assert (slow.energy.wakeups == fast.energy.wakeups).all(), case
+
+
+@st.composite
+def scenarios(draw):
+    """Keyword arguments for two identical simulators, and a slot count.
+
+    Each call builds fresh traffic and random streams, so the two
+    simulators share nothing but their inputs.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=16))
+        d = draw(st.integers(min_value=1, max_value=n - 1))
+        sched = random_schedule(n, draw(st.integers(1, 12)), rnd)
+    else:  # a Figure 2 construction: nodes sleep between their slots
+        n = draw(st.integers(min_value=8, max_value=16))
+        d = draw(st.integers(min_value=2, max_value=4))
+        alpha_t = draw(st.integers(min_value=1, max_value=2))
+        alpha_r = draw(st.integers(min_value=1, max_value=min(6, n - alpha_t)))
+        sched = construct(polynomial_schedule(n, d), d, alpha_t, alpha_r)
+    topo = random_topology(n, d, rnd)
+    traffic = draw(st.sampled_from(["saturated", "poisson", "sensing"]))
+    rate = draw(st.sampled_from([0.02, 0.1, 0.4]))
+    sink = draw(st.integers(min_value=0, max_value=n - 1))
+    period = draw(st.integers(min_value=1, max_value=20))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    offsets = None
+    if draw(st.booleans()):
+        offsets = tuple(draw(st.lists(st.integers(-3, 3), min_size=n,
+                                      max_size=n)))
+    faults = None
+    if draw(st.booleans()):
+        faults = FaultPlan(
+            seed=draw(st.integers(0, 99)),
+            node_crash_rate=draw(st.sampled_from([0.0, 0.02])),
+            node_recover_rate=draw(st.sampled_from([0.0, 0.2])),
+            link_loss=draw(st.sampled_from([0.0, 0.3])),
+            node_outages=tuple(draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, 40),
+                          st.sampled_from([None, 60])),
+                max_size=2))))
+    options = dict(
+        capture_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        idle_transmitters_sleep=draw(st.booleans()),
+        queue_limit=draw(st.sampled_from([1, 3, 64])),
+        instrument=draw(st.booleans()),
+    )
+    slots = draw(st.integers(min_value=1,
+                             max_value=min(3 * sched.frame_length, 300)))
+
+    def build() -> Simulator:
+        rng = np.random.default_rng(seed)
+        hops = None
+        if traffic == "saturated":
+            source = SaturatedTraffic(topo)
+        elif traffic == "poisson":
+            source = PoissonTraffic(topo, rate, rng)
+        else:
+            source = PeriodicSensingTraffic(topo, sink=sink, period=period)
+            hops = sink_tree(topo, sink)
+        drift = ClockDrift(offsets) if offsets is not None else None
+        return Simulator(topo, sched, source, next_hops=hops, drift=drift,
+                         faults=faults, rng=rng, registry=MetricsRegistry(),
+                         **options)
+
+    return build, slots
+
+
+@given(case=scenarios())
+@settings(max_examples=150, deadline=None)
+def test_step_equals_scalar_reference(case):
+    build, slots = case
+    sparse, reference = build(), build()
+    sparse.run_slots(slots)
+    for _ in range(slots):
+        slow_slot_step(reference)
+    assert_same_state(sparse, reference)

@@ -1,10 +1,15 @@
 """Mobility models and schedule-invariant simulation across epochs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.construction import construct
 from repro.core.nonsleeping import polynomial_schedule
+from repro.faults import FaultPlan
+from repro.simulation.engine import Simulator
+from repro.simulation.metrics import Metrics
 from repro.simulation.mobility import (
     EdgeChurnMobility,
     RandomWaypointMobility,
@@ -127,3 +132,54 @@ class TestRunWithMobility:
         with pytest.raises(ValueError):
             run_with_mobility(sched, SaturatedTraffic, mob, epochs=0,
                               slots_per_epoch=10)
+
+    def test_fault_counters_survive_the_merge(self):
+        n, d = 16, 4
+        sched = construct(polynomial_schedule(n, d), d, 2, 6)
+        plan = FaultPlan(seed=3, link_loss=0.3, node_crash_rate=0.01,
+                         node_recover_rate=0.1)
+
+        def mobility():
+            return EdgeChurnMobility(grid(4, 4), d=d, churn=2,
+                                     rng=np.random.default_rng(8))
+
+        merged = run_with_mobility(
+            sched, SaturatedTraffic, mobility(), epochs=3,
+            slots_per_epoch=sched.frame_length,
+            simulator_kwargs={"faults": plan})
+        epochs = [Simulator(topo, sched, SaturatedTraffic(topo), faults=plan)
+                  .run_slots(sched.frame_length)
+                  for topo in mobility().trajectory(3)]
+        assert merged.link_losses == sum(m.link_losses for m in epochs) > 0
+        assert merged.node_down_slots \
+            == sum(m.node_down_slots for m in epochs) > 0
+
+
+class TestMetricsMerge:
+    def test_every_field_merges(self):
+        # One distinct non-default value per field, whatever its type, so
+        # a field the merge forgets keeps its default and fails here.
+        def filled(k):
+            m = Metrics()
+            for i, f in enumerate(dataclasses.fields(Metrics), start=1):
+                value = getattr(m, f.name)
+                if isinstance(value, list):
+                    value.extend([k * i, k * i + 1])
+                elif isinstance(value, dict):
+                    value[(k, i)] = k * i
+                    value[(0, i)] = i
+                else:
+                    setattr(m, f.name, k * i)
+            return m
+
+        merged = filled(2)
+        merged.merge(filled(3))
+        for i, f in enumerate(dataclasses.fields(Metrics), start=1):
+            value = getattr(merged, f.name)
+            if isinstance(value, list):
+                assert value == [2 * i, 2 * i + 1, 3 * i, 3 * i + 1], f.name
+            elif isinstance(value, dict):
+                assert dict(value) == {(2, i): 2 * i, (3, i): 3 * i,
+                                       (0, i): 2 * i}, f.name
+            else:
+                assert value == 5 * i, f.name
