@@ -6,7 +6,7 @@ in every slot — eligibility, transmission, collision resolution at every
 listener, one :meth:`EnergyAccount.charge` per node.  The property and
 equivalence suites replay it on a second simulator built from the same
 arguments and require the two states to be equal, energy included
-bit for bit.
+bit for bit (:func:`assert_same_state`, over :func:`state_document`).
 """
 
 from __future__ import annotations

@@ -130,9 +130,9 @@ def test_vectorized_equals_scalar_equals_theory(seed):
 
 @st.composite
 def scenarios(draw):
-    """Keyword arguments for two identical simulators, and a slot count.
+    """A builder of identical simulators, and a slot count to run.
 
-    Each call builds fresh traffic and random streams, so the two
+    Each build makes its own traffic and random stream, so two
     simulators share nothing but their inputs.
     """
     rnd = draw(st.randoms(use_true_random=False))
