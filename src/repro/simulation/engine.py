@@ -174,7 +174,7 @@ class Simulator:
         self._nbrs = tuple(topology.neighbors(x) for x in range(topology.n))
         # Per-frame-position senders, listening flags and radio states
         # (see _slot_tables), built at the first step.
-        self._tables: tuple[list[list[int]], list[bytes], np.ndarray] | None = None
+        self._tables: list[tuple[list[int], bytes, np.ndarray]] | None = None
         # Radio wakeup accounting: who was awake last slot.
         self._was_awake = np.zeros(topology.n, dtype=bool)
         self._instrument = bool(instrument)
@@ -202,16 +202,16 @@ class Simulator:
         # Lazily built matrices for the vectorized frame kernel.
         self._mats: tuple[np.ndarray, ...] | None = None
 
-    def _slot_tables(self) -> tuple[list[list[int]], list[bytes], np.ndarray]:
-        """(senders, listening, states) per frame position, built once.
+    def _slot_tables(self) -> list[tuple[list[int], bytes, np.ndarray]]:
+        """``(senders, listening, states)`` per frame position, built once.
 
-        ``senders[pos]`` lists the transmit-eligible nodes in ascending
-        order (saturated traffic: only those with a neighbour to hear
-        them), ``listening[pos][x]`` is 1 when x listens, and
-        ``states[pos, x]`` is x's radio state, as a position in
-        :class:`RadioState` order, unless it transmits.  A node's local
-        frame position is the true one plus its fixed clock offset, so
-        under drift too the pattern repeats every frame.
+        *senders* lists the transmit-eligible nodes in ascending order
+        (saturated traffic: only those with a neighbour to hear them),
+        ``listening[x]`` is 1 when x listens, and ``states[x]`` is x's
+        radio state, as a position in :class:`RadioState` order, unless
+        it transmits.  A node's local frame position is the true one plus
+        its fixed clock offset, so under drift too the pattern repeats
+        every frame.
         """
         if self._tables is None:
             n = self.topology.n
@@ -229,8 +229,9 @@ class Simulator:
             states[rx] = _RECEIVE
             if self.traffic.saturated:
                 tx = tx & np.array([len(nbrs) > 0 for nbrs in self._nbrs])
-            self._tables = ([row.nonzero()[0].tolist() for row in tx],
-                            [row.tobytes() for row in rx], states)
+            self._tables = [
+                (tx_row.nonzero()[0].tolist(), rx_row.tobytes(), state_row)
+                for tx_row, rx_row, state_row in zip(tx, rx, states)]
         return self._tables
 
     # ------------------------------------------------------------------
@@ -275,9 +276,8 @@ class Simulator:
         saturated = self.traffic.saturated
         if not saturated:
             self._admit_arrivals(slot)
-        pos = slot % self.schedule.frame_length
-        senders, listening, states = self._tables or self._slot_tables()
-        senders, listening, states = senders[pos], listening[pos], states[pos]
+        tables = self._tables or self._slot_tables()
+        senders, listening, states = tables[slot % self.schedule.frame_length]
 
         # Injected node outages: a crashed node neither transmits nor
         # listens, and sleeps.
