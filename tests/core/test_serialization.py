@@ -166,3 +166,65 @@ class TestGoldenDigests:
         ]
         for family, digest in families:
             assert _canonical_digest(family_to_dict(family)) == digest
+
+
+#: The duty budgets the winner golden crosses with every (n, D) pair.
+_BUDGETS = ("1/5", "3/10", "1/2", "4/5")
+#: serve-cold's (smallest n, largest n, D) strata in benchmarks/e2e.
+_COLD_STRATA = ((20, 30, 2), (24, 32, 3), (24, 32, 4), (28, 36, 5))
+
+
+def _winner_classes() -> list[tuple[int, int, str, bool]]:
+    """``(n, D, max_duty, balanced)`` classes the winner golden plans.
+
+    Both ends and the middle of every serve-cold band at its lowest and
+    highest awake share (plus one balanced class per band), then every
+    n in 9-30 (step 3) × D 2-5 at two of the four budgets, the budgets
+    and the division rotating so every budget meets both divisions at
+    every D.  Four classes admit no schedule: the last two, and n = 9
+    at 1/5 in both divisions.
+    """
+    classes = []
+    for lo, hi, d in _COLD_STRATA:
+        mid = (lo + hi) // 4 * 2
+        for n in (lo, mid, hi):
+            for k in (-(-7 * n // 20), 3 * n // 5):
+                classes.append((n, d, f"{k}/{n}", False))
+        classes.append((mid, d, f"{mid // 2}/{mid}", True))
+    for a, n in enumerate(range(9, 31, 3)):
+        for b, d in enumerate(range(2, 6)):
+            for j in (0, 1):
+                classes.append((n, d, _BUDGETS[(a + b + 2 * j) % 4],
+                                bool((a + b + j) % 2)))
+    classes += [(12, 2, "1/12", False), (10, 3, "1/10", True)]
+    return classes
+
+
+class TestGoldenWinners:
+    """One SHA-256 over the planner's winners, recorded before the grid
+    was scored by closed form: a winner that changes family, energy
+    parameters, score, frame length or any schedule byte fails here, as
+    does a changed infeasible-budget message."""
+
+    DIGEST = ("2a9c3903f3c5088cc8b35aa0da22a782"
+              "f171610f4ae2794119d48a0a21e506b7")
+
+    def test_winners_are_pinned(self):
+        records = []
+        for n, d, duty, balanced in _winner_classes():
+            record: dict = {"class": [n, d, duty, balanced]}
+            try:
+                plan = plan_schedule(n, d, duty, balanced=balanced)
+            except ValueError as exc:
+                record["error"] = str(exc)
+            else:
+                record.update(
+                    family=plan.family, alpha_t=plan.alpha_t,
+                    alpha_r=plan.alpha_r, throughput=str(plan.throughput),
+                    duty_cycle=str(plan.duty_cycle),
+                    frame_length=plan.frame_length,
+                    schedule=_canonical_digest(
+                        schedule_to_dict(plan.schedule)))
+            records.append(record)
+        assert sum("error" in r for r in records) == 4
+        assert _canonical_digest(records) == self.DIGEST
