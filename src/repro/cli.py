@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="-",
                    help="JSONL result path; '-' writes stdout (default)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="process-pool width for grid evaluation (default 1)")
+                   help="process-pool width for constructing the batch's "
+                        "distinct winners (default 1)")
     p.add_argument("--cache-dir", default=None,
                    help="schedule-store root (default: "
                         "$XDG_CACHE_HOME/repro/schedules)")
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-schedules", action="store_true",
                    help="omit the flashable slot tables from result lines")
     p.add_argument("--task-timeout", type=float, default=None,
-                   help="per-evaluation wall-clock budget in seconds; a "
+                   help="per-construction wall-clock budget in seconds; a "
                         "hung worker is reclaimed and the task retried")
     p.add_argument("--max-retries", type=int, default=2,
                    help="faulted attempts a task may burn beyond its first "
@@ -145,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port; 0 binds an ephemeral port "
                         "(default 8177)")
     p.add_argument("--jobs", type=int, default=2,
-                   help="hot worker-pool width: provisioning requests "
-                        "evaluating concurrently (default 2)")
+                   help="planner thread-pool width: provisioning requests "
+                        "computed concurrently (default 2)")
     p.add_argument("--max-inflight", type=int, default=64,
                    help="admission bound; beyond it requests get an "
                         "explicit 503 overloaded (default 64)")
@@ -484,7 +485,6 @@ def _cmd_provision(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
     failed = sum(1 for r in results if r.error is not None)
-    degraded = sum(1 for r in results if r.degraded)
     cached = sum(1 for r in results if r.from_cache)
     summary = (f"provisioned {len(results) - failed}/{len(results)} requests "
                f"({cached} plan-cache hits, jobs={args.jobs}")
@@ -494,8 +494,6 @@ def _cmd_provision(args) -> int:
             f"{count} {status}" for status, count in sorted(task_summary.items()))
     if report.pool_rebuilds:
         summary += f"; pool rebuilds: {report.pool_rebuilds}"
-    if degraded:
-        summary += f"; {degraded} degraded"
     if store is not None:
         summary += (f"; store: {store.stats.hits} hits, "
                     f"{store.stats.stores} stores, "
@@ -504,13 +502,7 @@ def _cmd_provision(args) -> int:
     print(summary + ")", file=sys.stderr)
     if args.stats and store is not None:
         print(json.dumps(store.stats.to_metrics_dict()), file=sys.stderr)
-    # Distinct exit codes: 1 = some requests unanswered, 3 = every request
-    # answered but some grid evaluations were lost to worker faults.
-    if failed:
-        return 1
-    if degraded or report.degraded:
-        return 3
-    return 0
+    return 1 if failed else 0
 
 
 def _serve_supervised(args) -> int:
@@ -694,14 +686,9 @@ def _call_action(args, client) -> int:
             with open(args.output, "w") as fh:
                 fh.write(text)
         failed = sum(1 for doc in docs if "error" in doc)
-        degraded = sum(1 for doc in docs if doc.get("degraded"))
         print(f"provisioned {len(docs) - failed}/{len(docs)} requests via "
-              f"{args.host}:{args.port}"
-              + (f"; {degraded} degraded" if degraded else ""),
-              file=sys.stderr)
-        if failed:
-            return 1
-        return 3 if degraded else 0
+              f"{args.host}:{args.port}", file=sys.stderr)
+        return 1 if failed else 0
     except ServeError as exc:
         print(f"error: server {args.host}:{args.port}: {exc}",
               file=sys.stderr)
@@ -1102,7 +1089,7 @@ def _cmd_sweep(args) -> int:
         summary += f", {failed_shards} shards failed"
     print(summary + ")", file=sys.stderr)
     # Exit 3 = every point answered, but some shards were lost to worker
-    # faults and degraded to error rows (mirrors `repro provision`).
+    # faults and degraded to error rows.
     return 3 if failed_shards else 0
 
 

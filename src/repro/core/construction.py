@@ -34,7 +34,7 @@ throughput (Theorem 8).  Two division strategies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, gcd
+from math import gcd
 
 from repro._validation import check_class_params, check_int
 from repro.combinatorics.coverfree import list_from_mask
@@ -47,6 +47,9 @@ __all__ = [
     "construct_detailed",
     "ConstructionResult",
     "frame_length_formula",
+    "chunk_count",
+    "check_alphas",
+    "check_source",
     "contiguous_chunks",
     "balanced_chunks",
 ]
@@ -63,10 +66,25 @@ def contiguous_chunks(elems: list[int], size: int) -> list[list[int]]:
     if m == 0:
         return []
     size = min(check_int(size, "size", minimum=1), m)
-    k = ceil(m / size)
+    k = chunk_count(m, size)
     out = [elems[j * size:(j + 1) * size] for j in range(k - 1)]
     out.append(elems[m - size:])
     return out
+
+
+def chunk_count(m: int, size: int, *, balanced: bool = False) -> int:
+    """How many chunks Figure 2 divides an *m*-element set into.
+
+    ``ceil(m / size)`` for :func:`contiguous_chunks` and
+    ``m / gcd(m, min(size, m))`` for :func:`balanced_chunks`; an empty
+    set has none.  Integer arithmetic only, so Theorem 7's frame length
+    and the planner's closed-form scores stay exact.
+    """
+    if m == 0:
+        return 0
+    if balanced:
+        return m // gcd(m, min(size, m))
+    return -(-m // size)
 
 
 def balanced_chunks(elems: list[int], size: int) -> list[list[int]]:
@@ -82,7 +100,7 @@ def balanced_chunks(elems: list[int], size: int) -> list[list[int]]:
     if m == 0:
         return []
     size = min(check_int(size, "size", minimum=1), m)
-    k = m // gcd(m, size)
+    k = chunk_count(m, size, balanced=True)
     out = []
     for j in range(k):
         start = (j * size) % m
@@ -119,15 +137,31 @@ class ConstructionResult:
 
 
 def _validate_inputs(source: Schedule, alpha_t: int, alpha_r: int) -> None:
+    check_alphas(source.n, alpha_t, alpha_r)
+    check_source(source)
+
+
+def check_alphas(n: int, alpha_t: int, alpha_r: int) -> tuple[int, int]:
+    """``(alpha_t, alpha_r)``, or Figure 2's error when they do not fit *n*.
+
+    Both must be positive integers with ``alpha_T + alpha_R <= n``, the
+    room line 8 needs to pad every receiver set to ``alpha_R``.
+    """
     alpha_t = check_int(alpha_t, "alpha_t", minimum=1)
     alpha_r = check_int(alpha_r, "alpha_r", minimum=1)
-    if alpha_t + alpha_r > source.n:
+    if alpha_t + alpha_r > n:
         raise ValueError(
             "need alpha_T + alpha_R <= n for receiver padding; "
-            f"got {alpha_t} + {alpha_r} > {source.n}"
+            f"got {alpha_t} + {alpha_r} > {n}"
         )
+    return alpha_t, alpha_r
+
+
+def check_source(source: Schedule) -> Schedule:
+    """*source*, or the ``ValueError`` Figure 2 raises for a sleeping one."""
     if not source.is_non_sleeping():
         raise ValueError("the source schedule must be non-sleeping (R[i] = V - T[i])")
+    return source
 
 
 def _run_construction(source: Schedule, chunk_t: int, alpha_r: int,
@@ -249,19 +283,11 @@ def frame_length_formula(source: Schedule, alpha_t_star: int, alpha_r: int,
     alpha_t_star = check_int(alpha_t_star, "alpha_t_star", minimum=1)
     alpha_r = check_int(alpha_r, "alpha_r", minimum=1)
     n = source.n
-    exact = 0
-    for i in range(source.frame_length):
-        m_t = source.tx_counts[i]
-        m_r = n - m_t
-        if balanced:
-            k_t = (m_t // gcd(m_t, min(alpha_t_star, m_t))) if m_t else 0
-            k_r = (m_r // gcd(m_r, min(alpha_r, m_r))) if m_r else 0
-        else:
-            k_t = ceil(m_t / alpha_t_star) if m_t else 0
-            k_r = ceil(m_r / alpha_r) if m_r else 0
-        exact += k_t * k_r
+    exact = sum(chunk_count(m, alpha_t_star, balanced=balanced)
+                * chunk_count(n - m, alpha_r, balanced=balanced)
+                for m in source.tx_counts)
     maximum = max(source.tx_counts)
     minimum = min(source.tx_counts)
-    bound = ceil(maximum / alpha_t_star) * ceil((n - minimum) / alpha_r) \
-        * source.frame_length
+    bound = chunk_count(maximum, alpha_t_star) \
+        * chunk_count(n - minimum, alpha_r) * source.frame_length
     return exact, bound

@@ -4,9 +4,8 @@ A user's question is rarely "give me an (alpha_T, alpha_R)-schedule"; it is
 "my nodes may keep the radio on at most 30% of the time — what is the best
 topology-transparent schedule for up to n nodes of degree at most D?".
 This module answers it by searching the substrate families and the
-``(alpha_T, alpha_R)`` grid, scoring each candidate with the *exact*
-Theorem 2 average worst-case throughput of the constructed schedule and
-its exact awake fraction.
+``(alpha_T, alpha_R)`` grid for the candidate with the best *exact*
+Theorem 2 average worst-case throughput within the budget.
 
 The search is exhaustive over a small grid: substrates are the library's
 families, ``alpha_T`` ranges up to Theorem 4's saturation point (raising
@@ -14,22 +13,39 @@ it further provably cannot help), and for each ``alpha_T`` the largest
 ``alpha_R`` that still satisfies the duty budget is used (Theorem 4: the
 bound is increasing in ``alpha_R``).
 
-The grid machinery is exposed piecewise (:func:`duty_grid`,
-:func:`evaluate_grid_point`, :func:`select_best`) so that
-:mod:`repro.service.provision` can fan the same evaluations out over a
-process pool and merge the results deterministically; a cache honouring
-the :mod:`repro.service.store` protocol can be threaded through
-:func:`plan_schedule` to turn repeated plans into lookups.
+No grid point is constructed to be scored.  Theorem 2 makes the average
+worst-case throughput a function of the per-slot transmitter and
+receiver counts only, and Figure 2 fixes those counts: a source slot
+with ``0 < m = |T[i]| < n`` emits ``k_T(i) * k_R(i)`` slots (summed, they
+are Theorem 7's exact frame length), each with ``min(alpha_T*, m)``
+transmitters and exactly ``alpha_R`` receivers.  :func:`score_grid`
+therefore computes every point's throughput, duty cycle and frame length
+from the source's ``tx_counts``; only the winner is built
+(:func:`construct_winner`), and its constructed score must equal the
+closed form.
+
+The pieces (:func:`duty_grid`, :func:`score_grid`, :func:`select_best`,
+:func:`evaluate_grid_point`, :func:`confirm_score`) are public so that
+:mod:`repro.service.api` can score a whole batch of requests and build
+each distinct winner once, inline or over a process pool; a cache
+honouring the :mod:`repro.service.store` protocol can be threaded
+through :func:`plan_schedule` to turn repeated plans into lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import comb
+from typing import Iterable, TypeVar
 
 from repro._validation import check_class_params, check_probability
-from repro.core.construction import construct_detailed
+from repro.core.construction import (
+    check_alphas,
+    check_source,
+    chunk_count,
+    construct_detailed,
+)
 from repro.obs.tracing import span
 from repro.core.nonsleeping import (
     mols_schedule,
@@ -47,12 +63,18 @@ from repro.core.throughput import (
 __all__ = [
     "Plan",
     "GridPoint",
+    "GridScore",
     "plan_schedule",
     "candidate_sources",
     "duty_budget_fraction",
     "duty_grid",
-    "evaluate_grid_point",
+    "score_grid",
     "select_best",
+    "select_winner",
+    "evaluate_grid_point",
+    "confirm_score",
+    "construct_winner",
+    "infeasible_budget_message",
 ]
 
 
@@ -103,6 +125,25 @@ class GridPoint:
     source: Schedule
     alpha_t: int
     alpha_r: int
+
+
+@dataclass(frozen=True)
+class GridScore:
+    """The closed-form score of one grid point; no schedule is built.
+
+    Attributes
+    ----------
+    point:
+        The scored :class:`GridPoint`.
+    throughput, duty_cycle, frame_length:
+        Exactly the Theorem 2 throughput, average awake fraction and
+        frame length of the schedule Figure 2 constructs from *point*.
+    """
+
+    point: GridPoint
+    throughput: Fraction
+    duty_cycle: Fraction
+    frame_length: int
 
 
 def candidate_sources(n: int, d: int) -> list[tuple[str, Schedule]]:
@@ -172,6 +213,92 @@ def duty_grid(n: int, d: int, budget: Fraction,
     return points
 
 
+def score_grid(points: Iterable[GridPoint], d: int, *,
+               balanced: bool = False) -> list[GridScore]:
+    """Score every grid point from its source's counts (Theorems 2 and 7).
+
+    A source slot with ``m`` transmitters, ``0 < m < n``, emits
+    ``k = k_T * k_R`` constructed slots (:func:`~repro.core.construction.
+    chunk_count` of ``m`` by ``alpha_T*`` and of ``n - m`` by
+    ``alpha_R``), each with ``t = min(alpha_T*, m)`` transmitters and
+    ``alpha_R`` receivers; slots with ``m`` of 0 or ``n`` emit nothing.
+    Summed over the source's slots, ``k`` is the frame length,
+    ``k (t + alpha_R)`` the awake node-slots and
+    ``k t alpha_R C(n - t - 1, D - 1)`` Theorem 2's numerator — all exact
+    integers, so the scores equal :func:`evaluate_grid_point`'s.
+
+    Raises the construction's ``ValueError`` for energy parameters that
+    do not fit and for a sleeping source (each distinct source is
+    checked once), and the one an empty schedule raises for a point
+    whose source emits no slot.
+    """
+    counts: dict[int, list[tuple[int, int]]] = {}
+    scores = []
+    for point in points:
+        source = point.source
+        n, d = check_class_params(source.n, d)
+        tallies = counts.get(id(source))
+        if tallies is None:
+            check_source(source)
+            per_count: dict[int, int] = {}
+            for m in source.tx_counts:
+                per_count[m] = per_count.get(m, 0) + 1
+            tallies = counts[id(source)] = sorted(per_count.items())
+        alpha_t, alpha_r = check_alphas(n, point.alpha_t, point.alpha_r)
+        alpha_t_star = optimal_transmitters_constrained(n, d, alpha_t)
+        length = awake = weight = 0
+        for m, slots in tallies:
+            k = slots * chunk_count(m, alpha_t_star, balanced=balanced) \
+                * chunk_count(n - m, alpha_r, balanced=balanced)
+            if k:
+                t = min(alpha_t_star, m)
+                length += k
+                awake += k * (t + alpha_r)
+                weight += k * t * comb(n - t - 1, d - 1)
+        if length == 0:
+            raise ValueError("a schedule must have at least one slot")
+        scores.append(GridScore(
+            point,
+            Fraction(weight * alpha_r,
+                     n * (n - 1) * comb(n - 2, d - 1) * length),
+            Fraction(awake, n * length), length))
+    return scores
+
+
+_Scored = TypeVar("_Scored", Plan, GridScore)
+
+
+def select_best(candidates: Iterable[_Scored]) -> _Scored | None:
+    """Deterministic winner of a candidate sequence, or None if empty.
+
+    Maximizes ``(throughput, -frame_length)`` with a *strict* comparison,
+    so ties break toward the earliest candidate in iteration order — the
+    shorter frame is the lower worst-case access delay.  Candidates are
+    :class:`GridScore` records or :class:`Plan` objects alike.
+    """
+    best = None
+    for candidate in candidates:
+        if best is None or (candidate.throughput, -candidate.frame_length) \
+                > (best.throughput, -best.frame_length):
+            best = candidate
+    return best
+
+
+def select_winner(n: int, d: int, budget: Fraction,
+                  sources: list[tuple[str, Schedule]], *,
+                  balanced: bool = False) -> GridScore | None:
+    """The best-scoring grid point within *budget*, or None.
+
+    Scores :func:`duty_grid` with :func:`score_grid`, keeps the points
+    whose duty cycle is at most *budget* and applies
+    :func:`select_best`, all in grid order.
+    """
+    with span("planner.score", n=n, d=d, balanced=balanced):
+        scores = score_grid(duty_grid(n, d, budget, sources), d,
+                            balanced=balanced)
+    return select_best(s for s in scores if s.duty_cycle <= budget)
+
+
 def evaluate_grid_point(point: GridPoint, d: int, *,
                         balanced: bool = False) -> Plan:
     """Construct and score one grid point, independent of any duty budget.
@@ -179,7 +306,7 @@ def evaluate_grid_point(point: GridPoint, d: int, *,
     Returns the full :class:`Plan` (schedule, exact Theorem 2 throughput,
     exact awake fraction).  The result depends only on
     ``(family, n, D, alpha_T, alpha_R, balanced)`` — never on the budget —
-    which is what makes it a sound unit of caching and of parallel fan-out.
+    which is what makes it a sound unit of parallel work.
     """
     with span("planner.evaluate", family=point.family,
               alpha_t=point.alpha_t, alpha_r=point.alpha_r):
@@ -196,20 +323,36 @@ def evaluate_grid_point(point: GridPoint, d: int, *,
         )
 
 
-def select_best(candidates: Iterable[Plan]) -> Plan | None:
-    """Deterministic winner of a candidate sequence, or None if empty.
+def confirm_score(score: GridScore, plan: Plan) -> Plan:
+    """*plan*, once its constructed score is exactly *score*.
 
-    Maximizes ``(throughput, -frame_length)`` with a *strict* comparison,
-    so ties break toward the earliest candidate in iteration order —
-    evaluating the grid sequentially or in parallel therefore selects the
-    identical plan as long as candidates are presented in grid order.
+    Raises ``RuntimeError`` when the construction's ``(throughput,
+    duty_cycle, frame_length)`` differs from the closed form: one of the
+    two is wrong, and the plan must not be served or stored.
     """
-    best: Plan | None = None
-    for plan in candidates:
-        if best is None or (plan.throughput, -plan.frame_length) > \
-                (best.throughput, -best.frame_length):
-            best = plan
-    return best
+    built = (plan.throughput, plan.duty_cycle, plan.frame_length)
+    closed = (score.throughput, score.duty_cycle, score.frame_length)
+    if built != closed:
+        point = score.point
+        raise RuntimeError(
+            f"{point.family} (alpha_T={point.alpha_t}, "
+            f"alpha_R={point.alpha_r}) was built with (throughput, "
+            f"duty_cycle, frame_length) {tuple(map(str, built))}, but its "
+            f"closed-form score is {tuple(map(str, closed))}")
+    return plan
+
+
+def construct_winner(score: GridScore, d: int, *,
+                     balanced: bool = False) -> Plan:
+    """Build the scored point's schedule and :func:`confirm_score` it."""
+    return confirm_score(score, evaluate_grid_point(score.point, d,
+                                                    balanced=balanced))
+
+
+def infeasible_budget_message(n: int, max_duty, balanced: bool) -> str:
+    """The error of a budget that admits no grid point."""
+    return (f"no ({'balanced ' if balanced else ''}alpha_T, alpha_R) choice "
+            f"fits duty budget {max_duty} for n={n} (need >= 2/n)")
 
 
 def plan_schedule(n: int, d: int, max_duty: float | str | Fraction, *,
@@ -232,13 +375,12 @@ def plan_schedule(n: int, d: int, max_duty: float | str | Fraction, *,
         Optional pre-built ``(name, source)`` candidates; defaults to
         :func:`candidate_sources`.
     cache:
-        Optional schedule store honouring the
+        Optional schedule store honouring the plan half of the
         :class:`repro.service.store.ScheduleStore` protocol
-        (``get_eval``/``put_eval``/``get_plan``/``put_plan``).  Grid-point
-        evaluations and the winning plan are memoized through it, so a
-        repeated request performs zero constructions.  Only consulted for
-        the default families — custom substrate lists are not identified
-        by the store's key schema.
+        (``get_plan``/``put_plan``).  The winning plan is memoized
+        through it, so a repeated request performs zero constructions.
+        Only consulted for the default families — custom substrate
+        lists are not identified by the store's key schema.
 
     Returns the :class:`Plan` maximizing exact average worst-case
     throughput subject to ``duty_cycle <= max_duty``; ties break toward
@@ -263,25 +405,10 @@ def _plan_schedule(n, d, max_duty, budget, *, balanced, families, cache):
         if hit is not None:
             return hit
     sources = families if families is not None else candidate_sources(n, d)
-    candidates: list[Plan] = []
-    for point in duty_grid(n, d, budget, sources):
-        plan = None
-        if cacheable:
-            plan = cache.get_eval(point.family, n, d, point.alpha_t,
-                                  point.alpha_r, balanced)
-        if plan is None:
-            plan = evaluate_grid_point(point, d, balanced=balanced)
-            if cacheable:
-                cache.put_eval(point.family, n, d, point.alpha_t,
-                               point.alpha_r, balanced, plan)
-        if plan.duty_cycle <= budget:
-            candidates.append(plan)
-    best = select_best(candidates)
+    best = select_winner(n, d, budget, sources, balanced=balanced)
     if best is None:
-        raise ValueError(
-            f"no ({'balanced ' if balanced else ''}alpha_T, alpha_R) choice "
-            f"fits duty budget {max_duty} for n={n} (need >= 2/n)"
-        )
+        raise ValueError(infeasible_budget_message(n, max_duty, balanced))
+    plan = construct_winner(best, d, balanced=balanced)
     if cacheable:
-        cache.put_plan(n, d, budget, balanced, best)
-    return best
+        cache.put_plan(n, d, budget, balanced, plan)
+    return plan

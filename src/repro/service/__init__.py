@@ -8,12 +8,13 @@ requests fast:
     Content-addressed, versioned on-disk schedule cache with an in-memory
     LRU front, atomic writes and corruption-tolerant loads.
 ``repro.service.provision``
-    Deduplicating fan-out of planner grid evaluations with deterministic
-    (grid-order) result merging.
+    Planner grid points as pool-shippable tasks, keyed by digest so
+    ``jobs=1`` and ``jobs=N`` select identical plans.
 ``repro.service.runtime``
     The fault-tolerant execution layer underneath: individual futures,
     per-task timeout, retry with seeded backoff, broken-pool recovery
-    with bisection quarantine, and checkpointing into the store.
+    with bisection quarantine, and a checkpoint callback per finished
+    task.
 ``repro.service.api``
     The batch request surface — :class:`ProvisionRequest`,
     :class:`ProvisionResult`, :func:`provision_batch`,
@@ -28,7 +29,7 @@ from repro.service.api import (
     provision_batch,
     provision_batch_report,
 )
-from repro.service.provision import EvalTask, evaluate_tasks, task_from_point
+from repro.service.provision import EvalTask, task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     RuntimeResult,
@@ -55,7 +56,6 @@ __all__ = [
     "TaskReport",
     "execute_tasks",
     "EvalTask",
-    "evaluate_tasks",
     "task_from_point",
     "ScheduleStore",
     "StoreStats",

@@ -7,21 +7,21 @@ per-class requests.  :func:`provision_batch` is that service's core:
 1. duplicate requests collapse to one computation;
 2. plan-level cache hits (via a :class:`~repro.service.store.ScheduleStore`)
    short-circuit entire searches;
-3. the surviving grid points of *all* requests are pooled, deduplicated
-   and evaluated together — inline or across a process pool — so a batch
-   sharing substrates pays for each construction once;
-4. per-request winners are selected in grid order
-   (:func:`repro.core.planner.select_best`), making the parallel path
-   bit-identical to sequential :func:`repro.core.planner.plan_schedule`.
+3. every other request scores its planner grid in closed form
+   (:func:`repro.core.planner.score_grid`) and picks its winner in grid
+   order (:func:`repro.core.planner.select_best`), exactly as sequential
+   :func:`repro.core.planner.plan_schedule` does;
+4. only the batch's *distinct* winners are constructed — inline or across
+   a process pool — and each must score what the closed form said
+   (:func:`repro.core.planner.confirm_score`).
 
 Requests that fail (impossible class parameters, infeasible budgets) are
 reported per-request via :attr:`ProvisionResult.error`; one bad request
-never poisons the batch.  Grid evaluations run under the fault-tolerant
-runtime of :mod:`repro.service.runtime`: a crashed, hung or raising
-worker costs *at most* the grid points it was computing — every healthy
-task's plan still comes back, the faulty tasks' statuses are reported per
-task, and requests whose grid lost points are answered from the
-survivors and marked ``degraded``.
+never poisons the batch.  Winner constructions run under the
+fault-tolerant runtime of :mod:`repro.service.runtime`: a crashed, hung
+or raising worker costs at most the requests its winner answers, each of
+which comes back as an error naming the lost task and its status, while
+every other request is still answered.
 """
 
 from __future__ import annotations
@@ -32,16 +32,18 @@ from typing import Any, Iterable
 
 from repro._validation import check_class_params, check_int
 from repro.core.planner import (
+    GridScore,
     Plan,
     candidate_sources,
+    confirm_score,
     duty_budget_fraction,
-    duty_grid,
-    select_best,
+    infeasible_budget_message,
+    select_winner,
 )
 from repro.core.serialization import schedule_from_dict, schedule_to_dict
 from repro.faults import FaultPlan
 from repro.obs.tracing import span
-from repro.service.provision import task_from_point
+from repro.service.provision import EvalTask, task_from_point
 from repro.service.runtime import RuntimeConfig, TaskReport, execute_tasks
 from repro.service.store import ScheduleStore, StoreStats
 
@@ -133,24 +135,19 @@ class ProvisionResult:
         The winning plan, or None when *error* is set.
     from_cache:
         True when the whole plan came from a plan-level cache hit
-        (no grid point of this request was evaluated or even looked up).
+        (nothing of this request was scored or constructed).
     error:
         Human-readable failure description, or None on success.
-    degraded:
-        True when some of this request's grid evaluations were lost to
-        worker faults and the winner was selected among the survivors
-        only — the plan is valid but possibly not the global optimum.
-        Degraded winners are never written to the plan-level cache.
     failed_tasks:
-        ``(digest, status)`` pairs for the lost grid points of this
-        request (statuses from :mod:`repro.service.runtime`).
+        ``(digest, status)`` of this request's winner construction when
+        a worker fault lost it (statuses from
+        :mod:`repro.service.runtime`); empty otherwise.
     """
 
     request: ProvisionRequest
     plan: Plan | None
     from_cache: bool = False
     error: str | None = None
-    degraded: bool = False
     failed_tasks: tuple[tuple[str, str], ...] = ()
 
     def to_dict(self, *, include_schedule: bool = True) -> dict[str, Any]:
@@ -163,8 +160,6 @@ class ProvisionResult:
             doc["error"] = self.error
             return doc
         assert self.plan is not None
-        if self.degraded:
-            doc["degraded"] = True
         doc.update({
             "family": self.plan.family,
             "alpha_t": self.plan.alpha_t,
@@ -191,50 +186,86 @@ class ProvisionResult:
         round-trip server responses; ``from_dict(r.to_dict()).to_dict()``
         equals ``r.to_dict()`` exactly.  Success documents must embed the
         ``schedule`` payload (``to_dict(include_schedule=True)``) — a plan
-        cannot be reconstructed without its slot tables, so a document
-        missing that key raises a ``ValueError`` naming it.
+        cannot be reconstructed without its slot tables.  Strict like
+        :meth:`ProvisionRequest.from_dict`: a missing or mistyped field,
+        or a ``frame_length`` the embedded schedule disagrees with,
+        raises a ``ValueError`` naming the field.
         """
         if not isinstance(doc, dict):
             raise ValueError("result must be a JSON object")
-        request = ProvisionRequest.from_dict(doc["request"])
-        failed = tuple(sorted(doc.get("failed_tasks", {}).items()))
+        request = ProvisionRequest.from_dict(_field(doc, "request", dict))
+        failed = _field(doc, "failed_tasks", dict, {})
+        if not all(isinstance(v, str) for v in failed.values()):
+            raise ValueError("result field 'failed_tasks' must map task "
+                             "digests to status strings")
+        failed_tasks = tuple(sorted(failed.items()))
         if "error" in doc:
-            return cls(request, None, error=str(doc["error"]),
-                       failed_tasks=failed)
+            return cls(request, None, error=_field(doc, "error", str),
+                       failed_tasks=failed_tasks)
         if "schedule" not in doc:
             raise ValueError("result missing field 'schedule' (serialize "
                              "with include_schedule=True to round-trip)")
+        schedule = schedule_from_dict(_field(doc, "schedule", dict))
+        frame_length = _field(doc, "frame_length", int)
+        if frame_length != schedule.frame_length:
+            raise ValueError(
+                f"result field 'frame_length' is {frame_length}, but the "
+                f"embedded schedule has {schedule.frame_length} slots")
         plan = Plan(
-            schedule=schedule_from_dict(doc["schedule"]),
-            family=str(doc["family"]),
-            alpha_t=check_int(doc["alpha_t"], "alpha_t", minimum=1),
-            alpha_r=check_int(doc["alpha_r"], "alpha_r", minimum=1),
-            throughput=Fraction(doc["throughput"]),
-            duty_cycle=Fraction(doc["duty_cycle"]),
-            frame_length=check_int(doc["frame_length"], "frame_length",
-                                   minimum=1),
+            schedule=schedule,
+            family=_field(doc, "family", str),
+            alpha_t=check_int(_field(doc, "alpha_t", int), "alpha_t",
+                              minimum=1),
+            alpha_r=check_int(_field(doc, "alpha_r", int), "alpha_r",
+                              minimum=1),
+            throughput=_fraction_field(doc, "throughput"),
+            duty_cycle=_fraction_field(doc, "duty_cycle"),
+            frame_length=frame_length,
         )
-        return cls(request, plan, from_cache=bool(doc.get("from_cache", False)),
-                   degraded=bool(doc.get("degraded", False)),
-                   failed_tasks=failed)
+        return cls(request, plan,
+                   from_cache=_field(doc, "from_cache", bool, False),
+                   failed_tasks=failed_tasks)
+
+
+_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
+          dict: "a JSON object"}
+_MISSING = object()
+
+
+def _field(doc: dict[str, Any], key: str, kind: type,
+           default: Any = _MISSING) -> Any:
+    """``doc[key]`` if it is a *kind* (a bool is no integer), else the
+    ``ValueError`` naming *key*; *default* when the key is absent and
+    optional."""
+    if key not in doc:
+        if default is _MISSING:
+            raise ValueError(f"result missing field {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
+        raise ValueError(f"result field {key!r} must be {_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _fraction_field(doc: dict[str, Any], key: str) -> Fraction:
+    """``doc[key]`` as an exact fraction string, or a ``ValueError``."""
+    text = _field(doc, key, str)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"result field {key!r} is not a fraction: "
+                         f"{text!r}") from None
 
 
 @dataclass
-class _Pending:
-    """Book-keeping for one distinct request signature being computed."""
+class _Winner:
+    """One distinct winning grid point and the requests it answers."""
 
-    n: int
-    d: int
-    budget: Fraction
-    balanced: bool
-    digests: list[str] = field(default_factory=list)
-    cached: dict[str, Plan] = field(default_factory=dict)
-
-
-def _no_plan_error(n: int, max_duty, balanced: bool) -> str:
-    """The planner's infeasible-budget message, shared verbatim."""
-    return (f"no ({'balanced ' if balanced else ''}alpha_T, alpha_R) choice "
-            f"fits duty budget {max_duty} for n={n} (need >= 2/n)")
+    task: EvalTask
+    score: GridScore
+    signatures: list[tuple] = field(default_factory=list)
 
 
 @dataclass
@@ -248,8 +279,8 @@ class BatchReport:
         exactly what :func:`provision_batch` returns.
     task_reports:
         Digest -> :class:`~repro.service.runtime.TaskReport` for every
-        distinct grid evaluation the batch attempted (cache hits are not
-        attempts and do not appear).
+        distinct winner the batch constructed (cache hits and infeasible
+        requests construct nothing and do not appear).
     pool_rebuilds:
         Times the runtime rebuilt its worker pool (crashes + reclaimed
         hangs).
@@ -264,17 +295,11 @@ class BatchReport:
     store_stats: StoreStats | None = None
 
     def task_summary(self) -> dict[str, int]:
-        """Status -> count over every attempted grid evaluation."""
+        """Status -> count over every attempted winner construction."""
         counts: dict[str, int] = {}
         for report in self.task_reports.values():
             counts[report.status] = counts.get(report.status, 0) + 1
         return counts
-
-    @property
-    def degraded(self) -> bool:
-        """True when any request lost grid points to worker faults."""
-        return any(r.degraded or (r.error is not None and r.failed_tasks)
-                   for r in self.results)
 
 
 def provision_batch(requests: Iterable[ProvisionRequest], *,
@@ -285,9 +310,8 @@ def provision_batch(requests: Iterable[ProvisionRequest], *,
 
     Thin wrapper over :func:`provision_batch_report` that keeps the
     historical return type (results only).  Never raises for a worker
-    fault: requests whose grid evaluations were lost come back partial —
-    answered from the surviving candidates and marked ``degraded``, or
-    carrying an ``error`` when nothing survived.
+    fault: a request whose winner's construction was lost comes back
+    with an ``error`` naming the task and its status.
 
     Parameters
     ----------
@@ -295,10 +319,11 @@ def provision_batch(requests: Iterable[ProvisionRequest], *,
         The batch; results come back in the same order.
     store:
         Optional :class:`~repro.service.store.ScheduleStore` (or anything
-        honouring its protocol).  None disables caching entirely.
+        honouring its plan protocol).  None disables caching entirely.
     jobs:
-        Process-pool width for grid-point evaluation; ``1`` runs inline.
-        The selected plans are identical for every value of *jobs*.
+        Process-pool width for constructing the batch's distinct
+        winners; ``1`` runs inline.  The selected plans are identical
+        for every value of *jobs*.
     runtime:
         Optional :class:`~repro.service.runtime.RuntimeConfig` tuning
         timeouts, retries and quarantine; *jobs* (when not 1) overrides
@@ -320,7 +345,9 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
 
     The report adds what operators need under faults: per-task statuses
     (``ok / retried / timed-out / failed / quarantined``), pool-rebuild
-    counts, and the store's hit/miss/corruption statistics.
+    counts, and the store's hit/miss/corruption statistics.  Raises
+    ``RuntimeError`` if a constructed winner does not score exactly what
+    the closed form said (:func:`repro.core.planner.confirm_score`).
     """
     jobs = check_int(jobs, "jobs", minimum=1)
     config = runtime if runtime is not None else RuntimeConfig()
@@ -336,91 +363,69 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
             signatures.append(None)
             errors[i] = str(exc)
 
-    # Resolve each distinct signature once.
-    resolved: dict[tuple, tuple[Plan | None, bool]] = {}
-    pending: dict[tuple, _Pending] = {}
-    tasks = []
-    grids: dict[tuple[int, int], list] = {}
+    # Resolve each distinct signature once: a plan-cache hit, a budget
+    # no grid point fits (None), or the winner a task will construct.
+    resolved: dict[tuple, Plan | None] = {}
+    winner_of: dict[tuple, str] = {}
+    winners: dict[str, _Winner] = {}
+    sources: dict[tuple[int, int], list] = {}
     with span("provision.plan", requests=len(requests)):
         for sig in signatures:
-            if sig is None or sig in resolved or sig in pending:
+            if sig is None or sig in resolved or sig in winner_of:
                 continue
             n, d, budget, balanced = sig
             if store is not None:
                 hit = store.get_plan(n, d, budget, balanced)
                 if hit is not None:
-                    resolved[sig] = (hit, True)
+                    resolved[sig] = hit
                     continue
-            if (n, d) not in grids:
-                grids[(n, d)] = candidate_sources(n, d)
-            work = _Pending(n, d, budget, balanced)
-            for point in duty_grid(n, d, budget, grids[(n, d)]):
-                task = task_from_point(point, n, d, balanced)
-                digest = task.key()
-                work.digests.append(digest)
-                plan = None
-                if store is not None:
-                    plan = store.get_eval(point.family, n, d, point.alpha_t,
-                                          point.alpha_r, balanced)
-                if plan is not None:
-                    work.cached[digest] = plan
-                else:
-                    tasks.append(task)
-            pending[sig] = work
+            if (n, d) not in sources:
+                sources[(n, d)] = candidate_sources(n, d)
+            best = select_winner(n, d, budget, sources[(n, d)],
+                                 balanced=balanced)
+            if best is None:
+                resolved[sig] = None
+                continue
+            task = task_from_point(best.point, n, d, balanced)
+            digest = winner_of[sig] = task.key()
+            winner = winners.setdefault(digest, _Winner(task, best))
+            winner.signatures.append(sig)
 
-    # The fault-tolerant runtime: individual futures, retry/backoff,
-    # broken-pool recovery, and checkpointing of every completed
-    # evaluation straight into the store (so an interrupted batch
-    # resumes warm — cache lookups above already reap old checkpoints).
-    with span("provision.evaluate", tasks=len(tasks), jobs=config.jobs):
-        outcome = execute_tasks(tasks, config=config, store=store,
-                                faults=faults)
-    fresh = outcome.plans
+    def checkpoint(task: EvalTask, plan: Plan) -> None:
+        # Each winner's plan entries land the moment it is built, so an
+        # interrupted batch resumes warm from plan-cache hits.
+        winner = winners[task.key()]
+        with span("provision.store", signatures=len(winner.signatures)):
+            confirm_score(winner.score, plan)
+            if store is not None:
+                for n, d, budget, balanced in winner.signatures:
+                    store.put_plan(n, d, budget, balanced, plan)
 
-    lost: dict[tuple, list[tuple[str, str]]] = {}
-    with span("provision.store", signatures=len(pending)):
-        for sig, work in pending.items():
-            candidates = []
-            for digest in work.digests:
-                plan = work.cached.get(digest) or fresh.get(digest)
-                if plan is None:  # evaluation lost to a worker fault
-                    report = outcome.reports[digest]
-                    lost.setdefault(sig, []).append((digest, report.status))
-                    continue
-                if plan.duty_cycle <= work.budget:
-                    candidates.append(plan)
-            best = select_best(candidates)
-            resolved[sig] = (best, False)
-            # Degraded winners are never cached: with the full grid they
-            # might lose to one of the lost points, and a poisoned cache
-            # would outlive the fault.
-            if best is not None and store is not None and sig not in lost:
-                store.put_plan(work.n, work.d, work.budget, work.balanced,
-                               best)
+    with span("provision.evaluate", tasks=len(winners), jobs=config.jobs):
+        outcome = execute_tasks([w.task for w in winners.values()],
+                                config=config, faults=faults,
+                                checkpoint=checkpoint)
 
     results: list[ProvisionResult] = []
     for i, (request, sig) in enumerate(zip(requests, signatures)):
         if sig is None:
-            results.append(ProvisionResult(request, None, error=errors[i]))
-            continue
-        plan, from_cache = resolved[sig]
-        failed = tuple(lost.get(sig, ()))
-        if plan is None and failed:
-            results.append(ProvisionResult(
-                request, None, failed_tasks=failed,
-                error=(f"no plan within budget: {len(failed)} grid "
-                       "evaluation(s) lost to worker faults ("
-                       + ", ".join(f"{d[:12]}={s}" for d, s in failed)
-                       + ") and no surviving candidate fits")))
-        elif plan is None:
-            results.append(ProvisionResult(
-                request, None,
-                error=_no_plan_error(sig[0], request.max_duty, sig[3])))
+            result = ProvisionResult(request, None, error=errors[i])
+        elif sig in winner_of:
+            digest = winner_of[sig]
+            if digest in outcome.plans:
+                result = ProvisionResult(request, outcome.plans[digest])
+            else:
+                status = outcome.reports[digest].status
+                result = ProvisionResult(
+                    request, None, failed_tasks=((digest, status),),
+                    error=("the winner's construction was lost to a worker "
+                           f"fault (task {digest[:12]}={status})"))
+        elif resolved[sig] is None:
+            result = ProvisionResult(request, None, error=(
+                infeasible_budget_message(sig[0], request.max_duty, sig[3])))
         else:
-            results.append(ProvisionResult(request, plan,
-                                           from_cache=from_cache,
-                                           degraded=bool(failed),
-                                           failed_tasks=failed))
+            result = ProvisionResult(request, resolved[sig], from_cache=True)
+        results.append(result)
     return BatchReport(results=results, task_reports=outcome.reports,
                        pool_rebuilds=outcome.pool_rebuilds,
                        store_stats=store.stats if store is not None else None)

@@ -1,50 +1,40 @@
-"""Parallel fan-out of planner grid evaluations with deterministic merge.
+"""Planner grid points as self-contained, pool-shippable tasks.
 
-The planner's substrate × ``(alpha_T, alpha_R)`` grid is embarrassingly
-parallel: every :class:`~repro.core.planner.GridPoint` evaluation is
-independent and budget-free (see
-:func:`repro.core.planner.evaluate_grid_point`).  This module farms
-deduplicated grid points — possibly pooled across a whole batch of
-provisioning requests — over the fault-tolerant runtime of
-:mod:`repro.service.runtime` and returns results keyed by the store's key
-schema, so the caller can reassemble per-request candidate lists *in grid
-order* and select winners with :func:`repro.core.planner.select_best`.
-Selection order, not completion order, decides ties; hence ``jobs=1`` and
-``jobs=N`` provably produce identical plans.
-
-Failure semantics: a raising task never takes the batch down with it.
-:func:`evaluate_tasks` returns every survivor's plan; the failed tasks'
-diagnoses live in the :class:`~repro.service.runtime.TaskReport` objects
-of :func:`~repro.service.runtime.execute_tasks`, which this function
-wraps.
+:func:`repro.service.api.provision_batch_report` scores every request's
+grid in closed form and constructs only the distinct winners.  Each
+winner travels to the fault-tolerant runtime of
+:mod:`repro.service.runtime` as an :class:`EvalTask`: the substrate
+schedule and energy parameters a worker needs to build it without
+rebuilding the family, identified by the store's grid-point key digest
+(:func:`repro.service.store.eval_key`).  Results come back keyed by that
+digest, so scheduling order cannot influence which plan a request
+receives — ``jobs=1`` and ``jobs=N`` produce identical plans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro._validation import check_int
-from repro.core.planner import GridPoint, Plan
+from repro.core.planner import GridPoint
 from repro.core.schedule import Schedule
-from repro.service.runtime import RuntimeConfig, execute_tasks
 from repro.service.store import key_digest, eval_key
 
-__all__ = ["EvalTask", "task_from_point", "evaluate_tasks"]
+__all__ = ["EvalTask", "task_from_point"]
 
 
 @dataclass(frozen=True)
 class EvalTask:
-    """One self-contained grid-point evaluation, picklable for workers.
+    """One self-contained grid-point construction, picklable for workers.
 
     Attributes
     ----------
     family:
-        Substrate family name (part of the cache key).
+        Substrate family name (part of the task digest).
     source:
         The substrate schedule itself, shipped to the worker so it does
         not rebuild the family from scratch.
     n, d:
-        The network class the evaluation is quoted for.
+        The network class the construction is quoted for.
     alpha_t, alpha_r:
         Energy parameters of the construction.
     balanced:
@@ -60,7 +50,7 @@ class EvalTask:
     balanced: bool
 
     def key(self) -> str:
-        """The task's store-key digest — its identity for deduplication."""
+        """The task's grid-point key digest — its identity for deduplication."""
         return key_digest(eval_key(self.family, self.n, self.d,
                                    self.alpha_t, self.alpha_r, self.balanced))
 
@@ -71,42 +61,3 @@ def task_from_point(point: GridPoint, n: int, d: int, balanced: bool
     return EvalTask(family=point.family, source=point.source, n=n, d=d,
                     alpha_t=point.alpha_t, alpha_r=point.alpha_r,
                     balanced=balanced)
-
-
-def evaluate_tasks(tasks: list[EvalTask], *, jobs: int = 1,
-                   config: RuntimeConfig | None = None, store=None,
-                   faults=None) -> dict[str, Plan]:
-    """Evaluate every task; survivors always come back, failures never
-    poison the batch.
-
-    Returns a dict from store-key digest to :class:`Plan`.  Duplicate
-    digests in *tasks* are evaluated once.  With ``jobs == 1`` everything
-    runs in-process (no pool, no pickling); with ``jobs > 1`` each task is
-    an individual future over ``min(jobs, len(tasks))`` workers under the
-    fault-tolerant runtime (per-task timeout, retry with backoff, broken
-    pool recovery — see :mod:`repro.service.runtime`).  Because results
-    come back *keyed*, scheduling order cannot influence which plan a
-    request ultimately selects — merging is deterministic by design.
-
-    A task whose final attempt raises is simply *absent* from the returned
-    dict; every other task's plan is still present.  Callers that need the
-    per-task diagnosis (status, attempts, error text) should use
-    :func:`repro.service.runtime.execute_tasks` directly, which this
-    function wraps.  *config*, *store* and *faults* pass through to it:
-    *store* checkpoints completed evaluations immediately, *faults*
-    injects worker failures for tests and chaos runs.
-    """
-    jobs = check_int(jobs, "jobs", minimum=1)
-    distinct: dict[str, EvalTask] = {}
-    for task in tasks:
-        distinct.setdefault(task.key(), task)
-    if not distinct:
-        return {}
-    if len(distinct) == 1 and faults is None:
-        jobs = 1  # a pool for one task is pure overhead
-    config = config or RuntimeConfig()
-    if config.jobs != jobs:
-        config = replace(config, jobs=jobs)
-    outcome = execute_tasks(distinct.values(), config=config, store=store,
-                            faults=faults)
-    return outcome.plans

@@ -1,10 +1,11 @@
-"""Fault-tolerant execution layer for provisioning grid evaluations.
+"""Fault-tolerant execution layer for winner constructions and sweep shards.
 
-The old fan-out (``pool.map`` in :mod:`repro.service.provision`) had the
-failure semantics of its weakest worker: one crashed process aborted the
-whole batch and discarded every already-completed evaluation.  This module
-replaces it with a runtime in the spirit of the paper — the service keeps
-its guarantees under adversity:
+A plain ``pool.map`` fan-out has the failure semantics of its weakest
+worker: one crashed process aborts the whole batch and discards every
+already-completed result.  This runtime, which builds provisioning
+winners (:mod:`repro.service.api`) and runs sweep shards
+(:mod:`repro.analysis.sweeps`), keeps its guarantees under adversity
+instead, in the spirit of the paper:
 
 * every distinct task is submitted as an **individual future**, so one
   task's fate never decides another's;
@@ -17,10 +18,11 @@ its guarantees under adversity:
   **rebuilt** and its in-flight tasks re-enqueued; tasks repeatedly in
   flight at the moment of death are bisected — re-run alone — and
   **quarantined** when they kill a pool single-handedly;
-* completed evaluations are **checkpointed** into the content-addressed
-  :class:`~repro.service.store.ScheduleStore` the moment they finish, so
-  an interrupted ``repro provision`` resumes warm with zero re-evaluation
-  of finished work.
+* completed tasks are **checkpointed** by the caller's callback the
+  moment they finish (provisioning writes plan entries into the
+  :class:`~repro.service.store.ScheduleStore`, sweeps write shard
+  files), so an interrupted run resumes warm with zero re-evaluation of
+  finished work.
 
 Every task ends in exactly one terminal :class:`TaskReport` status —
 ``ok``, ``retried``, ``timed-out``, ``failed`` or ``quarantined`` — and
@@ -295,13 +297,6 @@ def _worker(task, fault: str | None, hang_seconds: float,
     return task.key(), plan, duration, registry.snapshot()
 
 
-def _checkpoint(store, task, plan: Plan) -> None:
-    """Persist one finished evaluation immediately (resume-warm support)."""
-    if store is not None:
-        store.put_eval(task.family, task.n, task.d, task.alpha_t,
-                       task.alpha_r, task.balanced, plan)
-
-
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down without waiting on wedged or dead workers."""
     try:
@@ -320,7 +315,7 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
 # driver side
 # ----------------------------------------------------------------------
 def execute_tasks(tasks, *, config: RuntimeConfig | None = None,
-                  store=None, faults: FaultPlan | None = None,
+                  faults: FaultPlan | None = None,
                   registry: MetricsRegistry | None = None,
                   evaluate=None, checkpoint=None
                   ) -> RuntimeResult:
@@ -334,10 +329,6 @@ def execute_tasks(tasks, *, config: RuntimeConfig | None = None,
         expects :class:`~repro.service.provision.EvalTask`.
     config:
         :class:`RuntimeConfig`; default runs inline with 2 retries.
-    store:
-        Optional :class:`~repro.service.store.ScheduleStore` (or protocol
-        equivalent).  Completed evaluations are checkpointed into it *as
-        they finish*, so an interrupted batch resumes warm.
     faults:
         Optional :class:`~repro.faults.FaultPlan` whose worker-side
         injections (crash/hang/slow/error) are applied per attempt — the
@@ -352,11 +343,12 @@ def execute_tasks(tasks, *, config: RuntimeConfig | None = None,
     evaluate:
         The per-task evaluation callable, ``task -> result``; must be a
         *module-level* function so the pool can pickle it by reference.
-        Defaults to the planner grid-point evaluation.
+        Defaults to building the task's planner grid point
+        (:func:`repro.core.planner.evaluate_grid_point`).
     checkpoint:
-        Parent-side callable ``(task, result) -> None`` invoked the
-        moment a task completes; defaults to checkpointing the plan into
-        *store*.  Exceptions here propagate — losing checkpoints silently
+        Optional parent-side callable ``(task, result) -> None`` invoked
+        the moment a task completes, so an interrupted run can resume
+        warm.  Exceptions here propagate — losing checkpoints silently
         would defeat warm resume.
 
     Returns
@@ -368,8 +360,8 @@ def execute_tasks(tasks, *, config: RuntimeConfig | None = None,
     if evaluate is None:
         evaluate = _evaluate
     if checkpoint is None:
-        def checkpoint(task, plan, _store=store):
-            _checkpoint(_store, task, plan)
+        def checkpoint(task, result):
+            """No checkpoint: nothing is persisted."""
     instruments = _Instruments(registry if registry is not None
                                else default_registry())
     distinct: dict[str, object] = {}

@@ -3,14 +3,16 @@
 Deployments compute a schedule once and flash it to motes; a provisioning
 service answering many ``(n, D, duty)`` requests should therefore compute
 each schedule once, ever.  :class:`ScheduleStore` memoizes the planner's
-work at two granularities:
+work as **plan entries**: the winning :class:`~repro.core.planner.Plan`
+of a full budget search, keyed by ``(n, D, max_duty, balanced,
+FORMAT_VERSION)``.
 
-* **eval entries** — one constructed grid point, keyed by
-  ``(family, n, D, alpha_T, alpha_R, balanced, FORMAT_VERSION)``.  These
-  are budget-independent, so different duty budgets share them.
-* **plan entries** — the winning :class:`~repro.core.planner.Plan` of a
-  full budget search, keyed by ``(n, D, max_duty, balanced,
-  FORMAT_VERSION)``.
+The planner scores its grid in closed form and builds only the winner,
+so it no longer reads or writes **eval entries** (one constructed grid
+point, keyed by ``(family, n, D, alpha_T, alpha_R, balanced,
+FORMAT_VERSION)``).  Eval entries written by earlier versions stay valid
+on disk: :meth:`ScheduleStore.scrub` still checks them and
+:meth:`ScheduleStore.clear` removes them.
 
 Keys are canonical JSON documents hashed with SHA-256 (content
 addressing: the digest is the filename, so the key space shards evenly
@@ -83,7 +85,12 @@ def default_cache_dir() -> Path:
 
 def eval_key(family: str, n: int, d: int, alpha_t: int, alpha_r: int,
              balanced: bool) -> dict[str, Any]:
-    """Canonical key document for one constructed grid point."""
+    """Canonical key document for one grid point.
+
+    Its digest identifies a winner construction task
+    (:class:`repro.service.provision.EvalTask`); eval entries stored
+    under it by earlier versions are never read.
+    """
     return {
         "kind": "eval",
         "family": str(family),
@@ -201,7 +208,7 @@ class StoreStats:
 
     @property
     def stores(self) -> int:
-        """Entries written (evals, plans and checkpoints alike)."""
+        """Entries written (plan entries, checkpoints included)."""
         return int(self._stores.value)
 
     @property
@@ -334,7 +341,6 @@ class ScheduleStore:
 
     Implements the cache protocol :func:`repro.core.planner.plan_schedule`
     and :func:`repro.service.api.provision_batch` consume:
-    ``get_eval``/``put_eval`` for grid-point evaluations and
     ``get_plan``/``put_plan`` for winning plans.
     """
 
@@ -365,11 +371,13 @@ class ScheduleStore:
     # ------------------------------------------------------------------
     # the cache protocol
     # ------------------------------------------------------------------
+    # Unused by src: benchmarks/e2e/layers.py wraps it until ROADMAP item 1.
     def get_eval(self, family: str, n: int, d: int, alpha_t: int,
                  alpha_r: int, balanced: bool) -> Plan | None:
         """Cached evaluation of one grid point, or None."""
         return self._get(eval_key(family, n, d, alpha_t, alpha_r, balanced))
 
+    # Unused by src: benchmarks/e2e/layers.py wraps it until ROADMAP item 1.
     def put_eval(self, family: str, n: int, d: int, alpha_t: int,
                  alpha_r: int, balanced: bool, plan: Plan) -> None:
         """Persist the evaluation of one grid point."""

@@ -3,17 +3,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.construction import frame_length_formula
 from repro.core.nonsleeping import tdma_schedule
 from repro.core.planner import (
+    GridPoint,
+    GridScore,
     Plan,
     candidate_sources,
+    confirm_score,
     duty_budget_fraction,
     duty_grid,
+    evaluate_grid_point,
     plan_schedule,
+    score_grid,
     select_best,
 )
-from repro.core.throughput import average_throughput, constrained_upper_bound
+from repro.core.schedule import Schedule
+from repro.core.throughput import (
+    average_throughput,
+    constrained_upper_bound,
+    optimal_transmitters_constrained,
+)
 from repro.core.transparency import is_topology_transparent
 
 
@@ -140,6 +153,98 @@ class TestGrid:
         assert select_best([plan, tie]) is plan
         assert select_best([tie, plan]) is tie
         assert select_best([]) is None
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A random non-sleeping source (slots with empty and full T
+    included), D, alpha_T up to just past the grid cap, an alpha_R that
+    still fits, and a division."""
+    n = draw(st.integers(min_value=4, max_value=40))
+    full = (1 << n) - 1
+    masks = draw(st.lists(
+        st.one_of(st.just(0), st.just(full), st.integers(0, full)),
+        min_size=1, max_size=12))
+    source = Schedule(n, tuple(masks), tuple(full ^ m for m in masks))
+    d = draw(st.integers(min_value=2, max_value=min(n - 1, 8)))
+    cap = optimal_transmitters_constrained(n, d, n - 1)
+    alpha_t = draw(st.integers(min_value=1, max_value=min(cap + 2, n - 1)))
+    alpha_r = draw(st.integers(min_value=1, max_value=n - alpha_t))
+    return (GridPoint("drawn", source, alpha_t, alpha_r), d,
+            draw(st.booleans()))
+
+
+class TestClosedFormScore:
+    @given(case=_scoring_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_score_equals_construct_and_score(self, case):
+        point, d, balanced = case
+        source = point.source
+        if all(m in (0, source.n) for m in source.tx_counts):
+            with pytest.raises(ValueError) as built:
+                evaluate_grid_point(point, d, balanced=balanced)
+            with pytest.raises(ValueError, match="at least one slot") as closed:
+                score_grid([point], d, balanced=balanced)
+            assert str(closed.value) == str(built.value)
+            return
+        score, = score_grid([point], d, balanced=balanced)
+        plan = evaluate_grid_point(point, d, balanced=balanced)
+        assert (score.throughput, score.duty_cycle, score.frame_length) == \
+            (plan.throughput, plan.duty_cycle, plan.frame_length)
+        alpha_t_star = optimal_transmitters_constrained(source.n, d,
+                                                        point.alpha_t)
+        assert score.frame_length == frame_length_formula(
+            source, alpha_t_star, point.alpha_r, balanced=balanced)[0]
+        assert confirm_score(score, plan) is plan
+
+    def test_source_without_emitting_slot_raises_like_construction(self):
+        full = (1 << 6) - 1
+        source = Schedule(6, (0, full), (full, 0))
+        point = GridPoint("degenerate", source, 1, 2)
+        with pytest.raises(ValueError) as built:
+            evaluate_grid_point(point, 2)
+        with pytest.raises(ValueError) as closed:
+            score_grid([point], 2)
+        assert str(closed.value) == str(built.value) == \
+            "a schedule must have at least one slot"
+
+    def test_sleeping_source_is_checked_once_with_constructions_message(
+            self, monkeypatch):
+        checks = []
+        real = Schedule.is_non_sleeping
+        monkeypatch.setattr(Schedule, "is_non_sleeping",
+                            lambda self: checks.append(self) or real(self))
+        sources = candidate_sources(12, 2)
+        points = duty_grid(12, 2, Fraction(1, 2), sources)
+        assert len(points) > len(sources)
+        score_grid(points, 2)
+        assert len(checks) == len(sources)
+
+        sleepy = Schedule(4, (0b0001, 0b0010), (0b0100, 0b1000))
+        with pytest.raises(ValueError) as built:
+            evaluate_grid_point(GridPoint("sleepy", sleepy, 1, 1), 2)
+        with pytest.raises(ValueError) as closed:
+            plan_schedule(4, 2, 1, families=[("sleepy", sleepy)])
+        assert str(closed.value) == str(built.value)
+        assert "non-sleeping" in str(closed.value)
+
+    def test_mismatched_construction_is_refused(self):
+        point = duty_grid(12, 2, Fraction(1, 2), candidate_sources(12, 2))[0]
+        score, = score_grid([point], 2)
+        plan = evaluate_grid_point(point, 2)
+        off = GridScore(point, score.throughput, score.duty_cycle,
+                        score.frame_length + 1)
+        with pytest.raises(RuntimeError, match="closed-form score"):
+            confirm_score(off, plan)
+
+    def test_ties_keep_the_earliest_score(self):
+        point = duty_grid(12, 2, Fraction(1, 2), candidate_sources(12, 2))[0]
+        first = GridScore(point, Fraction(1, 7), Fraction(1, 3), 40)
+        tie = GridScore(point, Fraction(1, 7), Fraction(1, 4), 40)
+        shorter = GridScore(point, Fraction(1, 7), Fraction(1, 2), 39)
+        assert select_best([first, tie]) is first
+        assert select_best([tie, first]) is tie
+        assert select_best([first, tie, shorter]) is shorter
 
 
 class TestPlannerCache:

@@ -93,14 +93,48 @@ class TestResultFromDict:
         with pytest.raises(ValueError, match="missing field 'schedule'"):
             ProvisionResult.from_dict(doc)
 
-    def test_from_cache_and_degraded_flags_survive(self):
+    def test_from_cache_flag_survives(self):
         result, = provision_batch([ProvisionRequest(12, 2, 0.5)])
         doc = result.to_dict()
         doc["from_cache"] = True
-        doc["degraded"] = True
         back = ProvisionResult.from_dict(doc)
         assert back.from_cache is True
-        assert back.degraded is True
+        assert back.to_dict() == doc
+
+    @staticmethod
+    def _success_doc():
+        result, = provision_batch([ProvisionRequest(12, 2, 0.5)])
+        return result.to_dict()
+
+    def test_string_from_cache_is_rejected(self):
+        doc = self._success_doc()
+        doc["from_cache"] = "false"
+        with pytest.raises(ValueError, match="'from_cache' must be a boolean"):
+            ProvisionResult.from_dict(doc)
+
+    def test_failed_tasks_list_is_rejected(self):
+        doc = self._success_doc()
+        doc["failed_tasks"] = []
+        with pytest.raises(ValueError, match="'failed_tasks' must be a JSON"):
+            ProvisionResult.from_dict(doc)
+
+    def test_null_throughput_is_rejected(self):
+        doc = self._success_doc()
+        doc["throughput"] = None
+        with pytest.raises(ValueError, match="'throughput' must be a string"):
+            ProvisionResult.from_dict(doc)
+
+    def test_missing_family_is_named(self):
+        doc = self._success_doc()
+        del doc["family"]
+        with pytest.raises(ValueError, match="missing field 'family'"):
+            ProvisionResult.from_dict(doc)
+
+    def test_frame_length_must_match_the_schedule(self):
+        doc = self._success_doc()
+        doc["frame_length"] += 1
+        with pytest.raises(ValueError, match="'frame_length' is"):
+            ProvisionResult.from_dict(doc)
 
 
 class TestBatch:
@@ -173,14 +207,26 @@ class TestCaching:
                               store=ScheduleStore(tmp_path / "b"), jobs=4)
         assert [r.plan for r in seq] == [r.plan for r in par]
 
-    def test_eval_entries_shared_between_requests(self, store, monkeypatch):
-        """Two budgets over one class share their common grid points."""
-        provision_batch([ProvisionRequest(12, 2, 0.5)], store=store)
+    def test_cold_request_constructs_only_its_winner(self, store,
+                                                     monkeypatch):
         calls = _count_constructions(monkeypatch)
-        provision_batch([ProvisionRequest(12, 2, 0.4)],
-                        store=ScheduleStore(store.cache_dir))
-        full_grid_cost = store.stats.stores - 1  # minus the plan entry
-        assert 0 < len(calls) < full_grid_cost
+        result, = provision_batch([ProvisionRequest(12, 2, 0.5)],
+                                  store=store)
+        assert len(calls) == 1
+        assert len(store) == store.stats.stores == 1  # its plan entry
+        assert store.get_plan(12, 2, Fraction(1, 2), False) == result.plan
+
+    def test_requests_sharing_a_winner_construct_it_once(self, store,
+                                                         monkeypatch):
+        """Budgets allowing the same awake slots share one winner; each
+        request still gets its own plan entry."""
+        calls = _count_constructions(monkeypatch)
+        half, wider = provision_batch([ProvisionRequest(12, 2, "1/2"),
+                                       ProvisionRequest(12, 2, "13/24")],
+                                      store=store)
+        assert len(calls) == 1
+        assert half.plan == wider.plan
+        assert len(store) == 2
 
     def test_no_store_means_no_disk(self, tmp_path):
         provision_batch([ProvisionRequest(12, 2, 0.5)], store=None)
@@ -196,7 +242,7 @@ class TestResultDataclass:
 
 
 def _grid_digests(n=12, d=2, duty=0.5, balanced=False):
-    """The store-key digests of the planner grid, in grid order."""
+    """The task digests of the planner grid, in grid order."""
     from repro.core.planner import (candidate_sources, duty_budget_fraction,
                                     duty_grid)
     from repro.service.provision import task_from_point
@@ -205,74 +251,86 @@ def _grid_digests(n=12, d=2, duty=0.5, balanced=False):
     return [task_from_point(p, n, d, balanced).key() for p in points]
 
 
+def _winner_digest(n, d, duty, balanced=False):
+    """The task digest of the class's winning grid point."""
+    from repro.core.planner import (candidate_sources, duty_budget_fraction,
+                                    select_winner)
+    from repro.service.provision import task_from_point
+    best = select_winner(n, d, duty_budget_fraction(duty),
+                         candidate_sources(n, d), balanced=balanced)
+    return task_from_point(best.point, n, d, balanced).key()
+
+
 class TestFaultTolerance:
-    """The PR's acceptance scenario: crash + hang, then warm resume."""
+    """A crashed and a wedged winner construction, then warm resume."""
 
     def test_crash_and_hang_then_resume_from_checkpoint(
             self, store, monkeypatch):
-        from fractions import Fraction
-
         from repro.faults import FaultPlan
         from repro.service.api import provision_batch_report
         from repro.service.runtime import RuntimeConfig
 
-        digests = _grid_digests()
-        crash, hang = digests[0], digests[1]
+        crash, hang = _winner_digest(12, 2, 0.5), _winner_digest(15, 2, 0.4)
+        assert crash != hang
         faults = FaultPlan(hang_seconds=20, targeted_worker_faults=(
             (crash, ("crash",)), (hang, ("hang",) * 4)))
-        request = ProvisionRequest(12, 2, 0.5)
+        requests = [ProvisionRequest(12, 2, 0.5), ProvisionRequest(15, 2, 0.4)]
 
         # --- faulted run: one worker crash, one wedged worker ----------
         report = provision_batch_report(
-            [request], store=store,
+            requests, store=store,
             runtime=RuntimeConfig(jobs=2, task_timeout=1.0, max_retries=1,
                                   backoff_base=0.01),
             faults=faults)
         assert report.pool_rebuilds >= 1
+        assert report.task_summary() == {"retried": 1, "timed-out": 1}
         assert report.task_reports[crash].status == "retried"
         assert report.task_reports[hang].status == "timed-out"
-        result = report.results[0]
-        assert result.error is None and result.plan is not None
-        assert result.degraded and report.degraded
-        assert dict(result.failed_tasks) == {hang: "timed-out"}
-        # A degraded winner must never reach the plan-level cache.
-        assert store.get_plan(12, 2, Fraction(1, 2), False) is None
+        answered, lost = report.results
+        assert answered.error is None
+        assert answered.plan == plan_schedule(12, 2, 0.5)
+        assert lost.plan is None
+        assert lost.failed_tasks == ((hang, "timed-out"),)
+        assert f"{hang[:12]}=timed-out" in lost.error
+        # The crashed-then-retried winner was checkpointed as a plan
+        # entry; the lost one left nothing behind.
+        assert store.get_plan(12, 2, Fraction(1, 2), False) == answered.plan
+        assert store.get_plan(15, 2, Fraction(2, 5), False) is None
 
-        # --- warm re-run: only the lost grid point is re-evaluated -----
+        # --- warm re-run: only the lost winner is constructed ----------
         calls = _count_constructions(monkeypatch)
         warm_store = ScheduleStore(store.cache_dir)
-        resumed = provision_batch_report([request], store=warm_store)
-        assert len(calls) == 1  # every checkpointed sibling was reaped
-        assert warm_store.stats.hits == len(digests) - 1
-        final = resumed.results[0]
-        assert not final.degraded and final.failed_tasks == ()
-        assert final.plan == plan_schedule(12, 2, 0.5)
+        resumed = provision_batch_report(requests, store=warm_store)
+        assert len(calls) == 1
+        cached, final = resumed.results
+        assert cached.from_cache and cached.plan == answered.plan
+        assert not final.from_cache and final.failed_tasks == ()
+        assert final.plan == plan_schedule(15, 2, 0.4)
         assert resumed.task_summary() == {"ok": 1}
-        # The healthy run caches the plan like any other.
-        assert warm_store.stats.stores >= 2  # the lost eval + the plan
+        assert warm_store.stats.stores == 1  # the lost winner's plan
 
     def test_all_grid_points_lost_yields_error_not_raise(self):
         from repro.faults import FaultPlan
         from repro.service.runtime import RuntimeConfig
 
-        digests = _grid_digests()
         faults = FaultPlan(targeted_worker_faults=tuple(
-            (d, ("error",) * 9) for d in digests))
+            (d, ("error",) * 9) for d in _grid_digests()))
         results = provision_batch(
             [ProvisionRequest(12, 2, 0.5)],
             runtime=RuntimeConfig(max_retries=0), faults=faults)
         result = results[0]
         assert result.plan is None
-        assert "lost to worker faults" in result.error
-        assert len(result.failed_tasks) == len(digests)
+        assert "lost to a worker fault" in result.error
+        # Only the winner is ever built, so only it can be lost.
+        assert result.failed_tasks == ((_winner_digest(12, 2, 0.5),
+                                        "failed"),)
 
     def test_healthy_batch_report_shape(self, store):
         from repro.service.api import provision_batch_report
 
         report = provision_batch_report(
             [ProvisionRequest(12, 2, 0.5)], store=store)
-        assert not report.degraded
         assert report.pool_rebuilds == 0
-        assert set(report.task_summary()) == {"ok"}
+        assert report.task_summary() == {"ok": 1}
         assert report.store_stats is store.stats
-        assert report.store_stats.stores > 0
+        assert report.store_stats.stores == 1

@@ -11,7 +11,7 @@ from repro.core.planner import (
 )
 from repro.faults import FaultPlan
 import repro.service.runtime as runtime_mod
-from repro.service.provision import evaluate_tasks, task_from_point
+from repro.service.provision import task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     STATUS_FAILED,
@@ -22,7 +22,6 @@ from repro.service.runtime import (
     TERMINAL_STATUSES,
     execute_tasks,
 )
-from repro.service.store import ScheduleStore
 
 
 def _grid_tasks(n=12, d=2, duty=0.5, balanced=False):
@@ -117,13 +116,33 @@ class TestInline:
             tasks, config=RuntimeConfig(jobs=1, max_retries=0), faults=faults)
         assert outcome.reports[digest].status == STATUS_TIMED_OUT
 
-    def test_checkpoints_land_in_store(self, tasks, clean_plans, tmp_path):
-        store = ScheduleStore(tmp_path / "cache")
-        execute_tasks(tasks, config=RuntimeConfig(jobs=1), store=store)
-        for task in tasks:
-            cached = store.get_eval(task.family, task.n, task.d,
-                                    task.alpha_t, task.alpha_r, task.balanced)
-            assert cached == clean_plans[task.key()]
+    def test_checkpoint_sees_every_completed_task(self, tasks, clean_plans):
+        digest = tasks[0].key()
+        faults = FaultPlan(targeted_worker_faults=((digest, ("error",) * 9),))
+        seen = []
+        outcome = execute_tasks(
+            tasks, config=RuntimeConfig(jobs=1, max_retries=0),
+            faults=faults,
+            checkpoint=lambda task, plan: seen.append((task.key(), plan)))
+        # Once per completed task, as it completes; a lost one never.
+        assert [d for d, _ in seen] == [t.key() for t in tasks[1:]]
+        assert dict(seen) == outcome.plans
+        assert outcome.plans == {d: p for d, p in clean_plans.items()
+                                 if d != digest}
+
+    def test_raising_task_no_longer_sinks_the_batch(self, tasks,
+                                                    clean_plans):
+        """Regression: a task whose evaluation raises used to abort the
+        whole ``pool.map`` and discard every finished sibling.  Now the
+        survivors come back and only the bad task is missing."""
+        bad = dataclasses.replace(tasks[0], alpha_t=tasks[0].n,
+                                  alpha_r=tasks[0].n)
+        with pytest.raises(Exception):
+            runtime_mod._evaluate(bad)  # the bad task genuinely raises
+        outcome = execute_tasks(list(tasks) + [bad],
+                                config=RuntimeConfig(max_retries=0))
+        assert outcome.reports[bad.key()].status == STATUS_FAILED
+        assert outcome.plans == clean_plans
 
     def test_statuses_are_terminal(self, tasks):
         digest = tasks[0].key()
@@ -180,26 +199,3 @@ class TestPool:
             if digest != poison:
                 assert outcome.reports[digest].succeeded
                 assert outcome.plans[digest] == clean_plans[digest]
-
-
-class TestEvaluateTasks:
-    def test_raising_task_no_longer_sinks_the_batch(self, tasks, clean_plans):
-        """Regression: a task whose evaluation raises used to abort the
-        whole ``pool.map`` and discard every finished sibling.  Now the
-        survivors come back and only the bad task is missing."""
-        bad = dataclasses.replace(tasks[0], alpha_t=tasks[0].n,
-                                  alpha_r=tasks[0].n)
-        with pytest.raises(Exception):
-            runtime_mod._evaluate(bad)  # the bad task genuinely raises
-        plans = evaluate_tasks(list(tasks) + [bad],
-                               config=RuntimeConfig(max_retries=0))
-        assert set(plans) == set(clean_plans)
-        assert plans == clean_plans
-
-    def test_faults_thread_through(self, tasks, clean_plans):
-        digest = tasks[0].key()
-        faults = FaultPlan(targeted_worker_faults=((digest, ("error",) * 9),))
-        plans = evaluate_tasks(tasks, config=RuntimeConfig(max_retries=0),
-                               faults=faults)
-        assert digest not in plans
-        assert set(plans) == set(clean_plans) - {digest}

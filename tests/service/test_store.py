@@ -407,19 +407,18 @@ class TestPlannerIntegration:
         assert calls == []
         assert warm == cold
 
-    def test_eval_entries_shared_across_budgets(self, store, monkeypatch):
-        """A new budget reuses every grid point it shares with an old one."""
-        plan_schedule(12, 2, max_duty=0.5, cache=store)
-        stores_before = store.stats.stores
+    def test_cold_plan_writes_only_its_plan_entry(self, store, monkeypatch):
+        """The grid is scored in closed form: one construction, the
+        winner's, and one entry, its plan; no eval entry is written."""
         import repro.core.planner as planner_mod
         real = planner_mod.construct_detailed
         calls = []
         monkeypatch.setattr(planner_mod, "construct_detailed",
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        plan_schedule(12, 2, max_duty=0.4, cache=store)
-        # The 0.4 grid is a subset of the 0.5 grid points with smaller
-        # alpha_R caps; only genuinely new (alpha_T, alpha_R) pairs build.
-        assert len(calls) < stores_before
+        plan = plan_schedule(12, 2, max_duty=0.5, cache=store)
+        assert len(calls) == 1
+        assert len(store) == store.stats.stores == 1
+        assert store.get_plan(12, 2, Fraction(1, 2), False) == plan
 
     def test_custom_families_bypass_cache(self, store):
         from repro.core.nonsleeping import tdma_schedule

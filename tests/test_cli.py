@@ -361,13 +361,13 @@ class TestSimulateFaults:
 
 class TestProvisionFaults:
     @staticmethod
-    def grid_digests():
+    def winner_digest():
         from repro.core.planner import (candidate_sources,
-                                        duty_budget_fraction, duty_grid)
+                                        duty_budget_fraction, select_winner)
         from repro.service.provision import task_from_point
-        points = duty_grid(12, 2, duty_budget_fraction(0.5),
-                           candidate_sources(12, 2))
-        return [task_from_point(p, 12, 2, False).key() for p in points]
+        best = select_winner(12, 2, duty_budget_fraction(0.5),
+                             candidate_sources(12, 2))
+        return task_from_point(best.point, 12, 2, False).key()
 
     def test_stats_flag_emits_store_json(self, tmp_path, capsys):
         inp = tmp_path / "requests.jsonl"
@@ -381,11 +381,12 @@ class TestProvisionFaults:
         stats = json.loads(err[1])
         assert stats["stores"] > 0 and stats["corruptions"] == 0
 
-    def test_lost_evaluation_degrades_with_exit_code_3(self, tmp_path,
-                                                       capsys):
+    def test_lost_winner_is_a_request_error_with_exit_code_1(self, tmp_path,
+                                                             capsys):
         inp = tmp_path / "requests.jsonl"
-        inp.write_text('{"n": 12, "d": 2, "max_duty": 0.5}\n')
-        victim = self.grid_digests()[0]
+        inp.write_text('{"n": 12, "d": 2, "max_duty": 0.5}\n'
+                       '{"n": 15, "d": 2, "max_duty": 0.4}\n')
+        victim = self.winner_digest()
         plan = tmp_path / "faults.json"
         plan.write_text(json.dumps(
             {"targeted_worker_faults": {victim: ["error"] * 9}}))
@@ -393,14 +394,15 @@ class TestProvisionFaults:
         rc = main(["provision", "-i", str(inp), "-o", str(out), "--no-cache",
                    "--no-schedules", "--max-retries", "0",
                    "--fault-plan", str(plan)])
-        assert rc == 3
+        assert rc == 1
         captured = capsys.readouterr()
-        doc = json.loads(out.read_text())
-        assert doc["degraded"] is True
-        assert doc["failed_tasks"] == {victim: "failed"}
-        assert doc["family"]  # still answered from the survivors
-        assert "1 degraded" in captured.err
-        assert "1 failed" in captured.err
+        lost, answered = map(json.loads, out.read_text().splitlines())
+        assert lost["failed_tasks"] == {victim: "failed"}
+        assert f"{victim[:12]}=failed" in lost["error"]
+        assert "family" not in lost
+        assert answered["family"] and "error" not in answered
+        assert "provisioned 1/2 requests" in captured.err
+        assert "1 failed, 1 ok" in captured.err
 
     def test_malformed_fault_plan_is_an_input_error(self, tmp_path, capsys):
         inp = tmp_path / "requests.jsonl"
@@ -434,9 +436,9 @@ class TestObservabilityFlags:
         completed = doc["counters"]["repro_runtime_tasks_completed_total"]
         total = sum(s["value"] for s in completed["series"])
         assert total > 0
-        # every evaluated task landed in the store (plus the plan entry)
+        # each constructed winner's checkpoint wrote its plan entry
         writes = doc["counters"]["repro_store_writes_total"]["series"][0]
-        assert writes["value"] == total + 1
+        assert writes["value"] == total == 1
         from repro.obs.metrics import validate_snapshot as validate
         assert validate(doc) == []
 
