@@ -24,7 +24,7 @@ from repro.core.planner import (
     duty_grid,
 )
 from repro.faults import FaultPlan
-from repro.service.provision import task_from_point
+from repro.service.api import task_from_point
 from repro.service.runtime import RuntimeConfig, _evaluate, execute_tasks
 from repro.simulation.engine import Simulator
 from repro.simulation.topology import grid

@@ -439,29 +439,39 @@ def _load_fault_plan(path: str | None):
         return FaultPlan.from_dict(json.load(fh))
 
 
+def _read_requests(path: str) -> list:
+    """The JSONL requests at *path* (``-``: stdin), blank lines skipped;
+    a malformed line raises ``ValueError`` naming ``path:line``."""
+    from repro.service.api import ProvisionRequest
+
+    text = sys.stdin.read() if path == "-" else open(path).read()
+    requests = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                requests.append(ProvisionRequest.from_dict(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return requests
+
+
+def _write_lines(path: str, docs) -> None:
+    """One JSON document per line to *path* (``-``: stdout)."""
+    text = "".join(json.dumps(doc) + "\n" for doc in docs)
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _cmd_provision(args) -> int:
-    from repro.service.api import ProvisionRequest, provision_batch_report
+    from repro.service.api import provision_batch_report
     from repro.service.runtime import RuntimeConfig
     from repro.service.store import ScheduleStore
 
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            lines = open(args.input).read().splitlines()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    requests = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            requests.append(ProvisionRequest.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, ValueError) as exc:
-            print(f"error: {args.input}:{lineno}: {exc}", file=sys.stderr)
-            return 2
     try:
+        requests = _read_requests(args.input)
         faults = _load_fault_plan(args.fault_plan)
         runtime = RuntimeConfig(jobs=args.jobs,
                                 task_timeout=args.task_timeout,
@@ -476,14 +486,8 @@ def _cmd_provision(args) -> int:
     report = provision_batch_report(requests, store=store, jobs=args.jobs,
                                     runtime=runtime, faults=faults)
     results = report.results
-    out_lines = [json.dumps(r.to_dict(include_schedule=not args.no_schedules))
-                 for r in results]
-    text = "\n".join(out_lines) + ("\n" if out_lines else "")
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    _write_lines(args.output, [
+        r.to_dict(include_schedule=not args.no_schedules) for r in results])
     failed = sum(1 for r in results if r.error is not None)
     cached = sum(1 for r in results if r.from_cache)
     summary = (f"provisioned {len(results) - failed}/{len(results)} requests "
@@ -625,7 +629,6 @@ def _cmd_call(args) -> int:
 
 def _call_action(args, client) -> int:
     from repro.serve.client import ServeError
-    from repro.service.api import ProvisionRequest
 
     try:
         if args.action == "health":
@@ -663,28 +666,14 @@ def _call_action(args, client) -> int:
             print(json.dumps(doc, indent=2))
             return 1 if "error" in doc else 0
         # provision: same JSONL in/out contract as `repro provision`.
-        if args.input == "-":
-            lines = sys.stdin.read().splitlines()
-        else:
-            lines = open(args.input).read().splitlines()
-        requests = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                requests.append(ProvisionRequest.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
-                print(f"error: {args.input}:{lineno}: {exc}", file=sys.stderr)
-                return 2
+        try:
+            requests = _read_requests(args.input)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         docs = client.provision(requests,
                                 include_schedules=not args.no_schedules)
-        out_lines = [json.dumps(doc) for doc in docs]
-        text = "\n".join(out_lines) + ("\n" if out_lines else "")
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w") as fh:
-                fh.write(text)
+        _write_lines(args.output, docs)
         failed = sum(1 for doc in docs if "error" in doc)
         print(f"provisioned {len(docs) - failed}/{len(docs)} requests via "
               f"{args.host}:{args.port}", file=sys.stderr)

@@ -4,36 +4,28 @@ A user's question is rarely "give me an (alpha_T, alpha_R)-schedule"; it is
 "my nodes may keep the radio on at most 30% of the time — what is the best
 topology-transparent schedule for up to n nodes of degree at most D?".
 This module answers it by searching the substrate families and the
-``(alpha_T, alpha_R)`` grid for the candidate with the best *exact*
-Theorem 2 average worst-case throughput within the budget.
+``(alpha_T, alpha_R)`` grid, scoring each candidate with its *exact*
+Theorem 2 average worst-case throughput and its exact awake fraction.
 
 The search is exhaustive over a small grid: substrates are the library's
 families, ``alpha_T`` ranges up to Theorem 4's saturation point (raising
 it further provably cannot help), and for each ``alpha_T`` the largest
 ``alpha_R`` that still satisfies the duty budget is used (Theorem 4: the
-bound is increasing in ``alpha_R``).
+bound is increasing in ``alpha_R``).  No candidate is built to be
+scored: Theorems 2 and 7 give its score from the source's per-slot
+counts (:func:`score_grid`), and only the winner is constructed and
+checked against its score (:func:`confirm_score`).
 
-No grid point is constructed to be scored.  Theorem 2 makes the average
-worst-case throughput a function of the per-slot transmitter and
-receiver counts only, and Figure 2 fixes those counts: a source slot
-with ``0 < m = |T[i]| < n`` emits ``k_T(i) * k_R(i)`` slots (summed, they
-are Theorem 7's exact frame length), each with ``min(alpha_T*, m)``
-transmitters and exactly ``alpha_R`` receivers.  :func:`score_grid`
-therefore computes every point's throughput, duty cycle and frame length
-from the source's ``tx_counts``; only the winner is built
-(:func:`construct_winner`), and its constructed score must equal the
-closed form.
-
-The pieces (:func:`duty_grid`, :func:`score_grid`, :func:`select_best`,
-:func:`evaluate_grid_point`, :func:`confirm_score`) are public so that
-:mod:`repro.service.api` can score a whole batch of requests and build
-each distinct winner once, inline or over a process pool; a cache
-honouring the :mod:`repro.service.store` protocol can be threaded
-through :func:`plan_schedule` to turn repeated plans into lookups.
+The pieces are public so that :mod:`repro.service.api` can score a
+batch of requests and build each distinct winner once, inline or over a
+process pool; a cache honouring the :mod:`repro.service.store` protocol
+can be threaded through :func:`plan_schedule` to turn repeated plans
+into lookups.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -73,7 +65,6 @@ __all__ = [
     "select_winner",
     "evaluate_grid_point",
     "confirm_score",
-    "construct_winner",
     "infeasible_budget_message",
 ]
 
@@ -129,16 +120,8 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class GridScore:
-    """The closed-form score of one grid point; no schedule is built.
-
-    Attributes
-    ----------
-    point:
-        The scored :class:`GridPoint`.
-    throughput, duty_cycle, frame_length:
-        Exactly the Theorem 2 throughput, average awake fraction and
-        frame length of the schedule Figure 2 constructs from *point*.
-    """
+    """A :class:`GridPoint` with the exact throughput, duty cycle and
+    frame length its construction would have, computed without it."""
 
     point: GridPoint
     throughput: Fraction
@@ -215,35 +198,30 @@ def duty_grid(n: int, d: int, budget: Fraction,
 
 def score_grid(points: Iterable[GridPoint], d: int, *,
                balanced: bool = False) -> list[GridScore]:
-    """Score every grid point from its source's counts (Theorems 2 and 7).
+    """Score grid points from their sources' counts (Theorems 2 and 7).
 
-    A source slot with ``m`` transmitters, ``0 < m < n``, emits
-    ``k = k_T * k_R`` constructed slots (:func:`~repro.core.construction.
-    chunk_count` of ``m`` by ``alpha_T*`` and of ``n - m`` by
-    ``alpha_R``), each with ``t = min(alpha_T*, m)`` transmitters and
-    ``alpha_R`` receivers; slots with ``m`` of 0 or ``n`` emit nothing.
+    Figure 2 turns a source slot with ``0 < m < n`` transmitters into
+    ``k = k_T * k_R`` slots (:func:`~repro.core.construction.chunk_count`
+    of ``m`` by ``alpha_T*`` and of ``n - m`` by ``alpha_R``), each with
+    ``t = min(alpha_T*, m)`` transmitters and ``alpha_R`` receivers.
     Summed over the source's slots, ``k`` is the frame length,
     ``k (t + alpha_R)`` the awake node-slots and
-    ``k t alpha_R C(n - t - 1, D - 1)`` Theorem 2's numerator — all exact
-    integers, so the scores equal :func:`evaluate_grid_point`'s.
-
-    Raises the construction's ``ValueError`` for energy parameters that
-    do not fit and for a sleeping source (each distinct source is
-    checked once), and the one an empty schedule raises for a point
-    whose source emits no slot.
+    ``k t alpha_R C(n - t - 1, D - 1)`` Theorem 2's numerator, so the
+    exact scores equal :func:`evaluate_grid_point`'s.  Raises the
+    ``ValueError`` construction would: for unfit energy parameters, a
+    sleeping source (checked once per source) or no emitted slot.
     """
-    counts: dict[int, list[tuple[int, int]]] = {}
+    # Slots per transmitter count, by source id; holding the source keeps
+    # its id from being reused by another one.
+    counts: dict[int, tuple[Schedule, Iterable[tuple[int, int]]]] = {}
     scores = []
     for point in points:
         source = point.source
         n, d = check_class_params(source.n, d)
-        tallies = counts.get(id(source))
-        if tallies is None:
+        if id(source) not in counts:
             check_source(source)
-            per_count: dict[int, int] = {}
-            for m in source.tx_counts:
-                per_count[m] = per_count.get(m, 0) + 1
-            tallies = counts[id(source)] = sorted(per_count.items())
+            counts[id(source)] = (source, Counter(source.tx_counts).items())
+        tallies = counts[id(source)][1]
         alpha_t, alpha_r = check_alphas(n, point.alpha_t, point.alpha_r)
         alpha_t_star = optimal_transmitters_constrained(n, d, alpha_t)
         length = awake = weight = 0
@@ -287,12 +265,8 @@ def select_best(candidates: Iterable[_Scored]) -> _Scored | None:
 def select_winner(n: int, d: int, budget: Fraction,
                   sources: list[tuple[str, Schedule]], *,
                   balanced: bool = False) -> GridScore | None:
-    """The best-scoring grid point within *budget*, or None.
-
-    Scores :func:`duty_grid` with :func:`score_grid`, keeps the points
-    whose duty cycle is at most *budget* and applies
-    :func:`select_best`, all in grid order.
-    """
+    """:func:`select_best` over the :func:`score_grid` scores of
+    :func:`duty_grid` whose duty cycle fits *budget*, or None."""
     with span("planner.score", n=n, d=d, balanced=balanced):
         scores = score_grid(duty_grid(n, d, budget, sources), d,
                             balanced=balanced)
@@ -324,29 +298,17 @@ def evaluate_grid_point(point: GridPoint, d: int, *,
 
 
 def confirm_score(score: GridScore, plan: Plan) -> Plan:
-    """*plan*, once its constructed score is exactly *score*.
-
-    Raises ``RuntimeError`` when the construction's ``(throughput,
-    duty_cycle, frame_length)`` differs from the closed form: one of the
-    two is wrong, and the plan must not be served or stored.
-    """
+    """*plan*, or ``RuntimeError`` unless its constructed ``(throughput,
+    duty_cycle, frame_length)`` is exactly *score*'s closed form."""
     built = (plan.throughput, plan.duty_cycle, plan.frame_length)
     closed = (score.throughput, score.duty_cycle, score.frame_length)
     if built != closed:
         point = score.point
         raise RuntimeError(
-            f"{point.family} (alpha_T={point.alpha_t}, "
-            f"alpha_R={point.alpha_r}) was built with (throughput, "
-            f"duty_cycle, frame_length) {tuple(map(str, built))}, but its "
-            f"closed-form score is {tuple(map(str, closed))}")
+            f"{point.family} (alpha_T={point.alpha_t}, alpha_R="
+            f"{point.alpha_r}) was built as {tuple(map(str, built))}, but "
+            f"its closed-form score is {tuple(map(str, closed))}")
     return plan
-
-
-def construct_winner(score: GridScore, d: int, *,
-                     balanced: bool = False) -> Plan:
-    """Build the scored point's schedule and :func:`confirm_score` it."""
-    return confirm_score(score, evaluate_grid_point(score.point, d,
-                                                    balanced=balanced))
 
 
 def infeasible_budget_message(n: int, max_duty, balanced: bool) -> str:
@@ -408,7 +370,8 @@ def _plan_schedule(n, d, max_duty, budget, *, balanced, families, cache):
     best = select_winner(n, d, budget, sources, balanced=balanced)
     if best is None:
         raise ValueError(infeasible_budget_message(n, max_duty, balanced))
-    plan = construct_winner(best, d, balanced=balanced)
+    plan = confirm_score(best, evaluate_grid_point(best.point, d,
+                                                    balanced=balanced))
     if cacheable:
         cache.put_plan(n, d, budget, balanced, plan)
     return plan

@@ -42,7 +42,8 @@ the executor hop propagates the context into the planner thread via
 Three properties the one-shot CLI cannot offer, each load-bearing:
 
 * **Warm state.**  One :class:`~repro.service.store.ScheduleStore` and
-  one worker pool (a thread pool of ``jobs`` planner slots) live for the
+  one worker pool (a thread pool of ``jobs`` planner slots; each request
+  plans inline in its slot, constructing only its winner) live for the
   process lifetime; the cache and the LRU front survive across requests.
 * **Admission control.**  At most ``max_inflight`` provisioning requests
   are admitted at once — ``jobs`` of them execute, the rest wait in a
@@ -128,8 +129,9 @@ class ServeConfig:
         Listen address; port 0 binds an ephemeral port (the bound one is
         readable as :attr:`ScheduleServer.port` after ``start()``).
     jobs:
-        Width of the hot worker pool — provisioning requests evaluating
-        concurrently.  Admitted requests beyond *jobs* wait for a slot.
+        Width of the hot planner thread pool — provisioning requests
+        planning concurrently.  Admitted requests beyond *jobs* wait for
+        a slot.
     max_inflight:
         Admission bound: provisioning requests admitted at once
         (executing + queued).  Beyond it, ``503 overloaded``.

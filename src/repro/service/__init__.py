@@ -7,9 +7,6 @@ requests fast:
 ``repro.service.store``
     Content-addressed, versioned on-disk schedule cache with an in-memory
     LRU front, atomic writes and corruption-tolerant loads.
-``repro.service.provision``
-    Planner grid points as pool-shippable tasks, keyed by digest so
-    ``jobs=1`` and ``jobs=N`` select identical plans.
 ``repro.service.runtime``
     The fault-tolerant execution layer underneath: individual futures,
     per-task timeout, retry with seeded backoff, broken-pool recovery
@@ -24,12 +21,13 @@ requests fast:
 
 from repro.service.api import (
     BatchReport,
+    EvalTask,
     ProvisionRequest,
     ProvisionResult,
     provision_batch,
     provision_batch_report,
+    task_from_point,
 )
-from repro.service.provision import EvalTask, task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     RuntimeResult,

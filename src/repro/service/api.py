@@ -32,6 +32,7 @@ from typing import Any, Iterable
 
 from repro._validation import check_class_params, check_int
 from repro.core.planner import (
+    GridPoint,
     GridScore,
     Plan,
     candidate_sources,
@@ -40,15 +41,58 @@ from repro.core.planner import (
     infeasible_budget_message,
     select_winner,
 )
+from repro.core.schedule import Schedule
 from repro.core.serialization import schedule_from_dict, schedule_to_dict
 from repro.faults import FaultPlan
 from repro.obs.tracing import span
-from repro.service.provision import EvalTask, task_from_point
-from repro.service.runtime import RuntimeConfig, TaskReport, execute_tasks
-from repro.service.store import ScheduleStore, StoreStats
+from repro.service.runtime import (
+    RuntimeConfig,
+    RuntimeResult,
+    TaskReport,
+    execute_tasks,
+)
+from repro.service.store import (
+    ScheduleStore,
+    StoreStats,
+    eval_key,
+    key_digest,
+)
 
-__all__ = ["ProvisionRequest", "ProvisionResult", "BatchReport",
-           "provision_batch", "provision_batch_report"]
+__all__ = ["ProvisionRequest", "ProvisionResult", "BatchReport", "EvalTask",
+           "task_from_point", "provision_batch", "provision_batch_report"]
+
+
+_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
+          dict: "a JSON object",
+          (int, float, str): "a number or a fraction string"}
+_MISSING = object()
+
+
+def _field(doc: dict[str, Any], key: str, kind, default: Any = _MISSING, *,
+           what: str = "result") -> Any:
+    """``doc[key]`` if it is a *kind* (a bool is no number), else the
+    ``ValueError`` naming *key*; *default* when the key is absent and
+    optional."""
+    if key not in doc:
+        if default is _MISSING:
+            raise ValueError(f"{what} missing field {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
+        raise ValueError(f"{what} field {key!r} must be {_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _fraction_field(doc: dict[str, Any], key: str) -> Fraction:
+    """``doc[key]`` as an exact fraction string, or a ``ValueError``."""
+    text = _field(doc, key, str)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"result field {key!r} is not a fraction: "
+                         f"{text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -98,21 +142,12 @@ class ProvisionRequest:
         unknown = set(doc) - {"n", "d", "max_duty", "balanced"}
         if unknown:
             raise ValueError(f"request has unknown fields: {sorted(unknown)}")
-        for key in ("n", "d"):
-            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-                raise ValueError(f"request field {key!r} must be an integer, "
-                                 f"got {type(doc[key]).__name__}")
-        max_duty = doc["max_duty"]
-        if isinstance(max_duty, bool) or \
-                not isinstance(max_duty, (int, float, str)):
-            raise ValueError("request field 'max_duty' must be a number or "
-                             f"a fraction string, got {type(max_duty).__name__}")
-        balanced = doc.get("balanced", False)
-        if not isinstance(balanced, bool):
-            raise ValueError("request field 'balanced' must be a boolean, "
-                             f"got {type(balanced).__name__}")
-        return cls(n=doc["n"], d=doc["d"], max_duty=max_duty,
-                   balanced=balanced)
+        return cls(n=_field(doc, "n", int, what="request"),
+                   d=_field(doc, "d", int, what="request"),
+                   max_duty=_field(doc, "max_duty", (int, float, str),
+                                   what="request"),
+                   balanced=_field(doc, "balanced", bool, False,
+                                   what="request"))
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable echo of the request."""
@@ -227,36 +262,42 @@ class ProvisionResult:
                    failed_tasks=failed_tasks)
 
 
-_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
-          dict: "a JSON object"}
-_MISSING = object()
+@dataclass(frozen=True)
+class EvalTask:
+    """One grid point's construction, self-contained and picklable for
+    the runtime's workers: the substrate schedule travels with it, so a
+    worker need not rebuild the family.
+
+    Attributes
+    ----------
+    family, source:
+        The substrate family's name and schedule.
+    n, d:
+        The network class the construction is quoted for.
+    alpha_t, alpha_r, balanced:
+        The construction's energy parameters and division.
+    """
+
+    family: str
+    source: Schedule
+    n: int
+    d: int
+    alpha_t: int
+    alpha_r: int
+    balanced: bool
+
+    def key(self) -> str:
+        """The grid point's store-key digest — the task's identity, so
+        ``jobs=1`` and ``jobs=N`` hand every request the same plan."""
+        return key_digest(eval_key(self.family, self.n, self.d,
+                                   self.alpha_t, self.alpha_r, self.balanced))
 
 
-def _field(doc: dict[str, Any], key: str, kind: type,
-           default: Any = _MISSING) -> Any:
-    """``doc[key]`` if it is a *kind* (a bool is no integer), else the
-    ``ValueError`` naming *key*; *default* when the key is absent and
-    optional."""
-    if key not in doc:
-        if default is _MISSING:
-            raise ValueError(f"result missing field {key!r}")
-        return default
-    value = doc[key]
-    if not isinstance(value, kind) or (isinstance(value, bool)
-                                       and kind is not bool):
-        raise ValueError(f"result field {key!r} must be {_KINDS[kind]}, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def _fraction_field(doc: dict[str, Any], key: str) -> Fraction:
-    """``doc[key]`` as an exact fraction string, or a ``ValueError``."""
-    text = _field(doc, key, str)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"result field {key!r} is not a fraction: "
-                         f"{text!r}") from None
+def task_from_point(point: GridPoint, n: int, d: int, balanced: bool
+                    ) -> EvalTask:
+    """Package a planner grid point as a pool-shippable task."""
+    return EvalTask(point.family, point.source, n, d, point.alpha_t,
+                    point.alpha_r, balanced)
 
 
 @dataclass
@@ -296,10 +337,7 @@ class BatchReport:
 
     def task_summary(self) -> dict[str, int]:
         """Status -> count over every attempted winner construction."""
-        counts: dict[str, int] = {}
-        for report in self.task_reports.values():
-            counts[report.status] = counts.get(report.status, 0) + 1
-        return counts
+        return RuntimeResult(reports=self.task_reports).summary()
 
 
 def provision_batch(requests: Iterable[ProvisionRequest], *,

@@ -251,7 +251,7 @@ class _Instruments:
 # worker side
 # ----------------------------------------------------------------------
 def _evaluate(task) -> Plan:
-    """Evaluate one :class:`~repro.service.provision.EvalTask`."""
+    """Evaluate one :class:`~repro.service.api.EvalTask`."""
     point = GridPoint(task.family, task.source, task.alpha_t, task.alpha_r)
     return evaluate_grid_point(point, task.d, balanced=task.balanced)
 
@@ -326,7 +326,7 @@ def execute_tasks(tasks, *, config: RuntimeConfig | None = None,
     tasks:
         Iterable of task objects exposing ``key() -> str`` (their identity
         digest); duplicates are evaluated once.  The default *evaluate*
-        expects :class:`~repro.service.provision.EvalTask`.
+        expects :class:`~repro.service.api.EvalTask`.
     config:
         :class:`RuntimeConfig`; default runs inline with 2 retries.
     faults:

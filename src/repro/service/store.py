@@ -7,11 +7,9 @@ work as **plan entries**: the winning :class:`~repro.core.planner.Plan`
 of a full budget search, keyed by ``(n, D, max_duty, balanced,
 FORMAT_VERSION)``.
 
-The planner scores its grid in closed form and builds only the winner,
-so it no longer reads or writes **eval entries** (one constructed grid
-point, keyed by ``(family, n, D, alpha_T, alpha_R, balanced,
-FORMAT_VERSION)``).  Eval entries written by earlier versions stay valid
-on disk: :meth:`ScheduleStore.scrub` still checks them and
+Earlier versions also stored each constructed grid point as an **eval
+entry**; the planner now scores its grid in closed form and never reads
+them, while :meth:`ScheduleStore.scrub` still checks them and
 :meth:`ScheduleStore.clear` removes them.
 
 Keys are canonical JSON documents hashed with SHA-256 (content
@@ -85,12 +83,8 @@ def default_cache_dir() -> Path:
 
 def eval_key(family: str, n: int, d: int, alpha_t: int, alpha_r: int,
              balanced: bool) -> dict[str, Any]:
-    """Canonical key document for one grid point.
-
-    Its digest identifies a winner construction task
-    (:class:`repro.service.provision.EvalTask`); eval entries stored
-    under it by earlier versions are never read.
-    """
+    """Canonical key document for one grid point; its digest names a
+    winner's construction task (:class:`repro.service.api.EvalTask`)."""
     return {
         "kind": "eval",
         "family": str(family),

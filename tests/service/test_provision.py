@@ -245,7 +245,7 @@ def _grid_digests(n=12, d=2, duty=0.5, balanced=False):
     """The task digests of the planner grid, in grid order."""
     from repro.core.planner import (candidate_sources, duty_budget_fraction,
                                     duty_grid)
-    from repro.service.provision import task_from_point
+    from repro.service.api import task_from_point
     points = duty_grid(n, d, duty_budget_fraction(duty),
                        candidate_sources(n, d))
     return [task_from_point(p, n, d, balanced).key() for p in points]
@@ -255,7 +255,7 @@ def _winner_digest(n, d, duty, balanced=False):
     """The task digest of the class's winning grid point."""
     from repro.core.planner import (candidate_sources, duty_budget_fraction,
                                     select_winner)
-    from repro.service.provision import task_from_point
+    from repro.service.api import task_from_point
     best = select_winner(n, d, duty_budget_fraction(duty),
                          candidate_sources(n, d), balanced=balanced)
     return task_from_point(best.point, n, d, balanced).key()

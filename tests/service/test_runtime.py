@@ -11,7 +11,7 @@ from repro.core.planner import (
 )
 from repro.faults import FaultPlan
 import repro.service.runtime as runtime_mod
-from repro.service.provision import task_from_point
+from repro.service.api import task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     STATUS_FAILED,
@@ -130,20 +130,6 @@ class TestInline:
         assert outcome.plans == {d: p for d, p in clean_plans.items()
                                  if d != digest}
 
-    def test_raising_task_no_longer_sinks_the_batch(self, tasks,
-                                                    clean_plans):
-        """Regression: a task whose evaluation raises used to abort the
-        whole ``pool.map`` and discard every finished sibling.  Now the
-        survivors come back and only the bad task is missing."""
-        bad = dataclasses.replace(tasks[0], alpha_t=tasks[0].n,
-                                  alpha_r=tasks[0].n)
-        with pytest.raises(Exception):
-            runtime_mod._evaluate(bad)  # the bad task genuinely raises
-        outcome = execute_tasks(list(tasks) + [bad],
-                                config=RuntimeConfig(max_retries=0))
-        assert outcome.reports[bad.key()].status == STATUS_FAILED
-        assert outcome.plans == clean_plans
-
     def test_statuses_are_terminal(self, tasks):
         digest = tasks[0].key()
         faults = FaultPlan(targeted_worker_faults=((digest, ("error",) * 9),))
@@ -199,3 +185,21 @@ class TestPool:
             if digest != poison:
                 assert outcome.reports[digest].succeeded
                 assert outcome.plans[digest] == clean_plans[digest]
+
+
+class TestEvaluateTasks:
+    """Evaluating a batch of tasks: one raising task spares the rest."""
+
+    def test_raising_task_no_longer_sinks_the_batch(self, tasks,
+                                                    clean_plans):
+        """Regression: a task whose evaluation raises used to abort the
+        whole ``pool.map`` and discard every finished sibling.  Now the
+        survivors come back and only the bad task is missing."""
+        bad = dataclasses.replace(tasks[0], alpha_t=tasks[0].n,
+                                  alpha_r=tasks[0].n)
+        with pytest.raises(Exception):
+            runtime_mod._evaluate(bad)  # the bad task genuinely raises
+        outcome = execute_tasks(list(tasks) + [bad],
+                                config=RuntimeConfig(max_retries=0))
+        assert outcome.reports[bad.key()].status == STATUS_FAILED
+        assert outcome.plans == clean_plans

@@ -17,7 +17,7 @@ from repro.core.planner import (
 )
 from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
-from repro.service.provision import task_from_point
+from repro.service.api import task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     STATUS_OK,

@@ -364,7 +364,7 @@ class TestProvisionFaults:
     def winner_digest():
         from repro.core.planner import (candidate_sources,
                                         duty_budget_fraction, select_winner)
-        from repro.service.provision import task_from_point
+        from repro.service.api import task_from_point
         best = select_winner(12, 2, duty_budget_fraction(0.5),
                              candidate_sources(12, 2))
         return task_from_point(best.point, 12, 2, False).key()
