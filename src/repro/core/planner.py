@@ -243,6 +243,30 @@ def score_grid(points: Iterable[GridPoint], d: int, *,
     return scores
 
 
+def evaluate_grid_point(point: GridPoint, d: int, *,
+                        balanced: bool = False) -> Plan:
+    """Construct and score one grid point, independent of any duty budget.
+
+    Returns the full :class:`Plan` (schedule, exact Theorem 2 throughput,
+    exact awake fraction).  The result depends only on
+    ``(family, n, D, alpha_T, alpha_R, balanced)`` — never on the budget —
+    which is what makes it a sound unit of parallel work.
+    """
+    with span("planner.evaluate", family=point.family,
+              alpha_t=point.alpha_t, alpha_r=point.alpha_r):
+        res = construct_detailed(point.source, d, point.alpha_t,
+                                 point.alpha_r, balanced=balanced)
+        return Plan(
+            schedule=res.schedule,
+            family=point.family,
+            alpha_t=point.alpha_t,
+            alpha_r=point.alpha_r,
+            throughput=average_throughput(res.schedule, d),
+            duty_cycle=res.schedule.average_duty_cycle(),
+            frame_length=res.schedule.frame_length,
+        )
+
+
 _Scored = TypeVar("_Scored", Plan, GridScore)
 
 
@@ -271,30 +295,6 @@ def select_winner(n: int, d: int, budget: Fraction,
         scores = score_grid(duty_grid(n, d, budget, sources), d,
                             balanced=balanced)
     return select_best(s for s in scores if s.duty_cycle <= budget)
-
-
-def evaluate_grid_point(point: GridPoint, d: int, *,
-                        balanced: bool = False) -> Plan:
-    """Construct and score one grid point, independent of any duty budget.
-
-    Returns the full :class:`Plan` (schedule, exact Theorem 2 throughput,
-    exact awake fraction).  The result depends only on
-    ``(family, n, D, alpha_T, alpha_R, balanced)`` — never on the budget —
-    which is what makes it a sound unit of parallel work.
-    """
-    with span("planner.evaluate", family=point.family,
-              alpha_t=point.alpha_t, alpha_r=point.alpha_r):
-        res = construct_detailed(point.source, d, point.alpha_t,
-                                 point.alpha_r, balanced=balanced)
-        return Plan(
-            schedule=res.schedule,
-            family=point.family,
-            alpha_t=point.alpha_t,
-            alpha_r=point.alpha_r,
-            throughput=average_throughput(res.schedule, d),
-            duty_cycle=res.schedule.average_duty_cycle(),
-            frame_length=res.schedule.frame_length,
-        )
 
 
 def confirm_score(score: GridScore, plan: Plan) -> Plan:

@@ -287,8 +287,8 @@ class EvalTask:
     balanced: bool
 
     def key(self) -> str:
-        """The grid point's store-key digest — the task's identity, so
-        ``jobs=1`` and ``jobs=N`` hand every request the same plan."""
+        """The grid point's store-key digest: the task's identity, shared
+        by every request of a batch that this point wins."""
         return key_digest(eval_key(self.family, self.n, self.d,
                                    self.alpha_t, self.alpha_r, self.balanced))
 
