@@ -218,7 +218,8 @@ class _Instruments:
         self.registry = registry
         self.completed = registry.counter(
             "repro_runtime_tasks_completed_total",
-            "Grid-evaluation tasks finished, by terminal status.")
+            "Runtime tasks (winner constructions, sweep shards) finished, "
+            "by terminal status.")
         self.retries = registry.counter(
             "repro_runtime_retries_total",
             "Retry attempts scheduled after a charged fault.").labels()
