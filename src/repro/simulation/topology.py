@@ -10,10 +10,10 @@ guaranteed (and checked) to lie in the requested class.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro._validation import check_class_params, check_int, check_probability
@@ -63,14 +63,6 @@ class Topology:
             (min(u, v), max(u, v)) for u, v in edges
         )
         return cls(n, normalized)
-
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph) -> "Topology":
-        """Build a topology from a networkx graph with integer nodes 0..n-1."""
-        n = graph.number_of_nodes()
-        if set(graph.nodes) != set(range(n)):
-            raise ValueError("graph nodes must be exactly 0..n-1")
-        return cls.from_edges(n, graph.edges)
 
     def neighbors(self, x: int) -> frozenset[int]:
         """The neighbour set of node *x*."""
@@ -135,13 +127,6 @@ class Topology:
             e for e in self.edges if e[0] not in dead_set and e[1] not in dead_set
         )
         return Topology(self.n, kept)
-
-    def to_networkx(self) -> nx.Graph:
-        """Convert to a networkx graph (for algorithms and analyses)."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges)
-        return g
 
 
 def _cap_degrees(edges: list[tuple[int, int]], n: int, d: int,
@@ -252,12 +237,68 @@ def worst_case_regular(n: int, d: int, *, rng: np.random.Generator | None = None
 
     The worst case of section 5's throughput analysis — each node has
     exactly ``D`` neighbours.  Requires ``n * D`` even (standard handshake
-    condition); networkx's pairing-model generator supplies the graph.
+    condition).  Steger and Wormald's pairing supplies the graph, drawn
+    from ``random.Random(seed)`` exactly as networkx 3.x's
+    ``random_regular_graph`` draws it, so a seed yields the same edges
+    under either; with neither *seed* nor *rng* it draws from the
+    :mod:`random` module's global instance, as networkx does.
     """
     n, d = check_class_params(n, d)
     if (n * d) % 2 != 0:
         raise ValueError(f"a {d}-regular graph needs n*D even; got n={n}, D={d}")
     if seed is None and rng is not None:
         seed = int(rng.integers(2**31 - 1))
-    g = nx.random_regular_graph(d, n, seed=seed)
-    return Topology.from_networkx(nx.convert_node_labels_to_integers(g))
+    draw = random if seed is None else random.Random(seed)
+    edges = None
+    while edges is None:  # a failed attempt restarts on the same stream
+        edges = _try_pairing(n, d, draw)
+    return Topology(n, frozenset(edges))
+
+
+def _try_pairing(n: int, d: int, draw) -> set[tuple[int, int]] | None:
+    """One pairing attempt: pair shuffled stubs, re-pair the clashes.
+
+    Each round shuffles the remaining stubs and pairs them off; a pair
+    that would be a self-loop or a repeated edge returns both stubs to
+    the next round, in first-clash order.  None when no unjoined pair is
+    left among the clashing nodes.
+    """
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        clashes: dict[int, int] = {}
+        draw.shuffle(stubs)
+        pairs = iter(stubs)
+        for u, v in zip(pairs, pairs):
+            if u > v:
+                u, v = v, u
+            if u != v and (u, v) not in edges:
+                edges.add((u, v))
+            else:
+                clashes[u] = clashes.get(u, 0) + 1
+                clashes[v] = clashes.get(v, 0) + 1
+        if not _can_pair(edges, clashes):
+            return None
+        stubs = [u for u, count in clashes.items() for _ in range(count)]
+    return edges
+
+
+def _can_pair(edges: set[tuple[int, int]], clashes: dict[int, int]) -> bool:
+    """True while some two clashing nodes are not yet joined.
+
+    networkx's check, kept as it is: the swap inside the inner loop makes
+    ``u`` a running minimum, so some pairs are never looked at and an
+    attempt can be given up that could have gone on.  The same verdicts
+    are needed for the same draws.
+    """
+    if not clashes:
+        return True
+    for u in clashes:
+        for v in clashes:
+            if u == v:
+                break
+            if u > v:
+                u, v = v, u
+            if (u, v) not in edges:
+                return True
+    return False

@@ -13,6 +13,9 @@ supplied the graph; they cover:
 * the ``rng=`` path, which derives the seed from a NumPy generator;
 * the unseeded path, which draws from the :mod:`random` module's global
   instance (re-seeded here with ``random.seed``).
+
+A Hypothesis property checks the in-repo pairing against the installed
+networkx (a test dependency only) beyond the pinned cases.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ import hashlib
 import json
 import random
 
+import networkx as nx
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.topology import worst_case_regular
 
@@ -78,3 +84,32 @@ def test_unseeded_path_edge_sets():
     finally:
         random.setstate(state)
     assert _digest(cases) == UNSEEDED_DIGEST
+
+
+@st.composite
+def _regular_classes(draw):
+    n = draw(st.integers(min_value=3, max_value=120))
+    d = draw(st.sampled_from([d for d in range(2, min(n - 1, 10) + 1)
+                              if n * d % 2 == 0]))
+    return n, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(cls=_regular_classes(), seed=st.integers(0, 2**32), unseeded=st.booleans())
+def test_pairing_draws_as_networkx(cls, seed, unseeded):
+    """Same edges as networkx's ``random_regular_graph`` for the same
+    seed, or after the same ``random.seed`` on the unseeded path."""
+    n, d = cls
+    state = random.getstate()
+    try:
+        if unseeded:
+            random.seed(seed)
+            ours = worst_case_regular(n, d)
+            random.seed(seed)
+            theirs = nx.random_regular_graph(d, n)
+        else:
+            ours = worst_case_regular(n, d, seed=seed)
+            theirs = nx.random_regular_graph(d, n, seed=seed)
+    finally:
+        random.setstate(state)
+    assert ours.edges == {(min(u, v), max(u, v)) for u, v in theirs.edges}

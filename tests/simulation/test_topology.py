@@ -1,6 +1,5 @@
 """Topology wrapper and the N_n^D generators."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -76,17 +75,6 @@ class TestTopology:
     def test_without_nodes_stays_in_class(self):
         t = grid(3, 3)
         assert t.without_nodes([0, 8]).in_class(9, 4)
-
-    def test_networkx_roundtrip(self):
-        t = grid(3, 3)
-        g = t.to_networkx()
-        assert Topology.from_networkx(g) == t
-
-    def test_from_networkx_requires_contiguous_labels(self):
-        g = nx.Graph()
-        g.add_edge("a", "b")
-        with pytest.raises(ValueError, match="0..n-1"):
-            Topology.from_networkx(g)
 
 
 class TestGenerators:
