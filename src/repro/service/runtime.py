@@ -300,12 +300,13 @@ def _worker(task, fault: str | None, hang_seconds: float,
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down without waiting on wedged or dead workers."""
+    # shutdown() drops the pool's process table: read it first.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - shutdown of a broken pool
         pass
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.terminate()
         except Exception:  # pragma: no cover - already dead
@@ -645,5 +646,10 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
                         else:
                             ready.append(digest)
                             enqueued_at[digest] = now
-    finally:
+    except BaseException:
         _teardown_pool(pool)
+        raise
+    # Healthy finish: every worker is idle, so join them.  Leaving the
+    # pool to close behind us lets interpreter exit race its manager
+    # thread's wakeup pipe ("Exception ignored ... Bad file descriptor").
+    pool.shutdown(wait=True)

@@ -1,6 +1,8 @@
 """The fault-tolerant runtime: retries, pool recovery, quarantine."""
 
 import dataclasses
+import multiprocessing
+import time
 
 import pytest
 
@@ -139,11 +141,26 @@ class TestInline:
                    for r in outcome.reports.values())
 
 
+def _live_children(within: float) -> list:
+    """Child processes still alive after waiting up to *within* seconds."""
+    deadline = time.monotonic() + within
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return multiprocessing.active_children()
+
+
 class TestPool:
     def test_parity_with_inline(self, tasks, clean_plans):
         outcome = execute_tasks(tasks, config=RuntimeConfig(jobs=2))
         assert outcome.complete
         assert outcome.plans == clean_plans
+
+    def test_healthy_finish_joins_the_workers(self, tasks):
+        """No worker outlives a healthy run, so interpreter exit never
+        races a pool that is still closing."""
+        outcome = execute_tasks(tasks, config=RuntimeConfig(jobs=2))
+        assert outcome.complete
+        assert multiprocessing.active_children() == []
 
     def test_crash_and_hang_recovery(self, tasks, clean_plans):
         """The acceptance scenario: one worker crash (BrokenProcessPool),
@@ -159,6 +176,8 @@ class TestPool:
         assert outcome.pool_rebuilds >= 1
         assert outcome.reports[crash].status == STATUS_RETRIED
         assert outcome.reports[hang].status == STATUS_TIMED_OUT
+        # The wedged worker is terminated, not left to sleep out its 20 s.
+        assert _live_children(within=5.0) == []
         for task in tasks:
             digest = task.key()
             if digest == hang:
