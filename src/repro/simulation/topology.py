@@ -258,10 +258,11 @@ def worst_case_regular(n: int, d: int, *, rng: np.random.Generator | None = None
 def _try_pairing(n: int, d: int, draw) -> set[tuple[int, int]] | None:
     """One pairing attempt: pair shuffled stubs, re-pair the clashes.
 
-    Each round shuffles the remaining stubs and pairs them off; a pair
-    that would be a self-loop or a repeated edge returns both stubs to
-    the next round, in first-clash order.  None when no unjoined pair is
-    left among the clashing nodes.
+    Each round shuffles the remaining stubs with *draw* (a
+    ``random.Random`` or the :mod:`random` module) and pairs them off; a
+    pair that would be a self-loop or a repeated edge returns both stubs
+    to the next round, in first-clash order.  None when no unjoined pair
+    is left among the clashing nodes.
     """
     edges: set[tuple[int, int]] = set()
     stubs = list(range(n)) * d

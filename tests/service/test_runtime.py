@@ -158,6 +158,7 @@ class TestPool:
     def test_healthy_finish_joins_the_workers(self, tasks):
         """No worker outlives a healthy run, so interpreter exit never
         races a pool that is still closing."""
+        assert _live_children(within=5.0) == []  # earlier tests' workers
         outcome = execute_tasks(tasks, config=RuntimeConfig(jobs=2))
         assert outcome.complete
         assert multiprocessing.active_children() == []

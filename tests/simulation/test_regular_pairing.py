@@ -1,4 +1,4 @@
-"""SHA-256 pins of :func:`worst_case_regular`'s edge sets.
+"""Pins and a property for :func:`worst_case_regular`'s edge sets.
 
 Both benchmark sweeps, the ``regular`` sweep topology, ``repro
 simulate`` and the section 5 experiments draw their ``D``-regular
