@@ -7,25 +7,20 @@ Two contracts ride on this sweep:
   (section 6's robustness story: the schedule itself never has to be
   recomputed, dead neighbours simply stop being heard);
 * **near-zero overhead when off** — the fault-tolerant runtime
-  (:mod:`repro.service.runtime`) replaces the old ``pool.map`` fan-out,
-  and a healthy batch must not pay meaningfully for the machinery
-  (target < 5% on the inline path; asserted loosely here because CI
-  boxes are noisy).
+  (:mod:`repro.service.runtime`) replaces the old ``pool.map`` fan-out
+  of sweep shards, and a healthy batch must not pay meaningfully for the
+  machinery (target < 5% on the inline path; asserted loosely here
+  because CI boxes are noisy).
 """
 
 import time
 
+from repro.analysis.sweeps import ShardTask, SweepSpec, _evaluate_shard
 from repro.analysis.tables import Table
 from repro.core.construction import construct
 from repro.core.nonsleeping import polynomial_schedule
-from repro.core.planner import (
-    candidate_sources,
-    duty_budget_fraction,
-    duty_grid,
-)
 from repro.faults import FaultPlan
-from repro.service.api import task_from_point
-from repro.service.runtime import RuntimeConfig, _evaluate, execute_tasks
+from repro.service.runtime import RuntimeConfig, execute_tasks
 from repro.simulation.engine import Simulator
 from repro.simulation.topology import grid
 from repro.simulation.traffic import SaturatedTraffic
@@ -83,28 +78,31 @@ def test_simulation_degrades_gracefully(benchmark, report):
 
 
 def test_runtime_overhead_when_no_faults_fire(benchmark, report):
-    n, d = 12, 2
-    points = duty_grid(n, d, duty_budget_fraction(0.5),
-                       candidate_sources(n, d))
-    tasks = [task_from_point(p, n, d, False) for p in points]
+    spec = SweepSpec(families=("tdma", "polynomial"), ns=(12,), ds=(2,),
+                     seeds=tuple(range(12)), frames=2)
+    tasks = [ShardTask(spec, (point,), i)
+             for i, point in enumerate(spec.expand())]
 
     def old_path():
         # The pre-runtime fan-out: evaluate in submission order, no
         # statuses, no retries, no checkpoints (inline variant).
-        return {t.key(): _evaluate(t) for t in tasks}
+        return {t.key(): _evaluate_shard(t) for t in tasks}
 
     def new_path():
-        return execute_tasks(tasks, config=RuntimeConfig(jobs=1)).plans
+        return execute_tasks(tasks, config=RuntimeConfig(jobs=1),
+                             evaluate=_evaluate_shard).plans
 
+    # Identical results, richer semantics; the first calls also pay the
+    # simulator's lazy imports outside the timed rounds.
+    assert new_path() == old_path()
     rounds = 5
     old_best = min(_timed(old_path) for _ in range(rounds))
     new_best = min(_timed(new_path) for _ in range(rounds))
-    assert new_path() == old_path()  # identical results, richer semantics
 
     overhead = new_best / old_best - 1.0
     table = Table("path", "best_seconds", "overhead",
-                  title=f"Healthy-batch runtime overhead ({len(tasks)} grid "
-                        "evaluations, inline)")
+                  title=f"Healthy-batch runtime overhead ({len(tasks)} sweep "
+                        "shards, inline)")
     table.row(path="pool.map (old)", best_seconds=round(old_best, 4),
               overhead="-")
     table.row(path="runtime (new)", best_seconds=round(new_best, 4),

@@ -1,18 +1,13 @@
-"""E-service — the provisioning service: warm-cache batches and jobs parity.
+"""E-service — the provisioning service: warm-cache batches.
 
 The deployment story is "compute `<T, R>` once, flash it to motes"; the
 service layer makes that literal for repeated workloads.  This sweep
 provisions a mixed batch of ``(n, D, duty)`` requests through
 :func:`repro.service.api.provision_batch` twice against one schedule
-store and asserts the service's two contracts:
-
-* a **warm batch performs zero constructions** — every plan is a
-  content-addressed cache hit (counted by intercepting the planner's
-  ``construct_detailed``), which is what turns the planner's hot path
-  into a lookup;
-* the **process-pool path is bit-identical to the sequential path** —
-  merging is deterministic in grid order, so ``--jobs`` is a pure
-  speed knob.
+store and asserts the service's contract: a **warm batch performs zero
+constructions** — every plan is a content-addressed cache hit (counted
+by intercepting the planner's ``construct_detailed``), which is what
+turns the planner's hot path into a lookup.
 """
 
 from repro.analysis.tables import Table
@@ -30,7 +25,7 @@ REQUESTS = [
 
 def test_provision_batch_warm(benchmark, report, tmp_path, monkeypatch):
     store = ScheduleStore(tmp_path / "cache")
-    cold = provision_batch(REQUESTS, store=store, jobs=1)
+    cold = provision_batch(REQUESTS, store=store)
 
     import repro.core.planner as planner_mod
     calls = []
@@ -40,7 +35,7 @@ def test_provision_batch_warm(benchmark, report, tmp_path, monkeypatch):
 
     warm = benchmark.pedantic(
         lambda: provision_batch(REQUESTS,
-                                store=ScheduleStore(store.cache_dir), jobs=1),
+                                store=ScheduleStore(store.cache_dir)),
         rounds=3, iterations=1)
     # The service contract: a warm batch is pure lookups.
     assert calls == []
@@ -60,9 +55,3 @@ def test_provision_batch_warm(benchmark, report, tmp_path, monkeypatch):
                   throughput=float(plan.throughput))
     report(table, "provision_batch")
 
-
-def test_provision_jobs_parity(benchmark):
-    sequential = provision_batch(REQUESTS, jobs=1)
-    parallel = benchmark.pedantic(
-        lambda: provision_batch(REQUESTS, jobs=4), rounds=1, iterations=1)
-    assert [r.plan for r in parallel] == [r.plan for r in sequential]

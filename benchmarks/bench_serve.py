@@ -87,7 +87,7 @@ def _baseline_constructions(tmp_path, docs):
     requests = [ProvisionRequest.from_dict(doc) for doc in docs]
     with _ConstructionCounter() as counter:
         results = provision_batch(
-            requests, store=ScheduleStore(tmp_path / "baseline"), jobs=1)
+            requests, store=ScheduleStore(tmp_path / "baseline"))
     assert all(r.error is None for r in results)
     return counter.count
 

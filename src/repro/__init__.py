@@ -42,8 +42,8 @@ Package layout
     (Figure 1, Theorems 2-9) shared by the benchmark harness and examples.
 ``repro.service``
     Schedule provisioning at scale: a persistent content-addressed
-    schedule store, a parallel grid provisioner, and the batch request
-    API behind ``repro provision``.
+    schedule store, the batch request API behind ``repro provision``,
+    and the fault-tolerant runtime sweeps shard over.
 """
 
 from repro.core import (

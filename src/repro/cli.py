@@ -8,7 +8,7 @@ writing Python:
                ``(n, D, alpha_T, alpha_R)`` and write it as JSON
 ``plan``       search families and budgets: ``(n, D, max duty)`` -> JSON
 ``provision``  batch planning service: JSONL requests in, JSONL plans
-               out, with a persistent schedule cache and ``--jobs``
+               out, with a persistent schedule cache
 ``verify``     exact topology-transparency decision for a schedule file
 ``analyze``    throughput/duty/latency report for a schedule file
 ``simulate``   run the slot simulator on a generated topology
@@ -115,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "object per line; '-' reads stdin (default)")
     p.add_argument("-o", "--output", default="-",
                    help="JSONL result path; '-' writes stdout (default)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="process-pool width for constructing the batch's "
-                        "distinct winners (default 1)")
     p.add_argument("--cache-dir", default=None,
                    help="schedule-store root (default: "
                         "$XDG_CACHE_HOME/repro/schedules)")
@@ -125,18 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bypass the schedule store entirely")
     p.add_argument("--no-schedules", action="store_true",
                    help="omit the flashable slot tables from result lines")
-    p.add_argument("--task-timeout", type=float, default=None,
-                   help="per-construction wall-clock budget in seconds; a "
-                        "hung worker is reclaimed and the task retried")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="faulted attempts a task may burn beyond its first "
-                        "(default 2)")
     p.add_argument("--stats", action="store_true",
                    help="print schedule-store statistics (hits, misses, "
                         "corruptions, evictions) as JSON to stderr")
-    p.add_argument("--fault-plan", default=None,
-                   help="JSON fault-injection plan (chaos testing; see "
-                        "docs/robustness.md for the schema)")
 
     p = sub.add_parser("serve", parents=[obs],
                        help="run the always-on schedule server (HTTP/JSON)")
@@ -233,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of the Prometheus text")
     p.add_argument("--trace", action="store_true",
                    help="open a trace scope for the call and print its "
-                        "trace id to stderr; the server, runtime and "
+                        "trace id to stderr; the server, planner and "
                         "store stamp the same id on their logs and spans")
 
     p = sub.add_parser("obs", parents=[obs],
@@ -466,38 +454,25 @@ def _write_lines(path: str, docs) -> None:
 
 
 def _cmd_provision(args) -> int:
-    from repro.service.api import provision_batch_report
-    from repro.service.runtime import RuntimeConfig
+    from repro.service.api import provision_batch
     from repro.service.store import ScheduleStore
 
     try:
         requests = _read_requests(args.input)
-        faults = _load_fault_plan(args.fault_plan)
-        runtime = RuntimeConfig(jobs=args.jobs,
-                                task_timeout=args.task_timeout,
-                                max_retries=args.max_retries)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     from repro.obs.metrics import default_registry
 
     store = None if args.no_cache else ScheduleStore(
         args.cache_dir, registry=default_registry())
-    report = provision_batch_report(requests, store=store, jobs=args.jobs,
-                                    runtime=runtime, faults=faults)
-    results = report.results
+    results = provision_batch(requests, store=store)
     _write_lines(args.output, [
         r.to_dict(include_schedule=not args.no_schedules) for r in results])
     failed = sum(1 for r in results if r.error is not None)
     cached = sum(1 for r in results if r.from_cache)
     summary = (f"provisioned {len(results) - failed}/{len(results)} requests "
-               f"({cached} plan-cache hits, jobs={args.jobs}")
-    task_summary = report.task_summary()
-    if task_summary:
-        summary += "; tasks: " + ", ".join(
-            f"{count} {status}" for status, count in sorted(task_summary.items()))
-    if report.pool_rebuilds:
-        summary += f"; pool rebuilds: {report.pool_rebuilds}"
+               f"({cached} plan-cache hits")
     if store is not None:
         summary += (f"; store: {store.stats.hits} hits, "
                     f"{store.stats.stores} stores, "
@@ -620,7 +595,7 @@ def _cmd_call(args) -> int:
         from repro.obs import context as _context
 
         # One trace scope around the whole action: the client forwards
-        # the id, the server/runtime/store stamp it on their telemetry.
+        # the id, the server/planner/store stamp it on their telemetry.
         with _context.trace_context() as ctx:
             print(f"trace_id {ctx.trace_id}", file=sys.stderr)
             return _call_action(args, client)

@@ -11,8 +11,8 @@ frozen, seeded description of every fault the run should experience:
   packet-loss probability layered on top of the collision rule of
   :class:`repro.simulation.engine.Simulator`;
 * **worker faults** — crash / hang / slow / error injections for the
-  provisioning runtime (:mod:`repro.service.runtime`), used by the crash-path
-  tests and chaos benchmarks;
+  fault-tolerant runtime's sweep shards (:mod:`repro.service.runtime`),
+  used by the crash-path tests and ``repro sweep --fault-plan``;
 * **network faults** — per-connection refuse / reset / delay / truncate
   injections for the chaos proxy (:mod:`repro.serve.chaos`), so the serve
   tier's failure behaviour under a misbehaving network is reproducible.
@@ -89,7 +89,7 @@ class FaultPlan:
         triples, ``end_slot=None`` meaning "never recovers".  Scripted
         outages apply in addition to stochastic crashes.
     worker_crash_rate, worker_hang_rate, worker_slow_rate, worker_error_rate:
-        Per-attempt probabilities that a provisioning pool worker dies
+        Per-attempt probabilities that a runtime pool worker dies
         (``os._exit``), hangs, sleeps ``slow_seconds`` before answering,
         or raises.  Stacked in that order from one uniform draw.
     hang_seconds, slow_seconds:
@@ -180,7 +180,7 @@ class FaultPlan:
                     or self.proxy_truncate_rate > 0)
 
     # ------------------------------------------------------------------
-    # worker-side decisions (provisioning runtime)
+    # worker-side decisions (the runtime's sweep shards)
     # ------------------------------------------------------------------
     def worker_fault(self, digest: str, attempt: int) -> str | None:
         """The fault (if any) to inject into attempt *attempt* of a task.
@@ -333,7 +333,7 @@ class RetryPolicy:
     seconds scaled by :meth:`FaultPlan.backoff_jitter`, a seeded draw in
     ``[0.5, 1.5)``: two runs with the same seed back off identically, yet
     different keys spread out.  Every waiting layer uses it — the serve
-    and failover clients between attempts (:meth:`run`), the provisioning
+    and failover clients between attempts (:meth:`run`), the sweep
     runtime between task retries, the supervisor between restarts, and
     the circuit breaker before its half-open probe (``cap == base``).
 

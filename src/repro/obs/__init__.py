@@ -1,6 +1,6 @@
 """Unified observability layer: structured logging, metrics, span tracing.
 
-Every layer of the stack — the planner, the provisioning runtime, the
+Every layer of the stack — the planner, the sweep runtime, the
 schedule store and the slot simulator — reports *what happened* through
 the three pillars of this package, none of which needs a dependency
 outside the standard library:

@@ -329,7 +329,7 @@ class ScheduleServer:
     # ------------------------------------------------------------------
     def _plan_one(self, request: ProvisionRequest) -> ProvisionResult:
         """The default computation: one batch-of-one against the store."""
-        report = provision_batch_report([request], store=self.store, jobs=1)
+        report = provision_batch_report([request], store=self.store)
         return report.results[0]
 
     async def _answer(self, request: ProvisionRequest) -> ProvisionResult:
@@ -348,8 +348,8 @@ class ScheduleServer:
                 # copy_context(): contextvars do not cross the executor
                 # hop by themselves; the snapshot carries the trace
                 # context (and the serve.pool span) into the planner
-                # thread, so store lookups and runtime task spans land
-                # in the right tree.
+                # thread, so store lookups and planner spans land in the
+                # right tree.
                 ctx = contextvars.copy_context()
                 return await loop.run_in_executor(
                     self._executor, ctx.run, self._plan_fn, request)

@@ -1,4 +1,4 @@
-"""Schedule provisioning service: cache, parallel provisioner, batch API.
+"""Schedule provisioning service: cache, batch API, fault-tolerant runtime.
 
 The first scaling layer of the reproduction.  Where :mod:`repro.core`
 computes one schedule exactly, this package serves *many* schedule
@@ -8,10 +8,10 @@ requests fast:
     Content-addressed, versioned on-disk schedule cache with an in-memory
     LRU front, atomic writes and corruption-tolerant loads.
 ``repro.service.runtime``
-    The fault-tolerant execution layer underneath: individual futures,
-    per-task timeout, retry with seeded backoff, broken-pool recovery
-    with bisection quarantine, and a checkpoint callback per finished
-    task.
+    The fault-tolerant execution layer the sweep engine shards over:
+    individual futures, per-task timeout, retry with seeded backoff,
+    broken-pool recovery with bisection quarantine, and a checkpoint
+    callback per finished task.
 ``repro.service.api``
     The batch request surface — :class:`ProvisionRequest`,
     :class:`ProvisionResult`, :func:`provision_batch`,
@@ -21,12 +21,10 @@ requests fast:
 
 from repro.service.api import (
     BatchReport,
-    EvalTask,
     ProvisionRequest,
     ProvisionResult,
     provision_batch,
     provision_batch_report,
-    task_from_point,
 )
 from repro.service.runtime import (
     RuntimeConfig,
@@ -53,8 +51,6 @@ __all__ = [
     "RuntimeResult",
     "TaskReport",
     "execute_tasks",
-    "EvalTask",
-    "task_from_point",
     "ScheduleStore",
     "StoreStats",
     "default_cache_dir",

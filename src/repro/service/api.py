@@ -11,55 +11,41 @@ per-class requests.  :func:`provision_batch` is that service's core:
    (:func:`repro.core.planner.score_grid`) and picks its winner in grid
    order (:func:`repro.core.planner.select_best`), exactly as sequential
    :func:`repro.core.planner.plan_schedule` does;
-4. only the batch's *distinct* winners are constructed — inline or across
-   a process pool — and each must score what the closed form said
+4. only the batch's *distinct* winners are constructed, one after the
+   other in this process, and each must score what the closed form said
    (:func:`repro.core.planner.confirm_score`).
 
 Requests that fail (impossible class parameters, infeasible budgets) are
 reported per-request via :attr:`ProvisionResult.error`; one bad request
-never poisons the batch.  Winner constructions run under the
-fault-tolerant runtime of :mod:`repro.service.runtime`: a crashed, hung
-or raising worker costs at most the requests its winner answers, each of
-which comes back as an error naming the lost task and its status, while
-every other request is still answered.
+never poisons the batch.  A construction is deterministic, so one that
+raises is a bug, not a transient fault: it propagates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
 from repro._validation import check_class_params, check_int
 from repro.core.planner import (
-    GridPoint,
     GridScore,
     Plan,
     candidate_sources,
     confirm_score,
     duty_budget_fraction,
+    evaluate_grid_point,
     infeasible_budget_message,
     select_winner,
 )
-from repro.core.schedule import Schedule
 from repro.core.serialization import schedule_from_dict, schedule_to_dict
-from repro.faults import FaultPlan
 from repro.obs.tracing import span
-from repro.service.runtime import (
-    RuntimeConfig,
-    RuntimeResult,
-    TaskReport,
-    execute_tasks,
-)
-from repro.service.store import (
-    ScheduleStore,
-    StoreStats,
-    eval_key,
-    key_digest,
-)
+# Unused by src: benchmarks/e2e/layers.py wraps it until ROADMAP item 1.
+from repro.service.runtime import execute_tasks  # noqa: F401
+from repro.service.store import ScheduleStore, StoreStats
 
-__all__ = ["ProvisionRequest", "ProvisionResult", "BatchReport", "EvalTask",
-           "task_from_point", "provision_batch", "provision_batch_report"]
+__all__ = ["ProvisionRequest", "ProvisionResult", "BatchReport",
+           "provision_batch", "provision_batch_report"]
 
 
 _KINDS = {str: "a string", int: "an integer", bool: "a boolean",
@@ -173,24 +159,17 @@ class ProvisionResult:
         (nothing of this request was scored or constructed).
     error:
         Human-readable failure description, or None on success.
-    failed_tasks:
-        ``(digest, status)`` of this request's winner construction when
-        a worker fault lost it (statuses from
-        :mod:`repro.service.runtime`); empty otherwise.
     """
 
     request: ProvisionRequest
     plan: Plan | None
     from_cache: bool = False
     error: str | None = None
-    failed_tasks: tuple[tuple[str, str], ...] = ()
 
     def to_dict(self, *, include_schedule: bool = True) -> dict[str, Any]:
         """JSONL result line; with *include_schedule*, embeds the flashable
         schedule document of :mod:`repro.core.serialization`."""
         doc: dict[str, Any] = {"request": self.request.to_dict()}
-        if self.failed_tasks:
-            doc["failed_tasks"] = {d: s for d, s in self.failed_tasks}
         if self.error is not None:
             doc["error"] = self.error
             return doc
@@ -229,14 +208,8 @@ class ProvisionResult:
         if not isinstance(doc, dict):
             raise ValueError("result must be a JSON object")
         request = ProvisionRequest.from_dict(_field(doc, "request", dict))
-        failed = _field(doc, "failed_tasks", dict, {})
-        if not all(isinstance(v, str) for v in failed.values()):
-            raise ValueError("result field 'failed_tasks' must map task "
-                             "digests to status strings")
-        failed_tasks = tuple(sorted(failed.items()))
         if "error" in doc:
-            return cls(request, None, error=_field(doc, "error", str),
-                       failed_tasks=failed_tasks)
+            return cls(request, None, error=_field(doc, "error", str))
         if "schedule" not in doc:
             raise ValueError("result missing field 'schedule' (serialize "
                              "with include_schedule=True to round-trip)")
@@ -258,55 +231,17 @@ class ProvisionResult:
             frame_length=frame_length,
         )
         return cls(request, plan,
-                   from_cache=_field(doc, "from_cache", bool, False),
-                   failed_tasks=failed_tasks)
-
-
-@dataclass(frozen=True)
-class EvalTask:
-    """One grid point's construction, self-contained and picklable for
-    the runtime's workers: the substrate schedule travels with it, so a
-    worker need not rebuild the family.
-
-    Attributes
-    ----------
-    family, source:
-        The substrate family's name and schedule.
-    n, d:
-        The network class the construction is quoted for.
-    alpha_t, alpha_r, balanced:
-        The construction's energy parameters and division.
-    """
-
-    family: str
-    source: Schedule
-    n: int
-    d: int
-    alpha_t: int
-    alpha_r: int
-    balanced: bool
-
-    def key(self) -> str:
-        """The grid point's store-key digest: the task's identity, shared
-        by every request of a batch that this point wins."""
-        return key_digest(eval_key(self.family, self.n, self.d,
-                                   self.alpha_t, self.alpha_r, self.balanced))
-
-
-def task_from_point(point: GridPoint, n: int, d: int, balanced: bool
-                    ) -> EvalTask:
-    """Package a planner grid point as a pool-shippable task."""
-    return EvalTask(point.family, point.source, n, d, point.alpha_t,
-                    point.alpha_r, balanced)
+                   from_cache=_field(doc, "from_cache", bool, False))
 
 
 @dataclass
 class _Winner:
-    """One distinct winning grid point and the requests it answers."""
+    """One distinct winning grid point, the requests it answers and,
+    once built, their plan."""
 
-    task: EvalTask
     score: GridScore
     signatures: list[tuple] = field(default_factory=list)
+    plan: Plan | None = None
 
 
 @dataclass
@@ -318,38 +253,22 @@ class BatchReport:
     results:
         One :class:`ProvisionResult` per request, in request order —
         exactly what :func:`provision_batch` returns.
-    task_reports:
-        Digest -> :class:`~repro.service.runtime.TaskReport` for every
-        distinct winner the batch constructed (cache hits and infeasible
-        requests construct nothing and do not appear).
-    pool_rebuilds:
-        Times the runtime rebuilt its worker pool (crashes + reclaimed
-        hangs).
     store_stats:
         The live :class:`~repro.service.store.StoreStats` of the store
         used, or None when caching was disabled.
     """
 
     results: list[ProvisionResult]
-    task_reports: dict[str, TaskReport] = field(default_factory=dict)
-    pool_rebuilds: int = 0
     store_stats: StoreStats | None = None
-
-    def task_summary(self) -> dict[str, int]:
-        """Status -> count over every attempted winner construction."""
-        return RuntimeResult(reports=self.task_reports).summary()
 
 
 def provision_batch(requests: Iterable[ProvisionRequest], *,
-                    store: ScheduleStore | None = None,
-                    jobs: int = 1, runtime: RuntimeConfig | None = None,
-                    faults: FaultPlan | None = None) -> list[ProvisionResult]:
-    """Answer a batch of provisioning requests, cached and in parallel.
+                    store: ScheduleStore | None = None
+                    ) -> list[ProvisionResult]:
+    """Answer a batch of provisioning requests, cached.
 
     Thin wrapper over :func:`provision_batch_report` that keeps the
-    historical return type (results only).  Never raises for a worker
-    fault: a request whose winner's construction was lost comes back
-    with an ``error`` naming the task and its status.
+    historical return type (results only).
 
     Parameters
     ----------
@@ -358,39 +277,18 @@ def provision_batch(requests: Iterable[ProvisionRequest], *,
     store:
         Optional :class:`~repro.service.store.ScheduleStore` (or anything
         honouring its plan protocol).  None disables caching entirely.
-    jobs:
-        Process-pool width for constructing the batch's distinct
-        winners; ``1`` runs inline.  The selected plans are identical
-        for every value of *jobs*.
-    runtime:
-        Optional :class:`~repro.service.runtime.RuntimeConfig` tuning
-        timeouts, retries and quarantine; *jobs* (when not 1) overrides
-        its pool width.
-    faults:
-        Optional :class:`~repro.faults.FaultPlan` injecting worker
-        faults — the hook used by crash-path tests and chaos benchmarks.
     """
-    return provision_batch_report(requests, store=store, jobs=jobs,
-                                  runtime=runtime, faults=faults).results
+    return provision_batch_report(requests, store=store).results
 
 
 def provision_batch_report(requests: Iterable[ProvisionRequest], *,
-                           store: ScheduleStore | None = None,
-                           jobs: int = 1,
-                           runtime: RuntimeConfig | None = None,
-                           faults: FaultPlan | None = None) -> BatchReport:
+                           store: ScheduleStore | None = None) -> BatchReport:
     """Like :func:`provision_batch`, returning the full :class:`BatchReport`.
 
-    The report adds what operators need under faults: per-task statuses
-    (``ok / retried / timed-out / failed / quarantined``), pool-rebuild
-    counts, and the store's hit/miss/corruption statistics.  Raises
+    The report adds the store's hit/miss/corruption statistics.  Raises
     ``RuntimeError`` if a constructed winner does not score exactly what
     the closed form said (:func:`repro.core.planner.confirm_score`).
     """
-    jobs = check_int(jobs, "jobs", minimum=1)
-    config = runtime if runtime is not None else RuntimeConfig()
-    if jobs != 1 and config.jobs != jobs:
-        config = replace(config, jobs=jobs)
     requests = list(requests)
     signatures: list[tuple | None] = []
     errors: dict[int, str] = {}
@@ -402,10 +300,10 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
             errors[i] = str(exc)
 
     # Resolve each distinct signature once: a plan-cache hit, a budget
-    # no grid point fits (None), or the winner a task will construct.
+    # no grid point fits (None), or the winner the batch will construct.
     resolved: dict[tuple, Plan | None] = {}
-    winner_of: dict[tuple, str] = {}
-    winners: dict[str, _Winner] = {}
+    winner_of: dict[tuple, tuple] = {}
+    winners: dict[tuple, _Winner] = {}
     sources: dict[tuple[int, int], list] = {}
     with span("provision.plan", requests=len(requests)):
         for sig in signatures:
@@ -424,46 +322,35 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
             if best is None:
                 resolved[sig] = None
                 continue
-            task = task_from_point(best.point, n, d, balanced)
-            digest = winner_of[sig] = task.key()
-            winner = winners.setdefault(digest, _Winner(task, best))
-            winner.signatures.append(sig)
+            point = best.point
+            key = winner_of[sig] = (n, d, point.family, point.alpha_t,
+                                    point.alpha_r, balanced)
+            winners.setdefault(key, _Winner(best)).signatures.append(sig)
 
-    def checkpoint(task: EvalTask, plan: Plan) -> None:
-        # Each winner's plan entries land the moment it is built, so an
-        # interrupted batch resumes warm from plan-cache hits.
-        winner = winners[task.key()]
-        with span("provision.store", signatures=len(winner.signatures)):
-            confirm_score(winner.score, plan)
-            if store is not None:
-                for n, d, budget, balanced in winner.signatures:
-                    store.put_plan(n, d, budget, balanced, plan)
-
-    with span("provision.evaluate", tasks=len(winners), jobs=config.jobs):
-        outcome = execute_tasks([w.task for w in winners.values()],
-                                config=config, faults=faults,
-                                checkpoint=checkpoint)
+    with span("provision.evaluate", winners=len(winners)):
+        for winner in winners.values():
+            _n, d, _budget, balanced = winner.signatures[0]
+            winner.plan = evaluate_grid_point(winner.score.point, d,
+                                              balanced=balanced)
+            # Each winner's plan entries land the moment it is built, so
+            # an interrupted batch resumes warm from plan-cache hits.
+            with span("provision.store", signatures=len(winner.signatures)):
+                confirm_score(winner.score, winner.plan)
+                if store is not None:
+                    for sig in winner.signatures:
+                        store.put_plan(*sig, winner.plan)
 
     results: list[ProvisionResult] = []
     for i, (request, sig) in enumerate(zip(requests, signatures)):
         if sig is None:
             result = ProvisionResult(request, None, error=errors[i])
         elif sig in winner_of:
-            digest = winner_of[sig]
-            if digest in outcome.plans:
-                result = ProvisionResult(request, outcome.plans[digest])
-            else:
-                status = outcome.reports[digest].status
-                result = ProvisionResult(
-                    request, None, failed_tasks=((digest, status),),
-                    error=("the winner's construction was lost to a worker "
-                           f"fault (task {digest[:12]}={status})"))
+            result = ProvisionResult(request, winners[winner_of[sig]].plan)
         elif resolved[sig] is None:
             result = ProvisionResult(request, None, error=(
                 infeasible_budget_message(sig[0], request.max_duty, sig[3])))
         else:
             result = ProvisionResult(request, resolved[sig], from_cache=True)
         results.append(result)
-    return BatchReport(results=results, task_reports=outcome.reports,
-                       pool_rebuilds=outcome.pool_rebuilds,
+    return BatchReport(results=results,
                        store_stats=store.stats if store is not None else None)

@@ -1,10 +1,9 @@
-"""Fault-tolerant execution layer for winner constructions and sweep shards.
+"""Fault-tolerant execution layer for sweep shards.
 
 A plain ``pool.map`` fan-out has the failure semantics of its weakest
 worker: one crashed process aborts the whole batch and discards every
-already-completed result.  This runtime, which builds provisioning
-winners (:mod:`repro.service.api`) and runs sweep shards
-(:mod:`repro.analysis.sweeps`), keeps its guarantees under adversity
+already-completed result.  This runtime, which runs the shards of
+:mod:`repro.analysis.sweeps`, keeps its guarantees under adversity
 instead, in the spirit of the paper:
 
 * every distinct task is submitted as an **individual future**, so one
@@ -19,15 +18,13 @@ instead, in the spirit of the paper:
   flight at the moment of death are bisected — re-run alone — and
   **quarantined** when they kill a pool single-handedly;
 * completed tasks are **checkpointed** by the caller's callback the
-  moment they finish (provisioning writes plan entries into the
-  :class:`~repro.service.store.ScheduleStore`, sweeps write shard
-  files), so an interrupted run resumes warm with zero re-evaluation of
-  finished work.
+  moment they finish (sweeps write shard files), so an interrupted run
+  resumes warm with zero re-evaluation of finished work.
 
 Every task ends in exactly one terminal :class:`TaskReport` status —
 ``ok``, ``retried``, ``timed-out``, ``failed`` or ``quarantined`` — and
-:func:`execute_tasks` always returns the survivors' plans; it never raises
-because one task misbehaved.
+:func:`execute_tasks` always returns the survivors' results; it never
+raises because one task misbehaved.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from time import perf_counter
 from typing import Any
 
 from repro._validation import check_int
-from repro.core.planner import GridPoint, Plan, evaluate_grid_point
 from repro.faults import FaultPlan, RetryPolicy
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -90,8 +86,8 @@ class RuntimeConfig:
         waits forever, the pre-runtime behaviour.
     max_retries:
         How many *faulted* attempts (exceptions or timeouts) a task may
-        burn beyond its first before it is finalized.  Pool deaths blamed
-        on other tasks never charge this budget.
+        burn beyond its first before it is finalized.  Pool deaths never
+        charge this budget: *quarantine_after* deals with them.
     backoff_base, backoff_cap:
         The :class:`~repro.faults.RetryPolicy` backoff between a task's
         retries.
@@ -130,7 +126,7 @@ class RuntimeConfig:
 
 @dataclass
 class TaskReport:
-    """Per-task execution record returned alongside the plans.
+    """Per-task execution record returned alongside the results.
 
     Attributes
     ----------
@@ -141,8 +137,9 @@ class TaskReport:
     attempts:
         Times the task was submitted (including the successful one).
     fault_count:
-        Faults charged to this task: its own exceptions, timeouts and
-        pool deaths it was blamed for.
+        Faults this task met: its own exceptions and timeouts, and the
+        pool deaths it was in flight for.  Only the first two charge the
+        retry budget.
     error:
         Final failure description for unsuccessful statuses.
     duration_s:
@@ -167,7 +164,7 @@ class TaskReport:
 
     @property
     def succeeded(self) -> bool:
-        """True when the task produced a plan (``ok`` or ``retried``)."""
+        """True when the task produced a result (``ok`` or ``retried``)."""
         return self.status in (STATUS_OK, STATUS_RETRIED)
 
 
@@ -178,7 +175,7 @@ class RuntimeResult:
     Attributes
     ----------
     plans:
-        Store-key digest -> winning :class:`Plan` for every task that
+        Task digest -> the evaluation's result for every task that
         completed (including after retries).
     reports:
         Digest -> :class:`TaskReport`, one per distinct task.
@@ -187,7 +184,7 @@ class RuntimeResult:
         reclaimed hangs).
     """
 
-    plans: dict[str, Plan] = field(default_factory=dict)
+    plans: dict[str, Any] = field(default_factory=dict)
     reports: dict[str, TaskReport] = field(default_factory=dict)
     pool_rebuilds: int = 0
 
@@ -204,7 +201,7 @@ class RuntimeResult:
         return counts
 
     def failures(self) -> dict[str, TaskReport]:
-        """Digest -> report for every task that did not produce a plan."""
+        """Digest -> report for every task that did not produce a result."""
         return {d: r for d, r in self.reports.items() if not r.succeeded}
 
 
@@ -218,8 +215,7 @@ class _Instruments:
         self.registry = registry
         self.completed = registry.counter(
             "repro_runtime_tasks_completed_total",
-            "Runtime tasks (winner constructions, sweep shards) finished, "
-            "by terminal status.")
+            "Runtime tasks (sweep shards) finished, by terminal status.")
         self.retries = registry.counter(
             "repro_runtime_retries_total",
             "Retry attempts scheduled after a charged fault.").labels()
@@ -251,24 +247,15 @@ class _Instruments:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _evaluate(task) -> Plan:
-    """Evaluate one :class:`~repro.service.api.EvalTask`."""
-    point = GridPoint(task.family, task.source, task.alpha_t, task.alpha_r)
-    return evaluate_grid_point(point, task.d, balanced=task.balanced)
-
-
 def _worker(task, fault: str | None, hang_seconds: float,
-            slow_seconds: float, evaluate=_evaluate
-            ) -> tuple[str, Any, float, dict]:
+            slow_seconds: float, evaluate) -> tuple[str, Any, float, dict]:
     """Pool entry point: apply any injected fault, then evaluate.
 
     Module-level so the pool can pickle it by reference; *evaluate* must
-    likewise be a module-level callable (the default is the planner's
-    grid-point evaluation, the sweep engine ships its own).  ``crash``
-    kills the process outright (the BrokenProcessPool path), ``hang``
-    sleeps long enough to trip the per-task timeout, ``slow`` adds
-    latency, ``error`` raises — the four failure modes the runtime must
-    absorb.
+    likewise be a module-level callable.  ``crash`` kills the process
+    outright (the BrokenProcessPool path), ``hang`` sleeps long enough to
+    trip the per-task timeout, ``slow`` adds latency, ``error`` raises —
+    the four failure modes the runtime must absorb.
 
     Returns ``(digest, result, duration_s, metrics_snapshot)``: the
     evaluation is timed worker-side and recorded into a private
@@ -286,7 +273,7 @@ def _worker(task, fault: str | None, hang_seconds: float,
             f"injected worker error for task {task.key()[:12]}")
     registry = MetricsRegistry()
     start = perf_counter()
-    plan = evaluate(task)
+    value = evaluate(task)
     duration = perf_counter() - start
     registry.histogram(
         "repro_runtime_task_exec_seconds",
@@ -295,7 +282,7 @@ def _worker(task, fault: str | None, hang_seconds: float,
     registry.counter(
         "repro_runtime_worker_evaluations_total",
         "Evaluations completed inside pool workers.").inc()
-    return task.key(), plan, duration, registry.snapshot()
+    return task.key(), value, duration, registry.snapshot()
 
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
@@ -316,19 +303,21 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
 # ----------------------------------------------------------------------
 # driver side
 # ----------------------------------------------------------------------
-def execute_tasks(tasks, *, config: RuntimeConfig | None = None,
+def execute_tasks(tasks, *, evaluate, config: RuntimeConfig | None = None,
                   faults: FaultPlan | None = None,
                   registry: MetricsRegistry | None = None,
-                  evaluate=None, checkpoint=None
-                  ) -> RuntimeResult:
+                  checkpoint=None) -> RuntimeResult:
     """Run every task to a terminal status; never raise for a task fault.
 
     Parameters
     ----------
     tasks:
         Iterable of task objects exposing ``key() -> str`` (their identity
-        digest); duplicates are evaluated once.  The default *evaluate*
-        expects :class:`~repro.service.api.EvalTask`.
+        digest); duplicates are evaluated once.
+    evaluate:
+        The per-task evaluation callable, ``task -> result``; must be a
+        *module-level* function so the pool can pickle it by reference
+        (the sweep engine's is ``_evaluate_shard``).
     config:
         :class:`RuntimeConfig`; default runs inline with 2 retries.
     faults:
@@ -342,11 +331,6 @@ def execute_tasks(tasks, *, config: RuntimeConfig | None = None,
         default registry.  Worker-side metric deltas are merged in and
         the terminal-status counters reconcile exactly with
         :meth:`RuntimeResult.summary`.
-    evaluate:
-        The per-task evaluation callable, ``task -> result``; must be a
-        *module-level* function so the pool can pickle it by reference.
-        Defaults to building the task's planner grid point
-        (:func:`repro.core.planner.evaluate_grid_point`).
     checkpoint:
         Optional parent-side callable ``(task, result) -> None`` invoked
         the moment a task completes, so an interrupted run can resume
@@ -359,8 +343,6 @@ def execute_tasks(tasks, *, config: RuntimeConfig | None = None,
         Results for every survivor plus a :class:`TaskReport` per task.
     """
     config = config or RuntimeConfig()
-    if evaluate is None:
-        evaluate = _evaluate
     if checkpoint is None:
         def checkpoint(task, result):
             """No checkpoint: nothing is persisted."""
@@ -419,17 +401,17 @@ def _run_inline(distinct, config: RuntimeConfig, checkpoint,
                     with span("runtime.task", digest=digest[:12],
                               attempt=report.attempts):
                         start = perf_counter()
-                        plan = evaluate(task)
+                        value = evaluate(task)
                         duration = perf_counter() - start
                 except Exception as exc:
                     kind, error = "error", f"{type(exc).__name__}: {exc}"
             if kind is None:
-                result.plans[digest] = plan
+                result.plans[digest] = value
                 report.status = (STATUS_RETRIED if report.fault_count
                                  else STATUS_OK)
                 report.duration_s = duration
                 instruments.exec.observe(duration)
-                checkpoint(task, plan)
+                checkpoint(task, value)
                 _log.info("task_completed", extra={
                     "digest": digest[:12], "status": report.status,
                     "attempts": report.attempts,
@@ -468,7 +450,8 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
     retry_at: dict[str, float] = {}
     solo: deque[str] = deque()          # bisection queue: run one at a time
     inflight: dict[Future, tuple[str, float]] = {}
-    blame: dict[str, int] = {}
+    blame: dict[str, int] = {}          # pool deaths each task was in flight for
+    charged: dict[str, int] = {}        # each task's own errors and timeouts
     solo_digest: str | None = None
     hang_s = faults.hang_seconds if faults is not None else 0.0
     slow_s = faults.slow_seconds if faults is not None else 0.0
@@ -483,16 +466,16 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
             "digest": digest[:12], "status": status,
             "attempts": report.attempts, "error": error})
 
-    def succeed(digest: str, plan: Plan, duration: float,
+    def succeed(digest: str, value: Any, duration: float,
                 worker_snapshot: dict) -> None:
         nonlocal solo_digest
         report = result.reports[digest]
-        result.plans[digest] = plan
+        result.plans[digest] = value
         report.status = STATUS_RETRIED if report.fault_count else STATUS_OK
         report.duration_s = duration
         report.worker_metrics = worker_snapshot
         instruments.registry.merge(worker_snapshot)
-        checkpoint(distinct[digest], plan)
+        checkpoint(distinct[digest], value)
         # Worker processes have no ambient trace context: the span is
         # recorded parent-side, back-dated by the worker's own timing.
         default_tracer().record("runtime.task", duration,
@@ -509,12 +492,13 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
         nonlocal solo_digest
         report = result.reports[digest]
         report.fault_count += 1
+        charged[digest] = own = charged.get(digest, 0) + 1
         report.error = error
         if kind == "timeout":
             instruments.timeouts.inc()
         if solo_digest == digest:
             solo_digest = None
-        if report.fault_count > config.max_retries:
+        if own > config.max_retries:
             finalize(digest, STATUS_TIMED_OUT if kind == "timeout"
                      else STATUS_FAILED, error)
         else:
@@ -523,7 +507,7 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
                 "digest": digest[:12], "attempts": report.attempts,
                 "fault_count": report.fault_count, "error": error})
             retry_at[digest] = time.monotonic() + config.retry_policy(
-                faults).delay(digest, report.fault_count)
+                faults).delay(digest, own)
 
     def rebuild_pool() -> None:
         nonlocal pool
@@ -616,8 +600,8 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
                     continue  # every sibling future is poisoned too
                 digest, _started = inflight.pop(future)
                 if exc is None:
-                    _key, plan, duration, snapshot = future.result()
-                    succeed(digest, plan, duration, snapshot)
+                    _key, value, duration, snapshot = future.result()
+                    succeed(digest, value, duration, snapshot)
                 else:
                     charge(digest, "error",
                            f"{type(exc).__name__}: {exc}")

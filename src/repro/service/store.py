@@ -83,8 +83,7 @@ def default_cache_dir() -> Path:
 
 def eval_key(family: str, n: int, d: int, alpha_t: int, alpha_r: int,
              balanced: bool) -> dict[str, Any]:
-    """Canonical key document for one grid point; its digest names a
-    winner's construction task (:class:`repro.service.api.EvalTask`)."""
+    """Canonical key document for one grid point's evaluation entry."""
     return {
         "kind": "eval",
         "family": str(family),

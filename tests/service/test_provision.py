@@ -1,4 +1,5 @@
-"""The batch provisioning API and its parallel/sequential parity."""
+"""The batch provisioning API: parity with the sequential planner,
+deduplication, caching and warm resume."""
 
 from fractions import Fraction
 
@@ -112,12 +113,6 @@ class TestResultFromDict:
         with pytest.raises(ValueError, match="'from_cache' must be a boolean"):
             ProvisionResult.from_dict(doc)
 
-    def test_failed_tasks_list_is_rejected(self):
-        doc = self._success_doc()
-        doc["failed_tasks"] = []
-        with pytest.raises(ValueError, match="'failed_tasks' must be a JSON"):
-            ProvisionResult.from_dict(doc)
-
     def test_null_throughput_is_rejected(self):
         doc = self._success_doc()
         doc["throughput"] = None
@@ -148,13 +143,6 @@ class TestBatch:
             assert res.plan == plan_schedule(req.n, req.d, req.max_duty,
                                              balanced=req.balanced)
             assert is_topology_transparent(res.plan.schedule, req.d)
-
-    def test_jobs_1_and_jobs_4_identical(self):
-        requests = [ProvisionRequest(15, 2, 0.4),
-                    ProvisionRequest(12, 2, 0.5)]
-        sequential = provision_batch(requests, jobs=1)
-        parallel = provision_batch(requests, jobs=4)
-        assert [r.plan for r in sequential] == [r.plan for r in parallel]
 
     def test_duplicate_requests_computed_once(self, monkeypatch):
         calls = _count_constructions(monkeypatch)
@@ -189,23 +177,13 @@ class TestCaching:
     def test_second_batch_zero_constructions(self, store, monkeypatch):
         requests = [ProvisionRequest(15, 2, 0.4),
                     ProvisionRequest(12, 2, 0.5)]
-        cold = provision_batch(requests, store=store, jobs=1)
+        cold = provision_batch(requests, store=store)
         assert all(not r.from_cache for r in cold)
         calls = _count_constructions(monkeypatch)
-        warm = provision_batch(requests,
-                               store=ScheduleStore(store.cache_dir), jobs=1)
+        warm = provision_batch(requests, store=ScheduleStore(store.cache_dir))
         assert calls == []
         assert all(r.from_cache for r in warm)
         assert [r.plan for r in warm] == [r.plan for r in cold]
-
-    def test_cold_parallel_equals_cold_sequential_through_cache(
-            self, tmp_path):
-        requests = [ProvisionRequest(15, 2, 0.4), ProvisionRequest(12, 2, 0.5)]
-        seq = provision_batch(requests,
-                              store=ScheduleStore(tmp_path / "a"), jobs=1)
-        par = provision_batch(requests,
-                              store=ScheduleStore(tmp_path / "b"), jobs=4)
-        assert [r.plan for r in seq] == [r.plan for r in par]
 
     def test_cold_request_constructs_only_its_winner(self, store,
                                                      monkeypatch):
@@ -241,96 +219,52 @@ class TestResultDataclass:
             result.from_cache = True  # type: ignore[misc]
 
 
-def _grid_digests(n=12, d=2, duty=0.5, balanced=False):
-    """The task digests of the planner grid, in grid order."""
-    from repro.core.planner import (candidate_sources, duty_budget_fraction,
-                                    duty_grid)
-    from repro.service.api import task_from_point
-    points = duty_grid(n, d, duty_budget_fraction(duty),
-                       candidate_sources(n, d))
-    return [task_from_point(p, n, d, balanced).key() for p in points]
-
-
-def _winner_digest(n, d, duty, balanced=False):
-    """The task digest of the class's winning grid point."""
-    from repro.core.planner import (candidate_sources, duty_budget_fraction,
-                                    select_winner)
-    from repro.service.api import task_from_point
-    best = select_winner(n, d, duty_budget_fraction(duty),
-                         candidate_sources(n, d), balanced=balanced)
-    return task_from_point(best.point, n, d, balanced).key()
-
-
 class TestFaultTolerance:
-    """A crashed and a wedged winner construction, then warm resume."""
+    """A winner construction that raises, then warm resume."""
 
-    def test_crash_and_hang_then_resume_from_checkpoint(
+    def test_raising_construction_then_resume_from_checkpoint(
             self, store, monkeypatch):
-        from repro.faults import FaultPlan
+        import repro.service.api as api_mod
         from repro.service.api import provision_batch_report
-        from repro.service.runtime import RuntimeConfig
 
-        crash, hang = _winner_digest(12, 2, 0.5), _winner_digest(15, 2, 0.4)
-        assert crash != hang
-        faults = FaultPlan(hang_seconds=20, targeted_worker_faults=(
-            (crash, ("crash",)), (hang, ("hang",) * 4)))
+        real = api_mod.evaluate_grid_point
+        built = []
+
+        def second_one_raises(point, d, **kwargs):
+            built.append(point)
+            if len(built) == 2:
+                raise RuntimeError("construction failed")
+            return real(point, d, **kwargs)
+
+        monkeypatch.setattr(api_mod, "evaluate_grid_point", second_one_raises)
         requests = [ProvisionRequest(12, 2, 0.5), ProvisionRequest(15, 2, 0.4)]
 
-        # --- faulted run: one worker crash, one wedged worker ----------
-        report = provision_batch_report(
-            requests, store=store,
-            runtime=RuntimeConfig(jobs=2, task_timeout=1.0, max_retries=1,
-                                  backoff_base=0.01),
-            faults=faults)
-        assert report.pool_rebuilds >= 1
-        assert report.task_summary() == {"retried": 1, "timed-out": 1}
-        assert report.task_reports[crash].status == "retried"
-        assert report.task_reports[hang].status == "timed-out"
-        answered, lost = report.results
-        assert answered.error is None
-        assert answered.plan == plan_schedule(12, 2, 0.5)
-        assert lost.plan is None
-        assert lost.failed_tasks == ((hang, "timed-out"),)
-        assert f"{hang[:12]}=timed-out" in lost.error
-        # The crashed-then-retried winner was checkpointed as a plan
-        # entry; the lost one left nothing behind.
-        assert store.get_plan(12, 2, Fraction(1, 2), False) == answered.plan
+        # --- the second winner's construction raises, and so does the batch
+        with pytest.raises(RuntimeError, match="construction failed"):
+            provision_batch_report(requests, store=store)
+        # The first winner was checkpointed as a plan entry the moment it
+        # was built; the failed one left nothing behind.
+        first = store.get_plan(12, 2, Fraction(1, 2), False)
+        assert first == plan_schedule(12, 2, 0.5)
         assert store.get_plan(15, 2, Fraction(2, 5), False) is None
 
-        # --- warm re-run: only the lost winner is constructed ----------
+        # --- warm re-run: only the failed winner is constructed --------
+        monkeypatch.undo()
         calls = _count_constructions(monkeypatch)
         warm_store = ScheduleStore(store.cache_dir)
         resumed = provision_batch_report(requests, store=warm_store)
         assert len(calls) == 1
         cached, final = resumed.results
-        assert cached.from_cache and cached.plan == answered.plan
-        assert not final.from_cache and final.failed_tasks == ()
+        assert cached.from_cache and cached.plan == first
+        assert not final.from_cache
         assert final.plan == plan_schedule(15, 2, 0.4)
-        assert resumed.task_summary() == {"ok": 1}
-        assert warm_store.stats.stores == 1  # the lost winner's plan
-
-    def test_all_grid_points_lost_yields_error_not_raise(self):
-        from repro.faults import FaultPlan
-        from repro.service.runtime import RuntimeConfig
-
-        faults = FaultPlan(targeted_worker_faults=tuple(
-            (d, ("error",) * 9) for d in _grid_digests()))
-        results = provision_batch(
-            [ProvisionRequest(12, 2, 0.5)],
-            runtime=RuntimeConfig(max_retries=0), faults=faults)
-        result = results[0]
-        assert result.plan is None
-        assert "lost to a worker fault" in result.error
-        # Only the winner is ever built, so only it can be lost.
-        assert result.failed_tasks == ((_winner_digest(12, 2, 0.5),
-                                        "failed"),)
+        assert warm_store.stats.stores == 1  # the failed winner's plan
 
     def test_healthy_batch_report_shape(self, store):
         from repro.service.api import provision_batch_report
 
         report = provision_batch_report(
             [ProvisionRequest(12, 2, 0.5)], store=store)
-        assert report.pool_rebuilds == 0
-        assert report.task_summary() == {"ok": 1}
+        assert [r.error for r in report.results] == [None]
         assert report.store_stats is store.stats
         assert report.store_stats.stores == 1

@@ -1,4 +1,8 @@
-"""The fault-tolerant runtime: retries, pool recovery, quarantine."""
+"""The fault-tolerant runtime: retries, pool recovery, quarantine.
+
+Its tasks are sweep shards (:class:`~repro.analysis.sweeps.ShardTask`
+evaluated by ``_evaluate_shard``), the runtime's one caller.
+"""
 
 import dataclasses
 import multiprocessing
@@ -6,14 +10,8 @@ import time
 
 import pytest
 
-from repro.core.planner import (
-    candidate_sources,
-    duty_budget_fraction,
-    duty_grid,
-)
+from repro.analysis.sweeps import ShardTask, SweepSpec, _evaluate_shard
 from repro.faults import FaultPlan
-import repro.service.runtime as runtime_mod
-from repro.service.api import task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     STATUS_FAILED,
@@ -22,20 +20,29 @@ from repro.service.runtime import (
     STATUS_RETRIED,
     STATUS_TIMED_OUT,
     TERMINAL_STATUSES,
-    execute_tasks,
+    execute_tasks as _execute_tasks,
 )
 
+#: Four cheap points: one-frame saturated TDMA runs on 8-node rings of
+#: degree 2, one point per shard.
+SPEC = SweepSpec(families=("tdma",), ns=(8,), ds=(2,), seeds=(0, 1, 2, 3),
+                 frames=1)
 
-def _grid_tasks(n=12, d=2, duty=0.5, balanced=False):
-    points = duty_grid(n, d, duty_budget_fraction(duty),
-                       candidate_sources(n, d))
-    return [task_from_point(p, n, d, balanced) for p in points]
+
+def execute_tasks(tasks, **kwargs):
+    """The runtime evaluating sweep shards."""
+    return _execute_tasks(tasks, evaluate=_evaluate_shard, **kwargs)
+
+
+def _shard_tasks(spec=SPEC):
+    return [ShardTask(spec, (point,), i)
+            for i, point in enumerate(spec.expand())]
 
 
 @pytest.fixture(scope="module")
 def tasks():
-    """The planner grid for (n=12, D=2, duty 1/2): a handful of tasks."""
-    out = _grid_tasks()
+    """One-point shards of a small sweep: a handful of tasks."""
+    out = _shard_tasks()
     assert len(out) >= 3  # the scenarios below need a few distinct tasks
     return out
 
@@ -207,6 +214,26 @@ class TestPool:
                 assert outcome.plans[digest] == clean_plans[digest]
 
 
+    def test_crash_victim_keeps_its_retry_budget(self, tasks, clean_plans):
+        """A pool death caused by a sibling's crash is not the victim's
+        fault: it still has its whole retry budget for its own."""
+        crash, victim = tasks[0].key(), tasks[1].key()
+        faults = FaultPlan(slow_seconds=1.0, targeted_worker_faults=(
+            (crash, ("crash", "ok")), (victim, ("slow", "error", "ok"))))
+        outcome = execute_tasks(
+            tasks[:2],
+            config=RuntimeConfig(jobs=2, max_retries=1, backoff_base=0.01),
+            faults=faults)
+        assert outcome.pool_rebuilds == 1
+        report = outcome.reports[victim]
+        assert report.status == STATUS_RETRIED
+        assert report.attempts == 3
+        # Its one pool death and its one own error are both faults.
+        assert report.fault_count == 2
+        assert outcome.plans[victim] == clean_plans[victim]
+        assert outcome.reports[crash].status == STATUS_RETRIED
+
+
 class TestEvaluateTasks:
     """Evaluating a batch of tasks: one raising task spares the rest."""
 
@@ -215,10 +242,10 @@ class TestEvaluateTasks:
         """Regression: a task whose evaluation raises used to abort the
         whole ``pool.map`` and discard every finished sibling.  Now the
         survivors come back and only the bad task is missing."""
-        bad = dataclasses.replace(tasks[0], alpha_t=tasks[0].n,
-                                  alpha_r=tasks[0].n)
+        bad = dataclasses.replace(tasks[0], points=(dataclasses.replace(
+            tasks[0].points[0], family="no-such-family"),))
         with pytest.raises(Exception):
-            runtime_mod._evaluate(bad)  # the bad task genuinely raises
+            _evaluate_shard(bad)  # the bad task genuinely raises
         outcome = execute_tasks(list(tasks) + [bad],
                                 config=RuntimeConfig(max_retries=0))
         assert outcome.reports[bad.key()].status == STATUS_FAILED

@@ -10,30 +10,31 @@ task carries a positive ``duration_s``.
 
 import pytest
 
-from repro.core.planner import (
-    candidate_sources,
-    duty_budget_fraction,
-    duty_grid,
-)
+from repro.analysis.sweeps import ShardTask, SweepSpec, _evaluate_shard
 from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
-from repro.service.api import task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     STATUS_OK,
     STATUS_QUARANTINED,
     STATUS_RETRIED,
     STATUS_TIMED_OUT,
-    execute_tasks,
+    execute_tasks as _execute_tasks,
 )
+
+
+def execute_tasks(tasks, **kwargs):
+    """The runtime evaluating sweep shards."""
+    return _execute_tasks(tasks, evaluate=_evaluate_shard, **kwargs)
 
 
 @pytest.fixture(scope="module")
 def tasks():
-    """The planner grid for (n=12, D=2, duty 1/2): a handful of tasks."""
-    points = duty_grid(12, 2, duty_budget_fraction(0.5),
-                       candidate_sources(12, 2))
-    out = [task_from_point(p, 12, 2, False) for p in points]
+    """One-point shards of a small sweep: a handful of tasks."""
+    spec = SweepSpec(families=("tdma",), ns=(8,), ds=(2,),
+                     seeds=(0, 1, 2, 3), frames=1)
+    out = [ShardTask(spec, (point,), i)
+           for i, point in enumerate(spec.expand())]
     assert len(out) >= 3
     return out
 

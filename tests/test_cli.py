@@ -1,6 +1,7 @@
 """The command-line interface, exercised through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -277,18 +278,6 @@ class TestProvision:
         assert doc["family"]
         assert "schedule" not in doc
 
-    def test_jobs_parallel_matches_sequential(self, tmp_path):
-        inp = self.write_requests(tmp_path, [
-            '{"n": 15, "d": 2, "max_duty": 0.4}',
-            '{"n": 12, "d": 2, "max_duty": 0.5}',
-        ])
-        seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
-        assert main(["provision", "-i", str(inp), "-o", str(seq),
-                     "--no-cache", "--jobs", "1"]) == 0
-        assert main(["provision", "-i", str(inp), "-o", str(par),
-                     "--no-cache", "--jobs", "4"]) == 0
-        assert seq.read_text() == par.read_text()
-
     def test_bad_json_line_is_reported(self, tmp_path, capsys):
         inp = self.write_requests(tmp_path, ['{"n": 12,'])
         rc = main(["provision", "-i", str(inp), "--no-cache"])
@@ -360,15 +349,6 @@ class TestSimulateFaults:
 
 
 class TestProvisionFaults:
-    @staticmethod
-    def winner_digest():
-        from repro.core.planner import (candidate_sources,
-                                        duty_budget_fraction, select_winner)
-        from repro.service.api import task_from_point
-        best = select_winner(12, 2, duty_budget_fraction(0.5),
-                             candidate_sources(12, 2))
-        return task_from_point(best.point, 12, 2, False).key()
-
     def test_stats_flag_emits_store_json(self, tmp_path, capsys):
         inp = tmp_path / "requests.jsonl"
         inp.write_text('{"n": 12, "d": 2, "max_duty": 0.5}\n')
@@ -381,44 +361,13 @@ class TestProvisionFaults:
         stats = json.loads(err[1])
         assert stats["stores"] > 0 and stats["corruptions"] == 0
 
-    def test_lost_winner_is_a_request_error_with_exit_code_1(self, tmp_path,
-                                                             capsys):
-        inp = tmp_path / "requests.jsonl"
-        inp.write_text('{"n": 12, "d": 2, "max_duty": 0.5}\n'
-                       '{"n": 15, "d": 2, "max_duty": 0.4}\n')
-        victim = self.winner_digest()
-        plan = tmp_path / "faults.json"
-        plan.write_text(json.dumps(
-            {"targeted_worker_faults": {victim: ["error"] * 9}}))
-        out = tmp_path / "plans.jsonl"
-        rc = main(["provision", "-i", str(inp), "-o", str(out), "--no-cache",
-                   "--no-schedules", "--max-retries", "0",
-                   "--fault-plan", str(plan)])
-        assert rc == 1
-        captured = capsys.readouterr()
-        lost, answered = map(json.loads, out.read_text().splitlines())
-        assert lost["failed_tasks"] == {victim: "failed"}
-        assert f"{victim[:12]}=failed" in lost["error"]
-        assert "family" not in lost
-        assert answered["family"] and "error" not in answered
-        assert "provisioned 1/2 requests" in captured.err
-        assert "1 failed, 1 ok" in captured.err
-
-    def test_malformed_fault_plan_is_an_input_error(self, tmp_path, capsys):
-        inp = tmp_path / "requests.jsonl"
-        inp.write_text('{"n": 12, "d": 2, "max_duty": 0.5}\n')
-        plan = tmp_path / "faults.json"
-        plan.write_text(json.dumps({"link_los": 0.1}))
-        rc = main(["provision", "-i", str(inp), "--no-cache",
-                   "--fault-plan", str(plan)])
-        assert rc == 2
-        assert "unknown fields" in capsys.readouterr().err
-
 
 class TestObservabilityFlags:
     """The global --log-*/--metrics-out/--trace-out/--profile flags."""
 
     REQUESTS = '{"n": 12, "d": 2, "max_duty": 0.5}\n'
+    #: Two points; one-point shards make them two runtime tasks.
+    SWEEP_SPEC = Path(__file__).parent / "data" / "sweep_golden_spec.jsonl"
 
     def provision(self, tmp_path, *extra):
         inp = tmp_path / "requests.jsonl"
@@ -427,18 +376,26 @@ class TestObservabilityFlags:
                      "-o", str(tmp_path / "plans.jsonl"),
                      "--cache-dir", str(tmp_path / "cache"), *extra])
 
+    def sweep(self, tmp_path, *extra):
+        """``repro sweep``: the runtime's events and counters come from
+        its shards."""
+        return main(["sweep", "-i", str(self.SWEEP_SPEC),
+                     "-o", str(tmp_path / "rows.jsonl"),
+                     "--shard-size", "1", *extra])
+
     def test_metrics_out_writes_valid_reconciling_snapshot(self, tmp_path):
         metrics = tmp_path / "m.json"
-        assert self.provision(tmp_path, "--jobs", "2",
-                              "--metrics-out", str(metrics)) == 0
+        assert self.sweep(tmp_path, "--jobs", "2",
+                          "--metrics-out", str(metrics)) == 0
         doc = json.loads(metrics.read_text())
         assert doc["format"] == "repro-metrics" and doc["version"] == 1
         completed = doc["counters"]["repro_runtime_tasks_completed_total"]
         total = sum(s["value"] for s in completed["series"])
         assert total > 0
-        # each constructed winner's checkpoint wrote its plan entry
-        writes = doc["counters"]["repro_store_writes_total"]["series"][0]
-        assert writes["value"] == total == 1
+        # each completed task was merged as one computed shard
+        shards = doc["counters"]["repro_sweep_shards_total"]["series"]
+        assert [s["labels"] for s in shards] == [{"result": "computed"}]
+        assert shards[0]["value"] == total == 2
         from repro.obs.metrics import validate_snapshot as validate
         assert validate(doc) == []
 
@@ -450,14 +407,14 @@ class TestObservabilityFlags:
                  for line in trace.read_text().splitlines() if line}
         assert {"provision.plan", "provision.evaluate",
                 "provision.store"} <= names
-        # jobs=1 evaluates inline, so per-grid-point planner spans appear
+        # the winner is built in-process, so its planner span appears
         assert "planner.evaluate" in names
         err = capsys.readouterr().err
         assert "provision.evaluate" in err  # the --profile table
         assert "total_s" in err
 
     def test_json_log_format_emits_lifecycle_events(self, tmp_path, capsys):
-        assert self.provision(tmp_path, "--log-format", "json") == 0
+        assert self.sweep(tmp_path, "--log-format", "json") == 0
         events = []
         for line in capsys.readouterr().err.splitlines():
             try:
@@ -469,8 +426,8 @@ class TestObservabilityFlags:
         assert "batch_finished" in events
 
     def test_log_level_silences_lifecycle_events(self, tmp_path, capsys):
-        assert self.provision(tmp_path, "--log-format", "json",
-                              "--log-level", "error") == 0
+        assert self.sweep(tmp_path, "--log-format", "json",
+                          "--log-level", "error") == 0
         assert "task_completed" not in capsys.readouterr().err
 
     def test_stats_routes_through_the_metrics_exporter(self, tmp_path,
