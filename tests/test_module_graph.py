@@ -50,3 +50,13 @@ def test_every_module_is_imported_by_another():
                if path.name != "__init__.py" and name != "repro.__main__"
                and name not in imported}
     assert orphans == ALLOWED_ORPHANS
+
+
+def test_the_runtime_imports_nothing_from_core():
+    """The fault-tolerant runtime runs whatever module-level evaluation
+    its caller passes (the sweep engine's shards); it does not reach
+    into the planner or any other ``repro.core`` module."""
+    path = SRC / "repro" / "service" / "runtime.py"
+    core = {name for name in _imports(path, "repro.service.runtime")
+            if name == "repro.core" or name.startswith("repro.core.")}
+    assert core == set()
