@@ -23,8 +23,8 @@ from repro.service.runtime import (
     execute_tasks as _execute_tasks,
 )
 
-#: Four cheap points: one-frame saturated TDMA runs on 8-node rings of
-#: degree 2, one point per shard.
+#: Four cheap points: one-frame saturated TDMA runs on 2-regular 8-node
+#: topologies, one point per shard.
 SPEC = SweepSpec(families=("tdma",), ns=(8,), ds=(2,), seeds=(0, 1, 2, 3),
                  frames=1)
 
@@ -34,15 +34,11 @@ def execute_tasks(tasks, **kwargs):
     return _execute_tasks(tasks, evaluate=_evaluate_shard, **kwargs)
 
 
-def _shard_tasks(spec=SPEC):
-    return [ShardTask(spec, (point,), i)
-            for i, point in enumerate(spec.expand())]
-
-
 @pytest.fixture(scope="module")
 def tasks():
     """One-point shards of a small sweep: a handful of tasks."""
-    out = _shard_tasks()
+    out = [ShardTask(SPEC, (point,), i)
+           for i, point in enumerate(SPEC.expand())]
     assert len(out) >= 3  # the scenarios below need a few distinct tasks
     return out
 
