@@ -57,6 +57,19 @@ SITES = [
          0.312966187661247],
         id="runtime-fault-plan"),
     pytest.param(
+        lambda k: RuntimeConfig().retry_policy(None).delay("abc", k),
+        [0.0621447235988019, 0.12242682326321229, 0.15354999373174033,
+         0.5918815510374053, 1.063111596528659, 0.8800521156929064,
+         0.5544314907809301],
+        id="runtime-default"),
+    pytest.param(
+        lambda k: RuntimeConfig()
+        .retry_policy(FaultPlan(seed=11, link_loss=0.1)).delay("abc", k),
+        [0.05886690934967203, 0.09282638045045002, 0.21596985284737574,
+         0.5964001658690137, 1.1415927755426107, 0.7454566989753411,
+         1.04322062553749],
+        id="runtime-default-fault-plan"),
+    pytest.param(
         lambda k: CircuitBreaker("a:1", reset_timeout_s=1.0,
                                  plan=FaultPlan(seed=5))
         .policy.delay("breaker:a:1", k),

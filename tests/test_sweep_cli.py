@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.faults import FaultPlan
-from repro.analysis.sweeps import ShardTask, SweepSpec
+from repro.analysis.sweeps import ShardTask, SweepRunner, SweepSpec
 from repro.analysis.sweeps import validate_row as validate
 from repro.analysis.sweeps import validate_rows as validate_lines
 
@@ -117,6 +118,33 @@ class TestCliErrors:
         rows = [json.loads(line) for line in
                 out.read_text().splitlines()]
         assert "error" in rows[0] and "metrics" in rows[1]
+
+    def test_hung_shard_times_out_in_the_pool(self, capsys, tmp_path):
+        """A pool worker that hangs is reclaimed at the per-shard timeout:
+        its shard degrades to error rows, every other row is golden, and
+        the run ends long before the hang would."""
+        spec = SweepSpec.from_dict(
+            json.loads(GOLDEN_SPEC.read_text().splitlines()[0]))
+        digest = SweepRunner(spec, shard_size=1).run().shard_digests[0]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(FaultPlan(
+            hang_seconds=30,
+            targeted_worker_faults=((digest, ("hang",)),)).to_dict()))
+        out = tmp_path / "out.jsonl"
+        start = time.monotonic()
+        assert main(["sweep", "-i", str(GOLDEN_SPEC), "-o", str(out),
+                     "--jobs", "2", "--shard-size", "1",
+                     "--task-timeout", "1", "--max-retries", "0",
+                     "--fault-plan", str(plan)]) == 3
+        assert time.monotonic() - start < 15
+        assert "1 shards failed" in capsys.readouterr().err
+        golden = GOLDEN.read_text().splitlines()
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(golden) == 2
+        row = json.loads(lines[0])
+        assert row["point"] == json.loads(golden[0])["point"]
+        assert row["error"].startswith("shard timed-out: ")
+        assert lines[1:] == golden[1:]
 
 
 class TestValidator:
