@@ -144,6 +144,14 @@ class ProvisionRequest:
                 "balanced": self.balanced}
 
 
+#: The fields :meth:`ProvisionResult.to_dict` writes for an error result
+#: and for a plan.
+_ERROR_FIELDS = frozenset({"request", "error"})
+_PLAN_FIELDS = frozenset({"request", "family", "alpha_t", "alpha_r",
+                          "throughput", "duty_cycle", "frame_length",
+                          "from_cache", "schedule"})
+
+
 @dataclass(frozen=True)
 class ProvisionResult:
     """Outcome of one request within a batch.
@@ -201,12 +209,16 @@ class ProvisionResult:
         equals ``r.to_dict()`` exactly.  Success documents must embed the
         ``schedule`` payload (``to_dict(include_schedule=True)``) — a plan
         cannot be reconstructed without its slot tables.  Strict like
-        :meth:`ProvisionRequest.from_dict`: a missing or mistyped field,
-        or a ``frame_length`` the embedded schedule disagrees with,
-        raises a ``ValueError`` naming the field.
+        :meth:`ProvisionRequest.from_dict`: an unknown, missing or
+        mistyped field, or a ``frame_length`` the embedded schedule
+        disagrees with, raises a ``ValueError`` naming the field.
         """
         if not isinstance(doc, dict):
             raise ValueError("result must be a JSON object")
+        unknown = set(doc) - (_ERROR_FIELDS if "error" in doc
+                              else _PLAN_FIELDS)
+        if unknown:
+            raise ValueError(f"result has unknown fields: {sorted(unknown)}")
         request = ProvisionRequest.from_dict(_field(doc, "request", dict))
         if "error" in doc:
             return cls(request, None, error=_field(doc, "error", str))
