@@ -3,8 +3,10 @@
 Single-seed simulation numbers are anecdotes; the E9-class studies report
 means with confidence intervals across independent seeds.  This module
 provides the small, dependency-light pieces: Student-t confidence
-intervals (via scipy), a replicated-run helper, and a significance check
-for pairwise scheme comparisons.
+intervals, a replicated-run helper, and a significance check for
+pairwise scheme comparisons.  The t quantile and Welch's test come from
+scipy, a test-only dependency imported when first needed, so the rest of
+the program runs without it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,22 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro._validation import check_int, check_probability
 
 __all__ = ["Estimate", "t_confidence_interval", "replicate", "welch_t_test"]
+
+
+def _scipy_stats():
+    """``scipy.stats``, or an ``ImportError`` that names the package."""
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise ImportError(
+            "repro.analysis.stats needs scipy for Student-t intervals and "
+            "Welch's t-test: pip install scipy (it is in the 'test' "
+            "extra)") from exc
+    return stats
 
 
 @dataclass(frozen=True)
@@ -57,7 +70,7 @@ def t_confidence_interval(samples: Sequence[float], *,
     sem = float(xs.std(ddof=1)) / np.sqrt(xs.size)
     if sem == 0.0:
         return Estimate(mean, 0.0, tuple(float(x) for x in xs))
-    t = float(sps.t.ppf(0.5 + confidence / 2.0, df=xs.size - 1))
+    t = float(_scipy_stats().t.ppf(0.5 + confidence / 2.0, df=xs.size - 1))
     return Estimate(mean, t * sem, tuple(float(x) for x in xs))
 
 
@@ -99,5 +112,5 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> float:
     xb = np.asarray(list(b), dtype=np.float64)
     if xa.size < 2 or xb.size < 2:
         raise ValueError("need >= 2 samples on each side")
-    result = sps.ttest_ind(xa, xb, equal_var=False)
+    result = _scipy_stats().ttest_ind(xa, xb, equal_var=False)
     return float(result.pvalue)
