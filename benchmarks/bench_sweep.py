@@ -18,6 +18,7 @@ from repro.analysis.sweeps import (
     _build_schedule,
     _build_topology,
 )
+from repro.service.runtime import RuntimeConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.traffic import SaturatedTraffic
 
@@ -43,7 +44,8 @@ def test_sweep_engine_speedup(report, headline):
     serial_s = perf_counter() - started
 
     started = perf_counter()
-    fast = SweepRunner(SPEC, jobs=8, shard_size=1).run()
+    fast = SweepRunner(SPEC, shard_size=1,
+                       config=RuntimeConfig(jobs=8)).run()
     engine_s = perf_counter() - started
     speedup = serial_s / engine_s
 
@@ -55,7 +57,7 @@ def test_sweep_engine_speedup(report, headline):
             == record["successes"]
 
     # Determinism: worker count cannot change a single byte.
-    single = SweepRunner(SPEC, jobs=1, shard_size=1).run()
+    single = SweepRunner(SPEC, shard_size=1).run()
     assert fast.to_jsonl() == single.to_jsonl()
     assert fast.complete
 

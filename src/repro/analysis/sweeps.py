@@ -7,11 +7,13 @@ Two generations live here:
   against;
 * the **sweep engine** — :class:`SweepSpec` / :class:`SweepRunner` — which
   expands a simulation parameter grid (schedule family × n × D × traffic ×
-  seeds), deduplicates points, fans fixed-size *shards* out over the
-  fault-tolerant process pool of :mod:`repro.service.runtime` (per-shard
-  timeout, retry and quarantine for free), checkpoints every finished
-  shard as content-addressed JSONL so an interrupted sweep warm-resumes,
-  and merges shard results **in grid order** — the merged output is
+  seeds), deduplicates points, runs fixed-size *shards* on the
+  fault-tolerant runtime of :mod:`repro.service.runtime` (per-shard
+  timeout, retry and quarantine for free; one
+  :class:`~repro.service.runtime.RuntimeConfig` sets the pool width, the
+  timeout and the retry budget), checkpoints every finished shard as
+  content-addressed JSONL so an interrupted sweep warm-resumes, and
+  merges shard results **in grid order** — the merged output is
   byte-identical whatever the worker count or completion order.
 
 Determinism is the engine's contract, enforced by the regression suite:
@@ -37,7 +39,7 @@ import itertools
 import json
 import os
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from math import isqrt
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -404,7 +406,6 @@ class ShardTask:
 
     spec: SweepSpec
     points: tuple[SweepPoint, ...]
-    index: int
 
     def key(self) -> str:
         """SHA-256 digest of the shard's canonical key document."""
@@ -465,8 +466,6 @@ class SweepRunner:
     ----------
     spec:
         The grid to sweep.
-    jobs:
-        Worker-pool width; ``1`` runs shards inline (no processes).
     shard_size:
         Grid points per shard — the unit of checkpointing, retry and
         quarantine.
@@ -480,8 +479,9 @@ class SweepRunner:
         parses and matches the shard's points line for line; anything
         else is recomputed.
     config:
-        Base :class:`~repro.service.runtime.RuntimeConfig` (timeout,
-        retries, backoff); its ``jobs`` is overridden by *jobs*.
+        The :class:`~repro.service.runtime.RuntimeConfig`: pool width
+        (``jobs=1``, the default, runs shards inline with no processes),
+        per-shard timeout and retries.
     faults:
         Optional :class:`~repro.faults.FaultPlan` injecting worker
         crash/hang/slow/error faults per shard attempt (chaos tests).
@@ -490,24 +490,20 @@ class SweepRunner:
         process default registry.
     """
 
-    def __init__(self, spec: SweepSpec, *, jobs: int = 1,
-                 shard_size: int = 8,
+    def __init__(self, spec: SweepSpec, *, shard_size: int = 8,
                  checkpoint_dir: str | os.PathLike | None = None,
                  resume: bool = False,
                  config: RuntimeConfig | None = None,
                  faults: FaultPlan | None = None,
                  registry: MetricsRegistry | None = None) -> None:
         self.spec = spec
-        self.jobs = check_int(jobs, "jobs", minimum=1)
         self.shard_size = check_int(shard_size, "shard_size", minimum=1)
         self.checkpoint_dir = (Path(checkpoint_dir)
                                if checkpoint_dir is not None else None)
         if resume and self.checkpoint_dir is None:
             raise ValueError("resume requires a checkpoint_dir")
         self.resume = resume
-        base = config or RuntimeConfig()
-        self.config = (base if base.jobs == self.jobs
-                       else replace(base, jobs=self.jobs))
+        self.config = config or RuntimeConfig()
         self.faults = faults
         self._registry = registry
 
@@ -572,8 +568,7 @@ class SweepRunner:
             "repro_sweep_shards_total",
             "Sweep shards finished, by provenance.")
         points = self.spec.expand()
-        tasks = [ShardTask(self.spec, tuple(points[i:i + self.shard_size]),
-                           i // self.shard_size)
+        tasks = [ShardTask(self.spec, tuple(points[i:i + self.shard_size]))
                  for i in range(0, len(points), self.shard_size)]
         result = SweepResult(self.spec,
                              shard_digests=[t.key() for t in tasks])
@@ -590,17 +585,16 @@ class SweepRunner:
         result.resumed_shards = len(tasks) - len(pending)
         _log.info("sweep_started", extra={
             "points": len(points), "shards": len(tasks),
-            "resumed": result.resumed_shards, "jobs": self.jobs,
+            "resumed": result.resumed_shards, "jobs": self.config.jobs,
             "shard_size": self.shard_size})
 
-        checkpoint = (self._write_checkpoint if self.checkpoint_dir is not None
-                      else (lambda task, rows: None))
         with span("sweep.run", points=len(points), shards=len(tasks),
-                  resumed=result.resumed_shards, jobs=self.jobs):
+                  resumed=result.resumed_shards, jobs=self.config.jobs):
             outcome = execute_tasks(
                 pending, config=self.config, faults=self.faults,
                 registry=registry, evaluate=_evaluate_shard,
-                checkpoint=checkpoint)
+                checkpoint=(self._write_checkpoint
+                            if self.checkpoint_dir is not None else None))
         result.reports = outcome.reports
 
         # Deterministic merge: shard order == grid order, whatever the

@@ -1029,8 +1029,7 @@ def _cmd_sweep(args) -> int:
         return 2
     results = []
     for spec in specs:
-        runner = SweepRunner(spec, jobs=args.jobs,
-                             shard_size=args.shard_size,
+        runner = SweepRunner(spec, shard_size=args.shard_size,
                              checkpoint_dir=args.checkpoint_dir,
                              resume=args.resume, config=config,
                              faults=faults)

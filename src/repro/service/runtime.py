@@ -12,7 +12,8 @@ instead, in the spirit of the paper:
   is rebuilt, because a stuck process cannot be cancelled);
 * task-level exceptions and timeouts are **retried** after the seeded
   exponential backoff of :class:`repro.faults.RetryPolicy` (even the
-  jitter is reproducible);
+  jitter is reproducible): inline through its ``run`` loop, in the pool
+  by scheduling each retry ``delay`` seconds out;
 * a dead pool (:class:`~concurrent.futures.process.BrokenProcessPool`) is
   **rebuilt** and its in-flight tasks re-enqueued; tasks repeatedly in
   flight at the moment of death are bisected — re-run alone — and
@@ -21,10 +22,11 @@ instead, in the spirit of the paper:
   moment they finish (sweeps write shard files), so an interrupted run
   resumes warm with zero re-evaluation of finished work.
 
-Every task ends in exactly one terminal :class:`TaskReport` status —
-``ok``, ``retried``, ``timed-out``, ``failed`` or ``quarantined`` — and
-:func:`execute_tasks` always returns the survivors' results; it never
-raises because one task misbehaved.
+Both paths keep one ledger of every task's attempts.  Each task ends in
+exactly one terminal :class:`TaskReport` status — ``ok``, ``retried``,
+``timed-out``, ``failed`` or ``quarantined`` — and :func:`execute_tasks`
+always returns the survivors' results; it never raises because one task
+misbehaved.
 """
 
 from __future__ import annotations
@@ -72,6 +74,14 @@ TERMINAL_STATUSES = (STATUS_OK, STATUS_RETRIED, STATUS_TIMED_OUT,
 
 _TICK_SECONDS = 0.05  # pool poll granularity
 
+#: Backoff between a task's retries: retry k waits
+#: ``min(1.0, 0.05 * 2**(k-1))`` seconds times a seeded jitter.
+_BACKOFF_BASE, _BACKOFF_CAP = 0.05, 1.0
+
+#: Pool deaths a task must be in flight for before it is bisected (re-run
+#: alone); a task that then kills its solo pool is quarantined.
+_QUARANTINE_AFTER = 2
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -87,41 +97,23 @@ class RuntimeConfig:
     max_retries:
         How many *faulted* attempts (exceptions or timeouts) a task may
         burn beyond its first before it is finalized.  Pool deaths never
-        charge this budget: *quarantine_after* deals with them.
-    backoff_base, backoff_cap:
-        The :class:`~repro.faults.RetryPolicy` backoff between a task's
-        retries.
-    seed:
-        Seed for the backoff jitter (a :class:`~repro.faults.FaultPlan`
-        passed to the run seeds it instead).
-    quarantine_after:
-        How many pool deaths a task must be in flight for before it is
-        bisected (re-run alone); a task that then kills its solo pool is
-        quarantined.
+        charge this budget: bisection and quarantine deal with them.
     """
 
     jobs: int = 1
     task_timeout: float | None = None
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-    seed: int = 0
-    quarantine_after: int = 2
 
     def __post_init__(self) -> None:
         check_int(self.jobs, "jobs", minimum=1)
         check_int(self.max_retries, "max_retries", minimum=0)
-        check_int(self.quarantine_after, "quarantine_after", minimum=1)
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive or None")
-        if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError("need 0 <= backoff_base <= backoff_cap")
 
     def retry_policy(self, faults: FaultPlan | None) -> RetryPolicy:
-        """The task backoff; a fault plan's seed, when given, wins."""
-        return RetryPolicy(self.max_retries, self.backoff_base,
-                           self.backoff_cap,
-                           seed=self.seed if faults is None else faults.seed)
+        """The task backoff; a fault plan's seed, when given, seeds it."""
+        return RetryPolicy(self.max_retries, _BACKOFF_BASE, _BACKOFF_CAP,
+                           seed=0 if faults is None else faults.seed)
 
 
 @dataclass
@@ -141,17 +133,8 @@ class TaskReport:
         pool deaths it was in flight for.  Only the first two charge the
         retry budget.
     error:
-        Final failure description for unsuccessful statuses.
-    duration_s:
-        Wall-clock seconds of the *successful* attempt's evaluation
-        (measured worker-side in pool mode); 0.0 when the task never
-        completed.
-    worker_metrics:
-        The worker's metric-delta snapshot
-        (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`) for the
-        successful attempt, already merged into the parent registry by
-        :func:`execute_tasks`; None in inline mode (the parent recorded
-        directly).
+        The last fault's description; for unsuccessful statuses, the
+        final failure.
     """
 
     digest: str
@@ -159,8 +142,6 @@ class TaskReport:
     attempts: int = 0
     fault_count: int = 0
     error: str | None = None
-    duration_s: float = 0.0
-    worker_metrics: dict[str, Any] | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -200,18 +181,30 @@ class RuntimeResult:
             counts[report.status] = counts.get(report.status, 0) + 1
         return counts
 
-    def failures(self) -> dict[str, TaskReport]:
-        """Digest -> report for every task that did not produce a result."""
-        return {d: r for d, r in self.reports.items() if not r.succeeded}
-
 
 # ----------------------------------------------------------------------
-# instrumentation
+# bookkeeping
 # ----------------------------------------------------------------------
-class _Instruments:
-    """Bound metric series of one :func:`execute_tasks` run."""
+class _Ledger:
+    """The books of one :func:`execute_tasks` run, shared by both paths.
 
-    def __init__(self, registry: MetricsRegistry):
+    It holds the result, the bound metric series and the checkpoint
+    callback.  A task succeeds, is charged a fault, or is finalized here
+    and nowhere else: each updates the task's report (status, attempts,
+    fault count, error text), the counters, the checkpoint and the
+    ``task_completed`` / ``task_retrying`` / ``task_failed`` events.
+    """
+
+    def __init__(self, tasks: dict[str, Any], registry: MetricsRegistry,
+                 max_retries: int, faults: FaultPlan | None,
+                 checkpoint) -> None:
+        self.tasks = tasks
+        self.result = RuntimeResult(
+            reports={digest: TaskReport(digest) for digest in tasks})
+        self.max_retries = max_retries
+        self.faults = faults
+        self.checkpoint = checkpoint
+        self.charged: dict[str, int] = {}  # each task's own errors and timeouts
         self.registry = registry
         self.completed = registry.counter(
             "repro_runtime_tasks_completed_total",
@@ -237,18 +230,63 @@ class _Instruments:
             "Wall-clock seconds of one task evaluation (worker-side in "
             "pool mode).", buckets=_DURATION_BUCKETS).labels()
 
-    def finish(self, result: RuntimeResult) -> None:
-        """Record terminal statuses; totals reconcile with
-        :meth:`RuntimeResult.summary` by construction."""
-        for status, count in result.summary().items():
-            self.completed.labels(status=status).inc(count)
+    def fault(self, digest: str) -> str | None:
+        """The injection for *digest*'s next attempt; None runs it clean."""
+        if self.faults is None:
+            return None
+        return self.faults.worker_fault(digest,
+                                        self.result.reports[digest].attempts)
+
+    def succeed(self, digest: str, value: Any, duration: float) -> None:
+        """Keep *digest*'s result and checkpoint it."""
+        report = self.result.reports[digest]
+        self.result.plans[digest] = value
+        report.status = STATUS_RETRIED if report.fault_count else STATUS_OK
+        if self.checkpoint is not None:
+            self.checkpoint(self.tasks[digest], value)
+        _log.info("task_completed", extra={
+            "digest": digest[:12], "status": report.status,
+            "attempts": report.attempts, "duration_s": round(duration, 6)})
+
+    def charge(self, digest: str, kind: str, error: str) -> bool:
+        """One fault on the task's own account; True when it may retry.
+
+        *kind* is ``"timeout"`` or ``"error"``.  Once the task's retry
+        budget is spent it is finalized instead.
+        """
+        report = self.result.reports[digest]
+        report.fault_count += 1
+        self.charged[digest] = own = self.charged.get(digest, 0) + 1
+        report.error = error
+        if kind == "timeout":
+            self.timeouts.inc()
+        if own > self.max_retries:
+            self.finalize(digest, STATUS_TIMED_OUT if kind == "timeout"
+                          else STATUS_FAILED, error)
+            return False
+        self.retries.inc()
+        _log.warning("task_retrying", extra={
+            "digest": digest[:12], "attempts": report.attempts,
+            "fault_count": report.fault_count, "error": error})
+        return True
+
+    def finalize(self, digest: str, status: str, error: str) -> None:
+        """End *digest* without a result."""
+        report = self.result.reports[digest]
+        report.status = status
+        report.error = error
+        if status == STATUS_QUARANTINED:
+            self.quarantines.inc()
+        _log.warning("task_failed", extra={
+            "digest": digest[:12], "status": status,
+            "attempts": report.attempts, "error": error})
 
 
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
 def _worker(task, fault: str | None, hang_seconds: float,
-            slow_seconds: float, evaluate) -> tuple[str, Any, float, dict]:
+            slow_seconds: float, evaluate) -> tuple[Any, float, dict]:
     """Pool entry point: apply any injected fault, then evaluate.
 
     Module-level so the pool can pickle it by reference; *evaluate* must
@@ -257,7 +295,7 @@ def _worker(task, fault: str | None, hang_seconds: float,
     trip the per-task timeout, ``slow`` adds latency, ``error`` raises —
     the four failure modes the runtime must absorb.
 
-    Returns ``(digest, result, duration_s, metrics_snapshot)``: the
+    Returns ``(result, duration_s, metrics_snapshot)``: the
     evaluation is timed worker-side and recorded into a private
     registry whose snapshot the parent merges, so per-worker metric
     deltas survive the process boundary.
@@ -282,7 +320,7 @@ def _worker(task, fault: str | None, hang_seconds: float,
     registry.counter(
         "repro_runtime_worker_evaluations_total",
         "Evaluations completed inside pool workers.").inc()
-    return task.key(), value, duration, registry.snapshot()
+    return value, duration, registry.snapshot()
 
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
@@ -343,16 +381,13 @@ def execute_tasks(tasks, *, evaluate, config: RuntimeConfig | None = None,
         Results for every survivor plus a :class:`TaskReport` per task.
     """
     config = config or RuntimeConfig()
-    if checkpoint is None:
-        def checkpoint(task, result):
-            """No checkpoint: nothing is persisted."""
-    instruments = _Instruments(registry if registry is not None
-                               else default_registry())
     distinct: dict[str, object] = {}
     for task in tasks:
         distinct.setdefault(task.key(), task)
-    result = RuntimeResult(
-        reports={digest: TaskReport(digest) for digest in distinct})
+    ledger = _Ledger(distinct, registry if registry is not None
+                     else default_registry(), config.max_retries, faults,
+                     checkpoint)
+    result = ledger.result
     if not distinct:
         return result
     _log.info("batch_started", extra={
@@ -361,12 +396,12 @@ def execute_tasks(tasks, *, evaluate, config: RuntimeConfig | None = None,
         "max_retries": config.max_retries})
     start = perf_counter()
     if config.jobs == 1:
-        _run_inline(distinct, config, checkpoint, faults, result,
-                    instruments, evaluate)
+        _run_inline(ledger, config.retry_policy(faults), evaluate)
     else:
-        _run_pool(distinct, config, checkpoint, faults, result,
-                  instruments, evaluate)
-    instruments.finish(result)
+        _run_pool(ledger, config, evaluate)
+    # Terminal statuses: totals reconcile with RuntimeResult.summary.
+    for status, count in result.summary().items():
+        ledger.completed.labels(status=status).inc(count)
     _log.info("batch_finished", extra={
         "tasks": len(distinct), "duration_s": round(perf_counter() - start, 6),
         "pool_rebuilds": result.pool_rebuilds,
@@ -374,75 +409,48 @@ def execute_tasks(tasks, *, evaluate, config: RuntimeConfig | None = None,
     return result
 
 
-def _run_inline(distinct, config: RuntimeConfig, checkpoint,
-                faults: FaultPlan | None, result: RuntimeResult,
-                instruments: _Instruments, evaluate) -> None:
-    """The ``jobs=1`` path: no pool, same statuses and retry policy.
+def _run_inline(ledger: _Ledger, policy: RetryPolicy, evaluate) -> None:
+    """The ``jobs=1`` path: task after task, each retried by *policy*'s
+    :meth:`~repro.faults.RetryPolicy.run` loop."""
+    for digest, task in ledger.tasks.items():
+        policy.run(digest, lambda _n: (
+            None, _attempt_inline(ledger, digest, task, evaluate), None))
+
+
+def _attempt_inline(ledger: _Ledger, digest: str, task, evaluate) -> bool:
+    """One in-process attempt of *task*; True when it faulted and may retry.
 
     Inline, a ``crash`` injection degrades to an error (there is no
-    process to kill) and a ``hang`` degrades to an immediate timeout
-    charge (nothing can preempt in-process execution).
+    process to kill) and a ``hang`` to an immediate timeout (nothing can
+    preempt in-process execution).
     """
-    for digest, task in distinct.items():
-        report = result.reports[digest]
-        while True:
-            fault = (faults.worker_fault(digest, report.attempts)
-                     if faults is not None else None)
-            report.attempts += 1
-            kind = error = None
-            if fault in ("crash", "error"):
-                kind, error = "error", f"injected {fault}"
-            elif fault == "hang":
-                kind = "timeout"
-            else:
-                if fault == "slow" and faults is not None:
-                    time.sleep(faults.slow_seconds)
-                try:
-                    with span("runtime.task", digest=digest[:12],
-                              attempt=report.attempts):
-                        start = perf_counter()
-                        value = evaluate(task)
-                        duration = perf_counter() - start
-                except Exception as exc:
-                    kind, error = "error", f"{type(exc).__name__}: {exc}"
-            if kind is None:
-                result.plans[digest] = value
-                report.status = (STATUS_RETRIED if report.fault_count
-                                 else STATUS_OK)
-                report.duration_s = duration
-                instruments.exec.observe(duration)
-                checkpoint(task, value)
-                _log.info("task_completed", extra={
-                    "digest": digest[:12], "status": report.status,
-                    "attempts": report.attempts,
-                    "duration_s": round(duration, 6)})
-                break
-            report.fault_count += 1
-            report.error = error
-            if kind == "timeout":
-                instruments.timeouts.inc()
-            if report.fault_count > config.max_retries:
-                report.status = (STATUS_TIMED_OUT if kind == "timeout"
-                                 else STATUS_FAILED)
-                if kind == "timeout":
-                    report.error = "injected hang (inline mode times out " \
-                                   "immediately)"
-                _log.warning("task_failed", extra={
-                    "digest": digest[:12], "status": report.status,
-                    "attempts": report.attempts, "error": report.error})
-                break
-            instruments.retries.inc()
-            _log.warning("task_retrying", extra={
-                "digest": digest[:12], "attempts": report.attempts,
-                "fault_count": report.fault_count, "error": error})
-            time.sleep(config.retry_policy(faults).delay(
-                digest, report.fault_count))
+    fault = ledger.fault(digest)
+    report = ledger.result.reports[digest]
+    report.attempts += 1
+    if fault == "hang":
+        return ledger.charge(digest, "timeout", "injected hang (inline "
+                             "mode times out immediately)")
+    if fault in ("crash", "error"):
+        return ledger.charge(digest, "error", f"injected {fault}")
+    if fault == "slow":
+        time.sleep(ledger.faults.slow_seconds)
+    try:
+        with span("runtime.task", digest=digest[:12],
+                  attempts=report.attempts):
+            start = perf_counter()
+            value = evaluate(task)
+            duration = perf_counter() - start
+    except Exception as exc:
+        return ledger.charge(digest, "error", f"{type(exc).__name__}: {exc}")
+    ledger.exec.observe(duration)
+    ledger.succeed(digest, value, duration)
+    return False
 
 
-def _run_pool(distinct, config: RuntimeConfig, checkpoint,
-              faults: FaultPlan | None, result: RuntimeResult,
-              instruments: _Instruments, evaluate) -> None:
+def _run_pool(ledger: _Ledger, config: RuntimeConfig, evaluate) -> None:
     """The ``jobs>1`` path: individual futures over a rebuildable pool."""
+    distinct, result = ledger.tasks, ledger.result
+    policy = config.retry_policy(ledger.faults)
     width = min(config.jobs, len(distinct))
     pool = ProcessPoolExecutor(max_workers=width)
     ready: deque[str] = deque(distinct)
@@ -451,68 +459,21 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
     solo: deque[str] = deque()          # bisection queue: run one at a time
     inflight: dict[Future, tuple[str, float]] = {}
     blame: dict[str, int] = {}          # pool deaths each task was in flight for
-    charged: dict[str, int] = {}        # each task's own errors and timeouts
     solo_digest: str | None = None
+    faults = ledger.faults
     hang_s = faults.hang_seconds if faults is not None else 0.0
     slow_s = faults.slow_seconds if faults is not None else 0.0
 
-    def finalize(digest: str, status: str, error: str) -> None:
-        report = result.reports[digest]
-        report.status = status
-        report.error = error
-        if status == STATUS_QUARANTINED:
-            instruments.quarantines.inc()
-        _log.warning("task_failed", extra={
-            "digest": digest[:12], "status": status,
-            "attempts": report.attempts, "error": error})
-
-    def succeed(digest: str, value: Any, duration: float,
-                worker_snapshot: dict) -> None:
-        nonlocal solo_digest
-        report = result.reports[digest]
-        result.plans[digest] = value
-        report.status = STATUS_RETRIED if report.fault_count else STATUS_OK
-        report.duration_s = duration
-        report.worker_metrics = worker_snapshot
-        instruments.registry.merge(worker_snapshot)
-        checkpoint(distinct[digest], value)
-        # Worker processes have no ambient trace context: the span is
-        # recorded parent-side, back-dated by the worker's own timing.
-        default_tracer().record("runtime.task", duration,
-                                digest=digest[:12],
-                                attempts=report.attempts)
-        _log.info("task_completed", extra={
-            "digest": digest[:12], "status": report.status,
-            "attempts": report.attempts, "duration_s": round(duration, 6)})
-        if solo_digest == digest:
-            solo_digest = None
-
     def charge(digest: str, kind: str, error: str) -> None:
-        """One fault on the task's own account: retry or finalize."""
-        nonlocal solo_digest
-        report = result.reports[digest]
-        report.fault_count += 1
-        charged[digest] = own = charged.get(digest, 0) + 1
-        report.error = error
-        if kind == "timeout":
-            instruments.timeouts.inc()
-        if solo_digest == digest:
-            solo_digest = None
-        if own > config.max_retries:
-            finalize(digest, STATUS_TIMED_OUT if kind == "timeout"
-                     else STATUS_FAILED, error)
-        else:
-            instruments.retries.inc()
-            _log.warning("task_retrying", extra={
-                "digest": digest[:12], "attempts": report.attempts,
-                "fault_count": report.fault_count, "error": error})
-            retry_at[digest] = time.monotonic() + config.retry_policy(
-                faults).delay(digest, own)
+        """Charge the task's own fault; schedule its retry if it earns one."""
+        if ledger.charge(digest, kind, error):
+            retry_at[digest] = time.monotonic() + policy.delay(
+                digest, ledger.charged[digest])
 
     def rebuild_pool() -> None:
         nonlocal pool
         result.pool_rebuilds += 1
-        instruments.rebuilds.inc()
+        ledger.rebuilds.inc()
         _log.warning("pool_rebuilt", extra={
             "rebuilds": result.pool_rebuilds, "width": width})
         _teardown_pool(pool)
@@ -527,14 +488,14 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
         now = time.monotonic()
         for digest in victims:
             blame[digest] = blame.get(digest, 0) + 1
-            report = result.reports[digest]
-            report.fault_count += 1
-            if blame[digest] >= config.quarantine_after:
+            result.reports[digest].fault_count += 1
+            if blame[digest] >= _QUARANTINE_AFTER:
                 if len(victims) == 1:
                     # Bisection ended: this task killed a pool all alone.
-                    finalize(digest, STATUS_QUARANTINED,
-                             f"worker pool died {blame[digest]} times with "
-                             "this task in flight; quarantined")
+                    ledger.finalize(digest, STATUS_QUARANTINED,
+                                    f"worker pool died {blame[digest]} "
+                                    "times with this task in flight; "
+                                    "quarantined")
                 else:
                     solo.append(digest)  # suspicious: isolate and re-run
             else:
@@ -544,18 +505,16 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
 
     def submit(digest: str) -> bool:
         """Ship one attempt; False when the pool turned out to be dead."""
-        report = result.reports[digest]
-        fault = (faults.worker_fault(digest, report.attempts)
-                 if faults is not None else None)
         try:
-            future = pool.submit(_worker, distinct[digest], fault,
-                                 hang_s, slow_s, evaluate)
+            future = pool.submit(_worker, distinct[digest],
+                                 ledger.fault(digest), hang_s, slow_s,
+                                 evaluate)
         except (BrokenProcessPool, RuntimeError):
             ready.appendleft(digest)
             return False
-        report.attempts += 1
+        result.reports[digest].attempts += 1
         now = time.monotonic()
-        instruments.queue_wait.observe(
+        ledger.queue_wait.observe(
             max(0.0, now - enqueued_at.get(digest, now)))
         inflight[future] = (digest, now)
         return True
@@ -599,12 +558,20 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
                     pool_died = True
                     continue  # every sibling future is poisoned too
                 digest, _started = inflight.pop(future)
+                if digest == solo_digest:
+                    solo_digest = None
                 if exc is None:
-                    _key, value, duration, snapshot = future.result()
-                    succeed(digest, value, duration, snapshot)
+                    value, duration, snapshot = future.result()
+                    ledger.registry.merge(snapshot)
+                    # Worker processes have no ambient trace context: the
+                    # span is recorded parent-side, back-dated by the
+                    # worker's own timing.
+                    default_tracer().record(
+                        "runtime.task", duration, digest=digest[:12],
+                        attempts=result.reports[digest].attempts)
+                    ledger.succeed(digest, value, duration)
                 else:
-                    charge(digest, "error",
-                           f"{type(exc).__name__}: {exc}")
+                    charge(digest, "error", f"{type(exc).__name__}: {exc}")
             if pool_died:
                 handle_pool_death()
                 continue
@@ -630,6 +597,7 @@ def _run_pool(distinct, config: RuntimeConfig, checkpoint,
                         else:
                             ready.append(digest)
                             enqueued_at[digest] = now
+                    solo_digest = None  # a solo attempt runs alone
     except BaseException:
         _teardown_pool(pool)
         raise

@@ -63,9 +63,11 @@ class TestSpec:
 
     def test_shard_key_is_content_addressed(self):
         points = tuple(SPEC.expand()[:3])
-        a = ShardTask(SPEC, points, 0)
-        b = ShardTask(SPEC, points, 7)         # index is not identity
-        c = ShardTask(SPEC, points[:2], 0)
+        a = ShardTask(SPEC, points)
+        # an equal shard built from a parsed copy of the spec
+        copy = SweepSpec.from_dict(SPEC.to_dict())
+        b = ShardTask(copy, tuple(copy.expand()[:3]))
+        c = ShardTask(SPEC, points[:2])
         assert a.key() == b.key()
         assert a.key() != c.key()
         assert len(a.key()) == 64
@@ -74,7 +76,7 @@ class TestSpec:
 class TestDeterminism:
     @pytest.fixture(scope="class")
     def baseline(self):
-        return SweepRunner(SPEC, jobs=1, shard_size=3).run()
+        return SweepRunner(SPEC, shard_size=3).run()
 
     def test_one_row_per_point_in_grid_order(self, baseline):
         points = SPEC.expand()
@@ -93,11 +95,12 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("jobs", [4, 8])
     def test_jobs_do_not_change_bytes(self, baseline, jobs):
-        result = SweepRunner(SPEC, jobs=jobs, shard_size=3).run()
+        result = SweepRunner(SPEC, shard_size=3,
+                             config=RuntimeConfig(jobs=jobs)).run()
         assert result.to_jsonl() == baseline.to_jsonl()
 
     def test_shard_size_does_not_change_bytes(self, baseline):
-        result = SweepRunner(SPEC, jobs=1, shard_size=1).run()
+        result = SweepRunner(SPEC, shard_size=1).run()
         assert result.to_jsonl() == baseline.to_jsonl()
 
     def test_rows_render_canonically(self, baseline):
@@ -112,17 +115,16 @@ class TestCheckpointResume:
             SweepRunner(SPEC, resume=True)
 
     def test_killed_sweep_resumes_byte_identical(self, tmp_path):
-        clean = SweepRunner(SPEC, jobs=1, shard_size=3).run()
+        clean = SweepRunner(SPEC, shard_size=3).run()
         # "Kill" the sweep mid-run: one shard's every attempt crashes, so
         # its checkpoint is never written while the others complete.
         victim = clean.shard_digests[2]
         faults = FaultPlan(targeted_worker_faults=(
             (victim, ("crash",) * 8),))
         ckpt = tmp_path / "ckpt"
-        killed = SweepRunner(SPEC, jobs=1, shard_size=3,
+        killed = SweepRunner(SPEC, shard_size=3,
                              checkpoint_dir=ckpt,
-                             config=RuntimeConfig(max_retries=0,
-                                                  backoff_base=0.0),
+                             config=RuntimeConfig(max_retries=0),
                              faults=faults).run()
         assert not killed.complete
         written = {p.stem for p in ckpt.glob("*.jsonl")}
@@ -134,18 +136,19 @@ class TestCheckpointResume:
         assert len(dead_rows) == 3
         # ...and a resume recomputes only the missing shard, yielding
         # bytes identical to the never-killed run.
-        resumed = SweepRunner(SPEC, jobs=2, shard_size=3,
-                              checkpoint_dir=ckpt, resume=True).run()
+        resumed = SweepRunner(SPEC, shard_size=3, checkpoint_dir=ckpt,
+                              resume=True,
+                              config=RuntimeConfig(jobs=2)).run()
         assert resumed.resumed_shards == len(clean.shard_digests) - 1
         assert resumed.to_jsonl() == clean.to_jsonl()
 
     def test_corrupt_checkpoint_is_recomputed(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        first = SweepRunner(SPEC, jobs=1, shard_size=3,
+        first = SweepRunner(SPEC, shard_size=3,
                             checkpoint_dir=ckpt).run()
         victim = ckpt / f"{first.shard_digests[0]}.jsonl"
         victim.write_text("not json\n")
-        second = SweepRunner(SPEC, jobs=1, shard_size=3,
+        second = SweepRunner(SPEC, shard_size=3,
                              checkpoint_dir=ckpt, resume=True).run()
         assert second.resumed_shards == len(first.shard_digests) - 1
         assert second.to_jsonl() == first.to_jsonl()
@@ -154,12 +157,12 @@ class TestCheckpointResume:
 
     def test_wrong_point_count_checkpoint_is_recomputed(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        first = SweepRunner(SPEC, jobs=1, shard_size=3,
+        first = SweepRunner(SPEC, shard_size=3,
                             checkpoint_dir=ckpt).run()
         victim = ckpt / f"{first.shard_digests[1]}.jsonl"
         lines = victim.read_text().splitlines()
         victim.write_text("\n".join(lines[:-1]) + "\n")
-        second = SweepRunner(SPEC, jobs=1, shard_size=3,
+        second = SweepRunner(SPEC, shard_size=3,
                              checkpoint_dir=ckpt, resume=True).run()
         assert second.resumed_shards == len(first.shard_digests) - 1
         assert second.to_jsonl() == first.to_jsonl()
@@ -186,7 +189,7 @@ class TestCheckpointResume:
             monkeypatch.setattr(os, "replace", vanished)
         ckpt = tmp_path / "ckpt"
         with pytest.raises(OSError):
-            SweepRunner(SPEC, jobs=1, shard_size=3,
+            SweepRunner(SPEC, shard_size=3,
                         checkpoint_dir=ckpt).run()
         monkeypatch.undo()
         assert list(ckpt.iterdir()) == []
@@ -194,13 +197,12 @@ class TestCheckpointResume:
 
 class TestQuarantine:
     def test_crashing_shard_leaves_others_intact(self):
-        clean = SweepRunner(SPEC, jobs=2, shard_size=3).run()
+        config = RuntimeConfig(jobs=2, max_retries=8)
+        clean = SweepRunner(SPEC, shard_size=3, config=config).run()
         victim = clean.shard_digests[1]
         faults = FaultPlan(targeted_worker_faults=(
             (victim, ("crash",) * 10),))
-        config = RuntimeConfig(max_retries=8, backoff_base=0.0,
-                               backoff_cap=0.0, quarantine_after=2)
-        chaotic = SweepRunner(SPEC, jobs=2, shard_size=3, config=config,
+        chaotic = SweepRunner(SPEC, shard_size=3, config=config,
                               faults=faults,
                               registry=MetricsRegistry()).run()
         report = chaotic.reports[victim]
@@ -231,7 +233,7 @@ class TestGolden:
     DIGEST = "631532a4203913aded6844e52108f3253db807fa561723c3c699937204761475"
 
     def test_saturated_construction_rows(self):
-        result = SweepRunner(self.SPEC, jobs=1, shard_size=16).run()
+        result = SweepRunner(self.SPEC, shard_size=16).run()
         assert len(result.rows) == 16
         # Theorem 2's guarantee: every link succeeds at least once a frame.
         assert all(row["metrics"]["min_link_throughput"] >= 1
@@ -257,7 +259,7 @@ class TestGolden:
     @pytest.mark.parametrize("name", sorted(QUEUED))
     def test_queued_rows(self, name):
         spec, digest = self.QUEUED[name]
-        result = SweepRunner(spec, jobs=1, shard_size=64).run()
+        result = SweepRunner(spec, shard_size=64).run()
         assert len(result.rows) == len(spec.expand())
         assert not [row for row in result.rows if "error" in row]
         # Multi-hop sensing reports are forwarded and delivered.

@@ -5,7 +5,8 @@ pooled, clean or fault-injected — the parent-side registry's
 ``repro_runtime_tasks_completed_total`` series match
 :meth:`RuntimeResult.summary` status-for-status, the retry/timeout/
 quarantine counters agree with the per-task reports, and every completed
-task carries a positive ``duration_s``.
+task's evaluation time lands in the exec histogram (recorded in the
+parent inline, merged from the workers' snapshots in the pool).
 """
 
 import pytest
@@ -33,8 +34,7 @@ def tasks():
     """One-point shards of a small sweep: a handful of tasks."""
     spec = SweepSpec(families=("tdma",), ns=(8,), ds=(2,),
                      seeds=(0, 1, 2, 3), frames=1)
-    out = [ShardTask(spec, (point,), i)
-           for i, point in enumerate(spec.expand())]
+    out = [ShardTask(spec, (point,)) for point in spec.expand()]
     assert len(out) >= 3
     return out
 
@@ -71,8 +71,8 @@ class TestReconciliation:
         faults = FaultPlan(targeted_worker_faults=((digest, ("error",)),))
         registry = MetricsRegistry()
         outcome = execute_tasks(
-            tasks, config=RuntimeConfig(jobs=2, backoff_base=0.0),
-            faults=faults, registry=registry)
+            tasks, config=RuntimeConfig(jobs=2), faults=faults,
+            registry=registry)
         summary = outcome.summary()
         assert summary[STATUS_RETRIED] == 1
         assert _completed_by_status(registry) == summary
@@ -104,9 +104,8 @@ class TestReconciliation:
         faults = FaultPlan(targeted_worker_faults=((poison, ("crash",) * 9),))
         registry = MetricsRegistry()
         outcome = execute_tasks(
-            tasks, config=RuntimeConfig(jobs=2, quarantine_after=2,
-                                        backoff_base=0.0),
-            faults=faults, registry=registry)
+            tasks, config=RuntimeConfig(jobs=2), faults=faults,
+            registry=registry)
         assert outcome.reports[poison].status == STATUS_QUARANTINED
         assert _completed_by_status(registry) == outcome.summary()
         assert _counter_value(
@@ -116,31 +115,35 @@ class TestReconciliation:
             "repro_runtime_pool_rebuilds_total") == outcome.pool_rebuilds
 
 
+def _exec_series(registry):
+    """The one series of the exec-time histogram."""
+    (series,) = list(registry.get("repro_runtime_task_exec_seconds").series())
+    return series
+
+
 class TestDurations:
     def test_inline_durations_positive(self, tasks):
         registry = MetricsRegistry()
         outcome = execute_tasks(tasks, config=RuntimeConfig(jobs=1),
                                 registry=registry)
-        for report in outcome.reports.values():
-            assert report.duration_s > 0.0
-        hist = registry.get("repro_runtime_task_exec_seconds")
-        (series,) = list(hist.series())
+        assert outcome.complete
+        series = _exec_series(registry)
         assert series.count == len(tasks)
+        assert series.sum > 0.0
+        # inline, the parent evaluates: no worker deltas to merge
+        assert registry.get("repro_runtime_worker_evaluations_total") is None
 
     def test_pool_durations_and_worker_metrics_merge(self, tasks):
         registry = MetricsRegistry()
         outcome = execute_tasks(tasks, config=RuntimeConfig(jobs=2),
                                 registry=registry)
-        for report in outcome.reports.values():
-            assert report.duration_s > 0.0
-            assert report.worker_metrics is not None
-            assert report.worker_metrics["format"] == "repro-metrics"
+        assert outcome.complete
         # worker-side deltas merged into the parent registry
         evals = registry.get("repro_runtime_worker_evaluations_total")
         assert evals is not None and evals.total() == len(tasks)
-        hist = registry.get("repro_runtime_task_exec_seconds")
-        (series,) = list(hist.series())
+        series = _exec_series(registry)
         assert series.count == len(tasks)
+        assert series.sum > 0.0
         wait = registry.get("repro_runtime_task_queue_wait_seconds")
         (wait_series,) = list(wait.series())
         assert wait_series.count == len(tasks)

@@ -43,20 +43,6 @@ SITES = [
          3.8799718611178418],
         id="supervisor"),
     pytest.param(
-        lambda k: RuntimeConfig(backoff_base=0.1, backoff_cap=0.3, seed=4)
-        .retry_policy(None).delay("abc", k),
-        [0.05913949018419617, 0.2731140271785783, 0.348900743601775,
-         0.35803165259652436, 0.33479579564058526, 0.20546052746350082,
-         0.24955826211905394],
-        id="runtime"),
-    pytest.param(
-        lambda k: RuntimeConfig(backoff_base=0.1, backoff_cap=0.3, seed=4)
-        .retry_policy(FaultPlan(seed=11, link_loss=0.1)).delay("abc", k),
-        [0.11773381869934406, 0.18565276090090005, 0.3239547792710636,
-         0.44730012440176026, 0.428097290828479, 0.2236370096926023,
-         0.312966187661247],
-        id="runtime-fault-plan"),
-    pytest.param(
         lambda k: RuntimeConfig().retry_policy(None).delay("abc", k),
         [0.0621447235988019, 0.12242682326321229, 0.15354999373174033,
          0.5918815510374053, 1.063111596528659, 0.8800521156929064,

@@ -106,7 +106,7 @@ class TestCliErrors:
         spec = SweepSpec.from_dict(
             json.loads(GOLDEN_SPEC.read_text().splitlines()[0]))
         points = spec.expand()
-        digest = ShardTask(spec, (points[0],), 0).key()
+        digest = ShardTask(spec, (points[0],)).key()
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(FaultPlan(
             targeted_worker_faults=((digest, ("crash",) * 6),)).to_dict()))
