@@ -9,10 +9,12 @@ Two contracts ride on this sweep:
 * **near-zero overhead when off** — the fault-tolerant runtime
   (:mod:`repro.service.runtime`) replaces the old ``pool.map`` fan-out
   of sweep shards, and a healthy batch must not pay meaningfully for the
-  machinery (target < 5% on the inline path; asserted loosely here
+  machinery (target < 5% on the inline path, read as the median of
+  interleaved old/new pairs with its quartiles; asserted loosely here
   because CI boxes are noisy).
 """
 
+import statistics
 import time
 
 from repro.analysis.sweeps import ShardTask, SweepSpec, _evaluate_shard
@@ -77,11 +79,16 @@ def test_simulation_degrades_gracefully(benchmark, report):
     assert _run_level(topo, sched, 0, 0, 0)[0].link_losses == 0
 
 
+#: Interleaved old/new rounds of the overhead check.  Best-of-5 blocks of
+#: each path read from -3% to +48% for identical code on a 2-core host;
+#: paired rounds see the same host drift on both sides.
+PAIRS = 51
+
+
 def test_runtime_overhead_when_no_faults_fire(benchmark, report):
     spec = SweepSpec(families=("tdma", "polynomial"), ns=(12,), ds=(2,),
                      seeds=tuple(range(12)), frames=2)
-    tasks = [ShardTask(spec, (point,), i)
-             for i, point in enumerate(spec.expand())]
+    tasks = [ShardTask(spec, (point,)) for point in spec.expand()]
 
     def old_path():
         # The pre-runtime fan-out: evaluate in submission order, no
@@ -95,18 +102,29 @@ def test_runtime_overhead_when_no_faults_fire(benchmark, report):
     # Identical results, richer semantics; the first calls also pay the
     # simulator's lazy imports outside the timed rounds.
     assert new_path() == old_path()
-    rounds = 5
-    old_best = min(_timed(old_path) for _ in range(rounds))
-    new_best = min(_timed(new_path) for _ in range(rounds))
+    old_s, new_s, overheads = [], [], []
+    for pair in range(PAIRS):
+        # Alternate which path leads, so neither always runs warm.
+        if pair % 2:
+            new, old = _timed(new_path), _timed(old_path)
+        else:
+            old, new = _timed(old_path), _timed(new_path)
+        old_s.append(old)
+        new_s.append(new)
+        overheads.append(new / old - 1.0)
+    q1, overhead, q3 = statistics.quantiles(overheads, n=4)
 
-    overhead = new_best / old_best - 1.0
-    table = Table("path", "best_seconds", "overhead",
+    table = Table("path", "median_seconds", "overhead_median", "overhead_q1",
+                  "overhead_q3",
                   title=f"Healthy-batch runtime overhead ({len(tasks)} sweep "
-                        "shards, inline)")
-    table.row(path="pool.map (old)", best_seconds=round(old_best, 4),
-              overhead="-")
-    table.row(path="runtime (new)", best_seconds=round(new_best, 4),
-              overhead=f"{overhead:+.1%}")
+                        f"shards, inline, {PAIRS} interleaved pairs)")
+    table.row(path="pool.map (old)",
+              median_seconds=round(statistics.median(old_s), 4),
+              overhead_median="-", overhead_q1="-", overhead_q3="-")
+    table.row(path="runtime (new)",
+              median_seconds=round(statistics.median(new_s), 4),
+              overhead_median=f"{overhead:+.1%}", overhead_q1=f"{q1:+.1%}",
+              overhead_q3=f"{q3:+.1%}")
     report(table, "fault_injection_runtime_overhead")
 
     benchmark.pedantic(new_path, rounds=3, iterations=1)
