@@ -188,20 +188,20 @@ class RuntimeResult:
 class _Ledger:
     """The books of one :func:`execute_tasks` run, shared by both paths.
 
-    It holds the result, the bound metric series and the checkpoint
-    callback.  A task succeeds, is charged a fault, or is finalized here
+    It holds the result, the retry policy, the bound metric series and
+    the checkpoint callback.  A task succeeds, is charged a fault, or is finalized here
     and nowhere else: each updates the task's report (status, attempts,
     fault count, error text), the counters, the checkpoint and the
     ``task_completed`` / ``task_retrying`` / ``task_failed`` events.
     """
 
     def __init__(self, tasks: dict[str, Any], registry: MetricsRegistry,
-                 max_retries: int, faults: FaultPlan | None,
+                 policy: RetryPolicy, faults: FaultPlan | None,
                  checkpoint) -> None:
         self.tasks = tasks
         self.result = RuntimeResult(
             reports={digest: TaskReport(digest) for digest in tasks})
-        self.max_retries = max_retries
+        self.policy = policy
         self.faults = faults
         self.checkpoint = checkpoint
         self.charged: dict[str, int] = {}  # each task's own errors and timeouts
@@ -260,7 +260,7 @@ class _Ledger:
         report.error = error
         if kind == "timeout":
             self.timeouts.inc()
-        if own > self.max_retries:
+        if own > self.policy.retries:
             self.finalize(digest, STATUS_TIMED_OUT if kind == "timeout"
                           else STATUS_FAILED, error)
             return False
@@ -385,8 +385,8 @@ def execute_tasks(tasks, *, evaluate, config: RuntimeConfig | None = None,
     for task in tasks:
         distinct.setdefault(task.key(), task)
     ledger = _Ledger(distinct, registry if registry is not None
-                     else default_registry(), config.max_retries, faults,
-                     checkpoint)
+                     else default_registry(), config.retry_policy(faults),
+                     faults, checkpoint)
     result = ledger.result
     if not distinct:
         return result
@@ -396,7 +396,7 @@ def execute_tasks(tasks, *, evaluate, config: RuntimeConfig | None = None,
         "max_retries": config.max_retries})
     start = perf_counter()
     if config.jobs == 1:
-        _run_inline(ledger, config.retry_policy(faults), evaluate)
+        _run_inline(ledger, evaluate)
     else:
         _run_pool(ledger, config, evaluate)
     # Terminal statuses: totals reconcile with RuntimeResult.summary.
@@ -409,11 +409,11 @@ def execute_tasks(tasks, *, evaluate, config: RuntimeConfig | None = None,
     return result
 
 
-def _run_inline(ledger: _Ledger, policy: RetryPolicy, evaluate) -> None:
-    """The ``jobs=1`` path: task after task, each retried by *policy*'s
+def _run_inline(ledger: _Ledger, evaluate) -> None:
+    """The ``jobs=1`` path: task after task, each retried by the
     :meth:`~repro.faults.RetryPolicy.run` loop."""
     for digest, task in ledger.tasks.items():
-        policy.run(digest, lambda _n: (
+        ledger.policy.run(digest, lambda _n: (
             None, _attempt_inline(ledger, digest, task, evaluate), None))
 
 
@@ -450,7 +450,6 @@ def _attempt_inline(ledger: _Ledger, digest: str, task, evaluate) -> bool:
 def _run_pool(ledger: _Ledger, config: RuntimeConfig, evaluate) -> None:
     """The ``jobs>1`` path: individual futures over a rebuildable pool."""
     distinct, result = ledger.tasks, ledger.result
-    policy = config.retry_policy(ledger.faults)
     width = min(config.jobs, len(distinct))
     pool = ProcessPoolExecutor(max_workers=width)
     ready: deque[str] = deque(distinct)
@@ -467,7 +466,7 @@ def _run_pool(ledger: _Ledger, config: RuntimeConfig, evaluate) -> None:
     def charge(digest: str, kind: str, error: str) -> None:
         """Charge the task's own fault; schedule its retry if it earns one."""
         if ledger.charge(digest, kind, error):
-            retry_at[digest] = time.monotonic() + policy.delay(
+            retry_at[digest] = time.monotonic() + ledger.policy.delay(
                 digest, ledger.charged[digest])
 
     def rebuild_pool() -> None:
