@@ -112,6 +112,30 @@ class TestSimValidation:
         assert duty_row["awake_fraction"] < 1.0
 
 
+# The default-size E8 and E10 tables as printed, six significant digits:
+# the kernel and the slot step must render the same bytes.
+SIM_VALIDATION_TABLE = "\n".join([
+    "Simulation vs theory (saturated worst case, n=26, D=3)",
+    "schedule      frame  links  exact_match  mean_successes_per_frame  awake_fraction",
+    "------------  -----  -----  -----------  ------------------------  --------------",
+    "non-sleeping  49     78     yes          4.91026                   1             ",
+    "constructed   147    78     yes          5.26923                   0.450549      ",
+])
+
+BALANCED_ENERGY_TABLE = "\n".join([
+    "Balanced-energy construction (n=25, D=4, aT=3, aR=10)",
+    "variant   frame  tx_share_min  tx_share_max  tx_share_equal  jain_energy",
+    "--------  -----  ------------  ------------  --------------  -----------",
+    "plain     100    0.1           0.2           no              0.99657    ",
+    "balanced  250    0.12          0.12          yes             1          ",
+])
+
+
+def test_rendered_tables_are_pinned():
+    assert sim_validation().render() == SIM_VALIDATION_TABLE
+    assert balanced_energy_study().render() == BALANCED_ENERGY_TABLE
+
+
 class TestEnergyLatency:
     def test_motivating_ordering(self):
         table = energy_latency_study(rows=4, cols=4, frames=20)

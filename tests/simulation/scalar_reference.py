@@ -168,8 +168,9 @@ def slow_slot_step(sim: Simulator) -> None:
     sim.metrics.slots = sim._slot
 
 
-def state_document(sim: Simulator) -> dict:
-    """Every observable piece of a simulator's state, JSON-ready."""
+def state_document(sim: Simulator, rng: np.random.Generator) -> dict:
+    """Every observable piece of a simulator's state, JSON-ready, with
+    the position of *rng*, the random stream its case built."""
     m, energy = sim.metrics, sim.energy
     return {
         "slots": m.slots,
@@ -188,12 +189,14 @@ def state_document(sim: Simulator) -> dict:
                         for s in RadioState},
         "wakeups": energy.wakeups.tolist(),
         "spent_mj": [float(v).hex() for v in energy.spent_mj],
-        "rng": sim.rng.bit_generator.state,
+        "rng": rng.bit_generator.state,
     }
 
 
-def assert_same_state(a: Simulator, b: Simulator) -> None:
-    """*a* and *b* are in the same state, energy equal bit for bit."""
-    assert state_document(a) == state_document(b)
+def assert_same_state(a: Simulator, rng_a: np.random.Generator,
+                      b: Simulator, rng_b: np.random.Generator) -> None:
+    """*a* and *b* are in the same state, energy equal bit for bit, and
+    their cases' random streams at the same position."""
+    assert state_document(a, rng_a) == state_document(b, rng_b)
     assert np.array_equal(a.energy.spent_mj, b.energy.spent_mj)
     assert list(a._was_awake) == list(b._was_awake)

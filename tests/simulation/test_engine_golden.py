@@ -8,7 +8,9 @@ drops, link losses, down slots, the packets still queued, per-state slot
 counts, wakeups, per-node energy as ``float.hex`` and the shared random
 stream's position — so any change to the slot step's order of work
 (capture draws, forwarding, float additions) shows up here.  They were
-recorded before the slot step was rewritten.
+recorded before the slot step was rewritten.  The ``star-hub`` and
+``everything-paper-model`` twins rerun two capture cases under the
+paper's model (no capture, idle transmitters asleep).
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from repro.simulation.traffic import (
 from tests.simulation.scalar_reference import state_document
 
 
-def state_digest(sim: Simulator) -> str:
-    text = json.dumps(state_document(sim), sort_keys=True)
+def state_digest(case: tuple[Simulator, np.random.Generator]) -> str:
+    text = json.dumps(state_document(*case), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -48,10 +50,10 @@ def _grid_capture(sat: bool):
     sim = Simulator(topo, polynomial_schedule(25, 4), traffic,
                     capture_probability=0.5, rng=rng, instrument=False)
     sim.run(20)
-    return sim
+    return sim, rng
 
 
-def _star_capture():
+def _star_hub(**model):
     topo = star(12, 11)
     rng = np.random.default_rng(43)
     leaves = range(1, 12)
@@ -60,9 +62,9 @@ def _star_capture():
         12, tx_sets=[range(1, 7), range(4, 12), [0], range(1, 12, 2)],
         rx_sets=[[0], [0], leaves, [0]])
     sim = Simulator(topo, sched, PoissonTraffic(topo, 0.08, rng),
-                    capture_probability=0.5, rng=rng, instrument=False)
+                    rng=rng, instrument=False, **model)
     sim.run(150)
-    return sim
+    return sim, rng
 
 
 def _drift(traffic: str):
@@ -81,7 +83,7 @@ def _drift(traffic: str):
     sim = Simulator(topo, sched, source, next_hops=hops, drift=drift,
                     rng=rng, instrument=False)
     sim.run(4)
-    return sim
+    return sim, rng
 
 
 def _faults(traffic: str):
@@ -97,7 +99,7 @@ def _faults(traffic: str):
     sim = Simulator(topo, polynomial_schedule(25, 4), source, next_hops=hops,
                     faults=plan, rng=rng, instrument=False)
     sim.run(60)
-    return sim
+    return sim, rng
 
 
 def _idle_awake():
@@ -107,7 +109,7 @@ def _idle_awake():
     sim = Simulator(topo, sched, PoissonTraffic(topo, 0.05, rng), rng=rng,
                     idle_transmitters_sleep=False, instrument=False)
     sim.run(6)
-    return sim
+    return sim, rng
 
 
 def _instrumented():
@@ -120,7 +122,7 @@ def _instrumented():
                     registry=MetricsRegistry(),
                     faults=FaultPlan(seed=2, link_loss=0.2))
     sim.run(6)
-    return sim
+    return sim, rng
 
 
 def _mid_frame():
@@ -130,10 +132,10 @@ def _mid_frame():
     sim = Simulator(topo, sched, PoissonTraffic(topo, 0.05, rng), rng=rng,
                     instrument=False)
     sim.run_slots(5 * sched.frame_length + sched.frame_length // 3)
-    return sim
+    return sim, rng
 
 
-def _everything():
+def _everything(**model):
     topo = worst_case_regular(24, 4, seed=13)
     rng = np.random.default_rng(71)
     sched = construct(polynomial_schedule(24, 4), 4, 2, 6)
@@ -143,16 +145,16 @@ def _everything():
                     drift=ClockDrift.uniform(24, 1, np.random.default_rng(72)),
                     faults=FaultPlan(seed=4, node_crash_rate=0.005,
                                      node_recover_rate=0.05, link_loss=0.1),
-                    capture_probability=0.5, queue_limit=4,
-                    idle_transmitters_sleep=False, instrument=False)
+                    queue_limit=4, instrument=False, **model)
     sim.run_slots(3000)
-    return sim
+    return sim, rng
 
 
 CASES = {
     "capture-poisson": lambda: _grid_capture(sat=False),
     "capture-saturated": lambda: _grid_capture(sat=True),
-    "capture-star-hub": _star_capture,
+    "capture-star-hub": lambda: _star_hub(capture_probability=0.5),
+    "star-hub": _star_hub,
     "drift-saturated": lambda: _drift("saturated"),
     "drift-poisson": lambda: _drift("poisson"),
     "drift-sensing": lambda: _drift("sensing"),
@@ -161,7 +163,9 @@ CASES = {
     "idle-listening": _idle_awake,
     "instrumented": _instrumented,
     "mid-frame": _mid_frame,
-    "everything": _everything,
+    "everything": lambda: _everything(capture_probability=0.5,
+                                      idle_transmitters_sleep=False),
+    "everything-paper-model": _everything,
 }
 
 DIGESTS = {
@@ -172,11 +176,13 @@ DIGESTS = {
     "drift-saturated": "396215fcd87f129b3830cb9162fcbf3742da2b23118c25b17aa1deaf71705fc3",
     "drift-sensing": "0fa588d22835add867a438a68d6f58fd84ad6ba09ca3f9ca93d0bc9511675810",
     "everything": "002dfc863aa16dbdcf72341d31159f3c2e03e4bfb147b475977b2a97f46045c3",
+    "everything-paper-model": "a5de98430aba8e9fa351624b0e31e47bfe4bf746f07f728feed5fab07186450d",
     "faults-saturated": "43a8c64c6f5baded21f9a6d20a384f727647ec5162f809deaf76301f9899955b",
     "faults-sensing": "91e90ca1afc3e64778f4593480b0ecc1ea44389624abfdfb148e1981c12037aa",
     "idle-listening": "f449cdffc51002c0dfa38074abc4802f2deb9daa2df6465e9420cd66ab6ed8b9",
     "instrumented": "d65397803a817b573693c4e855b7f82ea6efe63c58e7291631595771fe188357",
     "mid-frame": "6722bc2f98d695fdfb92878f380557353e30ce5ce63f4e483b38e01f860b2d41",
+    "star-hub": "fbe9a2d7109a9ba53248a1ba473201e15a69e0f428aedca5dece1638dd3ff8ae",
 }
 
 

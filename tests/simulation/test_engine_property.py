@@ -133,7 +133,8 @@ def scenarios(draw):
     """A builder of identical simulators, and a slot count to run.
 
     Each build makes its own traffic and random stream, so two
-    simulators share nothing but their inputs.
+    simulators share nothing but their inputs; it returns the simulator
+    and that stream.
     """
     rnd = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
@@ -176,7 +177,7 @@ def scenarios(draw):
     slots = draw(st.integers(min_value=1,
                              max_value=min(3 * sched.frame_length, 300)))
 
-    def build() -> Simulator:
+    def build() -> tuple[Simulator, np.random.Generator]:
         rng = np.random.default_rng(seed)
         hops = None
         if traffic == "saturated":
@@ -189,7 +190,7 @@ def scenarios(draw):
         drift = ClockDrift(offsets) if offsets is not None else None
         return Simulator(topo, sched, source, next_hops=hops, drift=drift,
                          faults=faults, rng=rng, registry=MetricsRegistry(),
-                         **options)
+                         **options), rng
 
     return build, slots
 
@@ -198,8 +199,8 @@ def scenarios(draw):
 @settings(max_examples=150, deadline=None)
 def test_step_equals_scalar_reference(case):
     build, slots = case
-    sparse, reference = build(), build()
+    (sparse, sparse_rng), (reference, reference_rng) = build(), build()
     sparse.run_slots(slots)
     for _ in range(slots):
         slow_slot_step(reference)
-    assert_same_state(sparse, reference)
+    assert_same_state(sparse, sparse_rng, reference, reference_rng)

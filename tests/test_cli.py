@@ -151,6 +151,37 @@ class TestSimulate:
         report = json.loads(capsys.readouterr().out)
         assert report["min_link_throughput"] >= 1.0
 
+    # The saturated grid-16 report of test_simulate_exports_engine_metrics's
+    # run, every line but the energy byte for byte: the energy is a float
+    # sum whose last digits depend on the order of its additions.
+    GRID16_REPORT = [
+        "{",
+        '  "slots": 128,',
+        '  "delivery_ratio": 1.0,',
+        '  "collisions": 0,',
+        '  "mean_link_throughput": 1.0416666666666667,',
+        '  "min_link_throughput": 1.0,',
+        '  "mean_latency_slots": null,',
+        '  "awake_fraction": 0.3125,',
+        '  "link_losses": 0,',
+        '  "node_down_fraction": 0.0',
+        "}",
+    ]
+
+    def test_saturated_grid16_report_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["build", "-n", "16", "-d", "4", "--alpha-t", "2",
+                     "--alpha-r", "4", "-o", str(out)]) == 0
+        capsys.readouterr()  # drop the build line
+        assert main(["simulate", str(out), "--topology", "grid",
+                     "--nodes", "16", "-d", "4", "--frames", "2"]) == 0
+        text = capsys.readouterr().out
+        lines = text.splitlines()
+        assert [line for line in lines
+                if '"total_energy_mj"' not in line] == self.GRID16_REPORT
+        assert json.loads(text)["total_energy_mj"] \
+            == pytest.approx(398.63104, rel=1e-12)
+
     def test_non_square_grid_rejected(self, tmp_path, capsys):
         out = self.build(tmp_path)
         rc = main(["simulate", str(out), "--topology", "grid",
