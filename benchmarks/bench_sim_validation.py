@@ -5,9 +5,10 @@ link's simulated successes per frame must equal the analytic |T(x, y, S)|,
 for both the non-sleeping source and the constructed duty-cycled schedule.
 
 The second half micro-benches the saturated-mode hot path: the vectorized
-kernel must beat the scalar slot loop by at least 3x on an n=100 frame
-sweep, and an uninstrumented run must leave the observability layer
-completely untouched (no counters, no gauges, no spans).
+kernel (``run``) must beat the scalar slot loop (``run_slots``) by at
+least 3x on an n=100 frame sweep, and an unwatched run must leave the
+observability layer completely untouched (no counters, no gauges, no
+spans).
 """
 
 from time import perf_counter
@@ -46,21 +47,19 @@ def test_vectorized_kernel_speedup(report, headline):
     old_registry = set_default_registry(registry)
     old_tracer = set_default_tracer(tracer)
     try:
-        scalar = Simulator(topo, sched, SaturatedTraffic(topo),
-                           instrument=False, vectorize=False)
+        scalar = Simulator(topo, sched, SaturatedTraffic(topo))
         started = perf_counter()
-        ms = scalar.run(frames)
+        ms = scalar.run_slots(frames * sched.frame_length)
         scalar_s = perf_counter() - started
 
-        fast = Simulator(topo, sched, SaturatedTraffic(topo),
-                         instrument=False)
+        fast = Simulator(topo, sched, SaturatedTraffic(topo))
         assert fast._vector_eligible
         started = perf_counter()
         mf = fast.run(frames)
         kernel_s = perf_counter() - started
 
-        # The uninstrumented fast path never touches the default
-        # registry or tracer — sweeps pay zero observability tax.
+        # Unwatched runs never touch the default registry or tracer —
+        # sweeps pay zero observability tax.
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {}
         assert snapshot["gauges"] == {}

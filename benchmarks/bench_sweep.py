@@ -32,9 +32,8 @@ def _serial_point(n: int, seed: int) -> dict:
     point = SweepPoint("tdma", n, SPEC.ds[0], "saturated", seed)
     topo = _build_topology(SPEC, point)
     sched = _build_schedule(SPEC, point)
-    sim = Simulator(topo, sched, SaturatedTraffic(topo),
-                    instrument=False, vectorize=False)
-    m = sim.run(SPEC.frames)
+    sim = Simulator(topo, sched, SaturatedTraffic(topo))
+    m = sim.run_slots(SPEC.frames * sched.frame_length)
     return {"successes": sum(m.successes.values())}
 
 

@@ -28,9 +28,6 @@ Determinism is the engine's contract, enforced by the regression suite:
 
 :func:`validate_row` checks one result row against that schema and
 :func:`validate_rows` a whole JSONL document of them.
-
-Simulations run with ``instrument=False``, unlocking the vectorized
-saturated-mode kernel of :class:`repro.simulation.engine.Simulator`.
 """
 
 from __future__ import annotations
@@ -313,8 +310,7 @@ def _evaluate_point(spec: SweepSpec, point: SweepPoint) -> dict[str, Any]:
         else:
             traffic = PeriodicSensingTraffic(topo, sink=0, period=spec.period)
             hops = sink_tree(topo, 0)
-        sim = Simulator(topo, sched, traffic, next_hops=hops, rng=rng,
-                        instrument=False)
+        sim = Simulator(topo, sched, traffic, next_hops=hops)
         m = sim.run(spec.frames)
     except ValueError as exc:
         return {**envelope, "error": f"{type(exc).__name__}: {exc}"}

@@ -925,6 +925,7 @@ def _cmd_simulate(args) -> int:
     from math import isqrt
 
     from repro.core.serialization import load_schedule
+    from repro.obs.metrics import default_registry
     from repro.simulation.engine import Simulator
     from repro.simulation.routing import sink_tree
     from repro.simulation.topology import grid, ring, unit_disk, worst_case_regular
@@ -970,7 +971,8 @@ def _cmd_simulate(args) -> int:
                            link_loss=args.link_loss)
     else:
         faults = None
-    sim = Simulator(topo, sched, traffic, next_hops=hops, faults=faults)
+    sim = Simulator(topo, sched, traffic, next_hops=hops, faults=faults,
+                    registry=default_registry())
     metrics = sim.run(frames=args.frames)
     links = topo.directed_links()
     mean_latency = metrics.mean_latency()

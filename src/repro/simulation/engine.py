@@ -13,7 +13,9 @@ Two operating modes:
   hears it alone counts a per-link success.  Per-frame per-link success
   counts then equal the analytic quantity ``|T(x, y, S)|`` with ``S`` the
   receiver's true other-neighbour set — the bridge between theory and
-  simulation that experiment E8 checks exactly.
+  simulation that experiment E8 checks exactly.  Under synchronous
+  clocks and no fault plan, :meth:`Simulator.run` resolves whole frames
+  in a vectorized kernel with the slot step's exact counts.
 
 * **Queued** (Poisson / periodic-sensing traffic): nodes hold FIFO packet
   queues; a transmit-eligible node sends the first queued packet whose
@@ -38,10 +40,10 @@ from time import perf_counter
 
 import numpy as np
 
-from repro._validation import check_int, check_probability
+from repro._validation import check_int
 from repro.core.schedule import Schedule
 from repro.faults import FaultPlan
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span
 from repro.simulation.drift import ClockDrift
 from repro.simulation.energy import EnergyAccount, EnergyModel, RadioState
@@ -51,10 +53,11 @@ from repro.simulation.topology import Topology
 __all__ = ["Packet", "Simulator"]
 
 # Radio states as positions in RadioState order (EnergyAccount.charge_slot).
-_TRANSMIT, _RECEIVE, _IDLE, _SLEEP = (
+# The paper's model never idles: a transmit-eligible node with nothing to
+# send sleeps, so RadioState.IDLE only keeps its column in the account.
+_TRANSMIT, _RECEIVE, _SLEEP = (
     list(RadioState).index(state) for state in (
-        RadioState.TRANSMIT, RadioState.RECEIVE, RadioState.IDLE,
-        RadioState.SLEEP))
+        RadioState.TRANSMIT, RadioState.RECEIVE, RadioState.SLEEP))
 
 
 @dataclass
@@ -90,38 +93,14 @@ class Simulator:
         Optional :class:`ClockDrift`; defaults to perfect synchrony.
     queue_limit:
         Per-node queue capacity; arrivals beyond it are dropped (counted).
-    idle_transmitters_sleep:
-        Whether a transmit-eligible node with nothing to send powers down
-        (default) or burns idle-listening energy.
-    capture_probability:
-        Probability that a collision resolves to one random talker being
-        received anyway (capture effect).  Default 0.0 — the paper's model,
-        in which every collision destroys all frames; nonzero values are a
-        robustness probe only.
-    rng:
-        Random source for the capture lottery.
     registry:
-        Optional :class:`repro.obs.metrics.MetricsRegistry` receiving the
-        simulator's observability series (collision/link-loss counters and
-        a slots-per-second gauge); defaults to the process-global registry.
-        Series update once per :meth:`run` frame — never per slot — so the
-        hot path stays untouched.
-    instrument:
-        When False the simulator never touches a registry or tracer: no
-        series are created, no ``sim.frame`` spans open and no per-frame
-        gauge flushes run — the uninstrumented path is allocation-free.
-        This also unlocks the vectorized saturated-mode frame kernel in
-        :meth:`run` (see *vectorize*), the fast path the sweep engine
-        rides.
-    vectorize:
-        Allow the vectorized saturated-mode kernel (collision
-        resolution over whole frames as exact integer counts on the
-        directed links).  It engages only when
-        ``instrument=False`` and the run is eligible — saturated traffic,
-        synchronous clocks, no fault plan, no capture — and is *exact*:
-        the property suite pins it bit-for-bit against the scalar
-        slot step and the analytic ``|T(x, y, S)|``.  Set False to
-        force the slot-by-slot path.
+        The :class:`repro.obs.metrics.MetricsRegistry` that watches the
+        run, or ``None`` (the default) for an unwatched one that touches
+        neither registry nor tracer.  A watched :meth:`run` or
+        :meth:`run_slots` call records one ``sim.run`` span and publishes
+        the collision and link-loss counters and the slots-per-second
+        gauge once, from :class:`Metrics` deltas.  Watching never changes
+        a result.
     faults:
         Optional :class:`repro.faults.FaultPlan`.  Crashed nodes neither
         transmit, listen nor sense (their queues survive a reboot); clean
@@ -136,13 +115,8 @@ class Simulator:
                  next_hops: dict[int, int] | None = None,
                  drift: ClockDrift | None = None,
                  queue_limit: int = 64,
-                 idle_transmitters_sleep: bool = True,
-                 capture_probability: float = 0.0,
-                 rng: np.random.Generator | None = None,
                  registry: MetricsRegistry | None = None,
-                 faults: FaultPlan | None = None,
-                 instrument: bool = True,
-                 vectorize: bool = True) -> None:
+                 faults: FaultPlan | None = None) -> None:
         if topology.n > schedule.n:
             raise ValueError(
                 f"topology has {topology.n} nodes but the schedule only "
@@ -155,10 +129,6 @@ class Simulator:
         self.next_hops = next_hops or {}
         self.drift = drift or ClockDrift.none(topology.n)
         self.queue_limit = check_int(queue_limit, "queue_limit", minimum=1)
-        self.idle_transmitters_sleep = idle_transmitters_sleep
-        self.capture_probability = check_probability(
-            capture_probability, "capture_probability")
-        self.rng = rng if rng is not None else np.random.default_rng()
         # Fault injection is compiled once per simulator so stochastic
         # outage timelines are generated exactly once per node; inactive
         # plans cost the hot path nothing (a single None check per slot).
@@ -177,28 +147,21 @@ class Simulator:
         self._tables: list[tuple[list[int], bytes, np.ndarray]] | None = None
         # Radio wakeup accounting: who was awake last slot.
         self._was_awake = np.zeros(topology.n, dtype=bool)
-        self._instrument = bool(instrument)
-        self._vectorize = bool(vectorize)
-        # Observability: registry series updated per frame from Metrics
-        # deltas (the per-slot hot path never touches the registry).
-        # With instrument=False the registry and tracer are never touched
-        # at all — not even to create idle series.
-        if self._instrument:
-            reg = registry if registry is not None else default_registry()
-            self._obs_collisions = reg.counter(
+        # The watching registry's series, published once per run call
+        # (never per slot or frame); unwatched, none exist.
+        self._series = None if registry is None else (
+            registry.counter(
                 "repro_sim_collisions_total",
-                "Receiver-side collisions observed by the simulator.").labels()
-            self._obs_losses = reg.counter(
+                "Receiver-side collisions observed by the simulator."
+            ).labels(),
+            registry.counter(
                 "repro_sim_link_losses_total",
-                "Clean receptions destroyed by injected link loss.").labels()
-            self._obs_rate = reg.gauge(
+                "Clean receptions destroyed by injected link loss."
+            ).labels(),
+            registry.gauge(
                 "repro_sim_slots_per_second",
-                "Simulated slots per wall-clock second, last run() call."
-            ).labels()
-        else:
-            self._obs_collisions = self._obs_losses = self._obs_rate = None
-        self._counted_collisions = 0
-        self._counted_losses = 0
+                "Simulated slots per wall-clock second, last run call."
+            ).labels())
         # Lazily built matrices for the vectorized frame kernel.
         self._mats: tuple[np.ndarray, ...] | None = None
 
@@ -224,8 +187,6 @@ class Simulator:
                          + np.asarray(self.drift.offsets[:n])) % length
                 tx, rx = tx[local, np.arange(n)], rx[local, np.arange(n)]
             states = np.full(tx.shape, _SLEEP, dtype=np.int8)
-            if not self.idle_transmitters_sleep:
-                states[tx] = _IDLE
             states[rx] = _RECEIVE
             if self.traffic.saturated:
                 tx = tx & np.array([len(nbrs) > 0 for nbrs in self._nbrs])
@@ -265,8 +226,8 @@ class Simulator:
 
         The work follows the nodes that act: this position's senders,
         the listening neighbours of the actual transmitters (visited in
-        ascending order, so capture draws, forwarding and latencies keep
-        that order) and one vector charge of every node's energy.  A
+        ascending order, so forwarding and latencies keep that order) and
+        one vector charge of every node's energy.  A
         listener no transmitter reaches hears nothing and draws nothing.
         """
         slot = self._slot
@@ -322,19 +283,12 @@ class Simulator:
             for y in nbrs[x]:
                 if listening[y]:
                     heard[y] = None if y in heard else x
-        capture = self.capture_probability
         received: list[tuple[int, int]] = []
         for y in sorted(heard):
             x = heard[y]
             if x is None:
                 m.record_collision(y)
-                # Optional capture effect (robustness probe; the paper's
-                # model has none): one random talker survives the pile-up,
-                # drawn in y's adjacency order.
-                if not capture or self.rng.random() >= capture:
-                    continue
-                talkers = [t for t in nbrs[y] if t in transmissions]
-                x = talkers[int(self.rng.integers(len(talkers)))]
+                continue
             # Injected link loss destroys an otherwise-clean frame; in
             # queued mode the sender requeues and retransmits.
             if faults is not None and not faults.link_delivers(slot, x, y):
@@ -387,35 +341,23 @@ class Simulator:
         self._slot += 1
         m.slots = self._slot
 
-    def _flush_observability(self, slots: int, elapsed: float) -> None:
-        """Publish Metrics deltas to the registry (once per frame/run)."""
-        if self._obs_collisions is None:
-            return
-        collisions = self.metrics.total_collisions()
-        self._obs_collisions.inc(collisions - self._counted_collisions)
-        self._counted_collisions = collisions
-        losses = self.metrics.link_losses
-        self._obs_losses.inc(losses - self._counted_losses)
-        self._counted_losses = losses
-        if elapsed > 0.0:
-            self._obs_rate.set(slots / elapsed)
-
     # ------------------------------------------------------------------
     # vectorized saturated-mode frame kernel
     # ------------------------------------------------------------------
     @property
     def _vector_eligible(self) -> bool:
-        """True when the vectorized kernel reproduces the scalar path
-        exactly.
+        """True when the vectorized kernel reproduces the slot step
+        exactly, which :meth:`run` then takes.
 
-        Saturated traffic under perfect synchrony with no fault plan and
-        no capture lottery is memoryless: every slot's outcome is a pure
-        function of the frame position, so whole frames collapse into one
-        batch of array operations.
+        Saturated traffic under perfect synchrony with no fault plan is
+        memoryless: every slot's outcome is a pure function of the frame
+        position, so whole frames collapse into one batch of array
+        operations.  The kernel's energy is a per-frame sum scaled by the
+        frame count, so it can differ from the slot step's running sum in
+        the last bits.
         """
-        return (self._vectorize and not self._instrument
-                and self.traffic.saturated and self._sync
-                and self._faults is None and self.capture_probability == 0.0)
+        return (self.traffic.saturated and self._sync
+                and self._faults is None)
 
     def _matrices(self) -> tuple[np.ndarray, ...]:
         """Directed links, neighbour table and node x slot eligibility
@@ -486,20 +428,16 @@ class Simulator:
 
         # Energy: state occupancy per node over one frame, scaled.
         model = self.energy.model
-        idle = (tx_elig & ~tx if not self.idle_transmitters_sleep
-                else np.zeros_like(tx))
-        awake = tx | rx | idle
-        tx_ct, rx_ct, idle_ct = (a.sum(axis=1, dtype=np.int64)
-                                 for a in (tx, rx, idle))
-        sleep_ct = length - tx_ct - rx_ct - idle_ct
+        awake = tx | rx
+        tx_ct, rx_ct = (a.sum(axis=1, dtype=np.int64) for a in (tx, rx))
+        sleep_ct = length - tx_ct - rx_ct
         for state, counts in ((RadioState.TRANSMIT, tx_ct),
                               (RadioState.RECEIVE, rx_ct),
-                              (RadioState.IDLE, idle_ct),
                               (RadioState.SLEEP, sleep_ct)):
             self.energy.state_slots[state] += counts * frames
         self.energy.spent_mj += frames * (
             tx_ct * model.tx_mj + rx_ct * model.rx_mj
-            + idle_ct * model.idle_mj + sleep_ct * model.sleep_mj)
+            + sleep_ct * model.sleep_mj)
         # Wakeups: sleep->awake edges.  In the steady state frames repeat,
         # so the frame boundary compares against the previous frame's last
         # slot; frame 0 alone compares against the recorded history.
@@ -518,39 +456,47 @@ class Simulator:
     def run(self, frames: int) -> Metrics:
         """Simulate *frames* whole schedule frames; returns the metrics.
 
-        Instrumented, each frame is bracketed in a ``sim.frame`` span and
-        the collision/link-loss counters plus the slots-per-second gauge
-        update from :class:`Metrics` deltas at frame boundaries.  With
-        ``instrument=False`` neither registry nor tracer is touched and,
-        when the run is eligible (see *vectorize*), whole frames execute
-        through the vectorized kernel.
+        An eligible run (see :attr:`_vector_eligible`) takes the
+        vectorized kernel, any other the slot step.
         """
         frames = check_int(frames, "frames", minimum=1)
-        length = self.schedule.frame_length
-        if self._vector_eligible:
-            self._run_vectorized(frames)
-            return self.metrics
-        if not self._instrument:
-            for _ in range(frames * length):
-                self.step()
-            return self.metrics
-        started = perf_counter()
-        for frame in range(frames):
-            with span("sim.frame", frame=frame, slots=length):
-                for _ in range(length):
-                    self.step()
-            self._flush_observability((frame + 1) * length,
-                                      perf_counter() - started)
-        return self.metrics
+        return self._advance(frames * self.schedule.frame_length,
+                             kernel=self._vector_eligible)
 
     def run_slots(self, slots: int) -> Metrics:
-        """Simulate an exact number of slots (not necessarily whole frames)."""
-        slots = check_int(slots, "slots", minimum=1)
+        """Simulate an exact number of slots by the slot step.
+
+        The count need not be a whole number of frames.
+        """
+        return self._advance(check_int(slots, "slots", minimum=1),
+                             kernel=False)
+
+    def _advance(self, slots: int, *, kernel: bool) -> Metrics:
+        """Advance *slots* slots, whole frames by the kernel or one slot
+        step each; a watched call records one ``sim.run`` span and
+        publishes its :class:`Metrics` deltas once."""
+        if self._series is None:
+            self._simulate(slots, kernel)
+            return self.metrics
+        m = self.metrics
+        collisions, losses = m.total_collisions(), m.link_losses
         started = perf_counter()
-        for _ in range(slots):
-            self.step()
-        self._flush_observability(slots, perf_counter() - started)
-        return self.metrics
+        with span("sim.run", slots=slots, kernel=kernel):
+            self._simulate(slots, kernel)
+        elapsed = perf_counter() - started
+        obs_collisions, obs_losses, obs_rate = self._series
+        obs_collisions.inc(m.total_collisions() - collisions)
+        obs_losses.inc(m.link_losses - losses)
+        if elapsed > 0.0:
+            obs_rate.set(slots / elapsed)
+        return m
+
+    def _simulate(self, slots: int, kernel: bool) -> None:
+        if kernel:
+            self._run_vectorized(slots // self.schedule.frame_length)
+        else:
+            for _ in range(slots):
+                self.step()
 
     @property
     def pending_packets(self) -> int:

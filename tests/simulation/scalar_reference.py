@@ -106,14 +106,6 @@ def slow_slot_step(sim: Simulator) -> None:
         talkers = [x for x in sim.topology.neighbors(y) if x in transmissions]
         if len(talkers) > 1:
             sim.metrics.record_collision(y)
-            if sim.capture_probability > 0.0 and \
-                    sim.rng.random() < sim.capture_probability:
-                winner = talkers[int(sim.rng.integers(len(talkers)))]
-                if sim._faults is not None and \
-                        not sim._faults.link_delivers(slot, winner, y):
-                    sim.metrics.record_link_loss()
-                else:
-                    received[y] = (winner, transmissions[winner])
         elif len(talkers) == 1:
             if sim._faults is not None and \
                     not sim._faults.link_delivers(slot, talkers[0], y):
@@ -154,9 +146,6 @@ def slow_slot_step(sim: Simulator) -> None:
         elif listening[x]:
             awake = True
             sim.energy.charge(x, RadioState.RECEIVE)
-        elif tx_eligible[x] and not sim.idle_transmitters_sleep:
-            awake = True
-            sim.energy.charge(x, RadioState.IDLE)
         else:
             awake = False
             sim.energy.charge(x, RadioState.SLEEP)

@@ -149,14 +149,12 @@ class TestEnergyAccounting:
         topo = ring(4)
         sched = Schedule.from_sets(4, [[0]], [[1]])
         rng = np.random.default_rng(0)
-        # No packets ever: transmit-eligible node idles or sleeps per policy.
+        # No packets ever: the transmit-eligible node sleeps, never idles.
         quiet = PoissonTraffic(topo, 1e-9, rng)
-        sim_sleep = Simulator(topo, sched, quiet, idle_transmitters_sleep=True)
-        sim_sleep.run(frames=5)
-        assert sim_sleep.energy.state_slots[RadioState.SLEEP][0] == 5
-        sim_idle = Simulator(topo, sched, quiet, idle_transmitters_sleep=False)
-        sim_idle.run(frames=5)
-        assert sim_idle.energy.state_slots[RadioState.IDLE][0] == 5
+        sim = Simulator(topo, sched, quiet)
+        sim.run(frames=5)
+        assert sim.energy.state_slots[RadioState.SLEEP][0] == 5
+        assert sim.energy.state_slots[RadioState.IDLE].sum() == 0
 
     def test_awake_fraction_matches_schedule(self):
         topo = ring(6)
@@ -192,29 +190,15 @@ class TestDrift:
 
 class TestCapture:
     def test_default_is_paper_model(self):
-        sim = Simulator(ring(4), tdma_schedule(4), SaturatedTraffic(ring(4)))
-        assert sim.capture_probability == 0.0
-
-    def test_capture_rescues_some_collisions(self):
-        # All leaves share every slot: without capture the hub never hears
-        # anyone; with certain capture it hears exactly one per slot.
+        # All leaves share every slot: a collision destroys every frame,
+        # so the hub never hears anyone (the paper's model has no
+        # capture), and each slot logs one collision.
         n = 5
         topo = star(n, 4)
         sched = Schedule.non_sleeping(n, [[1, 2, 3, 4]])
-        no_cap = Simulator(topo, sched, SaturatedTraffic(topo))
-        m0 = no_cap.run(frames=4)
-        assert sum(m0.successes.get((x, 0), 0) for x in range(1, 5)) == 0
-        cap = Simulator(topo, sched, SaturatedTraffic(topo),
-                        capture_probability=1.0,
-                        rng=np.random.default_rng(0))
-        m1 = cap.run(frames=4)
-        assert sum(m1.successes.get((x, 0), 0) for x in range(1, 5)) == 4
-        assert m1.total_collisions() == 4  # still logged as collisions
-
-    def test_probability_validated(self):
-        with pytest.raises(ValueError):
-            Simulator(ring(4), tdma_schedule(4), SaturatedTraffic(ring(4)),
-                      capture_probability=1.5)
+        m = Simulator(topo, sched, SaturatedTraffic(topo)).run(frames=4)
+        assert sum(m.successes.get((x, 0), 0) for x in range(1, 5)) == 0
+        assert m.total_collisions() == 4
 
 
 class TestValidation:
@@ -236,27 +220,23 @@ class TestValidation:
 
 
 class TestObservability:
-    def test_slots_per_second_gauge_is_right_after_every_frame(
-            self, monkeypatch):
-        # A clock that ticks one second per reading: every frame of 30
-        # slots takes one second, so each flush must read 30 slots/s.
+    def test_slots_per_second_gauge_reads_each_call(self, monkeypatch):
+        # A clock that ticks one second per reading: each run call takes
+        # one second whatever its length, and publishes once at its end.
         ticks = itertools.count()
         monkeypatch.setattr(engine, "perf_counter",
                             lambda: float(next(ticks)))
         registry = MetricsRegistry()
-        rates = []
-        flush = Simulator._flush_observability
-
-        def recording_flush(self, slots, elapsed):
-            flush(self, slots, elapsed)
-            gauge = registry.snapshot()["gauges"]["repro_sim_slots_per_second"]
-            rates.append(gauge["series"][0]["value"])
-
-        monkeypatch.setattr(Simulator, "_flush_observability",
-                            recording_flush)
         sched = Schedule.non_sleeping(6, [[x] for x in range(6)] * 5)
         assert sched.frame_length == 30
         sim = Simulator(ring(6), sched, SaturatedTraffic(ring(6)),
                         registry=registry)
+
+        def rate() -> float:
+            gauge = registry.snapshot()["gauges"]["repro_sim_slots_per_second"]
+            return gauge["series"][0]["value"]
+
         sim.run(4)
-        assert rates == [30.0] * 4
+        assert rate() == 120.0
+        sim.run_slots(30)
+        assert rate() == 30.0

@@ -11,9 +11,9 @@
   dictionary for dictionary, energy cell for energy cell.
 * :func:`test_step_equals_scalar_reference` — Hypothesis draws in-class
   topologies, random and duty-cycled schedules, all three traffics,
-  clock drift, fault plans and capture; :meth:`Simulator.step` must
-  leave exactly the state the original scalar step leaves, energy
-  equal bit for bit.
+  clock drift, fault plans and watched or unwatched runs;
+  :meth:`Simulator.run_slots` must leave exactly the state the original
+  scalar step leaves, energy equal bit for bit.
 
 Marked ``slow``: the fast tier (``-m "not slow"``) skips them, CI's full
 matrix runs them.
@@ -94,8 +94,7 @@ def test_vectorized_equals_scalar_equals_theory(seed):
         sched = random_schedule(n, length, rnd)
         case = f"seed={seed} n={n} d={d} L={length} frames={frames}"
 
-        fast = Simulator(topo, sched, SaturatedTraffic(topo),
-                         instrument=False)
+        fast = Simulator(topo, sched, SaturatedTraffic(topo))
         assert fast._vector_eligible, case
         mf = fast.run(frames)
 
@@ -111,8 +110,7 @@ def test_vectorized_equals_scalar_equals_theory(seed):
         assert set(mf.successes) <= links, case
 
         # Scalar reference: byte-for-byte the same bookkeeping.
-        slow = Simulator(topo, sched, SaturatedTraffic(topo),
-                         instrument=False, vectorize=False)
+        slow = Simulator(topo, sched, SaturatedTraffic(topo))
         for _ in range(frames * length):
             slow_slot_step(slow)
         ms = slow.metrics
@@ -168,12 +166,8 @@ def scenarios(draw):
                 st.tuples(st.integers(0, n - 1), st.integers(0, 40),
                           st.sampled_from([None, 60])),
                 max_size=2))))
-    options = dict(
-        capture_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        idle_transmitters_sleep=draw(st.booleans()),
-        queue_limit=draw(st.sampled_from([1, 3, 64])),
-        instrument=draw(st.booleans()),
-    )
+    queue_limit = draw(st.sampled_from([1, 3, 64]))
+    watched = draw(st.booleans())
     slots = draw(st.integers(min_value=1,
                              max_value=min(3 * sched.frame_length, 300)))
 
@@ -188,9 +182,10 @@ def scenarios(draw):
             source = PeriodicSensingTraffic(topo, sink=sink, period=period)
             hops = sink_tree(topo, sink)
         drift = ClockDrift(offsets) if offsets is not None else None
-        return Simulator(topo, sched, source, next_hops=hops, drift=drift,
-                         faults=faults, rng=rng, registry=MetricsRegistry(),
-                         **options), rng
+        sim = Simulator(topo, sched, source, next_hops=hops, drift=drift,
+                        faults=faults, queue_limit=queue_limit,
+                        registry=MetricsRegistry() if watched else None)
+        return sim, rng
 
     return build, slots
 
