@@ -331,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reuse valid checkpoints from --checkpoint-dir "
                         "instead of recomputing their shards")
     p.add_argument("--task-timeout", type=float, default=None,
-                   help="per-shard wall-clock budget in seconds; a hung "
-                        "worker is reclaimed and the shard retried")
+                   help="per-shard wall-clock budget in seconds of a pool "
+                        "worker (needs --jobs > 1); a hung worker is "
+                        "reclaimed and the shard retried")
     p.add_argument("--max-retries", type=int, default=2,
                    help="faulted attempts a shard may burn beyond its "
                         "first (default 2)")

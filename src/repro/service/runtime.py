@@ -92,8 +92,9 @@ class RuntimeConfig:
     jobs:
         Pool width; ``1`` runs every task inline (no processes).
     task_timeout:
-        Per-attempt wall-clock budget in seconds (pool mode); ``None``
-        waits forever, the pre-runtime behaviour.
+        Per-attempt wall-clock budget in seconds of a pool worker;
+        ``None`` waits forever, the pre-runtime behaviour.  It needs
+        ``jobs > 1``: an inline task cannot be preempted.
     max_retries:
         How many *faulted* attempts (exceptions or timeouts) a task may
         burn beyond its first before it is finalized.  Pool deaths never
@@ -107,8 +108,13 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         check_int(self.jobs, "jobs", minimum=1)
         check_int(self.max_retries, "max_retries", minimum=0)
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive or None")
+        if self.task_timeout is not None:
+            if self.task_timeout <= 0:
+                raise ValueError("task_timeout must be positive or None")
+            if self.jobs == 1:
+                raise ValueError(
+                    "task_timeout applies to pool workers and needs "
+                    "jobs > 1: an inline shard cannot be preempted")
 
     def retry_policy(self, faults: FaultPlan | None) -> RetryPolicy:
         """The task backoff; a fault plan's seed, when given, seeds it."""

@@ -53,7 +53,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             RuntimeConfig(jobs=0)
         with pytest.raises(ValueError):
-            RuntimeConfig(task_timeout=0.0)
+            RuntimeConfig(jobs=2, task_timeout=0.0)
+        with pytest.raises(ValueError, match="pool workers"):
+            RuntimeConfig(jobs=1, task_timeout=5.0)
         with pytest.raises(ValueError):
             RuntimeConfig(max_retries=-1)
 

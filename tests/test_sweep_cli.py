@@ -101,6 +101,16 @@ class TestCliErrors:
         assert main(["sweep", "-i", str(GOLDEN_SPEC),
                      "--fault-plan", str(plan)]) == 2
 
+    def test_task_timeout_needs_a_pool(self, capsys, tmp_path):
+        # An inline shard cannot be preempted: a timeout there would be
+        # silently ignored, so the run is refused before any work.
+        out = tmp_path / "out.jsonl"
+        assert main(["sweep", "-i", str(GOLDEN_SPEC), "-o", str(out),
+                     "--task-timeout", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "task_timeout applies to pool workers" in err
+        assert not out.exists()
+
     def test_failed_shard_exits_3(self, capsys, tmp_path):
         # Target an unretried crash at the first shard's digest.
         spec = SweepSpec.from_dict(
