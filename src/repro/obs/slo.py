@@ -347,17 +347,17 @@ class BurnRateTracker:
         return out
 
 
-def default_serve_objectives(
-        threshold_s: float = 1.0,
-        latency_target: float = 0.99,
-        availability_target: float = 0.999) -> list[Objective]:
-    """The serve tier's stock objectives over its existing metrics:
-    provision/plan latency under *threshold_s* and non-5xx answers."""
+def default_serve_objectives() -> list[Objective]:
+    """The serve tier's stock objectives over its existing metrics.
+
+    99% of provision/plan requests answer in under 1 s, and 99.9% of
+    answers are not 5xx.
+    """
     return [
         Objective(name="serve-latency", kind="latency",
                   metric="repro_serve_request_seconds",
-                  target=latency_target, threshold_s=threshold_s),
+                  target=0.99, threshold_s=1.0),
         Objective(name="serve-availability", kind="availability",
                   metric="repro_serve_requests_total",
-                  target=availability_target),
+                  target=0.999),
     ]

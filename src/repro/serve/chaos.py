@@ -50,6 +50,10 @@ __all__ = ["ChaosProxy", "BackgroundProxy"]
 _log = get_logger("serve.chaos")
 
 _CHUNK = 65536
+#: ``reset``/``truncate`` sever the upstream response below this byte
+#: offset: inside the HTTP response head, so the injected damage is
+#: always client-visible.
+_CUT_WINDOW = 64
 
 
 class ChaosProxy:
@@ -80,21 +84,17 @@ class ChaosProxy:
 
     def __init__(self, upstream_host: str, upstream_port: int, *,
                  plan: FaultPlan | None = None, host: str = "127.0.0.1",
-                 port: int = 0, cut_window: int = 64,
+                 port: int = 0,
                  registry: MetricsRegistry | None = None) -> None:
         """Proxy ``host:port`` -> ``upstream_host:upstream_port``.
 
         *plan* supplies the seeded fault draws (default: a clean plan,
-        pure pass-through).  *cut_window* bounds the byte offset at
-        which ``reset``/``truncate`` sever the upstream response; the
-        default of 64 cuts inside the HTTP response head, so the injected
-        damage is always client-visible.
+        pure pass-through).
         """
         self.upstream_host = upstream_host
         self.upstream_port = check_int(upstream_port, "upstream_port",
                                        minimum=1)
         self.plan = plan if plan is not None else FaultPlan()
-        self.cut_window = check_int(cut_window, "cut_window", minimum=1)
         self.registry = registry if registry is not None \
             else default_registry()
         self.host = host
@@ -190,7 +190,7 @@ class ChaosProxy:
         except OSError:
             self._upstream_failures.inc()
             return  # upstream down: the client sees an aborted connect
-        cut = self.plan.proxy_cut(index, self.cut_window) \
+        cut = self.plan.proxy_cut(index, _CUT_WINDOW) \
             if kind in ("reset", "truncate") else None
         forward = asyncio.create_task(
             _pump(client_reader, up_writer, eof=True))

@@ -141,10 +141,6 @@ class ServeConfig:
         Largest request body accepted; beyond it, ``413``.
     flight_capacity:
         Server traces ``/debugz`` returns, newest first.
-    slo_threshold_s, slo_latency_target, slo_availability_target:
-        The ``/slo`` endpoint's stock objectives: *slo_latency_target*
-        of requests under *slo_threshold_s* (pick a histogram bucket
-        bound), *slo_availability_target* of answers non-5xx.
     history_interval_s, history_capacity:
         The ``/metrics/history`` scrape cadence and ring depth — the
         defaults keep 30 minutes of 5-second samples in ~O(capacity)
@@ -160,9 +156,6 @@ class ServeConfig:
     request_deadline_s: float | None = 30.0
     max_body_bytes: int = 1 << 20
     flight_capacity: int = 128
-    slo_threshold_s: float = 1.0
-    slo_latency_target: float = 0.99
-    slo_availability_target: float = 0.999
     history_interval_s: float = 5.0
     history_capacity: int = 360
     profilez_max_seconds: float = 30.0
@@ -177,15 +170,10 @@ class ServeConfig:
         if self.request_deadline_s is not None \
                 and self.request_deadline_s <= 0:
             raise ValueError("request_deadline_s must be positive or None")
-        if self.slo_threshold_s <= 0:
-            raise ValueError("slo_threshold_s must be positive")
         if self.history_interval_s <= 0:
             raise ValueError("history_interval_s must be positive")
         if self.profilez_max_seconds <= 0:
             raise ValueError("profilez_max_seconds must be positive")
-        for name in ("slo_latency_target", "slo_availability_target"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be a fraction in (0, 1)")
 
 
 class ScheduleServer:
@@ -237,10 +225,7 @@ class ScheduleServer:
         self._computed = self.registry.counter(
             "repro_serve_plans_computed_total",
             "Planner evaluations actually run (post-coalescing).").labels()
-        self._objectives = _slo.default_serve_objectives(
-            threshold_s=self.config.slo_threshold_s,
-            latency_target=self.config.slo_latency_target,
-            availability_target=self.config.slo_availability_target)
+        self._objectives = _slo.default_serve_objectives()
         self._burn = _slo.BurnRateTracker(self._objectives,
                                           registry=self.registry)
         self._history = _timeseries.SnapshotRing(
