@@ -356,8 +356,7 @@ class Simulator:
         frame count, so it can differ from the slot step's running sum in
         the last bits.
         """
-        return (self.traffic.saturated and self._sync
-                and self._faults is None)
+        return self.traffic.saturated and self._sync and self._faults is None
 
     def _matrices(self) -> tuple[np.ndarray, ...]:
         """Directed links, neighbour table and node x slot eligibility
