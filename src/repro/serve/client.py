@@ -202,6 +202,10 @@ class ServeClient(ServeEndpoints):
                          headers={"Content-Type": "application/json"})
             response = conn.getresponse()
             data = response.read()
+            if response.getheader("Content-Length") is None:
+                # The server frames every response; a head without the
+                # length was cut short, so its empty body is no answer.
+                raise http.client.IncompleteRead(data)
             answer = (response.status, data,
                       response.getheader("Content-Type", ""))
         except (OSError, http.client.HTTPException) as exc:

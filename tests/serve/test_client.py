@@ -7,6 +7,7 @@ import pytest
 
 from repro.faults import FaultPlan, RetryPolicy
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.chaos import BackgroundProxy
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import BackgroundServer, ServeConfig
 from repro.service.api import ProvisionRequest
@@ -82,6 +83,19 @@ class TestRetries:
             attempt, hint = attempts[0]
             assert attempt == 1
             assert hint is not None and hint > 0  # the server sent a hint
+
+    def test_response_cut_inside_its_head_is_retried(self):
+        """A clean close after the status line leaves a 200 with no
+        length and no body: that is a failed exchange, retried like a
+        reset, not a final answer."""
+        plan = FaultPlan(seed=8, proxy_truncate_rate=0.5)
+        assert 17 < plan.proxy_cut(0, 64)  # past "HTTP/1.1 200 OK\r\n"
+        with BackgroundServer(ServeConfig(port=0)) as bs:
+            with BackgroundProxy("127.0.0.1", bs.port, plan=plan) as bp:
+                client = ServeClient(bp.host, bp.port, retries=1,
+                                     backoff_base=0.001)
+                assert client.health()["ok"] is True
+                assert bp.fault_log == [(0, "truncate"), (1, "ok")]
 
     def test_overload_without_retries_raises_immediately(self):
         with BackgroundServer(ServeConfig(port=0, max_inflight=0)) as bs:
