@@ -24,8 +24,8 @@ writing Python:
 ``obs``        observability tooling: ``report`` reassembles span JSONL
                into per-request trace trees, ``slo`` evaluates
                objectives against a metrics snapshot, ``top`` renders a
-               live server's rates/latency/coalesce/breaker state from
-               its ``/metrics/history`` ring, ``bench-diff`` gates
+               live server's rates/latency/coalesce state from its
+               ``/metrics/history`` ring, ``bench-diff`` gates
                benchmark sidecars against a recorded baseline
 ``store``      schedule-store maintenance: ``scrub`` (integrity pass with
                quarantine) and ``clear``
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report: render per-request span trees from "
                         "trace JSONL; slo: evaluate objectives against a "
                         "metrics snapshot (exit 1 on a burned objective); "
-                        "top: live req/s, latency quantiles, coalesce and "
-                        "breaker state of a running server; bench-diff: "
+                        "top: live req/s, latency quantiles and coalesce "
+                        "hit rate of a running server; bench-diff: "
                         "compare current bench sidecars against a baseline "
                         "(exit 1 on regression)")
     p.add_argument("traces", nargs="*",
@@ -693,15 +693,6 @@ def _render_obs_top(samples: list[dict]) -> str:
     def fmt(value, unit="", scale=1.0, digits=2):
         return "-" if value is None else f"{value * scale:.{digits}f}{unit}"
 
-    breakers = _ts.gauge_values(newest, "repro_failover_breaker_open")
-    if breakers:
-        opened = sorted(dict(key).get("endpoint", str(dict(key)))
-                        for key, value in breakers.items() if value >= 1.0)
-        state = f"{len(opened)}/{len(breakers)} open"
-        if opened:
-            state += f" ({', '.join(opened)})"
-    else:
-        state = "none tracked"
     return "\n".join([
         f"window    {window:.1f}s over {len(samples)} sample(s)",
         f"requests  {requests:g} ({fmt(rate)}/s)",
@@ -709,7 +700,6 @@ def _render_obs_top(samples: list[dict]) -> str:
         f"p99       {fmt(p99, ' ms', 1000.0)}",
         f"coalesce  {fmt(hit, '%', 100.0, 1)} joined "
         f"({joined:g}/{led + joined:g})",
-        f"breakers  {state}",
     ])
 
 

@@ -333,9 +333,8 @@ class RetryPolicy:
     seconds scaled by :meth:`FaultPlan.backoff_jitter`, a seeded draw in
     ``[0.5, 1.5)``: two runs with the same seed back off identically, yet
     different keys spread out.  Every waiting layer uses it — the serve
-    and failover clients between attempts (:meth:`run`), the sweep
-    runtime between task retries, the supervisor between restarts, and
-    the circuit breaker before its half-open probe (``cap == base``).
+    client between attempts (:meth:`run`), the sweep runtime between
+    task retries and the supervisor between restarts.
 
     Attributes
     ----------
@@ -345,7 +344,7 @@ class RetryPolicy:
         The backoff schedule in seconds; *cap* also caps a server hint.
     budget_s:
         Wall-clock seconds the retries of one :meth:`run` may spend in
-        total (the clients' ``retry_budget_s``); ``None`` is unbounded.
+        total (the client's ``retry_budget_s``); ``None`` is unbounded.
     seed:
         Seed of the jitter draws.
     """

@@ -1,8 +1,8 @@
 """Request-scoped trace context: correlation ids that follow the work.
 
-A provision request crosses many hops — client retry loop, failover
-rotation, the asyncio server, the coalescer, a thread pool, the planner,
-the schedule store.  This module gives every hop the same three
+A provision request crosses many hops — client retry loop, the
+asyncio server, the coalescer, a thread pool, the planner, the schedule
+store.  This module gives every hop the same three
 coordinates, carried in a :class:`contextvars.ContextVar` so they follow
 ``await`` points and (via :func:`contextvars.copy_context`) executor
 submissions without any function-signature plumbing:

@@ -22,8 +22,6 @@ Layers (each its own module, dependency-free stdlib only):
   retry/backoff, used by ``repro call``, the tests and the load bench;
 * :mod:`repro.serve.chaos` — a deterministic fault-injecting TCP proxy
   for chaos drills (refuse / reset / delay / truncate, all seeded);
-* :mod:`repro.serve.failover` — a multi-endpoint client with
-  per-endpoint circuit breakers and seeded half-open probes;
 * :mod:`repro.serve.supervisor` — restart-on-crash process supervision
   with seeded backoff and crash-loop detection
   (``repro serve --supervise``).
@@ -32,12 +30,11 @@ Layers (each its own module, dependency-free stdlib only):
 from repro.serve.chaos import BackgroundProxy, ChaosProxy
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.coalesce import Coalescer
-from repro.serve.failover import CircuitBreaker, FailoverClient
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.serve.server import BackgroundServer, ScheduleServer, ServeConfig
 from repro.serve.supervisor import Supervisor, SupervisorConfig
 
 __all__ = ["ServeClient", "ServeError", "Coalescer", "PROTOCOL_VERSION",
            "ProtocolError", "BackgroundServer", "ScheduleServer",
-           "ServeConfig", "ChaosProxy", "BackgroundProxy", "FailoverClient",
-           "CircuitBreaker", "Supervisor", "SupervisorConfig"]
+           "ServeConfig", "ChaosProxy", "BackgroundProxy", "Supervisor",
+           "SupervisorConfig"]

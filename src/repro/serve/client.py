@@ -8,9 +8,9 @@ Retry policy: connection-level failures (refused, reset, timed out
 sockets) and responses carrying a code in
 :data:`repro.serve.protocol.RETRYABLE_CODES` (``overloaded``,
 ``draining``) are retried by :meth:`repro.faults.RetryPolicy.run` — the
-same seeded backoff the runtime, the supervisor and the failover client
-wait by, so two clients with the same seed back off identically and a
-load test's retry storm is byte-reproducible.  A response's
+same seeded backoff the runtime and the supervisor wait by, so two
+clients with the same seed back off identically and a load test's retry
+storm is byte-reproducible.  A response's
 ``retry_after_s`` hint (capped at *backoff_cap*) replaces the seeded
 backoff for that retry, and *retry_budget_s* bounds the whole storm in
 wall-clock terms.  Anything else (``400``, ``404``, ``504``...) is final
@@ -39,7 +39,7 @@ from repro.obs.tracing import span
 from repro.serve import protocol
 from repro.service.api import ProvisionRequest, ProvisionResult
 
-__all__ = ["ServeClient", "ServeEndpoints", "ServeError"]
+__all__ = ["ServeClient", "ServeError"]
 
 
 class ServeError(RuntimeError):
@@ -56,8 +56,7 @@ class ServeError(RuntimeError):
         server could not be reached at all.
     retry_after_s:
         The server's backoff hint from the final response, or ``None``
-        when it carried none — failover layers reuse it when spreading
-        the retry over other endpoints.
+        when it carried none.
     """
 
     def __init__(self, status: int, code: str, message: str, *,
@@ -70,61 +69,12 @@ class ServeError(RuntimeError):
 
     @property
     def retryable(self) -> bool:
-        """Whether a retry (here or elsewhere) could plausibly help."""
+        """Whether a later call could plausibly succeed."""
         return self.code == "unavailable" \
             or self.code in protocol.RETRYABLE_CODES
 
 
-class ServeEndpoints:
-    """Typed helpers for the server's JSON endpoints, over ``self.call``.
-
-    Shared by :class:`ServeClient` (one server) and
-    :class:`~repro.serve.failover.FailoverClient` (the first healthy
-    endpoint of a fleet); a subclass supplies ``call(method, path,
-    body)`` returning the parsed response document.
-    """
-
-    def health(self) -> dict[str, Any]:
-        """``GET /healthz`` — serving/draining state and inflight count."""
-        return self.call("GET", "/healthz")
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """``GET /metrics.json`` — the ``repro-metrics`` snapshot."""
-        return self.call("GET", "/metrics.json")
-
-    def provision(self, requests: Sequence[ProvisionRequest
-                                           | dict[str, Any]], *,
-                  include_schedules: bool = True) -> list[dict[str, Any]]:
-        """``POST /provision`` — returns the raw result documents.
-
-        Result lines have exactly the shape ``repro provision`` writes;
-        parse them with :meth:`ProvisionResult.from_dict` (requires
-        ``include_schedules=True`` for successful results).
-        """
-        docs = [r.to_dict() if isinstance(r, ProvisionRequest) else r
-                for r in requests]
-        doc = self.call("POST", "/provision", {
-            "requests": docs, "include_schedules": include_schedules})
-        return doc["results"]
-
-    def provision_results(self, requests: Sequence[ProvisionRequest
-                                                   | dict[str, Any]]
-                          ) -> list[ProvisionResult]:
-        """:meth:`provision`, parsed back into :class:`ProvisionResult`."""
-        return [ProvisionResult.from_dict(doc)
-                for doc in self.provision(requests, include_schedules=True)]
-
-    def plan(self, n: int, d: int, max_duty: float | str, *,
-             balanced: bool = False,
-             include_schedule: bool = True) -> dict[str, Any]:
-        """``POST /plan`` — one request, one raw result document."""
-        doc = self.call("POST", "/plan", {
-            "n": n, "d": d, "max_duty": max_duty, "balanced": balanced,
-            "include_schedule": include_schedule})
-        return doc["result"]
-
-
-class ServeClient(ServeEndpoints):
+class ServeClient:
     """Talk to a running :class:`~repro.serve.server.ScheduleServer`.
 
     Thread-compatible: every call opens its own connection, so one
@@ -249,8 +199,47 @@ class ServeClient(ServeEndpoints):
                          retry_after_s=protocol.retry_after_hint(doc))
 
     # ------------------------------------------------------------------
-    # per-server endpoints
+    # endpoints
     # ------------------------------------------------------------------
+    def health(self) -> dict[str, Any]:
+        """``GET /healthz`` — serving/draining state and inflight count."""
+        return self.call("GET", "/healthz")
+
+    def metrics_snapshot(self) -> dict[str, Any]:
+        """``GET /metrics.json`` — the ``repro-metrics`` snapshot."""
+        return self.call("GET", "/metrics.json")
+
+    def provision(self, requests: Sequence[ProvisionRequest
+                                           | dict[str, Any]], *,
+                  include_schedules: bool = True) -> list[dict[str, Any]]:
+        """``POST /provision`` — returns the raw result documents.
+
+        Result lines have exactly the shape ``repro provision`` writes;
+        parse them with :meth:`ProvisionResult.from_dict` (requires
+        ``include_schedules=True`` for successful results).
+        """
+        docs = [r.to_dict() if isinstance(r, ProvisionRequest) else r
+                for r in requests]
+        doc = self.call("POST", "/provision", {
+            "requests": docs, "include_schedules": include_schedules})
+        return doc["results"]
+
+    def provision_results(self, requests: Sequence[ProvisionRequest
+                                                   | dict[str, Any]]
+                          ) -> list[ProvisionResult]:
+        """:meth:`provision`, parsed back into :class:`ProvisionResult`."""
+        return [ProvisionResult.from_dict(doc)
+                for doc in self.provision(requests, include_schedules=True)]
+
+    def plan(self, n: int, d: int, max_duty: float | str, *,
+             balanced: bool = False,
+             include_schedule: bool = True) -> dict[str, Any]:
+        """``POST /plan`` — one request, one raw result document."""
+        doc = self.call("POST", "/plan", {
+            "n": n, "d": d, "max_duty": max_duty, "balanced": balanced,
+            "include_schedule": include_schedule})
+        return doc["result"]
+
     def metrics_text(self) -> str:
         """``GET /metrics`` — the Prometheus text exposition."""
         status, data, _ct = self.request("GET", "/metrics")

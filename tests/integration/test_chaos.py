@@ -10,7 +10,7 @@ sockets and real processes:
   (scrub-verified);
 * the same seed reproduces the **identical fault sequence**;
 * a SIGKILLed serving process is restarted by the supervisor and the
-  fleet recovers; a deterministic crash loop exits nonzero instead of
+  server recovers; a deterministic crash loop exits nonzero instead of
   flapping forever.
 """
 
@@ -26,8 +26,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.serve.chaos import BackgroundProxy
-from repro.serve.client import ServeError
-from repro.serve.failover import FailoverClient
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import BackgroundServer, ServeConfig
 from repro.serve.supervisor import (
     CRASH_LOOP_EXIT_CODE,
@@ -64,10 +63,9 @@ def _storm(store_dir, seed=13):
                           store=ScheduleStore(store_dir)) as bs:
         with BackgroundProxy("127.0.0.1", bs.port,
                              plan=_STORM_PLAN) as bp:
-            client = FailoverClient([(bp.host, bp.port)], retries=8,
-                                    timeout=10.0, backoff_base=0.005,
-                                    seed=seed, failure_threshold=4,
-                                    breaker_reset_s=0.05)
+            client = ServeClient(bp.host, bp.port, retries=8,
+                                 timeout=10.0, backoff_base=0.005,
+                                 seed=seed)
             for i in range(24):
                 n, d, duty = requests[i % len(requests)]
                 try:
@@ -122,16 +120,15 @@ class TestSupervisedRecovery:
             env=_env(), stderr=subprocess.PIPE, text=True)
         try:
             self._wait_ready(sup, ready)
-            client = FailoverClient([("127.0.0.1", port)], retries=12,
-                                    timeout=10.0, backoff_base=0.05,
-                                    breaker_reset_s=0.2)
+            client = ServeClient("127.0.0.1", port, retries=12,
+                                 timeout=10.0, backoff_base=0.05)
             assert client.health()["ok"] is True
             client.plan(12, 2, 0.5, include_schedule=False)
 
             first_pid = int(pid_file.read_text())
             os.kill(first_pid, signal.SIGKILL)
 
-            # Through the outage every call must stay typed; the fleet
+            # Through the outage every call must stay typed; the server
             # must recover within the retry ladder.
             recovered = False
             deadline = time.monotonic() + 30
@@ -143,7 +140,7 @@ class TestSupervisedRecovery:
                     break
                 except ServeError as exc:
                     assert exc.code  # typed, never a bare socket error
-            assert recovered, "fleet never recovered after the kill"
+            assert recovered, "server never recovered after the kill"
             assert int(pid_file.read_text()) != first_pid
 
             sup.send_signal(signal.SIGTERM)
@@ -212,10 +209,8 @@ class TestLongStorm:
         with BackgroundServer(ServeConfig(port=0, jobs=1),
                               store=ScheduleStore(tmp_path / "c")) as bs:
             with BackgroundProxy("127.0.0.1", bs.port, plan=plan) as bp:
-                client = FailoverClient([(bp.host, bp.port)], retries=10,
-                                        timeout=10.0, backoff_base=0.002,
-                                        failure_threshold=5,
-                                        breaker_reset_s=0.02)
+                client = ServeClient(bp.host, bp.port, retries=10,
+                                     timeout=10.0, backoff_base=0.002)
                 for i in range(100):
                     try:
                         client.plan(12 + (i % 3), 2, 0.9,

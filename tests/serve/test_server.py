@@ -450,7 +450,7 @@ class TestObservabilityEndpoints:
                            "--port", str(bs.port), "--once"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "requests" in out and "p99" in out and "breakers" in out
+        assert "requests" in out and "p99" in out
 
     def test_obs_top_unreachable_server_errors(self, capsys):
         import socket

@@ -2,13 +2,11 @@
 
 The acceptance tests of the tracing layer: one trace id minted (or
 forwarded) per logical request survives the client retry loop, the
-failover rotation, the asyncio server, the coalescer and the thread
-pool, and everything the request touched is reassemblable from the span
-dump alone.
+asyncio server, the coalescer and the thread pool, and everything the
+request touched is reassemblable from the span dump alone.
 """
 
 import json
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,12 +15,13 @@ import pytest
 
 from repro.core.nonsleeping import mols_schedule
 from repro.core.planner import GridPoint, evaluate_grid_point
+from repro.faults import FaultPlan
 from repro.obs import context as ctx
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, assemble_traces, set_default_tracer
 from repro.obs.tracing import validate_jsonl as validate_trace_lines
+from repro.serve.chaos import BackgroundProxy
 from repro.serve.client import ServeClient
-from repro.serve.failover import FailoverClient
 from repro.serve.server import BackgroundServer, ServeConfig
 from repro.service.api import ProvisionRequest, ProvisionResult
 
@@ -51,12 +50,6 @@ def _plan_fn(tiny_plan, release=None):
             assert release.wait(timeout=30.0)
         return ProvisionResult(request, tiny_plan)
     return fn
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 PLAN_DOC = {"n": 12, "d": 2, "max_duty": 0.5, "include_schedule": False}
@@ -136,25 +129,24 @@ class TestCoalescedTraces:
             assert join.trace_id in trace_ids
 
 
-class TestFailoverTrace:
-    def test_one_trace_across_rotated_endpoints(self, tiny_plan, tracer):
-        """A request that fails over keeps one trace id end to end."""
-        dead = f"127.0.0.1:{_free_port()}"
-        reg = MetricsRegistry()
+class TestRetryTrace:
+    def test_one_trace_across_a_retry(self, tiny_plan, tracer):
+        """A refused first connection, a retried second one: one
+        client span, and the server's work under its trace id."""
+        plan = FaultPlan(seed=3, proxy_refuse_rate=0.5)
         with BackgroundServer(ServeConfig(port=0),
                               plan_fn=_plan_fn(tiny_plan)) as bs:
-            fc = FailoverClient([dead, f"{bs.host}:{bs.port}"],
-                                retries=2, timeout=5.0, registry=reg,
-                                sleep=lambda _s: None)
-            doc = fc.call("POST", "/plan", dict(PLAN_DOC))
-        tid = doc["trace_id"]
-        failover = [s for s in tracer.spans if s.name == "client.failover"]
-        assert len(failover) == 1
-        assert failover[0].trace_id == tid
-        # Every endpoint attempt and the server's work share the trace.
-        for name in ("client.call", "serve.request"):
-            spans = [s for s in tracer.spans if s.name == name]
-            assert spans and all(s.trace_id == tid for s in spans)
+            with BackgroundProxy("127.0.0.1", bs.port, plan=plan) as bp:
+                client = ServeClient(bp.host, bp.port, retries=1,
+                                     backoff_base=0.001)
+                doc = client.call("POST", "/plan", dict(PLAN_DOC))
+                assert bp.fault_log[:2] == [(0, "refuse"), (1, "ok")]
+        calls = [s for s in tracer.spans if s.name == "client.call"]
+        assert len(calls) == 1
+        tid = calls[0].trace_id
+        assert doc["trace_id"] == tid
+        requests = [s for s in tracer.spans if s.name == "serve.request"]
+        assert requests and all(s.trace_id == tid for s in requests)
 
 
 class TestSloEndpoint:

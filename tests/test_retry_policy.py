@@ -1,12 +1,9 @@
 """RetryPolicy: the one seeded backoff and retry loop of the stack."""
 
-import socket
-
 import pytest
 
 from repro.faults import FaultPlan, RetryPolicy
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.failover import CircuitBreaker, FailoverClient
+from repro.serve.client import ServeClient
 from repro.serve.supervisor import Supervisor, SupervisorConfig
 from repro.service.runtime import RuntimeConfig
 
@@ -29,12 +26,6 @@ SITES = [
          8.828959863975271],
         id="client-wide-cap"),
     pytest.param(
-        lambda k: FailoverClient(["h:1"], seed=4).policy.delay("/healthz", k),
-        [0.06012093963460257, 0.12764476028757854, 0.2364427398957091,
-         0.49400347881076545, 1.0529644026523788, 1.3293746091708247,
-         2.6870797124078702],
-        id="failover"),
-    pytest.param(
         lambda k: Supervisor(["x"], config=SupervisorConfig(
             seed=9, backoff_base_s=0.2, backoff_cap_s=5.0)
         ).policy.delay("supervisor", k),
@@ -55,50 +46,12 @@ SITES = [
          0.5964001658690137, 1.1415927755426107, 0.7454566989753411,
          1.04322062553749],
         id="runtime-default-fault-plan"),
-    pytest.param(
-        lambda k: CircuitBreaker("a:1", reset_timeout_s=1.0,
-                                 plan=FaultPlan(seed=5))
-        .policy.delay("breaker:a:1", k),
-        [0.5552942581468784, 1.2374302119964855, 1.146718545558219,
-         1.0860407088233746, 0.951542390251195, 1.2058305065657595,
-         0.8258519976416507],
-        id="breaker"),
-    pytest.param(
-        lambda k: CircuitBreaker("127.0.0.1:9", reset_timeout_s=0.3)
-        .policy.delay("breaker:127.0.0.1:9", k),
-        [0.4281410967912856, 0.18191734479256683, 0.4165591760365295,
-         0.2500825446396343, 0.4056812328053299, 0.3254824566604785,
-         0.41951002231242723],
-        id="breaker-default-plan"),
 ]
 
 
 @pytest.mark.parametrize("delay, recorded", SITES)
 def test_every_site_keeps_its_delay_sequence(delay, recorded):
     assert [delay(k) for k in range(1, 8)] == recorded
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def test_failover_loop_keeps_its_sleep_sequence():
-    """Two dead endpoints: the recorded seeded backoffs until both
-    breakers are open, then the wait until the soonest half-open probe
-    (the endpoint name, and so its probe delay, varies with the port)."""
-    name = f"127.0.0.1:{_free_port()}"
-    sleeps = []
-    fc = FailoverClient([name, name], retries=6, seed=4, timeout=5.0,
-                        failure_threshold=1, breaker_reset_s=0.5,
-                        sleep=sleeps.append, clock=lambda: 0.0)
-    with pytest.raises(ServeError) as excinfo:
-        fc.health()
-    assert excinfo.value.code == "unavailable"
-    probe = fc.breaker(name).policy.delay(f"breaker:{name}", 1)
-    assert sleeps == [0.06012093963460257, 0.12764476028757854] \
-        + [probe] * 4
 
 
 def test_validation():

@@ -10,9 +10,9 @@ One end-to-end pass over the chaos-hardened serve tier, all seeded:
    handshake, pid file, on-disk schedule store);
 2. put a :class:`~repro.serve.chaos.ChaosProxy` with a ~5% fault mix in
    front of it and drive ~50 requests through a
-   :class:`~repro.serve.failover.FailoverClient`;
+   :class:`~repro.serve.client.ServeClient` that retries each fault;
 3. halfway through, ``kill -9`` the serving child (pid file) and keep
-   calling — the supervisor must restart it and the fleet must recover;
+   calling — the supervisor must restart it and the calls must recover;
 4. SIGTERM the supervisor and require a clean exit;
 5. ``repro store scrub --metrics-out`` over the store the storm wrote —
    zero corrupt entries allowed — then validate the metrics snapshot
@@ -36,8 +36,7 @@ from pathlib import Path
 
 from repro.faults import FaultPlan
 from repro.serve.chaos import BackgroundProxy
-from repro.serve.client import ServeError
-from repro.serve.failover import FailoverClient
+from repro.serve.client import ServeClient, ServeError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -82,10 +81,8 @@ def drill(seed: int, requests: int, workdir: Path) -> int:
         _say(f"supervised server ready on port {port}")
 
         with BackgroundProxy("127.0.0.1", port, plan=plan) as bp:
-            client = FailoverClient([(bp.host, bp.port)], retries=12,
-                                    timeout=10.0, backoff_base=0.05,
-                                    failure_threshold=4, breaker_reset_s=0.2,
-                                    seed=seed)
+            client = ServeClient(bp.host, bp.port, retries=12,
+                                 timeout=10.0, backoff_base=0.05, seed=seed)
             classes = [(12, 2, 0.5), (9, 3, 0.8), (16, 3, 0.5), (25, 4, 0.9)]
             kill_at = requests // 2
             killed_pid = None
