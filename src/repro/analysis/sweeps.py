@@ -471,9 +471,9 @@ class SweepRunner:
         checkpointing.
     resume:
         Reuse valid checkpoints from *checkpoint_dir* instead of
-        recomputing their shards.  A checkpoint is valid only when it
-        parses and matches the shard's points line for line; anything
-        else is recomputed.
+        recomputing their shards.  A checkpoint is valid only when every
+        row parses, passes :func:`validate_row` and carries its shard's
+        point, line for line; anything else is recomputed.
     config:
         The :class:`~repro.service.runtime.RuntimeConfig`: pool width
         (``jobs=1``, the default, runs shards inline with no processes),
@@ -525,7 +525,8 @@ class SweepRunner:
     def _load_checkpoint(self, task: ShardTask
                          ) -> list[dict[str, Any]] | None:
         """A previously checkpointed shard's rows, or None when absent,
-        unreadable or inconsistent with the shard's points."""
+        unreadable, off the row schema (:func:`validate_row`) or
+        inconsistent with the shard's points."""
         path = self._checkpoint_path(task.key())
         try:
             lines = path.read_text().splitlines()
@@ -543,11 +544,12 @@ class SweepRunner:
                 _log.warning("checkpoint_invalid", extra={
                     "digest": task.key()[:12], "reason": "unparseable row"})
                 return None
-            if (not isinstance(row, dict)
-                    or header_problems(row, ROW_FORMAT, ROW_VERSION)
-                    or row.get("point") != point.to_dict()):
+            problems = validate_row(row)
+            if not problems and row["point"] != point.to_dict():
+                problems = ["point mismatch"]
+            if problems:
                 _log.warning("checkpoint_invalid", extra={
-                    "digest": task.key()[:12], "reason": "row mismatch"})
+                    "digest": task.key()[:12], "reason": problems[0]})
                 return None
             rows.append(row)
         return rows

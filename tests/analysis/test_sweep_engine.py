@@ -109,6 +109,16 @@ class TestDeterminism:
                 row, sort_keys=True, separators=(",", ":"))
 
 
+def _first_row(edit):
+    """A checkpoint tamper that applies *edit* to the first row."""
+    def tamper(text):
+        lines = text.splitlines()
+        row = json.loads(lines[0])
+        edit(row)
+        return "\n".join([render_row(row)] + lines[1:]) + "\n"
+    return tamper
+
+
 class TestCheckpointResume:
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
@@ -142,18 +152,28 @@ class TestCheckpointResume:
         assert resumed.resumed_shards == len(clean.shard_digests) - 1
         assert resumed.to_jsonl() == clean.to_jsonl()
 
-    def test_corrupt_checkpoint_is_recomputed(self, tmp_path):
+    @pytest.mark.parametrize("tamper", [
+        pytest.param(lambda text: "not json\n", id="unparseable"),
+        # Rows that parse and keep their header and point, but break
+        # the row schema.
+        pytest.param(_first_row(lambda row: row.pop("metrics")),
+                     id="no-metrics"),
+        pytest.param(_first_row(lambda row: row["metrics"].update(
+            slots="garbage")), id="garbage-slots"),
+    ])
+    def test_corrupt_checkpoint_is_recomputed(self, tmp_path, tamper):
         ckpt = tmp_path / "ckpt"
         first = SweepRunner(SPEC, shard_size=3,
                             checkpoint_dir=ckpt).run()
         victim = ckpt / f"{first.shard_digests[0]}.jsonl"
-        victim.write_text("not json\n")
+        tampered = tamper(victim.read_text())
+        victim.write_text(tampered)
         second = SweepRunner(SPEC, shard_size=3,
                              checkpoint_dir=ckpt, resume=True).run()
         assert second.resumed_shards == len(first.shard_digests) - 1
         assert second.to_jsonl() == first.to_jsonl()
         # The recompute healed the checkpoint on disk.
-        assert victim.read_text() != "not json\n"
+        assert victim.read_text() != tampered
 
     def test_wrong_point_count_checkpoint_is_recomputed(self, tmp_path):
         ckpt = tmp_path / "ckpt"
