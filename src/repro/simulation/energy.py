@@ -3,11 +3,12 @@
 Idle listening is the energy sink duty cycling exists to eliminate (the
 paper's introduction cites PAMAS, S-MAC and friends on this).  The model
 here is the standard one for CC2420-class sensor radios: each node spends
-one of four radio states per slot, each with a fixed charge cost.  Default
+one of three radio states per slot, each with a fixed charge cost.  Default
 currents follow the CC2420 datasheet (transmit at 0 dBm 17.4 mA, receive/
 listen 18.8 mA, sleep 0.021 mA) at 3 V with 10 ms slots; what matters for
-the experiments is only the *ordering* tx ~ rx ~ idle >> sleep, which is
-universal across sensor-node radios.
+the experiments is only the *ordering* tx ~ rx >> sleep, which is
+universal across sensor-node radios.  There is no idle state: in the
+paper's model a transmit-eligible node with nothing to send sleeps.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class RadioState(enum.Enum):
 
     TRANSMIT = "transmit"
     RECEIVE = "receive"    # listening and successfully/unsuccessfully receiving
-    IDLE = "idle"          # awake and eligible but with nothing to do
     SLEEP = "sleep"
 
 
@@ -43,14 +43,12 @@ class EnergyModel:
 
     tx_mj: float = 0.522      # 17.4 mA * 3 V * 10 ms
     rx_mj: float = 0.564      # 18.8 mA * 3 V * 10 ms
-    idle_mj: float = 0.564    # idle listening costs as much as receiving
     sleep_mj: float = 0.00063  # 0.021 mA * 3 V * 10 ms
     wakeup_mj: float = 0.085  # ~1.5 ms startup at rx current
 
     def __post_init__(self) -> None:
         check_nonnegative_float(self.tx_mj, "tx_mj")
         check_nonnegative_float(self.rx_mj, "rx_mj")
-        check_nonnegative_float(self.idle_mj, "idle_mj")
         check_nonnegative_float(self.sleep_mj, "sleep_mj")
         check_nonnegative_float(self.wakeup_mj, "wakeup_mj")
 
@@ -60,8 +58,6 @@ class EnergyModel:
             return self.tx_mj
         if state is RadioState.RECEIVE:
             return self.rx_mj
-        if state is RadioState.IDLE:
-            return self.idle_mj
         return self.sleep_mj
 
 
@@ -80,7 +76,7 @@ class EnergyAccount:
         self.spent_mj = np.zeros(self.n, dtype=np.float64)
         # Slot counts per node and state (RadioState order); state_slots[s]
         # is a view of column s, so charge_slot counts a whole slot with
-        # one indexed add on the flat cells node * 4 + state.
+        # one indexed add on the flat cells node * 3 + state.
         occupancy = np.zeros((self.n, len(RadioState)), dtype=np.int64)
         self.state_slots = dict(zip(RadioState, occupancy.T))
         self._cells = occupancy.reshape(-1)
@@ -122,11 +118,9 @@ class EnergyAccount:
         return self.spent_mj.copy()
 
     def awake_fraction(self) -> float:
-        """Fraction of node-slots spent awake (transmit, receive or idle)."""
-        awake = sum(
-            int(self.state_slots[s].sum())
-            for s in (RadioState.TRANSMIT, RadioState.RECEIVE, RadioState.IDLE)
-        )
+        """Fraction of node-slots spent awake (transmit or receive)."""
+        awake = sum(int(self.state_slots[s].sum())
+                    for s in (RadioState.TRANSMIT, RadioState.RECEIVE))
         total = sum(int(v.sum()) for v in self.state_slots.values())
         return awake / total if total else 0.0
 

@@ -53,8 +53,6 @@ from repro.simulation.topology import Topology
 __all__ = ["Packet", "Simulator"]
 
 # Radio states as positions in RadioState order (EnergyAccount.charge_slot).
-# The paper's model never idles: a transmit-eligible node with nothing to
-# send sleeps, so RadioState.IDLE only keeps its column in the account.
 _TRANSMIT, _RECEIVE, _SLEEP = (
     list(RadioState).index(state) for state in (
         RadioState.TRANSMIT, RadioState.RECEIVE, RadioState.SLEEP))

@@ -10,13 +10,11 @@ class TestModel:
         m = EnergyModel()
         assert m.sleep_mj < m.tx_mj
         assert m.sleep_mj < m.rx_mj
-        assert m.idle_mj == m.rx_mj  # idle listening costs like receiving
 
     def test_cost_dispatch(self):
-        m = EnergyModel(tx_mj=1.0, rx_mj=2.0, idle_mj=3.0, sleep_mj=0.5)
+        m = EnergyModel(tx_mj=1.0, rx_mj=2.0, sleep_mj=0.5)
         assert m.cost(RadioState.TRANSMIT) == 1.0
         assert m.cost(RadioState.RECEIVE) == 2.0
-        assert m.cost(RadioState.IDLE) == 3.0
         assert m.cost(RadioState.SLEEP) == 0.5
 
     def test_negative_rejected(self):
@@ -27,7 +25,7 @@ class TestModel:
 class TestAccount:
     def make(self, n=3):
         return EnergyAccount(n, EnergyModel(tx_mj=2.0, rx_mj=1.0,
-                                            idle_mj=1.0, sleep_mj=0.0))
+                                            sleep_mj=0.0))
 
     def test_charge_accumulates(self):
         acc = self.make()
