@@ -11,7 +11,9 @@ order of work (forwarding, float additions) shows up here.  They were
 recorded before the slot step was rewritten.  The ``star-hub`` and
 ``everything-paper-model`` cases were recorded while the engine still
 offered capture and idle-listening transmitters, options outside the
-paper's model.
+paper's model.  All nine were re-recorded when the always-zero idle
+column left the state counts; each new document with that column put
+back hashes to the digest it replaces.
 """
 
 from __future__ import annotations
@@ -141,15 +143,15 @@ CASES = {
 }
 
 DIGESTS = {
-    "drift-poisson": "6a30707bda90f8dd664f58990134dfae0fe68dd2b920809b6f262507710e54bf",
-    "drift-saturated": "396215fcd87f129b3830cb9162fcbf3742da2b23118c25b17aa1deaf71705fc3",
-    "drift-sensing": "0fa588d22835add867a438a68d6f58fd84ad6ba09ca3f9ca93d0bc9511675810",
-    "everything-paper-model": "a5de98430aba8e9fa351624b0e31e47bfe4bf746f07f728feed5fab07186450d",
-    "faults-saturated": "43a8c64c6f5baded21f9a6d20a384f727647ec5162f809deaf76301f9899955b",
-    "faults-sensing": "91e90ca1afc3e64778f4593480b0ecc1ea44389624abfdfb148e1981c12037aa",
-    "instrumented": "d65397803a817b573693c4e855b7f82ea6efe63c58e7291631595771fe188357",
-    "mid-frame": "6722bc2f98d695fdfb92878f380557353e30ce5ce63f4e483b38e01f860b2d41",
-    "star-hub": "fbe9a2d7109a9ba53248a1ba473201e15a69e0f428aedca5dece1638dd3ff8ae",
+    "drift-poisson": "f3e53d4a9c2ce9b08a56b7e3a85ccfd1d18488d5486136c4eb9e8e19dfc254c9",
+    "drift-saturated": "8ea44b9826acb66c69199b379985d342132cc2224f18bc2ce2e90552ab3a5ae6",
+    "drift-sensing": "ebd7d0f54928704db4f6b0601ff0c181ad958dfd59d3694eea6cfff8e81155f9",
+    "everything-paper-model": "03dda857dd348a54602c44d82305f5480fbe39cc075545cf219ee79d1978a92f",
+    "faults-saturated": "5bbe796a71b79b584452bf6ee7f40c43cc41593da083b3ec2e2b1408bce0762b",
+    "faults-sensing": "7542093bb78565892fcb2e8db291858baa1ffa26b83753636ab8bff0c0fd0c85",
+    "instrumented": "797e6d1b1030331d9da13cce4f873e936d0faf2e9c333fba45d34dc57c7db7a6",
+    "mid-frame": "047147218c9dd77f00941d44130210b524826e20bdd87904cdf2333f88a4667a",
+    "star-hub": "c4381dcded7efaf368527affdb5f86f44bc635f7bfa29ce6f1ca29d8962e00cc",
 }
 
 
