@@ -20,9 +20,9 @@ Run:  python examples/dynamic_topology.py
 import numpy as np
 
 from repro import construct, is_topology_transparent, polynomial_schedule
-from repro.analysis.experiments import _rewire  # reuse the studied rewiring
 from repro.baselines import coloring_schedule
 from repro.simulation import PeriodicSensingTraffic, Simulator
+from repro.simulation.mobility import EdgeChurnMobility
 from repro.simulation.routing import sink_tree
 from repro.simulation.topology import grid
 
@@ -37,9 +37,10 @@ def run_phase(schedule, topo, period, slots):
 def main() -> None:
     rows = cols = 4
     n, d = rows * cols, 4
-    rng = np.random.default_rng(9)
     before = grid(rows, cols)
-    after = _rewire(before, d, count=6, rng=rng)
+    churn = EdgeChurnMobility(before, d, churn=6, rng=np.random.default_rng(9))
+    churn.step()
+    after = churn.snapshot()
     changed = len(before.edges ^ after.edges)
     print(f"Grid {rows}x{cols}; mid-mission rewiring touches {changed} edges "
           f"(max degree stays <= {d}).")

@@ -553,10 +553,13 @@ def dynamic_topology_study(*, rows: int = 4, cols: int = 4, d: int = 4,
     guarantee.  Routing tables are refreshed for both (routing is cheap;
     re-running a global slot assignment is not).
     """
-    rng = np.random.default_rng(seed)
+    from repro.simulation.mobility import EdgeChurnMobility
+
     n = rows * cols
     before = grid(rows, cols)
-    after = _rewire(before, d, rewires, rng)
+    churn = EdgeChurnMobility(before, d, rewires, np.random.default_rng(seed))
+    churn.step()
+    after = churn.snapshot()
     tt = construct_detailed(polynomial_schedule(n, d), d, 4,
                             max(4, n - 20)).schedule
     colored = coloring_schedule(before)
@@ -828,33 +831,3 @@ def mobility_study(*, n: int = 16, d: int = 4, epochs: int = 5,
                   links_served=f"{served}/{len(links)}",
                   all_links_guaranteed=(served == len(links)))
     return table
-
-
-def _rewire(topology: Topology, d: int, count: int,
-            rng: np.random.Generator) -> Topology:
-    """Replace *count* random edges with fresh ones respecting the degree cap."""
-    edges = set(topology.edges)
-    n = topology.n
-    removable = sorted(edges)
-    rng.shuffle(removable)  # type: ignore[arg-type]
-    for e in removable[:count]:
-        edges.discard(e)
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    added = 0
-    attempts = 0
-    while added < count and attempts < 200:
-        attempts += 1
-        u, v = int(rng.integers(n)), int(rng.integers(n))
-        if u == v:
-            continue
-        e = (min(u, v), max(u, v))
-        if e in edges or degree[u] >= d or degree[v] >= d:
-            continue
-        edges.add(e)
-        degree[u] += 1
-        degree[v] += 1
-        added += 1
-    return Topology(n, frozenset(edges))
