@@ -14,17 +14,19 @@ it further provably cannot help), and for each ``alpha_T`` the largest
 bound is increasing in ``alpha_R``).  No candidate is built to be
 scored: Theorems 2 and 7 give its score from the source's per-slot
 counts (:func:`score_grid`), and only the winner is constructed and
-checked against its score (:func:`confirm_score`).
+checked against its score (:func:`confirm_score`).  The substrates
+depend on ``(n, D)`` alone, so the process builds them once per pair
+(:func:`candidate_sources`).
 
 The pieces are public so that :mod:`repro.service.api` can score a
-batch of requests and build each distinct winner once, inline or over a
-process pool; a cache honouring the :mod:`repro.service.store` protocol
-can be threaded through :func:`plan_schedule` to turn repeated plans
-into lookups.
+batch of requests and build each distinct winner once; a cache
+honouring the :mod:`repro.service.store` protocol can be threaded
+through :func:`plan_schedule` to turn repeated plans into lookups.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +40,7 @@ from repro.core.construction import (
     chunk_count,
     construct_detailed,
 )
+from repro.obs.metrics import default_registry
 from repro.obs.tracing import span
 from repro.core.nonsleeping import (
     mols_schedule,
@@ -129,16 +132,42 @@ class GridScore:
     frame_length: int
 
 
+#: ``(n, D)`` pairs whose substrates the process keeps.  An entry holds
+#: about 11 KiB at n = 24 and 108 KiB at n = 200; 32 entries hold every
+#: pair of a serve-cold or serve-hot benchmark run.
+_SUBSTRATE_MEMO_SIZE = 32
+
+
 def candidate_sources(n: int, d: int) -> list[tuple[str, Schedule]]:
-    """Every substrate family constructible for ``(n, D)``."""
+    """Every substrate family constructible for ``(n, D)``.
+
+    The substrates depend on ``(n, D)`` alone, so each pair is built once
+    per process (the last :data:`_SUBSTRATE_MEMO_SIZE` pairs are kept)
+    and every call returns a fresh list of the same frozen schedules.
+    Each call counts in ``repro_planner_substrate_lookups_total`` and
+    each build in ``repro_planner_substrate_builds_total`` of the default
+    registry.  Two threads missing one pair at once both build it.
+    """
     n, d = check_class_params(n, d)
+    default_registry().counter(
+        "repro_planner_substrate_lookups_total",
+        "Planner substrate lookups (candidate_sources calls).").inc()
+    return list(_substrates(n, d))
+
+
+@functools.lru_cache(maxsize=_SUBSTRATE_MEMO_SIZE)
+def _substrates(n: int, d: int) -> tuple[tuple[str, Schedule], ...]:
+    """Build :func:`candidate_sources`' families for a checked ``(n, D)``."""
+    default_registry().counter(
+        "repro_planner_substrate_builds_total",
+        "Planner substrate sets built (substrate memo misses).").inc()
     out: list[tuple[str, Schedule]] = [("tdma", tdma_schedule(n))]
     out.append(("polynomial", polynomial_schedule(n, d)))
     if d <= 2:
         out.append(("steiner", steiner_schedule(n, d)))
     out.append(("projective", projective_plane_schedule(n, d)))
     out.append(("mols", mols_schedule(n, d)))
-    return out
+    return tuple(out)
 
 
 def duty_budget_fraction(max_duty: float | str | Fraction) -> Fraction:

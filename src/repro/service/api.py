@@ -316,7 +316,6 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
     resolved: dict[tuple, Plan | None] = {}
     winner_of: dict[tuple, tuple] = {}
     winners: dict[tuple, _Winner] = {}
-    sources: dict[tuple[int, int], list] = {}
     with span("provision.plan", requests=len(requests)):
         for sig in signatures:
             if sig is None or sig in resolved or sig in winner_of:
@@ -327,9 +326,7 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
                 if hit is not None:
                     resolved[sig] = hit
                     continue
-            if (n, d) not in sources:
-                sources[(n, d)] = candidate_sources(n, d)
-            best = select_winner(n, d, budget, sources[(n, d)],
+            best = select_winner(n, d, budget, candidate_sources(n, d),
                                  balanced=balanced)
             if best is None:
                 resolved[sig] = None

@@ -1,17 +1,23 @@
 """Deployment planner."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import nonsleeping
 from repro.core.construction import frame_length_formula
 from repro.core.nonsleeping import tdma_schedule
 from repro.core.planner import (
+    _SUBSTRATE_MEMO_SIZE,
     GridPoint,
     GridScore,
     Plan,
+    _substrates,
     candidate_sources,
     confirm_score,
     duty_budget_fraction,
@@ -28,6 +34,14 @@ from repro.core.throughput import (
     optimal_transmitters_constrained,
 )
 from repro.core.transparency import is_topology_transparent
+from repro.obs.metrics import MetricsRegistry, set_default_registry
+
+#: The ``(n, D)`` pairs of the serve-cold benchmark's classes.
+COLD_PAIRS = [(n, d) for lo, hi, d in ((20, 30, 2), (24, 32, 3),
+                                       (24, 32, 4), (28, 36, 5))
+              for n in range(lo, hi + 1, 2)]
+LOOKUPS = "repro_planner_substrate_lookups_total"
+BUILDS = "repro_planner_substrate_builds_total"
 
 
 class TestCandidates:
@@ -256,3 +270,126 @@ class TestPlannerCache:
         warm = plan_schedule(12, 2, max_duty=0.5, cache=store)
         assert warm == cold
         assert store.stats.hits >= 1
+
+
+def _direct_sources(n, d):
+    """The substrate families built by direct builder calls."""
+    out = [("tdma", nonsleeping.tdma_schedule(n)),
+           ("polynomial", nonsleeping.polynomial_schedule(n, d))]
+    if d <= 2:
+        out.append(("steiner", nonsleeping.steiner_schedule(n, d)))
+    out.append(("projective", nonsleeping.projective_plane_schedule(n, d)))
+    out.append(("mols", nonsleeping.mols_schedule(n, d)))
+    return out
+
+
+def _same_sources(got, want):
+    return [(name, s.tx, s.rx) for name, s in got] \
+        == [(name, s.tx, s.rx) for name, s in want]
+
+
+@pytest.fixture(scope="module")
+def cold_reference():
+    return {pair: _direct_sources(*pair) for pair in COLD_PAIRS}
+
+
+@pytest.fixture
+def registry():
+    """A fresh default registry, so the memo's counters start at zero."""
+    registry = MetricsRegistry()
+    old = set_default_registry(registry)
+    try:
+        yield registry
+    finally:
+        set_default_registry(old)
+
+
+def _count(registry, name):
+    metric = registry.get(name)
+    return 0 if metric is None else metric.value()
+
+
+class TestSubstrateMemo:
+    def test_memoized_sources_equal_direct_builds(self, cold_reference):
+        assert len(COLD_PAIRS) == 21
+        for pair, want in cold_reference.items():
+            assert _same_sources(candidate_sources(*pair), want), pair
+            assert _same_sources(candidate_sources(*pair), want), pair
+
+    def test_each_call_returns_a_fresh_list_of_the_same_schedules(self):
+        first = candidate_sources(12, 2)
+        second = candidate_sources(12, 2)
+        assert first is not second
+        assert [s for _, s in first] == [s for _, s in second]
+        assert all(a is b for (_, a), (_, b) in zip(first, second))
+        first.append(("extra", tdma_schedule(12)))
+        assert candidate_sources(12, 2) == second
+
+    def test_bad_input_raises_and_is_never_cached(self, registry):
+        size = _substrates.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                candidate_sources(5, 5)
+        assert _substrates.cache_info().currsize == size
+        assert _count(registry, LOOKUPS) == _count(registry, BUILDS) == 0
+
+    def test_the_memo_is_bounded(self, registry):
+        _substrates.cache_clear()
+        pairs = [(n, 2) for n in range(3, 3 + _SUBSTRATE_MEMO_SIZE + 1)]
+        assert len(pairs) == 33
+        for pair in pairs:
+            candidate_sources(*pair)
+        assert _substrates.cache_info().currsize <= _SUBSTRATE_MEMO_SIZE
+        assert _count(registry, BUILDS) == 33
+        candidate_sources(*pairs[0])   # the least recently used: evicted
+        assert _count(registry, BUILDS) == 34
+
+    def test_builds_count_misses_and_lookups_count_calls(self, registry):
+        _substrates.cache_clear()
+        calls = [((12, 2), 1), ((12, 2), 1), ((9, 3), 2), ((12, 2), 2)]
+        for i, (pair, builds) in enumerate(calls, start=1):
+            candidate_sources(*pair)
+            assert _count(registry, LOOKUPS) == i
+            assert _count(registry, BUILDS) == builds
+
+    def test_custom_families_make_no_lookup(self, registry):
+        plan_schedule(10, 2, max_duty=0.6,
+                      families=[("tdma", tdma_schedule(10))])
+        assert _count(registry, LOOKUPS) == _count(registry, BUILDS) == 0
+
+    def test_threads_sharing_the_memo(self, registry, cold_reference):
+        threads, rounds = 8, 3
+        results = [[] for _ in range(threads)]
+        errors = []
+
+        def walk(i):
+            try:
+                order = COLD_PAIRS * rounds
+                random.Random(i).shuffle(order)
+                for pair in order:
+                    results[i].append((pair, candidate_sources(*pair)))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        _substrates.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=walk, args=(i,))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        calls = threads * rounds * len(COLD_PAIRS)
+        assert sum(map(len, results)) == calls
+        for walked in results:
+            for pair, sources in walked:
+                assert _same_sources(sources, cold_reference[pair]), pair
+        assert _count(registry, LOOKUPS) == calls
+        assert len(COLD_PAIRS) <= _count(registry, BUILDS) \
+            <= threads * len(COLD_PAIRS)
