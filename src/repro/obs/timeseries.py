@@ -31,8 +31,7 @@ from repro._validation import header_problems, is_a
 from repro.obs.metrics import validate_snapshot
 
 __all__ = ["SnapshotRing", "counter_total", "counter_delta",
-           "histogram_delta", "histogram_quantile", "gauge_values",
-           "parse_history", "validate_history", "HISTORY_FORMAT",
+           "histogram_delta", "histogram_quantile", "parse_history", "validate_history", "HISTORY_FORMAT",
            "HISTORY_VERSION"]
 
 #: ``format`` marker of the history document.
@@ -263,11 +262,3 @@ def histogram_quantile(bounds: Iterable[float], bucket_counts: Iterable[int],
             fraction = (rank - (cumulative - count)) / count
             return lo + (hi - lo) * min(1.0, max(0.0, fraction))
     return bounds[-1] if bounds else None
-
-
-def gauge_values(snapshot: Mapping[str, Any],
-                 metric: str) -> dict[tuple[tuple[str, str], ...], float]:
-    """``{label-key: value}`` of a gauge's series in one snapshot."""
-    return {key: float(entry.get("value", 0.0))
-            for key, entry in _series_map(snapshot, "gauges",
-                                          metric).items()}

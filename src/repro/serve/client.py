@@ -67,12 +67,6 @@ class ServeError(RuntimeError):
         self.message = message
         self.retry_after_s = retry_after_s
 
-    @property
-    def retryable(self) -> bool:
-        """Whether a later call could plausibly succeed."""
-        return self.code == "unavailable" \
-            or self.code in protocol.RETRYABLE_CODES
-
 
 class ServeClient:
     """Talk to a running :class:`~repro.serve.server.ScheduleServer`.

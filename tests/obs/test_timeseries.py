@@ -9,7 +9,6 @@ from repro.obs.timeseries import (
     SnapshotRing,
     counter_delta,
     counter_total,
-    gauge_values,
     histogram_delta,
     histogram_quantile,
     parse_history,
@@ -133,14 +132,3 @@ class TestHistogramQuantile:
     def test_bad_q_raises(self):
         with pytest.raises(ValueError):
             histogram_quantile([0.1], [1, 0], 1.5)
-
-
-class TestGauges:
-    def test_values_by_label_key(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("breaker_open", "breaker state")
-        gauge.set(1.0, endpoint="a:1")
-        gauge.set(0.0, endpoint="b:2")
-        values = gauge_values(registry.snapshot(), "breaker_open")
-        assert values[(("endpoint", "a:1"),)] == 1.0
-        assert values[(("endpoint", "b:2"),)] == 0.0

@@ -133,7 +133,6 @@ class TestRetryAfterHint:
                 client.provision([ProvisionRequest(12, 2, 0.5)])
             exc = excinfo.value
             assert exc.code == "overloaded"
-            assert exc.retryable
             assert exc.retry_after_s is not None and exc.retry_after_s > 0
 
     def test_non_retryable_errors_have_no_hint(self):
@@ -141,7 +140,6 @@ class TestRetryAfterHint:
             client = ServeClient(bs.host, bs.port, retries=0)
             with pytest.raises(ServeError) as excinfo:
                 client.call("GET", "/no-such-endpoint")
-            assert not excinfo.value.retryable
             assert excinfo.value.retry_after_s is None
 
 
