@@ -133,7 +133,7 @@ class GridScore:
 
 
 #: ``(n, D)`` pairs whose substrates the process keeps.  An entry holds
-#: about 11 KiB at n = 24 and 108 KiB at n = 200; 32 entries hold every
+#: about 11 KiB at n = 24 and 112 KiB at n = 200; 32 entries hold every
 #: pair of a serve-cold or serve-hot benchmark run.
 _SUBSTRATE_MEMO_SIZE = 32
 

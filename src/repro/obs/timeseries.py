@@ -31,8 +31,8 @@ from repro._validation import header_problems, is_a
 from repro.obs.metrics import validate_snapshot
 
 __all__ = ["SnapshotRing", "counter_total", "counter_delta",
-           "histogram_delta", "histogram_quantile", "parse_history", "validate_history", "HISTORY_FORMAT",
-           "HISTORY_VERSION"]
+           "histogram_delta", "histogram_quantile", "parse_history",
+           "validate_history", "HISTORY_FORMAT", "HISTORY_VERSION"]
 
 #: ``format`` marker of the history document.
 HISTORY_FORMAT = "repro-metrics-history"
