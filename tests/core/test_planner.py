@@ -273,7 +273,7 @@ class TestPlannerCache:
 
 
 def _direct_sources(n, d):
-    """The substrate families built by direct builder calls."""
+    """The substrate families, each from a direct constructor call."""
     out = [("tdma", nonsleeping.tdma_schedule(n)),
            ("polynomial", nonsleeping.polynomial_schedule(n, d))]
     if d <= 2:
