@@ -3,9 +3,10 @@
 Three phases against real sockets, all seeded and reproducible:
 
 * **proxy overhead** — the same warm-cache workload measured directly
-  against a :class:`~repro.serve.server.BackgroundServer` and again
-  through a *clean* (0% fault) :class:`~repro.serve.chaos.ChaosProxy`.
-  Contract: the extra loopback hop costs less than 20% at the median.
+  against a :class:`~repro.serve.server.BackgroundServer` and through a
+  *clean* (0% fault) :class:`~repro.serve.chaos.ChaosProxy`, interleaved
+  in pairs.  Contract: the extra loopback hop costs less than 20% at
+  the median of the per-pair ratios.
 * **fault mix** — a seeded ~5% fault cocktail (refuse/reset/truncate/
   delay) between a :class:`~repro.serve.client.ServeClient` and the
   server.  Latencies are end-to-end *including* retries; the retry
@@ -21,6 +22,7 @@ machine-readable sidecar lands in ``benchmarks/results/chaos_load.json``.
 
 import json
 import socket
+import statistics
 from pathlib import Path
 from time import perf_counter
 
@@ -91,31 +93,47 @@ def _stats_row(name, latencies, **extra):
 
 
 def _measure_overhead(tmp_path):
-    """Warm workload direct vs through a clean proxy, same server."""
+    """Warm workload direct vs through a clean proxy, same server.
+
+    Two blocks of 60 calls each, one after the other, read ratios from
+    1.07 to 1.26 for identical code on a 2-core host: each block saw its
+    own host drift.  So the calls run in pairs, one proxy open
+    throughout and the order alternating per pair, and the ratio is the
+    median of the per-pair ratios."""
     store = ScheduleStore(tmp_path / "cache-overhead")
-    with BackgroundServer(ServeConfig(port=0, jobs=2), store=store) as bs:
+    with BackgroundServer(ServeConfig(port=0, jobs=2), store=store) as bs, \
+            BackgroundProxy("127.0.0.1", bs.port) as bp:
         direct = ServeClient(bs.host, bs.port, retries=2, backoff_base=0.01)
+        proxied = ServeClient(bp.host, bp.port, retries=2, backoff_base=0.01)
         _warm(direct)
 
         batch = DOCS * 3  # a fatter payload drowns per-connection noise
 
-        def batch_call(client):
-            def call(_doc):
-                results = client.provision(batch, include_schedules=True)
-                assert all("error" not in r for r in results)
-            return call
+        def timed(client):
+            start = perf_counter()
+            results = client.provision(batch, include_schedules=True)
+            elapsed = perf_counter() - start
+            assert all("error" not in r for r in results)
+            return elapsed
 
-        direct_lat = _timed_run(batch_call(direct), OVERHEAD_REQUESTS)
+        direct_lat, proxied_lat, ratios = [], [], []
+        for pair in range(OVERHEAD_REQUESTS):
+            # Alternate which path leads, so neither always runs warm.
+            if pair % 2:
+                hop = timed(proxied)
+                base = timed(direct)
+            else:
+                base = timed(direct)
+                hop = timed(proxied)
+            direct_lat.append(base)
+            proxied_lat.append(hop)
+            ratios.append(hop / base)
+        assert all(kind == "ok" for _i, kind in bp.fault_log)
 
-        with BackgroundProxy("127.0.0.1", bs.port) as bp:
-            proxied = ServeClient(bp.host, bp.port, retries=2,
-                                  backoff_base=0.01)
-            proxied_lat = _timed_run(batch_call(proxied), OVERHEAD_REQUESTS)
-            assert all(kind == "ok" for _i, kind in bp.fault_log)
-
-    ratio = _quantile(proxied_lat, 0.50) / _quantile(direct_lat, 0.50)
-    return (_stats_row("direct", direct_lat),
-            _stats_row("proxied-0%", proxied_lat, overhead_ratio=ratio),
+    ratio = statistics.median(ratios)
+    return (_stats_row("direct", sorted(direct_lat)),
+            _stats_row("proxied-0%", sorted(proxied_lat),
+                       overhead_ratio=ratio),
             ratio)
 
 
@@ -178,7 +196,8 @@ def test_chaos_load(report, headline, tmp_path):
     fault_mix = _measure_fault_mix(tmp_path)
     recovery = _measure_recovery(tmp_path)
 
-    # The relay contract: a fault-free proxy hop costs <20% at the median.
+    # The relay contract: a fault-free proxy hop costs <20% at the median
+    # of the interleaved pairs.
     assert ratio < 1.2, f"clean proxy overhead {ratio:.2f}x exceeds 1.2x"
 
     rows = [direct, proxied, fault_mix, recovery]

@@ -28,17 +28,22 @@ around every span so nested spans form the parentage chain, and
 :mod:`repro.obs.logging` stamps ``trace_id`` onto every log record
 emitted while a context is active.
 
-Ids are 16 lowercase hex characters from ``os.urandom``.  Tests that
-need replayable traces wrap the code under test in
-:func:`deterministic_ids`, which swaps the generator for a seeded
-SHA-256 counter — same seed, same id sequence, no global state leaked
-after the ``with`` block.
+Ids are 16 lowercase hex characters from a per-process generator, seeded
+once from ``os.urandom`` and reseeded in every forked child.  Drawing
+one makes no system call: each call would drop the GIL, and a serving
+process takes it back behind planner threads that compute.  Ids are
+correlation ids, not secrets (a client may choose its own trace id), so
+a seeded generator's predictability costs nothing.  Tests that need
+replayable traces wrap the code under test in :func:`deterministic_ids`,
+which swaps the generator for a seeded SHA-256 counter — same seed, same
+id sequence, no global state leaked after the ``with`` block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import random
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
@@ -85,6 +90,14 @@ _current: ContextVar[TraceContext | None] = ContextVar(
 # ---------------------------------------------------------------------------
 _det_lock = threading.Lock()
 _det_state: list[object] | None = None  # [seed, counter] when deterministic
+# Private, so drawing ids never moves the module-level ``random`` state
+# that seeded callers (an unseeded topology draw after random.seed) rely
+# on.  getrandbits runs under the GIL, so threads need no lock.
+_rng = random.Random(os.urandom(32))
+if hasattr(os, "register_at_fork"):
+    # A forked child (a sweep pool worker) would otherwise draw the same
+    # ids as its parent and its siblings.
+    os.register_at_fork(after_in_child=lambda: _rng.seed(os.urandom(32)))
 
 
 def _generate_id() -> str:
@@ -98,7 +111,7 @@ def _generate_id() -> str:
                 _det_state = [seed, int(counter) + 1]
                 material = f"{seed}:{counter}".encode()
                 return hashlib.sha256(material).hexdigest()[:ID_HEX_LEN]
-    return os.urandom(ID_HEX_LEN // 2).hex()
+    return f"{_rng.getrandbits(ID_HEX_LEN * 4):0{ID_HEX_LEN}x}"
 
 
 def new_trace_id() -> str:

@@ -167,12 +167,19 @@ class ProvisionResult:
         (nothing of this request was scored or constructed).
     error:
         Human-readable failure description, or None on success.
+    schedule_doc:
+        ``schedule_to_dict(plan.schedule)`` when the batch already built
+        it for the store entries of a freshly built winner, which
+        :meth:`to_dict` then reuses instead of encoding the schedule
+        again; None otherwise.  It is left out of ``==`` and ``repr``.
     """
 
     request: ProvisionRequest
     plan: Plan | None
     from_cache: bool = False
     error: str | None = None
+    schedule_doc: dict[str, Any] | None = field(default=None, compare=False,
+                                                repr=False)
 
     def to_dict(self, *, include_schedule: bool = True) -> dict[str, Any]:
         """JSONL result line; with *include_schedule*, embeds the flashable
@@ -192,12 +199,17 @@ class ProvisionResult:
             "from_cache": self.from_cache,
         })
         if include_schedule:
-            doc["schedule"] = schedule_to_dict(self.plan.schedule, meta={
+            meta = {
                 "class_n": self.plan.schedule.n, "class_d": self.request.d,
                 "family": self.plan.family, "alpha_t": self.plan.alpha_t,
                 "alpha_r": self.plan.alpha_r,
                 "balanced": self.request.balanced,
-            })
+            }
+            if self.schedule_doc is None:
+                doc["schedule"] = schedule_to_dict(self.plan.schedule,
+                                                   meta=meta)
+            else:
+                doc["schedule"] = {**self.schedule_doc, "meta": meta}
         return doc
 
     @classmethod
@@ -249,11 +261,12 @@ class ProvisionResult:
 @dataclass
 class _Winner:
     """One distinct winning grid point, the requests it answers and,
-    once built, their plan."""
+    once built, their plan and (with a store) its schedule document."""
 
     score: GridScore
     signatures: list[tuple] = field(default_factory=list)
     plan: Plan | None = None
+    schedule_doc: dict[str, Any] | None = None
 
 
 @dataclass
@@ -346,15 +359,22 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
             with span("provision.store", signatures=len(winner.signatures)):
                 confirm_score(winner.score, winner.plan)
                 if store is not None:
+                    # One encode serves every entry of this winner and
+                    # the results that answer them.
+                    winner.schedule_doc = schedule_to_dict(
+                        winner.plan.schedule)
                     for sig in winner.signatures:
-                        store.put_plan(*sig, winner.plan)
+                        store.put_plan(*sig, winner.plan,
+                                       schedule_doc=winner.schedule_doc)
 
     results: list[ProvisionResult] = []
     for i, (request, sig) in enumerate(zip(requests, signatures)):
         if sig is None:
             result = ProvisionResult(request, None, error=errors[i])
         elif sig in winner_of:
-            result = ProvisionResult(request, winners[winner_of[sig]].plan)
+            winner = winners[winner_of[sig]]
+            result = ProvisionResult(request, winner.plan,
+                                     schedule_doc=winner.schedule_doc)
         elif resolved[sig] is None:
             result = ProvisionResult(request, None, error=(
                 infeasible_budget_message(sig[0], request.max_duty, sig[3])))

@@ -115,6 +115,47 @@ def _canonical_json(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+#: ``open(path, "w")``'s flags; the file is created with mode 0o666, which
+#: the umask narrows, as ``open`` does.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
+def _write_entry(path: Path, data: bytes) -> None:
+    """Write *data* to *path* atomically: a tmp file, then ``os.replace``.
+
+    Four system calls (open, write, close, rename), where a
+    ``mkdir(exist_ok=True)`` and ``Path.write_text`` made about ten: each
+    one drops the GIL, which a serving process may then wait a whole
+    switch interval to take back from a planner thread that computes.
+    The shard directory is made only when the open finds it missing, and
+    the open is then retried once.
+    """
+    # Unique per writer: two pool threads (or processes) storing the
+    # same digest must not share a tmp file, or one writer's replace
+    # consumes the file the other is about to move.
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        # Entry walks only see ``??/*.json``, so a tmp file left by a
+        # failed write would never be cleared or scrubbed.
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def key_digest(key: dict[str, Any]) -> str:
     """SHA-256 of the canonical JSON encoding of a key document.
 
@@ -201,7 +242,7 @@ class StoreStats:
 
     @property
     def stores(self) -> int:
-        """Entries written (plan entries, checkpoints included)."""
+        """Entries written (one per winning plan stored)."""
         return int(self._stores.value)
 
     @property
@@ -382,9 +423,15 @@ class ScheduleStore:
         return self._get(plan_key(n, d, budget, balanced))
 
     def put_plan(self, n: int, d: int, budget: Fraction, balanced: bool,
-                 plan: Plan) -> None:
-        """Persist the winner of a full budget search."""
-        self._put(plan_key(n, d, budget, balanced), plan)
+                 plan: Plan, *,
+                 schedule_doc: dict[str, Any] | None = None) -> None:
+        """Persist the winner of a full budget search.
+
+        *schedule_doc*, when given, must be ``schedule_to_dict(plan.schedule)``
+        (no ``meta``), already built by the caller: the entry embeds it
+        instead of encoding the schedule again.
+        """
+        self._put(plan_key(n, d, budget, balanced), plan, schedule_doc)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -557,26 +604,13 @@ class ScheduleStore:
         self._remember(digest, plan)
         return plan, "disk-hit"
 
-    def _put(self, key: dict[str, Any], plan: Plan) -> None:
+    def _put(self, key: dict[str, Any], plan: Plan,
+             schedule_doc: dict[str, Any] | None = None) -> None:
         started = perf_counter()
         digest = key_digest(key)
         path = self.cache_dir / digest[:2] / f"{digest}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = self._encode(key, plan)
-        # Unique per writer: two pool threads (or processes) storing the
-        # same digest must not share a tmp file, or one writer's replace
-        # consumes the file the other is about to move.
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_text(_canonical_json(doc) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            # Entry walks only see ``??/*.json``, so a tmp file left by a
-            # failed write would never be cleared or scrubbed.
-            with suppress(OSError):
-                tmp.unlink()
-            raise
+        data = _canonical_json(self._encode(key, plan, schedule_doc)) + "\n"
+        _write_entry(path, data.encode("utf-8"))
         self.stats.record_store()
         self._remember(digest, plan)
         default_tracer().record("store.put", perf_counter() - started,
@@ -610,7 +644,11 @@ class ScheduleStore:
                 self._memory.popitem(last=False)
 
     @staticmethod
-    def _encode(key: dict[str, Any], plan: Plan) -> dict[str, Any]:
+    def _encode(key: dict[str, Any], plan: Plan,
+                schedule_doc: dict[str, Any] | None = None
+                ) -> dict[str, Any]:
+        if schedule_doc is None:
+            schedule_doc = schedule_to_dict(plan.schedule)
         return {
             "format": "repro-cache-entry",
             "version": FORMAT_VERSION,
@@ -622,7 +660,7 @@ class ScheduleStore:
                 "throughput": str(plan.throughput),
                 "duty_cycle": str(plan.duty_cycle),
                 "frame_length": plan.frame_length,
-                "schedule": schedule_to_dict(plan.schedule),
+                "schedule": schedule_doc,
             },
         }
 

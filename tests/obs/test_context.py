@@ -1,7 +1,12 @@
 """Request-scoped trace context: ids, nesting, determinism, hand-off."""
 
 import contextvars
+import os
+import random
+import sys
 import threading
+
+import pytest
 
 from repro.obs import context as ctx
 
@@ -26,7 +31,70 @@ class TestIdGeneration:
     def test_deterministic_ids_restore_randomness(self):
         with ctx.deterministic_ids(0):
             seeded = ctx.new_span_id()
-        assert ctx.new_span_id() != seeded  # back to os.urandom
+        assert ctx.new_span_id() != seeded  # back to the process's generator
+
+    def test_ids_make_no_os_urandom_call(self, monkeypatch):
+        def no_entropy(size):
+            raise AssertionError("an id drew on os.urandom")
+
+        monkeypatch.setattr(os, "urandom", no_entropy)
+        a, b = ctx.new_span_id(), ctx.new_trace_id()
+        assert len(a) == len(b) == ctx.ID_HEX_LEN and a != b
+        assert set(a + b) <= set("0123456789abcdef")
+
+    def test_ids_leave_the_global_random_state_alone(self):
+        # An unseeded topology draw after random.seed(k) must replay.
+        state = random.getstate()
+        for _ in range(8):
+            ctx.new_span_id()
+        assert random.getstate() == state
+
+    def test_threads_draw_distinct_ids(self):
+        # One generator serves every thread of a server; a torn draw
+        # would repeat an id.
+        ids, failures = [], []
+        barrier = threading.Barrier(8)
+
+        def draw():
+            try:
+                barrier.wait(timeout=10)
+                ids.extend([ctx.new_span_id() for _ in range(2000)])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=draw) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert len(ids) == len(set(ids)) == 16000
+        assert all(len(i) == ctx.ID_HEX_LEN for i in ids)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_its_own_ids(self):
+        ctx.new_span_id()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its first id, then leave at once
+            try:
+                os.write(write_end, ctx.new_span_id().encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            child = os.read(read_end, 64).decode()
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        assert len(child) == ctx.ID_HEX_LEN
+        assert child != ctx.new_span_id()
 
     def test_deterministic_ids_nest(self):
         with ctx.deterministic_ids(1):

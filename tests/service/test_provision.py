@@ -1,6 +1,7 @@
 """The batch provisioning API: parity with the sequential planner,
 deduplication, caching and warm resume."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,74 @@ class TestCaching:
     def test_no_store_means_no_disk(self, tmp_path):
         provision_batch([ProvisionRequest(12, 2, 0.5)], store=None)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestEncodeOnce:
+    """A built winner's schedule is encoded once, for its store entries
+    and its served results alike, and no stored or served byte moves."""
+
+    def test_cold_request_encodes_its_schedule_once(self, store,
+                                                    monkeypatch):
+        import repro.service.api as api_mod
+        import repro.service.store as store_mod
+
+        calls = []
+        real = api_mod.schedule_to_dict
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # The one name each module looks up at call time.
+        assert store_mod.schedule_to_dict is real
+        monkeypatch.setattr(api_mod, "schedule_to_dict", counted)
+        monkeypatch.setattr(store_mod, "schedule_to_dict", counted)
+        result, = provision_batch([ProvisionRequest(12, 2, 0.5)],
+                                  store=store)
+        result.to_dict()
+        assert len(calls) == 1 and store.stats.stores == 1
+
+    def test_shared_winner_entries_are_the_canonical_encoding(self, store):
+        from repro.service.store import _canonical_json, plan_key
+
+        half, wider = provision_batch([ProvisionRequest(12, 2, "1/2"),
+                                       ProvisionRequest(12, 2, "13/24")],
+                                      store=store)
+        assert half.plan == wider.plan
+        for budget in (Fraction(1, 2), Fraction(13, 24)):
+            key = plan_key(12, 2, budget, False)
+            assert store.entry_path(key).read_text() == _canonical_json(
+                ScheduleStore._encode(key, half.plan)) + "\n"
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_cold_memory_and_disk_answers_serve_the_same_bytes(
+            self, store, balanced):
+        request = ProvisionRequest(12, 2, 0.5, balanced=balanced)
+        storeless, = provision_batch([request])
+        cold, = provision_batch([request], store=store)
+        memory, = provision_batch([request], store=store)
+        disk, = provision_batch([request],
+                                store=ScheduleStore(store.cache_dir))
+        assert store.stats.memory_hits == 1
+        assert (cold.from_cache, memory.from_cache, disk.from_cache) == \
+            (False, True, True)
+        assert json.dumps(cold.to_dict()) == json.dumps(storeless.to_dict())
+        assert cold.schedule_doc is not None
+        assert memory.schedule_doc is None and disk.schedule_doc is None
+        lines = set()
+        for result in (cold, memory, disk):
+            doc = result.to_dict()
+            del doc["from_cache"]
+            lines.add(json.dumps(doc))
+        assert len(lines) == 1
+
+    def test_the_document_stays_out_of_equality_and_repr(self, store):
+        cold, = provision_batch([ProvisionRequest(12, 2, 0.5)], store=store)
+        bare = ProvisionResult(cold.request, cold.plan)
+        assert cold == bare and hash(cold) == hash(bare)
+        assert repr(cold) == repr(bare)
+        assert ProvisionResult.from_dict(cold.to_dict()).to_dict() == \
+            cold.to_dict()
 
 
 class TestResultDataclass:

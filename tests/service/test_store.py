@@ -3,11 +3,12 @@
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,14 +142,13 @@ class TestEntryFormat:
         plan = _some_plan()
         key = eval_key(plan.family, 12, 2, 2, 4, False)
         if stage == "write":
-            real_write = Path.write_text
+            real_write = os.write
 
-            def full_disk(self, data, *args, **kwargs):
-                real_write(self, data[:len(data) // 2], *args, **kwargs)
-                raise OSError(errno.ENOSPC, "No space left on device",
-                              str(self))
+            def full_disk(fd, data):
+                real_write(fd, data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
 
-            monkeypatch.setattr(Path, "write_text", full_disk)
+            monkeypatch.setattr(os, "write", full_disk)
         else:
             def vanished(src, dst):
                 raise FileNotFoundError(errno.ENOENT, "No such file or "
@@ -161,6 +161,51 @@ class TestEntryFormat:
         assert list(store.entry_path(key).parent.iterdir()) == []
         assert store.stats.stores == 0
         assert store.get_eval(plan.family, 12, 2, 2, 4, False) is None
+
+
+def _count_os_calls(monkeypatch, *names):
+    """Route each named ``os`` function through a counter; returns it."""
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+    return calls
+
+
+class TestWritePath:
+    """An entry write makes as few system calls as it can: each one drops
+    the GIL, which a serving process then waits to take back."""
+
+    def test_write_into_an_existing_shard_makes_no_mkdir(self, store,
+                                                         monkeypatch):
+        plan = _some_plan()
+        store.put_plan(12, 2, Fraction(1, 2), False, plan)
+        calls = _count_os_calls(monkeypatch, "mkdir", "open", "write",
+                                "close", "replace")
+        store.put_plan(12, 2, Fraction(1, 2), False, plan)
+        monkeypatch.undo()
+        assert calls["mkdir"] == 0
+        assert calls["open"] == calls["close"] == calls["replace"] == 1
+        assert calls["write"] >= 1
+        key = plan_key(12, 2, Fraction(1, 2), False)
+        assert list(store.entry_path(key).parent.iterdir()) == \
+            [store.entry_path(key)]
+
+    def test_removed_shard_is_made_again(self, store):
+        plan = _some_plan()
+        key = plan_key(12, 2, Fraction(1, 2), False)
+        store.put_plan(12, 2, Fraction(1, 2), False, plan)
+        shutil.rmtree(store.entry_path(key).parent)
+        store.put_plan(12, 2, Fraction(1, 2), False, plan)
+        fresh = ScheduleStore(store.cache_dir)  # disk only
+        assert fresh.get_plan(12, 2, Fraction(1, 2), False) == plan
+        assert fresh.stats.disk_hits == 1 and store.stats.stores == 2
 
 
 class TestCorruption:
