@@ -444,9 +444,9 @@ def _read_requests(path: str) -> list:
     return requests
 
 
-def _write_lines(path: str, docs) -> None:
-    """One JSON document per line to *path* (``-``: stdout)."""
-    text = "".join(json.dumps(doc) + "\n" for doc in docs)
+def _write_lines(path: str, lines) -> None:
+    """One JSON text per line to *path* (``-``: stdout)."""
+    text = "".join(line + "\n" for line in lines)
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -469,7 +469,7 @@ def _cmd_provision(args) -> int:
         args.cache_dir, registry=default_registry())
     results = provision_batch(requests, store=store)
     _write_lines(args.output, [
-        r.to_dict(include_schedule=not args.no_schedules) for r in results])
+        r.to_json(include_schedule=not args.no_schedules) for r in results])
     failed = sum(1 for r in results if r.error is not None)
     cached = sum(1 for r in results if r.from_cache)
     summary = (f"provisioned {len(results) - failed}/{len(results)} requests "
@@ -649,7 +649,7 @@ def _call_action(args, client) -> int:
             return 2
         docs = client.provision(requests,
                                 include_schedules=not args.no_schedules)
-        _write_lines(args.output, docs)
+        _write_lines(args.output, map(json.dumps, docs))
         failed = sum(1 for doc in docs if "error" in doc)
         print(f"provisioned {len(docs) - failed}/{len(docs)} requests via "
               f"{args.host}:{args.port}", file=sys.stderr)

@@ -27,6 +27,7 @@ through :func:`plan_schedule` to turn repeated plans into lookups.
 from __future__ import annotations
 
 import functools
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,6 +137,9 @@ class GridScore:
 #: about 11 KiB at n = 24 and 112 KiB at n = 200; 32 entries hold every
 #: pair of a serve-cold or serve-hot benchmark run.
 _SUBSTRATE_MEMO_SIZE = 32
+#: Held across every memo lookup, so a pair missed by two threads at
+#: once is built once.
+_SUBSTRATE_LOCK = threading.Lock()
 
 
 def candidate_sources(n: int, d: int) -> list[tuple[str, Schedule]]:
@@ -146,13 +150,15 @@ def candidate_sources(n: int, d: int) -> list[tuple[str, Schedule]]:
     and every call returns a fresh list of the same frozen schedules.
     Each call counts in ``repro_planner_substrate_lookups_total`` and
     each build in ``repro_planner_substrate_builds_total`` of the default
-    registry.  Two threads missing one pair at once both build it.
+    registry.  Lookups take one lock, so a thread missing a pair another
+    thread is building waits for that build instead of repeating it.
     """
     n, d = check_class_params(n, d)
     default_registry().counter(
         "repro_planner_substrate_lookups_total",
         "Planner substrate lookups (candidate_sources calls).").inc()
-    return list(_substrates(n, d))
+    with _SUBSTRATE_LOCK:
+        return list(_substrates(n, d))
 
 
 @functools.lru_cache(maxsize=_SUBSTRATE_MEMO_SIZE)

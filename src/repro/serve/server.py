@@ -224,7 +224,7 @@ class ScheduleServer:
             "Provisioning requests currently admitted.").labels()
         self._computed = self.registry.counter(
             "repro_serve_plans_computed_total",
-            "Planner evaluations actually run (post-coalescing).").labels()
+            "Coalesced flights actually run.").labels()
         self._objectives = _slo.default_serve_objectives()
         self._burn = _slo.BurnRateTracker(self._objectives,
                                           registry=self.registry)
@@ -621,9 +621,8 @@ class ScheduleServer:
         with span("serve.provision", requests=len(requests)):
             results = await asyncio.gather(
                 *(self._answer(req) for req in requests))
-        docs = [r.to_dict(include_schedule=include) for r in results]
-        return 200, _encode(protocol.ok_doc(
-            results=docs, trace_id=_context.current_trace_id())), \
+        texts = [r.to_json(include_schedule=include) for r in results]
+        return 200, _encode_ok("results", f"[{', '.join(texts)}]"), \
             "application/json"
 
     async def _handle_plan(self, doc: dict[str, Any]
@@ -631,9 +630,8 @@ class ScheduleServer:
         request, include = protocol.parse_plan_body(doc)
         with span("serve.plan", n=request.n, d=request.d):
             result = await self._answer(request)
-        return 200, _encode(protocol.ok_doc(
-            result=result.to_dict(include_schedule=include),
-            trace_id=_context.current_trace_id())), \
+        return 200, _encode_ok(
+            "result", result.to_json(include_schedule=include)), \
             "application/json"
 
 
@@ -646,6 +644,15 @@ def _require(method: str, expected: str) -> None:
 
 def _encode(doc: dict[str, Any]) -> bytes:
     return (json.dumps(doc) + "\n").encode("utf-8")
+
+
+def _encode_ok(name: str, text: str) -> bytes:
+    """``_encode(protocol.ok_doc(name=value, trace_id=...))`` of the
+    current trace, for a *value* already encoded as *text*."""
+    head = json.dumps(protocol.ok_doc())[:-1]
+    trace_id = json.dumps(_context.current_trace_id())
+    return f'{head}, "{name}": {text}, "trace_id": {trace_id}}}\n'.encode(
+        "utf-8")
 
 
 class BackgroundServer:

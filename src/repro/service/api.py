@@ -23,6 +23,9 @@ raises is a bug, not a transient fault: it propagates.
 
 from __future__ import annotations
 
+import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
@@ -38,6 +41,7 @@ from repro.core.planner import (
     infeasible_budget_message,
     select_winner,
 )
+from repro.core.schedule import Schedule
 from repro.core.serialization import schedule_from_dict, schedule_to_dict
 from repro.obs.tracing import span
 # Unused by src: benchmarks/e2e/layers.py wraps it until ROADMAP item 1.
@@ -152,9 +156,75 @@ _PLAN_FIELDS = frozenset({"request", "family", "alpha_t", "alpha_r",
                           "from_cache", "schedule"})
 
 
+class _ScheduleTexts:
+    """``json.dumps(schedule_to_dict(schedule))`` of recently served
+    schedules, keyed by the schedule's value and bounded by the texts'
+    total length, least recently used out first.
+
+    A :class:`~repro.core.schedule.Schedule` is a frozen, hashable value
+    that fixes its document, so a text is only ever served for a schedule
+    equal to the one it was encoded from.  Any thread may look up or
+    fill: the lock covers the dict operations alone and encoding happens
+    outside it, so two threads missing one schedule may both encode it,
+    to the same text.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._texts: OrderedDict[Schedule, str] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+    def text(self, schedule: Schedule,
+             doc: dict[str, Any] | None = None) -> str:
+        """The schedule's document text; a miss encodes *doc*, which must
+        be ``schedule_to_dict(schedule)``, or the schedule itself.  A text
+        longer than the bound is returned but not kept."""
+        with self._lock:
+            text = self._texts.get(schedule)
+            if text is not None:
+                self._texts.move_to_end(schedule)
+                return text
+        text = json.dumps(schedule_to_dict(schedule) if doc is None else doc)
+        if len(text) <= self.max_bytes:
+            with self._lock:
+                old = self._texts.pop(schedule, None)
+                self.nbytes += len(text) - (0 if old is None else len(old))
+                self._texts[schedule] = text
+                while self.nbytes > self.max_bytes:
+                    _, dropped = self._texts.popitem(last=False)
+                    self.nbytes -= len(dropped)
+        return text
+
+    def clear(self) -> None:
+        """Forget every text."""
+        with self._lock:
+            self._texts.clear()
+            self.nbytes = 0
+
+
+#: Total length of the schedule texts the process keeps (JSON text is
+#: ASCII: one byte per character).  A text holds 5.1 KiB at
+#: (n, D, budget) = (24, 3, 1/2), 22 KiB at (48, 5, 1/2), 57 KiB at
+#: (100, 4, 2/5) and 162 KiB at (200, 8, 2/5), and 7.3 KiB on average
+#: over serve-cold's classes, so 4 MiB keeps the store's 256-entry LRU
+#: front at serve sizes.
+_SCHEDULE_TEXT_BYTES = 4 << 20
+_SCHEDULE_TEXTS = _ScheduleTexts(_SCHEDULE_TEXT_BYTES)
+
+
 @dataclass(frozen=True)
 class ProvisionResult:
     """Outcome of one request within a batch.
+
+    :meth:`to_dict` is the result line's document and :meth:`to_json` its
+    text, which ``repro provision`` and ``repro serve`` write.  The
+    process encodes each schedule's node lists once and keeps the text
+    (up to 4 MiB of texts), so a repeated answer encodes only its small
+    fields.
 
     Attributes
     ----------
@@ -167,19 +237,12 @@ class ProvisionResult:
         (nothing of this request was scored or constructed).
     error:
         Human-readable failure description, or None on success.
-    schedule_doc:
-        ``schedule_to_dict(plan.schedule)`` when the batch already built
-        it for the store entries of a freshly built winner, which
-        :meth:`to_dict` then reuses instead of encoding the schedule
-        again; None otherwise.  It is left out of ``==`` and ``repr``.
     """
 
     request: ProvisionRequest
     plan: Plan | None
     from_cache: bool = False
     error: str | None = None
-    schedule_doc: dict[str, Any] | None = field(default=None, compare=False,
-                                                repr=False)
 
     def to_dict(self, *, include_schedule: bool = True) -> dict[str, Any]:
         """JSONL result line; with *include_schedule*, embeds the flashable
@@ -199,18 +262,31 @@ class ProvisionResult:
             "from_cache": self.from_cache,
         })
         if include_schedule:
-            meta = {
-                "class_n": self.plan.schedule.n, "class_d": self.request.d,
+            doc["schedule"] = schedule_to_dict(self.plan.schedule,
+                                               meta=self._meta())
+        return doc
+
+    def to_json(self, *, include_schedule: bool = True) -> str:
+        """The JSON text of :meth:`to_dict`, byte for byte.
+
+        Equal to ``json.dumps(self.to_dict(include_schedule=...))``, with
+        the schedule document's text taken from the process's memo, so
+        the node lists are encoded again only after the memo evicts it."""
+        if self.error is not None or not include_schedule:
+            return json.dumps(self.to_dict(include_schedule=include_schedule))
+        head = json.dumps(self.to_dict(include_schedule=False))
+        schedule = _SCHEDULE_TEXTS.text(self.plan.schedule)
+        # Both texts end in the "}" of their object; the schedule's meta
+        # goes last, as schedule_to_dict(meta=) puts it.
+        return (f'{head[:-1]}, "schedule": {schedule[:-1]}, '
+                f'"meta": {json.dumps(self._meta())}}}}}')
+
+    def _meta(self) -> dict[str, Any]:
+        """The ``meta`` of the embedded schedule document."""
+        return {"class_n": self.plan.schedule.n, "class_d": self.request.d,
                 "family": self.plan.family, "alpha_t": self.plan.alpha_t,
                 "alpha_r": self.plan.alpha_r,
-                "balanced": self.request.balanced,
-            }
-            if self.schedule_doc is None:
-                doc["schedule"] = schedule_to_dict(self.plan.schedule,
-                                                   meta=meta)
-            else:
-                doc["schedule"] = {**self.schedule_doc, "meta": meta}
-        return doc
+                "balanced": self.request.balanced}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ProvisionResult":
@@ -261,12 +337,11 @@ class ProvisionResult:
 @dataclass
 class _Winner:
     """One distinct winning grid point, the requests it answers and,
-    once built, their plan and (with a store) its schedule document."""
+    once built, their plan."""
 
     score: GridScore
     signatures: list[tuple] = field(default_factory=list)
     plan: Plan | None = None
-    schedule_doc: dict[str, Any] | None = None
 
 
 @dataclass
@@ -359,22 +434,19 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
             with span("provision.store", signatures=len(winner.signatures)):
                 confirm_score(winner.score, winner.plan)
                 if store is not None:
-                    # One encode serves every entry of this winner and
-                    # the results that answer them.
-                    winner.schedule_doc = schedule_to_dict(
-                        winner.plan.schedule)
+                    # One encode serves every entry of this winner and,
+                    # through the text memo, the results that answer them.
+                    doc = schedule_to_dict(winner.plan.schedule)
                     for sig in winner.signatures:
-                        store.put_plan(*sig, winner.plan,
-                                       schedule_doc=winner.schedule_doc)
+                        store.put_plan(*sig, winner.plan, schedule_doc=doc)
+                    _SCHEDULE_TEXTS.text(winner.plan.schedule, doc)
 
     results: list[ProvisionResult] = []
     for i, (request, sig) in enumerate(zip(requests, signatures)):
         if sig is None:
             result = ProvisionResult(request, None, error=errors[i])
         elif sig in winner_of:
-            winner = winners[winner_of[sig]]
-            result = ProvisionResult(request, winner.plan,
-                                     schedule_doc=winner.schedule_doc)
+            result = ProvisionResult(request, winners[winner_of[sig]].plan)
         elif resolved[sig] is None:
             result = ProvisionResult(request, None, error=(
                 infeasible_budget_message(sig[0], request.max_duty, sig[3])))

@@ -3,12 +3,14 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.planner as planner_mod
 from repro.core import nonsleeping
 from repro.core.construction import frame_length_formula
 from repro.core.nonsleeping import tdma_schedule
@@ -392,5 +394,33 @@ class TestSubstrateMemo:
             for pair, sources in walked:
                 assert _same_sources(sources, cold_reference[pair]), pair
         assert _count(registry, LOOKUPS) == calls
-        assert len(COLD_PAIRS) <= _count(registry, BUILDS) \
-            <= threads * len(COLD_PAIRS)
+        assert _count(registry, BUILDS) == len(COLD_PAIRS)
+
+    def test_two_threads_missing_one_pair_build_it_once(self, registry,
+                                                        monkeypatch):
+        real = planner_mod.tdma_schedule
+
+        def slow_tdma(n):
+            time.sleep(0.2)  # both threads are past the barrier by now
+            return real(n)
+
+        monkeypatch.setattr(planner_mod, "tdma_schedule", slow_tdma)
+        _substrates.cache_clear()
+        barrier = threading.Barrier(2)
+        got = [None, None]
+
+        def miss(i):
+            barrier.wait(timeout=10)
+            got[i] = candidate_sources(12, 2)
+
+        workers = [threading.Thread(target=miss, args=(i,)) for i in (0, 1)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        assert _count(registry, LOOKUPS) == 2
+        assert _count(registry, BUILDS) == 1
+        first, second = got
+        assert [name for name, _ in first] == [name for name, _ in second]
+        assert all(a is b for (_, a), (_, b) in zip(first, second))

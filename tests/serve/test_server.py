@@ -18,6 +18,8 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -32,9 +34,14 @@ from repro.obs.timeseries import (
     parse_history,
     validate_history,
 )
+from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import BackgroundServer, ServeConfig
-from repro.service.api import ProvisionRequest, ProvisionResult
+from repro.service.api import (
+    ProvisionRequest,
+    ProvisionResult,
+    provision_batch,
+)
 from repro.service.store import ScheduleStore
 
 
@@ -329,6 +336,81 @@ class TestRealPlanner:
                                     include_schedules=False)
             assert "error" in docs[0]
             assert "request" in docs[0]
+
+
+def _post_raw(bs, path: str, doc: dict) -> bytes:
+    """POST *doc* to the background server; the response body's bytes."""
+    conn = http.client.HTTPConnection(bs.host, bs.port, timeout=30)
+    try:
+        conn.request("POST", path, body=json.dumps(doc).encode("utf-8"),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        body = resp.read()
+    finally:
+        conn.close()
+    assert resp.status == 200, body
+    return body
+
+
+def _dumped(trace_id: str, **payload) -> bytes:
+    """A success body as ``json.dumps`` of the whole envelope writes it."""
+    return (json.dumps(protocol.ok_doc(**payload, trace_id=trace_id))
+            + "\n").encode("utf-8")
+
+
+class TestResponseBytes:
+    """``/plan`` and ``/provision`` bodies, assembled from result texts,
+    are byte for byte ``json.dumps`` of the envelope of ``to_dict``s."""
+
+    #: Escaped by json.dumps: a quote and a non-ASCII character.
+    TRACE = 'bytes-"\u00e9"-1'
+
+    def test_plan_bodies(self, tmp_path):
+        request = ProvisionRequest(12, 2, "1/2")
+        infeasible = ProvisionRequest(15, 2, 0.05)
+        built, failed = provision_batch([request, infeasible])
+        hit = replace(built, from_cache=True)
+        with BackgroundServer(ServeConfig(port=0),
+                              store=ScheduleStore(tmp_path / "cache")) as bs:
+            def plan(req, **extra):
+                return _post_raw(bs, "/plan", {**req.to_dict(), **extra,
+                                               "trace_id": self.TRACE})
+
+            cold = plan(request)
+            memory = plan(request)
+            bare = plan(request, include_schedule=False)
+            error = plan(infeasible)
+            assert bs.server.store.stats.memory_hits == 2
+        assert cold == _dumped(self.TRACE, result=built.to_dict())
+        assert memory == _dumped(self.TRACE, result=hit.to_dict())
+        assert bare == _dumped(self.TRACE, result=hit.to_dict(
+            include_schedule=False))
+        assert error == _dumped(self.TRACE, result=failed.to_dict())
+
+    def test_provision_bodies(self, tmp_path):
+        requests = [ProvisionRequest(12, 2, 0.5),
+                    ProvisionRequest(12, 2, Fraction(1, 2)),
+                    ProvisionRequest(16, 3, 0.5, balanced=True),
+                    ProvisionRequest(15, 2, 0.05),
+                    ProvisionRequest(15, 99, 0.4)]
+        expected = provision_batch(requests)
+        hits = [r if r.error else replace(r, from_cache=True)
+                for r in expected]
+        body = {"requests": [r.to_dict() for r in requests],
+                "trace_id": self.TRACE}
+        with BackgroundServer(ServeConfig(port=0),
+                              store=ScheduleStore(tmp_path / "cache")) as bs:
+            cold = _post_raw(bs, "/provision", body)
+            memory = _post_raw(bs, "/provision", body)
+            bare = _post_raw(bs, "/provision",
+                             {**body, "include_schedules": False})
+            assert bs.server.store.stats.memory_hits == 4
+        assert cold == _dumped(self.TRACE,
+                               results=[r.to_dict() for r in expected])
+        assert memory == _dumped(self.TRACE,
+                                 results=[r.to_dict() for r in hits])
+        assert bare == _dumped(self.TRACE, results=[
+            r.to_dict(include_schedule=False) for r in hits])
 
 
 class TestObservabilityEndpoints:

@@ -2,14 +2,25 @@
 deduplication, caching and warm resume."""
 
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import repro.core.planner as planner_mod
+import repro.service.api as api_mod
+import repro.service.store as store_mod
+from repro.core.nonsleeping import tdma_schedule
 from repro.core.planner import plan_schedule
+from repro.core.serialization import schedule_to_dict
 from repro.core.transparency import is_topology_transparent
-from repro.service.api import ProvisionRequest, ProvisionResult, provision_batch
+from repro.service.api import (
+    ProvisionRequest,
+    ProvisionResult,
+    _ScheduleTexts,
+    provision_batch,
+)
 from repro.service.store import ScheduleStore
 
 
@@ -17,6 +28,29 @@ from repro.service.store import ScheduleStore
 def store(tmp_path) -> ScheduleStore:
     """A store rooted in a fresh temporary directory."""
     return ScheduleStore(tmp_path / "cache")
+
+
+@pytest.fixture
+def texts():
+    """The process's schedule text memo, empty at the start."""
+    api_mod._SCHEDULE_TEXTS.clear()
+    return api_mod._SCHEDULE_TEXTS
+
+
+def _count_encodes(monkeypatch):
+    """Route ``schedule_to_dict``, by the name the API and the store look
+    up at call time, through a counter; returns the list of calls."""
+    calls = []
+    real = api_mod.schedule_to_dict
+    assert store_mod.schedule_to_dict is real
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(api_mod, "schedule_to_dict", counted)
+    monkeypatch.setattr(store_mod, "schedule_to_dict", counted)
+    return calls
 
 
 def _count_constructions(monkeypatch):
@@ -226,29 +260,27 @@ class TestCaching:
 
 
 class TestEncodeOnce:
-    """A built winner's schedule is encoded once, for its store entries
-    and its served results alike, and no stored or served byte moves."""
+    """A schedule's node lists are encoded once: a built winner's for its
+    store entries and every result that serves it, and no stored or
+    served byte moves."""
 
-    def test_cold_request_encodes_its_schedule_once(self, store,
+    def test_cold_request_encodes_its_schedule_once(self, store, texts,
                                                     monkeypatch):
-        import repro.service.api as api_mod
-        import repro.service.store as store_mod
-
-        calls = []
-        real = api_mod.schedule_to_dict
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        # The one name each module looks up at call time.
-        assert store_mod.schedule_to_dict is real
-        monkeypatch.setattr(api_mod, "schedule_to_dict", counted)
-        monkeypatch.setattr(store_mod, "schedule_to_dict", counted)
+        calls = _count_encodes(monkeypatch)
         result, = provision_batch([ProvisionRequest(12, 2, 0.5)],
                                   store=store)
-        result.to_dict()
+        result.to_json()
         assert len(calls) == 1 and store.stats.stores == 1
+
+    def test_memory_hit_encodes_no_schedule(self, store, texts, monkeypatch):
+        request = ProvisionRequest(12, 2, 0.5)
+        provision_batch([request], store=store)
+        calls = _count_encodes(monkeypatch)
+        memory, = provision_batch([request], store=store)
+        text = memory.to_json()
+        assert calls == []
+        assert store.stats.memory_hits == 1 and memory.from_cache
+        assert text == json.dumps(memory.to_dict())
 
     def test_shared_winner_entries_are_the_canonical_encoding(self, store):
         from repro.service.store import _canonical_json, plan_key
@@ -274,12 +306,10 @@ class TestEncodeOnce:
         assert store.stats.memory_hits == 1
         assert (cold.from_cache, memory.from_cache, disk.from_cache) == \
             (False, True, True)
-        assert json.dumps(cold.to_dict()) == json.dumps(storeless.to_dict())
-        assert cold.schedule_doc is not None
-        assert memory.schedule_doc is None and disk.schedule_doc is None
+        assert cold.to_json() == storeless.to_json()
         lines = set()
         for result in (cold, memory, disk):
-            doc = result.to_dict()
+            doc = json.loads(result.to_json())
             del doc["from_cache"]
             lines.add(json.dumps(doc))
         assert len(lines) == 1
@@ -289,8 +319,133 @@ class TestEncodeOnce:
         bare = ProvisionResult(cold.request, cold.plan)
         assert cold == bare and hash(cold) == hash(bare)
         assert repr(cold) == repr(bare)
+        assert cold.to_json() == bare.to_json()
         assert ProvisionResult.from_dict(cold.to_dict()).to_dict() == \
             cold.to_dict()
+
+
+#: Requests covering every kind of result line: plans balanced and not,
+#: budgets as a float, a fraction string and a Fraction, a budget no
+#: schedule fits and impossible class parameters.
+MIXED = [ProvisionRequest(12, 2, 0.5),
+         ProvisionRequest(12, 2, "1/2"),
+         ProvisionRequest(12, 2, Fraction(1, 2)),
+         ProvisionRequest(12, 2, "13/24", balanced=True),
+         ProvisionRequest(16, 3, 0.5, balanced=True),
+         ProvisionRequest(15, 2, Fraction(2, 5)),
+         ProvisionRequest(15, 2, 0.05),
+         ProvisionRequest(15, 99, 0.4)]
+
+
+class TestToJson:
+    """``to_json`` is ``json.dumps(to_dict())`` byte for byte, whatever
+    answered the request and whatever the memo holds."""
+
+    @staticmethod
+    def _assert_dumped(results):
+        for result in results:
+            for include in (True, False):
+                assert result.to_json(include_schedule=include) == \
+                    json.dumps(result.to_dict(include_schedule=include))
+
+    @pytest.mark.parametrize("answer", ["storeless", "cold", "memory",
+                                        "disk"])
+    def test_every_answer_is_the_dumped_document(self, store, texts,
+                                                 answer):
+        if answer == "storeless":
+            results = provision_batch(MIXED)
+        else:
+            results = provision_batch(MIXED, store=store)
+        if answer == "memory":
+            results = provision_batch(MIXED, store=store)
+            assert store.stats.memory_hits == 4
+        if answer == "disk":
+            fresh = ScheduleStore(store.cache_dir)
+            results = provision_batch(MIXED, store=fresh)
+            assert fresh.stats.disk_hits == 4
+        plans = [r for r in results if r.error is None]
+        assert len(plans) == 6
+        assert all(r.from_cache == (answer in ("memory", "disk"))
+                   for r in plans)
+        assert "duty budget" in results[-2].error
+        assert "D must be" in results[-1].error
+        self._assert_dumped(results)   # texts kept by the batch or above
+        texts.clear()
+        self._assert_dumped(results)   # texts encoded by to_json
+
+    def test_the_memo_key_is_the_schedule_value(self, texts):
+        built, = provision_batch([ProvisionRequest(12, 2, 0.5)])
+        copy = ProvisionResult.from_dict(built.to_dict())
+        assert copy.plan.schedule == built.plan.schedule
+        assert copy.plan.schedule is not built.plan.schedule
+        assert copy.to_json() == built.to_json()
+        assert len(texts) == 1
+
+
+class TestScheduleTexts:
+    """The memo's byte bound, recency and thread safety."""
+
+    def test_filling_past_the_bound_evicts_the_least_recently_used(
+            self, monkeypatch):
+        schedules = [tdma_schedule(n) for n in range(3, 9)]
+        sizes = [len(json.dumps(schedule_to_dict(s))) for s in schedules]
+        memo = _ScheduleTexts(sum(sizes[-3:]))
+        for schedule in schedules:
+            memo.text(schedule)
+        assert len(memo) == 3 and memo.nbytes == memo.max_bytes
+        calls = _count_encodes(monkeypatch)
+        for schedule in schedules[-3:]:
+            memo.text(schedule)
+        assert calls == []
+        memo.text(schedules[-3])       # now the most recently used
+        memo.text(schedules[0])        # encoded again; evicts schedules[-2]
+        assert len(calls) == 1 and memo.nbytes <= memo.max_bytes
+        memo.text(schedules[-3])
+        assert len(calls) == 1
+        memo.text(schedules[-2])
+        assert len(calls) == 2 and memo.nbytes <= memo.max_bytes
+
+    def test_a_text_longer_than_the_bound_is_not_kept(self):
+        schedule = tdma_schedule(8)
+        memo = _ScheduleTexts(10)
+        assert memo.text(schedule) == json.dumps(schedule_to_dict(schedule))
+        assert len(memo) == memo.nbytes == 0
+
+    def test_threads_encoding_overlapping_schedules(self, monkeypatch):
+        results = provision_batch(
+            [ProvisionRequest(n, d, "1/2") for n in range(10, 22, 2)
+             for d in (2, 3)])
+        reference = [json.dumps(r.to_dict()) for r in results]
+        # Room for about half the texts, so fills evict while others read.
+        memo = _ScheduleTexts(sum(map(len, reference)) // 2)
+        monkeypatch.setattr(api_mod, "_SCHEDULE_TEXTS", memo)
+        threads, rounds = 8, 20
+        wrong, errors = [], []
+
+        def encode(i):
+            try:
+                for k in range(rounds * len(results)):
+                    j = (i + k * (i + 1)) % len(results)
+                    if results[j].to_json() != reference[j]:
+                        wrong.append(j)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=encode, args=(i,))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == [] and wrong == []
+        assert memo.nbytes == sum(map(len, memo._texts.values())) \
+            <= memo.max_bytes
 
 
 class TestResultDataclass:
