@@ -1,7 +1,7 @@
-"""The sharded sweep engine against the legacy serial seed sweep.
+"""The sharded sweep engine against a serial seed sweep.
 
-Same grid, two runners: the original :func:`repro.analysis.sweep` loop
-driving the scalar slot-step simulator (the pre-engine idiom), and
+Same grid, two runners: a serial loop over the grid driving the scalar
+slot-step simulator (the pre-engine idiom), and
 :class:`repro.analysis.SweepRunner` at ``--jobs 8`` riding the vectorized
 saturated-mode kernel.  The engine must be at least 4x faster wall-clock
 and — the determinism contract — its merged JSONL must be byte-identical
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.analysis import Table, SweepRunner, SweepSpec, sweep
+from repro.analysis import Table, SweepRunner, SweepSpec
 from repro.analysis.sweeps import (
     SweepPoint,
     _build_schedule,
@@ -39,7 +39,8 @@ def _serial_point(n: int, seed: int) -> dict:
 
 def test_sweep_engine_speedup(report, headline):
     started = perf_counter()
-    serial = sweep(_serial_point, n=SPEC.ns, seed=SPEC.seeds)
+    serial = [{"n": n, "seed": seed, **_serial_point(n, seed)}
+              for n in SPEC.ns for seed in SPEC.seeds]
     serial_s = perf_counter() - started
 
     started = perf_counter()

@@ -51,10 +51,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "deployment.json"
-        save_schedule(plan.schedule, path, meta={
-            "class_n": n, "class_d": d, "family": plan.family,
-            "alpha_t": plan.alpha_t, "alpha_r": plan.alpha_r,
-        })
+        save_schedule(plan.schedule, path, meta=plan.meta(d, balanced=False))
         restored = load_schedule(path)
         assert restored == plan.schedule
         doc = json.loads(path.read_text())

@@ -4,15 +4,18 @@ Every public entry point of :mod:`repro` validates its arguments through the
 small helpers in this module so that error messages are uniform and the
 validation logic is tested in exactly one place.
 
-The wire-format validators, which live beside each format's writer and
-return problem strings instead of raising, share the helpers at the end.
+The wire-document readers (:func:`doc_field`, :func:`fraction_field`)
+raise a ``ValueError`` naming the field; the wire-format validators, which
+live beside each format's writer and return problem strings instead of
+raising, share the helpers at the end.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields
-from typing import Any, Callable, Iterable, Mapping, get_type_hints
+from fractions import Fraction
+from typing import Any, Callable, Mapping, get_type_hints
 
 
 def check_int(value: object, name: str, *, minimum: int | None = None,
@@ -32,22 +35,6 @@ def check_int(value: object, name: str, *, minimum: int | None = None,
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
-
-
-def check_node(value: object, name: str, n: int) -> int:
-    """Validate a node identifier: an int in ``[0, n)``."""
-    return check_int(value, name, minimum=0, maximum=n - 1)
-
-
-def check_nodes(values: Iterable[object], name: str, n: int) -> frozenset[int]:
-    """Validate an iterable of node identifiers, returning a frozenset."""
-    out = []
-    for i, v in enumerate(values):
-        out.append(check_node(v, f"{name}[{i}]", n))
-    result = frozenset(out)
-    if len(result) != len(out):
-        raise ValueError(f"{name} contains duplicate node identifiers")
-    return result
 
 
 def check_class_params(n: int, d: int) -> tuple[int, int]:
@@ -95,6 +82,42 @@ def check_nonnegative_float(value: object, name: str) -> float:
 def is_a(value: object, kind: type | tuple[type, ...]) -> bool:
     """Whether JSON *value* is a *kind*, never counting ``bool`` as ``int``."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
+          dict: "a JSON object",
+          (int, float, str): "a number or a fraction string"}
+
+
+def doc_field(doc: Mapping[str, Any], key: str, kind, *, what: str,
+              default: Any = None) -> Any:
+    """``doc[key]`` if it is a *kind* (a bool is no number), else the
+    ``ValueError`` naming the *what* document's *key*.
+
+    An absent key gives *default*, or the ``ValueError`` when *default*
+    is None: a field without a default is required.
+    """
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"{what} missing field {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
+        raise ValueError(f"{what} field {key!r} must be {_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def fraction_field(doc: Mapping[str, Any], key: str, *, what: str) -> Fraction:
+    """``doc[key]`` as an exact fraction string, or the ``ValueError``
+    naming the *what* document's *key*."""
+    text = doc_field(doc, key, str, what=what)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} field {key!r} is not a fraction: "
+                         f"{text!r}") from None
 
 
 def required_fields(cls: type) -> dict[str, Any]:

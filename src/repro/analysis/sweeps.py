@@ -1,20 +1,15 @@
-"""Parameter sweeps: the legacy serial runner and the sharded engine.
+"""Parameter sweeps: the sharded, resumable sweep engine.
 
-Two generations live here:
-
-* :func:`sweep` — the original 36-line serial cartesian runner, kept as
-  the serial baseline ``benchmarks/bench_sweep.py`` times the engine
-  against;
-* the **sweep engine** — :class:`SweepSpec` / :class:`SweepRunner` — which
-  expands a simulation parameter grid (schedule family × n × D × traffic ×
-  seeds), deduplicates points, runs fixed-size *shards* on the
-  fault-tolerant runtime of :mod:`repro.service.runtime` (per-shard
-  timeout, retry and quarantine for free; one
-  :class:`~repro.service.runtime.RuntimeConfig` sets the pool width, the
-  timeout and the retry budget), checkpoints every finished shard as
-  content-addressed JSONL so an interrupted sweep warm-resumes, and
-  merges shard results **in grid order** — the merged output is
-  byte-identical whatever the worker count or completion order.
+The **sweep engine** — :class:`SweepSpec` / :class:`SweepRunner` —
+expands a simulation parameter grid (schedule family × n × D × traffic ×
+seeds), deduplicates points, runs fixed-size *shards* on the
+fault-tolerant runtime of :mod:`repro.service.runtime` (per-shard
+timeout, retry and quarantine for free; one
+:class:`~repro.service.runtime.RuntimeConfig` sets the pool width, the
+timeout and the retry budget), checkpoints every finished shard as
+content-addressed JSONL so an interrupted sweep warm-resumes, and merges
+shard results **in grid order** — the merged output is byte-identical
+whatever the worker count or completion order.
 
 Determinism is the engine's contract, enforced by the regression suite:
 
@@ -32,14 +27,13 @@ Determinism is the engine's contract, enforced by the regression suite:
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from math import isqrt
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -52,7 +46,7 @@ from repro.obs.tracing import span
 from repro.service.runtime import RuntimeConfig, TaskReport, execute_tasks
 from repro.service.store import key_digest
 
-__all__ = ["sweep", "SweepSpec", "SweepPoint", "ShardTask", "SweepResult",
+__all__ = ["SweepSpec", "SweepPoint", "ShardTask", "SweepResult",
            "SweepRunner", "ROW_FORMAT", "ROW_VERSION", "render_row",
            "validate_row", "validate_rows"]
 
@@ -71,34 +65,6 @@ _TRAFFICS = ("saturated", "poisson", "sensing")
 # traffic generators of one point can never share a stream.
 _TAG_TOPOLOGY = 0x70_70
 _TAG_TRAFFIC = 0x7F_1C
-
-
-def sweep(fn: Callable[..., Mapping[str, Any] | None],
-          **grid: Iterable[Any]) -> list[dict[str, Any]]:
-    """Call ``fn`` on every combination of the keyword grids.
-
-    *fn* receives one keyword per grid and returns a mapping of result
-    fields (or None to skip the combination, e.g. for infeasible
-    parameters).  Each record in the returned list contains the grid point
-    merged with the result fields; result fields may not shadow grid keys.
-
-    >>> sweep(lambda n, d: {"sum": n + d}, n=[1, 2], d=[10])
-    [{'n': 1, 'd': 10, 'sum': 11}, {'n': 2, 'd': 10, 'sum': 12}]
-    """
-    if not grid:
-        raise ValueError("sweep needs at least one parameter grid")
-    keys = list(grid)
-    records: list[dict[str, Any]] = []
-    for combo in itertools.product(*(list(grid[k]) for k in keys)):
-        point = dict(zip(keys, combo))
-        result = fn(**point)
-        if result is None:
-            continue
-        clash = set(result) & set(point)
-        if clash:
-            raise ValueError(f"result fields {clash} shadow sweep parameters")
-        records.append({**point, **result})
-    return records
 
 
 # ----------------------------------------------------------------------

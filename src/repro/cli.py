@@ -41,6 +41,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -385,19 +386,17 @@ def _source(family: str, n: int, d: int):
 
 
 def _cmd_build(args) -> int:
-    from repro.core.construction import construct
+    from repro.core.planner import GridPoint, evaluate_grid_point
     from repro.core.serialization import save_schedule
 
     family, source = _source(args.family, args.n, args.d)
-    built = construct(source, args.d, args.alpha_t, args.alpha_r,
-                      balanced=args.balanced)
-    save_schedule(built, args.output, meta={
-        "class_n": args.n, "class_d": args.d, "family": family,
-        "alpha_t": args.alpha_t, "alpha_r": args.alpha_r,
-        "balanced": args.balanced,
-    })
-    print(f"wrote {args.output}: family={family} L={built.frame_length} "
-          f"duty={float(built.average_duty_cycle()):.3f}")
+    plan = evaluate_grid_point(
+        GridPoint(family, source, args.alpha_t, args.alpha_r), args.d,
+        balanced=args.balanced)
+    save_schedule(plan.schedule, args.output,
+                  meta=plan.meta(args.d, args.balanced))
+    print(f"wrote {args.output}: family={family} L={plan.frame_length} "
+          f"duty={float(plan.duty_cycle):.3f}")
     return 0
 
 
@@ -407,10 +406,8 @@ def _cmd_plan(args) -> int:
 
     plan = plan_schedule(args.n, args.d, max_duty=args.max_duty,
                          balanced=args.balanced)
-    save_schedule(plan.schedule, args.output, meta={
-        "class_n": args.n, "class_d": args.d, "family": plan.family,
-        "alpha_t": plan.alpha_t, "alpha_r": plan.alpha_r,
-    })
+    save_schedule(plan.schedule, args.output,
+                  meta=plan.meta(args.d, args.balanced))
     print(f"wrote {args.output}: family={plan.family} "
           f"(aT={plan.alpha_t}, aR={plan.alpha_r}) L={plan.frame_length} "
           f"duty={float(plan.duty_cycle):.3f} "
@@ -428,20 +425,19 @@ def _load_fault_plan(path: str | None):
         return FaultPlan.from_dict(json.load(fh))
 
 
-def _read_requests(path: str) -> list:
-    """The JSONL requests at *path* (``-``: stdin), blank lines skipped;
-    a malformed line raises ``ValueError`` naming ``path:line``."""
-    from repro.service.api import ProvisionRequest
-
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    requests = []
+def _read_jsonl(path: str, from_dict) -> list:
+    """``from_dict`` of each JSON line at *path* (``-``: stdin), blank
+    lines skipped; a malformed line raises ``ValueError`` naming
+    ``path:line``."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    docs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             try:
-                requests.append(ProvisionRequest.from_dict(json.loads(line)))
-            except ValueError as exc:
+                docs.append(from_dict(json.loads(line)))
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return requests
+    return docs
 
 
 def _write_lines(path: str, lines) -> None:
@@ -455,11 +451,11 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _cmd_provision(args) -> int:
-    from repro.service.api import provision_batch
+    from repro.service.api import ProvisionRequest, provision_batch
     from repro.service.store import ScheduleStore
 
     try:
-        requests = _read_requests(args.input)
+        requests = _read_jsonl(args.input, ProvisionRequest.from_dict)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -530,7 +526,6 @@ def _serve_supervised(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
     import signal
-    from pathlib import Path
 
     from repro.obs.metrics import default_registry
     from repro.serve.server import ScheduleServer, ServeConfig
@@ -604,7 +599,9 @@ def _cmd_call(args) -> int:
 
 
 def _call_action(args, client) -> int:
+    from repro.core.serialization import save_schedule
     from repro.serve.client import ServeError
+    from repro.service.api import ProvisionRequest, ProvisionResult
 
     try:
         if args.action == "health":
@@ -636,14 +633,23 @@ def _call_action(args, client) -> int:
                               balanced=args.balanced,
                               include_schedule=args.output != "-")
             if args.output != "-" and "schedule" in doc:
-                with open(args.output, "w") as fh:
-                    json.dump(doc.pop("schedule"), fh, indent=1)
+                # Decoded first, so no file is written that would not
+                # load back; the bytes are what `repro plan -o` writes.
+                try:
+                    plan = ProvisionResult.from_dict(doc).plan
+                except ValueError as exc:
+                    print(f"error: server {args.host}:{args.port}: {exc}",
+                          file=sys.stderr)
+                    return 4
+                save_schedule(plan.schedule, args.output,
+                              meta=plan.meta(args.d, args.balanced))
+                del doc["schedule"]
                 print(f"wrote {args.output}", file=sys.stderr)
             print(json.dumps(doc, indent=2))
             return 1 if "error" in doc else 0
         # provision: same JSONL in/out contract as `repro provision`.
         try:
-            requests = _read_requests(args.input)
+            requests = _read_jsonl(args.input, ProvisionRequest.from_dict)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -732,8 +738,6 @@ def _obs_top(args) -> int:
 
 def _load_bench_baseline(path):
     """A bench-diff baseline: history.jsonl, one sidecar, or a directory."""
-    from pathlib import Path
-
     from repro.obs import bench as _bench
 
     p = Path(path)
@@ -992,23 +996,11 @@ def _cmd_sweep(args) -> int:
     if args.resume and args.checkpoint_dir is None:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            lines = open(args.input).read().splitlines()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    specs = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            specs.append(SweepSpec.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
-            print(f"error: {args.input}:{lineno}: {exc}", file=sys.stderr)
-            return 2
+    try:
+        specs = _read_jsonl(args.input, SweepSpec.from_dict)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not specs:
         print("error: no sweep specs in input", file=sys.stderr)
         return 2
@@ -1063,8 +1055,6 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from pathlib import Path
-
     from repro.analysis.report import certification_report
     from repro.core.serialization import load_schedule
 

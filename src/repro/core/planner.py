@@ -32,9 +32,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, TypeVar
+from typing import Any, Iterable, TypeVar
 
-from repro._validation import check_class_params, check_probability
+from repro._validation import (
+    check_class_params,
+    check_int,
+    check_probability,
+    doc_field,
+    fraction_field,
+)
 from repro.core.construction import (
     check_alphas,
     check_source,
@@ -51,6 +57,7 @@ from repro.core.nonsleeping import (
     tdma_schedule,
 )
 from repro.core.schedule import Schedule
+from repro.core.serialization import schedule_from_dict
 from repro.core.throughput import (
     average_throughput,
     optimal_transmitters_constrained,
@@ -91,6 +98,10 @@ class Plan:
         Exact average awake fraction of the schedule.
     frame_length:
         Constructed frame length (per-hop latency scale).
+
+    :meth:`to_dict` and :meth:`from_dict` are the plan document's one
+    codec: store entries and result lines carry it beside the embedded
+    ``schedule`` document.
     """
 
     schedule: Schedule
@@ -100,6 +111,58 @@ class Plan:
     throughput: Fraction
     duty_cycle: Fraction
     frame_length: int
+
+    def to_dict(self) -> dict[str, Any]:
+        """The plan document without its schedule, in result-line order;
+        exact fractions are written as strings."""
+        return {"family": self.family, "alpha_t": self.alpha_t,
+                "alpha_r": self.alpha_r, "throughput": str(self.throughput),
+                "duty_cycle": str(self.duty_cycle),
+                "frame_length": self.frame_length}
+
+    @classmethod
+    def from_dict(cls, doc: dict[str, Any], *,
+                  also: Iterable[str] = ()) -> "Plan":
+        """Strict inverse of :meth:`to_dict`, reading the embedded
+        ``schedule`` document as well.
+
+        A missing, mistyped or unknown field raises a ``ValueError``
+        naming it; the fields in *also* are the caller's to read.  The
+        energy parameters must be at least 1, the fractions exact
+        fraction strings, and ``frame_length`` the schedule's.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("plan must be a JSON object")
+        unknown = set(doc) - {"family", "alpha_t", "alpha_r", "throughput",
+                              "duty_cycle", "frame_length", "schedule",
+                              *also}
+        if unknown:
+            raise ValueError(f"plan has unknown fields: {sorted(unknown)}")
+        schedule = schedule_from_dict(doc_field(doc, "schedule", dict,
+                                                what="plan"))
+        frame_length = doc_field(doc, "frame_length", int, what="plan")
+        if frame_length != schedule.frame_length:
+            raise ValueError(
+                f"plan field 'frame_length' is {frame_length}, but the "
+                f"embedded schedule has {schedule.frame_length} slots")
+        return cls(
+            schedule=schedule,
+            family=doc_field(doc, "family", str, what="plan"),
+            alpha_t=check_int(doc_field(doc, "alpha_t", int, what="plan"),
+                              "alpha_t", minimum=1),
+            alpha_r=check_int(doc_field(doc, "alpha_r", int, what="plan"),
+                              "alpha_r", minimum=1),
+            throughput=fraction_field(doc, "throughput", what="plan"),
+            duty_cycle=fraction_field(doc, "duty_cycle", what="plan"),
+            frame_length=frame_length,
+        )
+
+    def meta(self, d: int, balanced: bool) -> dict[str, Any]:
+        """The ``meta`` of the plan's schedule document, for the class
+        degree *d* and the *balanced* flag it was planned with."""
+        return {"class_n": self.schedule.n, "class_d": d,
+                "family": self.family, "alpha_t": self.alpha_t,
+                "alpha_r": self.alpha_r, "balanced": balanced}
 
 
 @dataclass(frozen=True)

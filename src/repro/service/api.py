@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
-from repro._validation import check_class_params, check_int
+from repro._validation import check_class_params, doc_field
 from repro.core.planner import (
     GridScore,
     Plan,
@@ -42,7 +42,7 @@ from repro.core.planner import (
     select_winner,
 )
 from repro.core.schedule import Schedule
-from repro.core.serialization import schedule_from_dict, schedule_to_dict
+from repro.core.serialization import schedule_to_dict
 from repro.obs.tracing import span
 # Unused by src: benchmarks/e2e/layers.py wraps it until ROADMAP item 1.
 from repro.service.runtime import execute_tasks  # noqa: F401
@@ -50,39 +50,6 @@ from repro.service.store import ScheduleStore, StoreStats
 
 __all__ = ["ProvisionRequest", "ProvisionResult", "BatchReport",
            "provision_batch", "provision_batch_report"]
-
-
-_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
-          dict: "a JSON object",
-          (int, float, str): "a number or a fraction string"}
-_MISSING = object()
-
-
-def _field(doc: dict[str, Any], key: str, kind, default: Any = _MISSING, *,
-           what: str = "result") -> Any:
-    """``doc[key]`` if it is a *kind* (a bool is no number), else the
-    ``ValueError`` naming *key*; *default* when the key is absent and
-    optional."""
-    if key not in doc:
-        if default is _MISSING:
-            raise ValueError(f"{what} missing field {key!r}")
-        return default
-    value = doc[key]
-    if not isinstance(value, kind) or (isinstance(value, bool)
-                                       and kind is not bool):
-        raise ValueError(f"{what} field {key!r} must be {_KINDS[kind]}, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def _fraction_field(doc: dict[str, Any], key: str) -> Fraction:
-    """``doc[key]`` as an exact fraction string, or a ``ValueError``."""
-    text = _field(doc, key, str)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"result field {key!r} is not a fraction: "
-                         f"{text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -132,12 +99,12 @@ class ProvisionRequest:
         unknown = set(doc) - {"n", "d", "max_duty", "balanced"}
         if unknown:
             raise ValueError(f"request has unknown fields: {sorted(unknown)}")
-        return cls(n=_field(doc, "n", int, what="request"),
-                   d=_field(doc, "d", int, what="request"),
-                   max_duty=_field(doc, "max_duty", (int, float, str),
-                                   what="request"),
-                   balanced=_field(doc, "balanced", bool, False,
-                                   what="request"))
+        return cls(n=doc_field(doc, "n", int, what="request"),
+                   d=doc_field(doc, "d", int, what="request"),
+                   max_duty=doc_field(doc, "max_duty", (int, float, str),
+                                      what="request"),
+                   balanced=doc_field(doc, "balanced", bool, what="request",
+                                      default=False))
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable echo of the request."""
@@ -146,14 +113,6 @@ class ProvisionRequest:
             max_duty = str(max_duty)
         return {"n": self.n, "d": self.d, "max_duty": max_duty,
                 "balanced": self.balanced}
-
-
-#: The fields :meth:`ProvisionResult.to_dict` writes for an error result
-#: and for a plan.
-_ERROR_FIELDS = frozenset({"request", "error"})
-_PLAN_FIELDS = frozenset({"request", "family", "alpha_t", "alpha_r",
-                          "throughput", "duty_cycle", "frame_length",
-                          "from_cache", "schedule"})
 
 
 class _ScheduleTexts:
@@ -252,18 +211,12 @@ class ProvisionResult:
             doc["error"] = self.error
             return doc
         assert self.plan is not None
-        doc.update({
-            "family": self.plan.family,
-            "alpha_t": self.plan.alpha_t,
-            "alpha_r": self.plan.alpha_r,
-            "throughput": str(self.plan.throughput),
-            "duty_cycle": str(self.plan.duty_cycle),
-            "frame_length": self.plan.frame_length,
-            "from_cache": self.from_cache,
-        })
+        doc.update(self.plan.to_dict())
+        doc["from_cache"] = self.from_cache
         if include_schedule:
-            doc["schedule"] = schedule_to_dict(self.plan.schedule,
-                                               meta=self._meta())
+            doc["schedule"] = schedule_to_dict(
+                self.plan.schedule,
+                meta=self.plan.meta(self.request.d, self.request.balanced))
         return doc
 
     def to_json(self, *, include_schedule: bool = True) -> str:
@@ -276,17 +229,11 @@ class ProvisionResult:
             return json.dumps(self.to_dict(include_schedule=include_schedule))
         head = json.dumps(self.to_dict(include_schedule=False))
         schedule = _SCHEDULE_TEXTS.text(self.plan.schedule)
+        meta = self.plan.meta(self.request.d, self.request.balanced)
         # Both texts end in the "}" of their object; the schedule's meta
         # goes last, as schedule_to_dict(meta=) puts it.
         return (f'{head[:-1]}, "schedule": {schedule[:-1]}, '
-                f'"meta": {json.dumps(self._meta())}}}}}')
-
-    def _meta(self) -> dict[str, Any]:
-        """The ``meta`` of the embedded schedule document."""
-        return {"class_n": self.plan.schedule.n, "class_d": self.request.d,
-                "family": self.plan.family, "alpha_t": self.plan.alpha_t,
-                "alpha_r": self.plan.alpha_r,
-                "balanced": self.request.balanced}
+                f'"meta": {json.dumps(meta)}}}}}')
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ProvisionResult":
@@ -298,40 +245,23 @@ class ProvisionResult:
         ``schedule`` payload (``to_dict(include_schedule=True)``) — a plan
         cannot be reconstructed without its slot tables.  Strict like
         :meth:`ProvisionRequest.from_dict`: an unknown, missing or
-        mistyped field, or a ``frame_length`` the embedded schedule
-        disagrees with, raises a ``ValueError`` naming the field.
+        mistyped field raises a ``ValueError`` naming the field, and the
+        plan's fields are read by :meth:`~repro.core.planner.Plan.from_dict`.
         """
         if not isinstance(doc, dict):
             raise ValueError("result must be a JSON object")
-        unknown = set(doc) - (_ERROR_FIELDS if "error" in doc
-                              else _PLAN_FIELDS)
+        request = ProvisionRequest.from_dict(
+            doc_field(doc, "request", dict, what="result"))
+        if "error" not in doc:
+            return cls(request,
+                       Plan.from_dict(doc, also=("request", "from_cache")),
+                       from_cache=doc_field(doc, "from_cache", bool,
+                                            what="result", default=False))
+        unknown = set(doc) - {"request", "error"}
         if unknown:
             raise ValueError(f"result has unknown fields: {sorted(unknown)}")
-        request = ProvisionRequest.from_dict(_field(doc, "request", dict))
-        if "error" in doc:
-            return cls(request, None, error=_field(doc, "error", str))
-        if "schedule" not in doc:
-            raise ValueError("result missing field 'schedule' (serialize "
-                             "with include_schedule=True to round-trip)")
-        schedule = schedule_from_dict(_field(doc, "schedule", dict))
-        frame_length = _field(doc, "frame_length", int)
-        if frame_length != schedule.frame_length:
-            raise ValueError(
-                f"result field 'frame_length' is {frame_length}, but the "
-                f"embedded schedule has {schedule.frame_length} slots")
-        plan = Plan(
-            schedule=schedule,
-            family=_field(doc, "family", str),
-            alpha_t=check_int(_field(doc, "alpha_t", int), "alpha_t",
-                              minimum=1),
-            alpha_r=check_int(_field(doc, "alpha_r", int), "alpha_r",
-                              minimum=1),
-            throughput=_fraction_field(doc, "throughput"),
-            duty_cycle=_fraction_field(doc, "duty_cycle"),
-            frame_length=frame_length,
-        )
-        return cls(request, plan,
-                   from_cache=_field(doc, "from_cache", bool, False))
+        return cls(request, None,
+                   error=doc_field(doc, "error", str, what="result"))
 
 
 @dataclass

@@ -24,11 +24,12 @@ a superset of a flashable schedule file.  Durability rules:
 * entries are canonical JSON on one line (sorted keys, no whitespace);
   readers only ``json.loads`` them, so indented entries written by
   earlier versions still load;
-* loads are corruption-tolerant: any unreadable, unparsable, key-mismatched
-  or semantically invalid entry is **quarantined** — moved into
+* loads are corruption-tolerant: any unreadable, unparsable, key-mismatched,
+  mistyped or semantically invalid entry is **quarantined** — moved into
   ``cache_dir/quarantine/`` for post-mortem instead of silently destroyed
   — and reported as a miss, never raised; the worst case is
-  recomputation;
+  recomputation.  The entry's plan is read by
+  :meth:`~repro.core.planner.Plan.from_dict`, as strictly as a result line;
 * :meth:`ScheduleStore.scrub` is the offline integrity pass: it re-hashes
   and re-validates every entry on disk (``repro store scrub``), so silent
   corruption is found before a client ever asks for the entry;
@@ -54,11 +55,7 @@ from typing import Any
 
 from repro._validation import check_int
 from repro.core.planner import Plan
-from repro.core.serialization import (
-    FORMAT_VERSION,
-    schedule_from_dict,
-    schedule_to_dict,
-)
+from repro.core.serialization import FORMAT_VERSION, schedule_to_dict
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import default_tracer
@@ -653,15 +650,7 @@ class ScheduleStore:
             "format": "repro-cache-entry",
             "version": FORMAT_VERSION,
             "key": key,
-            "plan": {
-                "family": plan.family,
-                "alpha_t": plan.alpha_t,
-                "alpha_r": plan.alpha_r,
-                "throughput": str(plan.throughput),
-                "duty_cycle": str(plan.duty_cycle),
-                "frame_length": plan.frame_length,
-                "schedule": schedule_doc,
-            },
+            "plan": {**plan.to_dict(), "schedule": schedule_doc},
         }
 
     @staticmethod
@@ -673,17 +662,4 @@ class ScheduleStore:
         if doc.get("key") != key:
             raise ValueError("cache entry key mismatch (hash collision or "
                              "corruption)")
-        body = doc["plan"]
-        schedule = schedule_from_dict(body["schedule"])
-        frame_length = check_int(body["frame_length"], "frame_length", minimum=1)
-        if frame_length != schedule.frame_length:
-            raise ValueError("cache entry frame_length disagrees with payload")
-        return Plan(
-            schedule=schedule,
-            family=str(body["family"]),
-            alpha_t=check_int(body["alpha_t"], "alpha_t", minimum=1),
-            alpha_r=check_int(body["alpha_r"], "alpha_r", minimum=1),
-            throughput=Fraction(body["throughput"]),
-            duty_cycle=Fraction(body["duty_cycle"]),
-            frame_length=frame_length,
-        )
+        return Plan.from_dict(doc["plan"])

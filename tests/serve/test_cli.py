@@ -45,6 +45,13 @@ class TestCall:
         saved = json.loads(out.read_text())
         assert saved["format"] == "repro-schedule"
 
+    def test_plan_file_has_the_bytes_of_repro_plan(self, server, tmp_path):
+        args = ["-n", "12", "-d", "2", "--max-duty", "0.5", "--balanced"]
+        local, remote = tmp_path / "plan.json", tmp_path / "call.json"
+        assert main(["plan", *args, "-o", str(local)]) == 0
+        assert _call(server, "plan", *args, "-o", str(remote)) == 0
+        assert remote.read_bytes() == local.read_bytes()
+
     def test_plan_missing_args_is_usage_error(self, server, capsys):
         assert _call(server, "plan", "-n", "12") == 2
         assert "needs -n, -d and --max-duty" in capsys.readouterr().err

@@ -131,6 +131,21 @@ class TestEndpoints:
             assert doc["error"]["code"] == "payload-too-large"
 
 
+def _wait_coalesced(bs, n_requests):
+    """Wait until *n_requests* have led or joined a coalesced flight.
+
+    A request counts as active when it is admitted, before its body is
+    parsed and it reaches the coalescer; ``Coalescer.run`` counts it as
+    led or joined before its first await.
+    """
+    counter = bs.server.registry.get("repro_serve_coalesce_total")
+    deadline = time.monotonic() + 20
+    while (counter.value(result="led")
+           + counter.value(result="joined")) < n_requests:
+        assert time.monotonic() < deadline, "coalescing stalled"
+        time.sleep(0.005)
+
+
 class TestCoalescing:
     def test_concurrent_identical_requests_one_evaluation(self, tiny_plan):
         """(a) N identical in-flight requests -> exactly 1 planner call."""
@@ -148,12 +163,9 @@ class TestCoalescing:
 
             with ThreadPoolExecutor(n_clients) as pool:
                 futures = [pool.submit(call) for _ in range(n_clients)]
-                # Wait until every request is admitted and parked on the
-                # single coalesced flight, then release the planner.
-                deadline = time.monotonic() + 20
-                while bs.server.active < n_clients:
-                    assert time.monotonic() < deadline, "admission stalled"
-                    time.sleep(0.005)
+                # Wait until every request is parked on the single
+                # coalesced flight, then release the planner.
+                _wait_coalesced(bs, n_clients)
                 release.set()
                 results = [f.result(timeout=30) for f in futures]
 
@@ -178,10 +190,7 @@ class TestCoalescing:
                     lambda d=d: client.provision([d],
                                                  include_schedules=False))
                     for d in docs]
-                deadline = time.monotonic() + 20
-                while bs.server.active < 2:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.005)
+                _wait_coalesced(bs, 2)
                 release.set()
                 results = [f.result(timeout=30) for f in futures]
             assert len(fn.calls) == 1  # "1/2" == 0.5 by signature

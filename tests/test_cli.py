@@ -1,6 +1,7 @@
 """The command-line interface, exercised through main()."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,19 @@ class TestPlan:
         rc = main(["plan", "-n", "15", "-d", "2", "--max-duty", "0.05",
                    "-o", str(tmp_path / "p.json")])
         assert rc == 2
+
+    def test_plan_file_is_the_provisioned_schedule(self, tmp_path, capsys):
+        """Its ``meta`` carries ``balanced``, as a result line's does."""
+        out = tmp_path / "p.json"
+        assert main(["plan", "-n", "12", "-d", "2", "--max-duty", "0.5",
+                     "--balanced", "-o", str(out)]) == 0
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"n": 12, "d": 2, "max_duty": 0.5, "balanced": true}\n')
+        capsys.readouterr()
+        assert main(["provision", "-i", str(requests), "--no-cache"]) == 0
+        line = json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text()) == line["schedule"]
 
 
 class TestVerify:
@@ -334,6 +348,21 @@ class TestProvision:
                    "--no-cache"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_input_files_are_closed(self, tmp_path):
+        """``repro provision`` and ``repro sweep`` read their input
+        through one reader that leaves no file open."""
+        inp = self.write_requests(
+            tmp_path, ['{"n": 12, "d": 2, "max_duty": 0.5}'])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["provision", "-i", str(inp), "--no-cache",
+                         "-o", str(tmp_path / "plans.jsonl")]) == 0
+            assert main(["sweep", "-i",
+                         str(TestObservabilityFlags.SWEEP_SPEC),
+                         "-o", str(tmp_path / "rows.jsonl")]) == 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestSimulateFaults:

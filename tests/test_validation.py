@@ -7,8 +7,6 @@ import pytest
 from repro._validation import (
     check_class_params,
     check_int,
-    check_node,
-    check_nodes,
     check_nonnegative_float,
     check_positive_float,
     check_probability,
@@ -38,29 +36,6 @@ class TestCheckInt:
     def test_name_in_message(self):
         with pytest.raises(ValueError, match="frob"):
             check_int(1, "frob", minimum=2)
-
-
-class TestCheckNode:
-    def test_range(self):
-        assert check_node(0, "x", 5) == 0
-        assert check_node(4, "x", 5) == 4
-        with pytest.raises(ValueError):
-            check_node(5, "x", 5)
-        with pytest.raises(ValueError):
-            check_node(-1, "x", 5)
-
-
-class TestCheckNodes:
-    def test_frozenset(self):
-        assert check_nodes([2, 0, 1], "ys", 4) == frozenset({0, 1, 2})
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            check_nodes([1, 1], "ys", 4)
-
-    def test_element_errors_indexed(self):
-        with pytest.raises(ValueError, match="ys\\[1\\]"):
-            check_nodes([0, 9], "ys", 4)
 
 
 class TestClassParams:
