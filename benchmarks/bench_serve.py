@@ -182,14 +182,13 @@ def test_serve_loopback_load(report, headline, tmp_path):
 
 def _trace_machinery_once(hist_series):
     """Exactly the correlation work one warm request adds to the serve
-    path: a trace scope, the request/plan/lead/pool spans with the
-    request's status, and one exemplar-bearing observation."""
+    path: a trace scope, the request/plan spans with the request's
+    status, and one exemplar-bearing observation.  A memory hit is
+    answered on the event loop, so it opens no lead or pool span."""
     with _context.trace_context("ab" * 8, "cd" * 8):
         with span("serve.request", endpoint="/plan", inflight=1) as attrs:
             with span("serve.plan", n=12, d=2):
-                with span("serve.coalesce.lead"):
-                    with span("serve.pool"):
-                        pass
+                pass
             attrs["status"] = 200
     hist_series.observe(0.001, trace_id="ab" * 8)
 

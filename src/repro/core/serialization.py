@@ -43,7 +43,11 @@ def schedule_to_dict(schedule: Schedule, *, meta: dict[str, Any] | None = None
 
 
 def schedule_from_dict(doc: dict[str, Any]) -> Schedule:
-    """Inverse of :func:`schedule_to_dict`, with full validation."""
+    """Inverse of :func:`schedule_to_dict`, with full validation.
+
+    A member other than those :func:`schedule_to_dict` writes raises a
+    ``ValueError`` naming it; ``meta`` is optional and not read.
+    """
     if not isinstance(doc, dict):
         raise ValueError("schedule document must be a mapping")
     if doc.get("format") != "repro-schedule":
@@ -54,6 +58,9 @@ def schedule_from_dict(doc: dict[str, Any]) -> Schedule:
             f"unsupported schedule format version {version!r} "
             f"(this library reads version {FORMAT_VERSION})"
         )
+    unknown = set(doc) - {"format", "version", "n", "tx", "rx", "meta"}
+    if unknown:
+        raise ValueError(f"schedule has unknown fields: {sorted(unknown)}")
     n = check_int(doc.get("n"), "n", minimum=1)
     tx = doc.get("tx")
     rx = doc.get("rx")

@@ -35,9 +35,11 @@ Every admitted request runs inside a
 :func:`repro.obs.context.trace_context` — adopted from the body's
 additive ``trace_id``/``parent_id`` fields when the client sent them,
 freshly generated otherwise — so its spans, its log lines, its store
-lookups and its ``/debugz`` timeline all share one ``trace_id``, and
-the executor hop propagates the context into the planner thread via
-``contextvars.copy_context``.  Success envelopes echo ``trace_id``.
+lookups and its ``/debugz`` timeline all share one ``trace_id``.  A
+request the store's LRU front answers never leaves the event loop; any
+other takes a coalesced flight, whose executor hop propagates the
+context into the planner thread via ``contextvars.copy_context``.
+Success envelopes echo ``trace_id``.
 
 Three properties the one-shot CLI cannot offer, each load-bearing:
 
@@ -45,6 +47,10 @@ Three properties the one-shot CLI cannot offer, each load-bearing:
   one worker pool (a thread pool of ``jobs`` planner slots; each request
   plans inline in its slot, constructing only its winner) live for the
   process lifetime; the cache and the LRU front survive across requests.
+  A plan the front holds is answered on the event loop, with no flight
+  and no executor hop (a dict read behind a lock); a miss goes to a
+  planner thread, which reads the front again, then the disk, so the
+  loop never waits on a file.
 * **Admission control.**  At most ``max_inflight`` provisioning requests
   are admitted at once — ``jobs`` of them execute, the rest wait in a
   bounded queue of ``max_inflight - jobs``.  A request beyond the bound
@@ -187,7 +193,8 @@ class ScheduleServer:
     single-request :func:`~repro.service.api.provision_batch_report`
     against the hot store.  Tests inject counting or blocking fakes here
     to pin down coalescing, overload and drain behaviour
-    deterministically.
+    deterministically.  With a *store*, a plan its LRU front holds is
+    answered without calling *plan_fn*.
     """
 
     def __init__(self, config: ServeConfig | None = None, *,
@@ -224,7 +231,7 @@ class ScheduleServer:
             "Provisioning requests currently admitted.").labels()
         self._computed = self.registry.counter(
             "repro_serve_plans_computed_total",
-            "Coalesced flights actually run.").labels()
+            "Coalesced flights actually run (memory misses only).").labels()
         self._objectives = _slo.default_serve_objectives()
         self._burn = _slo.BurnRateTracker(self._objectives,
                                           registry=self.registry)
@@ -318,13 +325,20 @@ class ScheduleServer:
         return report.results[0]
 
     async def _answer(self, request: ProvisionRequest) -> ProvisionResult:
-        """Resolve one request through the coalescer and worker pool."""
+        """Resolve one request: a memory hit on the loop, anything else
+        through the coalescer and worker pool."""
         try:
             key = request.signature()
         except (ValueError, TypeError) as exc:
             # Domain-invalid parameters: a per-request error result,
             # exactly like a bad `repro provision` line.
             return ProvisionResult(request, None, error=str(exc))
+        if self.store is not None:
+            # A hit gives provision_batch_report's answer; a miss may
+            # read the disk, which must not block the loop.
+            plan = self.store.get_memory_plan(*key)
+            if plan is not None:
+                return ProvisionResult(request, plan, from_cache=True)
         loop = asyncio.get_running_loop()
 
         async def compute() -> ProvisionResult:
@@ -697,7 +711,13 @@ class BackgroundServer:
         """Drain the server and join its thread (idempotent)."""
         if self.loop is not None and self.server is not None \
                 and self._thread.is_alive():
-            self.loop.call_soon_threadsafe(self.server.begin_drain)
+            try:
+                self.loop.call_soon_threadsafe(self.server.begin_drain)
+            except RuntimeError:
+                # A drain begun earlier closed the loop after the liveness
+                # check; the thread is already on its way out.
+                if not self.loop.is_closed():
+                    raise
         self._thread.join(timeout=timeout)
         if self._thread.is_alive():
             raise RuntimeError("background server failed to drain in time")

@@ -29,7 +29,9 @@ a superset of a flashable schedule file.  Durability rules:
   ``cache_dir/quarantine/`` for post-mortem instead of silently destroyed
   — and reported as a miss, never raised; the worst case is
   recomputation.  The entry's plan is read by
-  :meth:`~repro.core.planner.Plan.from_dict`, as strictly as a result line;
+  :meth:`~repro.core.planner.Plan.from_dict`, as strictly as a result line,
+  and a member beyond the four an entry holds (``format``, ``version``,
+  ``key``, ``plan``) fails the read as well;
 * :meth:`ScheduleStore.scrub` is the offline integrity pass: it re-hashes
   and re-validates every entry on disk (``repro store scrub``), so silent
   corruption is found before a client ever asks for the entry;
@@ -37,7 +39,8 @@ a superset of a flashable schedule file.  Durability rules:
   every entry implicitly, because the version participates in the key.
 
 A small in-memory LRU sits in front of the disk so hot keys skip JSON
-parsing entirely.
+parsing entirely; :meth:`ScheduleStore.get_memory_plan` reads it alone,
+for a caller that must not wait on the disk.
 """
 
 from __future__ import annotations
@@ -419,6 +422,17 @@ class ScheduleStore:
         """Cached winner of a full budget search, or None."""
         return self._get(plan_key(n, d, budget, balanced))
 
+    def get_memory_plan(self, n: int, d: int, budget: Fraction,
+                        balanced: bool) -> Plan | None:
+        """Cached winner from the in-memory LRU front alone, or None.
+
+        Never touches the disk, so an event loop may call it.  A hit
+        counts and traces as a :meth:`get_plan` memory hit; a miss
+        records nothing, since the caller's :meth:`get_plan` then looks
+        again and counts what it finds.
+        """
+        return self._get(plan_key(n, d, budget, balanced), disk=False)
+
     def put_plan(self, n: int, d: int, budget: Fraction, balanced: bool,
                  plan: Plan, *,
                  schedule_doc: dict[str, Any] | None = None) -> None:
@@ -557,20 +571,22 @@ class ScheduleStore:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _get(self, key: dict[str, Any]) -> Plan | None:
+    def _get(self, key: dict[str, Any], *, disk: bool = True) -> Plan | None:
         """Instrumented lookup: a ``store.get`` span (outcome attached)
-        and a trace-stamped debug line around :meth:`_lookup`."""
+        and a trace-stamped debug line around :meth:`_lookup`.  Without
+        *disk*, a memory miss is neither read further nor recorded."""
         started = perf_counter()
         digest = key_digest(key)
-        plan, outcome = self._lookup(key, digest)
-        default_tracer().record("store.get", perf_counter() - started,
-                                outcome=outcome, digest=digest[:12])
-        _log.debug("store_lookup", extra={"digest": digest[:12],
-                                          "outcome": outcome})
+        plan, outcome = self._lookup(key, digest, disk)
+        if outcome is not None:
+            default_tracer().record("store.get", perf_counter() - started,
+                                    outcome=outcome, digest=digest[:12])
+            _log.debug("store_lookup", extra={"digest": digest[:12],
+                                              "outcome": outcome})
         return plan
 
-    def _lookup(self, key: dict[str, Any],
-                digest: str) -> tuple[Plan | None, str]:
+    def _lookup(self, key: dict[str, Any], digest: str,
+                disk: bool) -> tuple[Plan | None, str | None]:
         with self._memory_lock:
             plan = self._memory.get(digest)
             if plan is not None:
@@ -578,6 +594,8 @@ class ScheduleStore:
         if plan is not None:
             self.stats.record_memory_hit()
             return plan, "memory-hit"
+        if not disk:
+            return None, None
         path = self.cache_dir / digest[:2] / f"{digest}.json"
         try:
             doc = json.loads(path.read_text())
@@ -659,6 +677,10 @@ class ScheduleStore:
             raise ValueError("not a repro-cache-entry document")
         if doc.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported cache version {doc.get('version')!r}")
+        unknown = set(doc) - {"format", "version", "key", "plan"}
+        if unknown:
+            raise ValueError(
+                f"cache entry has unknown fields: {sorted(unknown)}")
         if doc.get("key") != key:
             raise ValueError("cache entry key mismatch (hash collision or "
                              "corruption)")

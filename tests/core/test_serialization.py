@@ -69,6 +69,14 @@ class TestValidation:
             schedule_from_dict({"format": "repro-schedule", "version": 1,
                                 "n": 3, "tx": [[0]]})
 
+    def test_unknown_member_is_named(self):
+        doc = schedule_to_dict(polynomial_schedule(9, 2, q=3, k=1),
+                               meta={"family": "polynomial"})
+        doc["extra"] = 1
+        with pytest.raises(ValueError,
+                           match=r"schedule has unknown fields: \['extra'\]"):
+            schedule_from_dict(doc)
+
 
 class TestTopologySerialization:
     def test_roundtrip(self):

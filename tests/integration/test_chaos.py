@@ -111,44 +111,45 @@ class TestSupervisedRecovery:
         ready = tmp_path / "ready.txt"
         pid_file = tmp_path / "pid.txt"
         cache = tmp_path / "cache"
-        sup = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--supervise",
-             "--port", str(port), "--jobs", "1",
-             "--ready-file", str(ready), "--pid-file", str(pid_file),
-             "--cache-dir", str(cache),
-             "--restart-backoff-base", "0.05"],
-            env=_env(), stderr=subprocess.PIPE, text=True)
-        try:
-            self._wait_ready(sup, ready)
-            client = ServeClient("127.0.0.1", port, retries=12,
-                                 timeout=10.0, backoff_base=0.05)
-            assert client.health()["ok"] is True
-            client.plan(12, 2, 0.5, include_schedule=False)
+        # The with block closes the stderr pipe once the process is gone.
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--supervise",
+                 "--port", str(port), "--jobs", "1",
+                 "--ready-file", str(ready), "--pid-file", str(pid_file),
+                 "--cache-dir", str(cache),
+                 "--restart-backoff-base", "0.05"],
+                env=_env(), stderr=subprocess.PIPE, text=True) as sup:
+            try:
+                self._wait_ready(sup, ready)
+                client = ServeClient("127.0.0.1", port, retries=12,
+                                     timeout=10.0, backoff_base=0.05)
+                assert client.health()["ok"] is True
+                client.plan(12, 2, 0.5, include_schedule=False)
 
-            first_pid = int(pid_file.read_text())
-            os.kill(first_pid, signal.SIGKILL)
+                first_pid = int(pid_file.read_text())
+                os.kill(first_pid, signal.SIGKILL)
 
-            # Through the outage every call must stay typed; the server
-            # must recover within the retry ladder.
-            recovered = False
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                try:
-                    doc = client.plan(9, 3, 0.9, include_schedule=False)
-                    assert "request" in doc
-                    recovered = True
-                    break
-                except ServeError as exc:
-                    assert exc.code  # typed, never a bare socket error
-            assert recovered, "server never recovered after the kill"
-            assert int(pid_file.read_text()) != first_pid
+                # Through the outage every call must stay typed; the
+                # server must recover within the retry ladder.
+                recovered = False
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    try:
+                        doc = client.plan(9, 3, 0.9, include_schedule=False)
+                        assert "request" in doc
+                        recovered = True
+                        break
+                    except ServeError as exc:
+                        assert exc.code  # typed, never a bare socket error
+                assert recovered, "server never recovered after the kill"
+                assert int(pid_file.read_text()) != first_pid
 
-            sup.send_signal(signal.SIGTERM)
-            assert sup.wait(timeout=30) == 0
-        finally:
-            if sup.poll() is None:
-                sup.kill()
-                sup.wait()
+                sup.send_signal(signal.SIGTERM)
+                assert sup.wait(timeout=30) == 0
+            finally:
+                if sup.poll() is None:
+                    sup.kill()
+                    sup.wait()
 
         report = ScheduleStore(cache).scrub()
         assert report.clean

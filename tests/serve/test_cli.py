@@ -110,31 +110,34 @@ class TestServeProcess:
         src = Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = f"{src}:{env.get('PYTHONPATH', '')}"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--no-cache", "--ready-file", str(ready)],
-            env=env, stderr=subprocess.PIPE, text=True)
-        try:
-            deadline = time.monotonic() + 30
-            while not ready.exists():
-                assert proc.poll() is None, proc.stderr.read()
-                assert time.monotonic() < deadline, "server never became ready"
-                time.sleep(0.05)
-            host, port = ready.read_text().split()
+        # The with block closes the stderr pipe once the process is gone.
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                 "--no-cache", "--ready-file", str(ready)],
+                env=env, stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                deadline = time.monotonic() + 30
+                while not ready.exists():
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline, \
+                        "server never became ready"
+                    time.sleep(0.05)
+                host, port = ready.read_text().split()
 
-            rc = main(["call", "plan", "-n", "9", "-d", "3",
-                       "--max-duty", "0.8", "--host", host, "--port", port])
-            assert rc == 0
+                rc = main(["call", "plan", "-n", "9", "-d", "3",
+                           "--max-duty", "0.8", "--host", host,
+                           "--port", port])
+                assert rc == 0
 
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=30) == 0
-            stderr = proc.stderr.read()
-            assert "serving on http://" in stderr
-            assert "drained; exiting" in stderr
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 0
+                stderr = proc.stderr.read()
+                assert "serving on http://" in stderr
+                assert "drained; exiting" in stderr
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
 
     def test_sigterm_right_after_ready_file_still_drains(self, tmp_path):
         """A SIGTERM the instant the ready file lands must drain.

@@ -7,10 +7,13 @@ These are the acceptance tests of the serving layer:
 (b) requests beyond the admission bound get an explicit overload
     response instead of queueing unboundedly (``TestAdmission``);
 (c) a drain (the SIGTERM path) answers in-flight requests before exit
-    (``TestDrain``).
+    (``TestDrain``);
+(d) with a store, a memory hit is answered on the event loop and only a
+    miss takes a flight to a planner thread (``TestMemoryHitsOnTheLoop``).
 
 Deterministic concurrency comes from injected ``plan_fn`` fakes that
-block on events; one end-to-end test runs the real planner.
+block on events, which run without a store; the tests that pass a store
+run the real planner.
 """
 
 import http.client
@@ -20,9 +23,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repro.service.api as api
 from repro.core.nonsleeping import mols_schedule
 from repro.core.planner import GridPoint, evaluate_grid_point
 from repro.obs.metrics import MetricsRegistry
@@ -34,6 +39,7 @@ from repro.obs.timeseries import (
     parse_history,
     validate_history,
 )
+from repro.obs.tracing import Tracer, set_default_tracer
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import BackgroundServer, ServeConfig
@@ -307,6 +313,21 @@ class TestDrain:
         # only after the in-flight response was delivered.
         assert not bs._thread.is_alive()
 
+    def test_stop_after_a_drain_closed_the_loop(self, tiny_plan,
+                                                monkeypatch):
+        """stop() can find the thread alive just after a drain begun in
+        the block closed the loop; it must join, not raise."""
+        bs = BackgroundServer(ServeConfig(port=0),
+                              plan_fn=_counting_plan_fn(tiny_plan))
+        with bs:
+            bs.loop.call_soon_threadsafe(bs.server.begin_drain)
+            bs._thread.join(timeout=30)
+            assert bs.loop.is_closed()
+            alive = iter([True])  # the check ran before the thread ended
+            monkeypatch.setattr(bs._thread, "is_alive",
+                                lambda: next(alive, False))
+        assert not threading.Thread.is_alive(bs._thread)
+
     def test_drain_with_idle_server_exits_immediately(self, tiny_plan):
         bs = BackgroundServer(ServeConfig(port=0),
                               plan_fn=_counting_plan_fn(tiny_plan))
@@ -345,6 +366,118 @@ class TestRealPlanner:
                                     include_schedules=False)
             assert "error" in docs[0]
             assert "request" in docs[0]
+
+
+class TestMemoryHitsOnTheLoop:
+    """With a store, a plan its LRU front holds is answered on the event
+    loop; only a memory miss takes a coalesced flight to a planner
+    thread, which then reads the disk."""
+
+    def test_memory_hits_take_no_flight(self, tmp_path):
+        reg = MetricsRegistry()
+        store = ScheduleStore(tmp_path / "cache", registry=reg)
+        hits = 5
+        with BackgroundServer(ServeConfig(port=0), store=store,
+                              registry=reg) as bs:
+            client = ServeClient(bs.host, bs.port, retries=0)
+            cold = client.plan(12, 2, "1/2", include_schedule=False)
+            assert store.stats.memory_hits == 0
+            warm = [client.plan(12, 2, "1/2", include_schedule=False)
+                    for _ in range(hits)]
+        assert cold["from_cache"] is False
+        assert all(doc["from_cache"] is True for doc in warm)
+        assert store.stats.memory_hits == hits
+        assert store.stats.misses == 1 and store.stats.disk_hits == 0
+        assert reg.get("repro_serve_plans_computed_total").value() == 1
+        coalesce = reg.get("repro_serve_coalesce_total")
+        assert coalesce.value(result="led") == 1
+        assert coalesce.value(result="joined") == 0
+
+    def test_disk_reads_run_on_a_planner_thread(self, tmp_path,
+                                                monkeypatch):
+        cache = tmp_path / "cache"
+        provision_batch([ProvisionRequest(12, 2, "1/2")],
+                        store=ScheduleStore(cache))
+        readers = []
+        real_read = Path.read_text
+
+        def read_text(path, *args, **kwargs):
+            if cache in path.parents:
+                readers.append(threading.current_thread().name)
+            return real_read(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        reg = MetricsRegistry()
+        store = ScheduleStore(cache, registry=reg)  # its front is empty
+        with BackgroundServer(ServeConfig(port=0), store=store,
+                              registry=reg) as bs:
+            client = ServeClient(bs.host, bs.port, retries=0)
+            docs = [client.plan(12, 2, "1/2", include_schedule=False)
+                    for _ in range(2)]
+        assert [doc["from_cache"] for doc in docs] == [True, True]
+        assert len(readers) == 1
+        assert readers[0].startswith("repro-serve-plan")
+        assert store.stats.disk_hits == 1 and store.stats.memory_hits == 1
+        assert reg.get("repro_serve_plans_computed_total").value() == 1
+
+    def test_concurrent_cold_requests_build_once(self, tmp_path,
+                                                 monkeypatch):
+        release = threading.Event()
+        builds = []
+        real_build = api.evaluate_grid_point
+
+        def slow_build(*args, **kwargs):
+            builds.append(args)
+            assert release.wait(timeout=30.0)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(api, "evaluate_grid_point", slow_build)
+        reg = MetricsRegistry()
+        store = ScheduleStore(tmp_path / "cache", registry=reg)
+        n_clients = 6
+        with BackgroundServer(ServeConfig(port=0, jobs=2, max_inflight=16),
+                              store=store, registry=reg) as bs:
+            client = ServeClient(bs.host, bs.port, retries=0)
+            with ThreadPoolExecutor(n_clients) as pool:
+                futures = [pool.submit(client.plan, 12, 2, "1/2",
+                                       include_schedule=False)
+                           for _ in range(n_clients)]
+                _wait_coalesced(bs, n_clients)
+                release.set()
+                docs = [f.result(timeout=30) for f in futures]
+        assert len(builds) == 1
+        assert store.stats.stores == 1
+        assert all(doc["from_cache"] is False for doc in docs)
+        coalesce = reg.get("repro_serve_coalesce_total")
+        assert coalesce.value(result="led") == 1
+        assert coalesce.value(result="joined") == n_clients - 1
+        assert reg.get("repro_serve_plans_computed_total").value() == 1
+
+    def test_a_hits_timeline_has_no_pool_hop(self, tmp_path):
+        old = set_default_tracer(Tracer())
+        try:
+            with BackgroundServer(ServeConfig(port=0),
+                                  store=ScheduleStore(tmp_path / "cache")
+                                  ) as bs:
+                client = ServeClient(bs.host, bs.port, retries=0)
+                body = {"n": 12, "d": 2, "max_duty": "1/2",
+                        "include_schedule": False}
+                cold = client.call("POST", "/plan", dict(body))
+                hit = client.call("POST", "/plan", dict(body))
+                traces = client.debugz()["traces"]
+        finally:
+            set_default_tracer(old)
+        by_trace = {trace[0]["trace_id"]: trace for trace in traces}
+        miss = {s["name"] for s in by_trace[cold["trace_id"]]}
+        assert {"serve.coalesce.lead", "serve.pool"} <= miss
+        spans = {s["name"]: s for s in by_trace[hit["trace_id"]]
+                 if s["name"] != "client.call"}
+        assert set(spans) == {"serve.request", "serve.plan", "store.get"}
+        assert spans["store.get"]["attrs"]["outcome"] == "memory-hit"
+        assert spans["store.get"]["parent_id"] \
+            == spans["serve.plan"]["span_id"]
+        assert spans["serve.plan"]["parent_id"] \
+            == spans["serve.request"]["span_id"]
 
 
 def _post_raw(bs, path: str, doc: dict) -> bytes:
@@ -413,7 +546,9 @@ class TestResponseBytes:
             memory = _post_raw(bs, "/provision", body)
             bare = _post_raw(bs, "/provision",
                              {**body, "include_schedules": False})
-            assert bs.server.store.stats.memory_hits == 4
+            # Three per warm batch: each (12, 2, 1/2) spelling and the
+            # (16, 3) class read the LRU front on their own.
+            assert bs.server.store.stats.memory_hits == 6
         assert cold == _dumped(self.TRACE,
                                results=[r.to_dict() for r in expected])
         assert memory == _dumped(self.TRACE,

@@ -1,5 +1,6 @@
 """One table of malformed plan documents, run at every boundary that reads
-a plan: the result parser, a store read and the store scrub."""
+a plan: the result parser, a store read and the store scrub.  The store
+cases add one edit of the entry's envelope around the plan."""
 
 import json
 import re
@@ -44,6 +45,20 @@ MALFORMED = [
                  "missing field 'alpha_r'", id="alpha_r-missing"),
     pytest.param(lambda p: p.update(note="x"),
                  r"unknown fields: \['note'\]", id="unknown-field"),
+    pytest.param(lambda p: p["schedule"].update(extra=2),
+                 r"schedule has unknown fields: \['extra'\]",
+                 id="schedule-extra"),
+]
+
+#: The rows above as edits of a whole store entry, and one of its envelope.
+ENTRY_MALFORMED = [
+    pytest.param(lambda doc, edit=row.values[0]: edit(doc["plan"]),
+                 row.values[1], id=row.id)
+    for row in MALFORMED
+] + [
+    pytest.param(lambda doc: doc.update(extra=1),
+                 r"cache entry has unknown fields: \['extra'\]",
+                 id="entry-extra"),
 ]
 
 
@@ -57,19 +72,19 @@ def plan():
 
 
 def _write_edited_entry(root, plan, edit):
-    """Store *plan*'s entry under *root*, then rewrite its ``plan`` with
-    *edit*, keeping the entry one canonical line."""
+    """Store *plan*'s entry under *root*, then rewrite the entry with
+    *edit*, keeping it one canonical line."""
     ScheduleStore(root).put_plan(*SIGNATURE, plan)
     path = ScheduleStore(root).entry_path(plan_key(*SIGNATURE))
     doc = json.loads(path.read_text())
-    edit(doc["plan"])
+    edit(doc)
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":"))
                     + "\n")
     return path
 
 
-@pytest.mark.parametrize("edit, match", MALFORMED)
 class TestMalformedPlan:
+    @pytest.mark.parametrize("edit, match", MALFORMED)
     def test_result_parser_names_the_field(self, edit, match):
         result, = provision_batch([ProvisionRequest(12, 2, "1/2")])
         doc = result.to_dict()
@@ -77,6 +92,7 @@ class TestMalformedPlan:
         with pytest.raises(ValueError, match=match):
             ProvisionResult.from_dict(doc)
 
+    @pytest.mark.parametrize("edit, match", ENTRY_MALFORMED)
     def test_store_read_quarantines_the_entry(self, tmp_path, plan, edit,
                                               match):
         path = _write_edited_entry(tmp_path, plan, edit)
@@ -87,6 +103,7 @@ class TestMalformedPlan:
         assert not path.exists()
         assert (store.quarantine_dir / path.name).is_file()
 
+    @pytest.mark.parametrize("edit, match", ENTRY_MALFORMED)
     def test_scrub_reports_the_entry(self, tmp_path, plan, edit, match):
         path = _write_edited_entry(tmp_path, plan, edit)
         report = ScheduleStore(tmp_path).scrub()

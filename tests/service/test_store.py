@@ -114,6 +114,8 @@ class TestEntryFormat:
         text = store.entry_path(key).read_text()
         assert text.endswith("\n") and text.count("\n") == 1
         doc = json.loads(text)
+        # The members a read accepts, and no others.
+        assert set(doc) == {"format", "version", "key", "plan"}
         assert text == json.dumps(doc, sort_keys=True,
                                   separators=(",", ":")) + "\n"
         # Same document the earlier indented layout held.
