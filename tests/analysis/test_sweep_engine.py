@@ -287,3 +287,34 @@ class TestGolden:
                    for row in result.rows)
         text = "".join(render_row(row) + "\n" for row in result.rows)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    #: The scenarios no digest above reaches: the grid at n = 16, the
+    #: star, the random tree and the unit disk, the Steiner family at
+    #: D = 2, and all three traffic patterns on each shape.  Error rows
+    #: (a grid outside N_16^2, Steiner at D = 4) are pinned with the rest.
+    SCENARIO_AXES = dict(families=("tdma", "steiner", "mols"), ns=(16,),
+                         ds=(2, 4), traffics=("saturated", "poisson",
+                                              "sensing"),
+                         seeds=(11,), frames=2, rate=0.05, period=20)
+    SCENARIOS = {
+        "grid": "41b912f253b30c38a8d03796bd19460ebef7faa06dedb72760812593ab8d183c",
+        "star": "0bf6ee730a91cbe12b25eb117e50838754abc5420a12bee20911749dcfdd8168",
+        "tree": "0f1ccd1bf0affa2bad616d75529199ae460207f63d65bedb064093223d14b799",
+        "unit-disk":
+            "c08b05ae91e66c60f3ef1ad7e5fd6ef3b4cf48001ff247c57fb48f749d82cf19",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SCENARIOS))
+    def test_scenario_rows(self, shape):
+        spec = SweepSpec(topology=shape, **self.SCENARIO_AXES)
+        result = SweepRunner(spec, shard_size=64).run()
+        assert len(result.rows) == 18
+        simulated = {(row["point"]["family"], row["point"]["d"],
+                      row["point"]["traffic"])
+                     for row in result.rows if "metrics" in row}
+        assert {t for _f, _d, t in simulated} == set(spec.traffics)
+        if shape != "grid":
+            assert {("steiner", 2, t) for t in spec.traffics} <= simulated
+        text = "".join(render_row(row) + "\n" for row in result.rows)
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == self.SCENARIOS[shape]

@@ -196,6 +196,45 @@ class TestSimulate:
         assert json.loads(text)["total_energy_mj"] \
             == pytest.approx(398.63104, rel=1e-12)
 
+    #: Queued and regular-topology reports at a fixed seed, every field
+    #: but the energy (see GRID16_REPORT) pinned exactly.
+    REPORTS = {
+        ("ring", "sensing"): (
+            ["--period", "100", "--frames", "5"],
+            {"slots": 400, "delivery_ratio": 0.7333333333333333,
+             "collisions": 9, "mean_link_throughput": 1.43125,
+             "min_link_throughput": 0.0,
+             "mean_latency_slots": 94.68181818181819,
+             "awake_fraction": 0.41203125, "link_losses": 0,
+             "node_down_fraction": 0.0}),
+        ("unit-disk", "poisson"): (
+            ["--rate", "0.05", "--frames", "2"],
+            {"slots": 160, "delivery_ratio": 0.8712121212121212,
+             "collisions": 9, "mean_link_throughput": 1.369047619047619,
+             "min_link_throughput": 0.0,
+             "mean_latency_slots": 19.452173913043477,
+             "awake_fraction": 0.425, "link_losses": 0,
+             "node_down_fraction": 0.0}),
+        ("regular", "saturated"): (
+            ["--frames", "1"],
+            {"slots": 80, "delivery_ratio": 1.0, "collisions": 63,
+             "mean_link_throughput": 3.78125, "min_link_throughput": 2.0,
+             "mean_latency_slots": None, "awake_fraction": 0.5625,
+             "link_losses": 0, "node_down_fraction": 0.0}),
+    }
+
+    @pytest.mark.parametrize("topology,traffic", sorted(REPORTS))
+    def test_report_is_pinned(self, tmp_path, capsys, topology, traffic):
+        out = self.build(tmp_path)
+        capsys.readouterr()  # drop the build line
+        extra, expected = self.REPORTS[topology, traffic]
+        assert main(["simulate", str(out), "--topology", topology,
+                     "--traffic", traffic, "--nodes", "16", "-d", "4",
+                     "--seed", "5", *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("total_energy_mj") > 0
+        assert report == expected
+
     def test_non_square_grid_rejected(self, tmp_path, capsys):
         out = self.build(tmp_path)
         rc = main(["simulate", str(out), "--topology", "grid",
