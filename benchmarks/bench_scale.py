@@ -11,8 +11,8 @@ import pytest
 
 from repro.core.construction import construct
 from repro.core.nonsleeping import polynomial_schedule
-from repro.core.planner import plan_schedule
 from repro.core.transparency import is_topology_transparent
+from repro.service.api import ProvisionRequest, provision_batch
 from repro.service.store import ScheduleStore
 from repro.simulation.engine import Simulator
 from repro.simulation.topology import grid
@@ -58,11 +58,12 @@ def test_planner_warm_cache_scale(benchmark, n, tmp_path):
     warm path — it must return the identical plan without constructing.
     """
     store = ScheduleStore(tmp_path / "cache")
-    cold = plan_schedule(n, 2, max_duty=0.5, cache=store)
-    warm = benchmark(
-        lambda: plan_schedule(n, 2, max_duty=0.5,
-                              cache=ScheduleStore(store.cache_dir)))
-    assert warm == cold
+    request = [ProvisionRequest(n, 2, 0.5)]
+    cold, = provision_batch(request, store=store)
+    warm, = benchmark(
+        lambda: provision_batch(request,
+                                store=ScheduleStore(store.cache_dir)))
+    assert warm.from_cache and warm.plan == cold.plan
     assert store.stats.stores > 0
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, fields
 from fractions import Fraction
-from typing import Any, Callable, Mapping, get_type_hints
+from typing import Any, Callable, Mapping, TypeVar, get_type_hints
+
+T = TypeVar("T")
 
 
 def check_int(value: object, name: str, *, minimum: int | None = None,
@@ -47,6 +49,19 @@ def check_class_params(n: int, d: int) -> tuple[int, int]:
     n = check_int(n, "n", minimum=3)
     d = check_int(d, "D", minimum=2, maximum=n - 1)
     return n, d
+
+
+def check_choice(name: object, table: Mapping[str, T], what: str) -> T:
+    """*table*'s entry called *name*, else a ``ValueError`` listing names.
+
+    *what* names the kind of entry in the message (``"family"``, ...),
+    which lists every name *table* holds.
+    """
+    try:
+        return table[name]  # type: ignore[index]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"unknown {what} {name!r}; expected one of "
+                         f"{tuple(table)}") from None
 
 
 def check_probability(value: object, name: str) -> float:

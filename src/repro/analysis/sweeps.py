@@ -29,22 +29,23 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from math import isqrt
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro._validation import check_int, header_problems, is_a, \
-    jsonl_problems, required_fields
+from repro._validation import check_choice, check_int, header_problems, \
+    is_a, jsonl_problems, required_fields
+from repro.core.nonsleeping import FAMILIES
+from repro.core.serialization import canonical_json, key_digest, \
+    write_atomic
 from repro.faults import FaultPlan
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import span
 from repro.service.runtime import RuntimeConfig, TaskReport, execute_tasks
-from repro.service.store import key_digest
+from repro.simulation import topology, traffic
 
 __all__ = ["SweepSpec", "SweepPoint", "ShardTask", "SweepResult",
            "SweepRunner", "ROW_FORMAT", "ROW_VERSION", "render_row",
@@ -56,10 +57,6 @@ _log = get_logger("analysis.sweeps")
 #: ``repro-metrics`` snapshot header).
 ROW_FORMAT = "repro-sweep-result"
 ROW_VERSION = 1
-
-_FAMILIES = ("tdma", "polynomial", "steiner", "projective", "mols")
-_TOPOLOGIES = ("regular", "ring", "grid", "star", "tree", "unit-disk")
-_TRAFFICS = ("saturated", "poisson", "sensing")
 
 # Integer tags folded into per-point seed sequences so the topology and
 # traffic generators of one point can never share a stream.
@@ -93,17 +90,19 @@ class SweepSpec:
     Axes (the cartesian grid, expanded row-major in declaration order):
 
     ``families``
-        Substrate families from :mod:`repro.core.nonsleeping`.
+        Substrate family names of :data:`repro.core.nonsleeping.FAMILIES`.
     ``ns`` / ``ds``
         Network-class bounds ``n`` and ``D``.
     ``traffics``
-        Traffic generators: ``saturated``, ``poisson`` or ``sensing``.
+        Traffic pattern names of :data:`repro.simulation.traffic.PATTERNS`:
+        ``saturated``, ``poisson`` or ``sensing``.
     ``seeds``
         Per-point root seeds; every point derives its topology and
         traffic generators from its *own* identifiers, so results never
         depend on execution order.
 
-    Shared parameters: *topology* shape, simulated *frames*, optional
+    Shared parameters: *topology* shape (a name of
+    :data:`repro.simulation.topology.SHAPES`), simulated *frames*, optional
     duty-cycling construction (*alpha_t*/*alpha_r*, both set or both
     None — None simulates the non-sleeping substrate directly),
     *balanced* divisions, Poisson *rate* and sensing *period*.
@@ -123,15 +122,13 @@ class SweepSpec:
     period: int = 50
 
     def __post_init__(self) -> None:
-        for name, singular, values, allowed in (
-                ("families", "family", self.families, _FAMILIES),
-                ("traffics", "traffic", self.traffics, _TRAFFICS)):
+        for name, singular, values, table in (
+                ("families", "family", self.families, FAMILIES),
+                ("traffics", "traffic", self.traffics, traffic.PATTERNS)):
             if not values:
                 raise ValueError(f"{name} must not be empty")
             for value in values:
-                if value not in allowed:
-                    raise ValueError(f"unknown {singular} {value!r}; "
-                                     f"expected one of {allowed}")
+                check_choice(value, table, singular)
         for name, values in (("ns", self.ns), ("ds", self.ds),
                              ("seeds", self.seeds)):
             if not values:
@@ -139,9 +136,7 @@ class SweepSpec:
             for value in values:
                 check_int(value, f"{name} entry",
                           minimum=0 if name == "seeds" else 1)
-        if self.topology not in _TOPOLOGIES:
-            raise ValueError(f"unknown topology {self.topology!r}; "
-                             f"expected one of {_TOPOLOGIES}")
+        check_choice(self.topology, topology.SHAPES, "topology")
         check_int(self.frames, "frames", minimum=1)
         check_int(self.period, "period", minimum=1)
         if (self.alpha_t is None) != (self.alpha_r is None):
@@ -195,41 +190,16 @@ class SweepSpec:
 # per-point evaluation (worker side)
 # ----------------------------------------------------------------------
 def _build_topology(spec: SweepSpec, point: SweepPoint):
-    from repro.simulation import topology as topo_mod
-
     rng = np.random.default_rng([_TAG_TOPOLOGY, point.seed, point.n, point.d])
-    if spec.topology == "regular":
-        topo = topo_mod.worst_case_regular(
-            point.n, point.d, seed=int(rng.integers(2**31 - 1)))
-    elif spec.topology == "ring":
-        topo = topo_mod.ring(point.n)
-    elif spec.topology == "grid":
-        side = isqrt(point.n)
-        if side * side != point.n:
-            raise ValueError(f"grid topology needs a square node count, "
-                             f"got {point.n}")
-        topo = topo_mod.grid(side, side)
-    elif spec.topology == "star":
-        topo = topo_mod.star(point.n, point.d)
-    elif spec.topology == "tree":
-        topo = topo_mod.random_tree(point.n, point.d, rng=rng)
-    else:  # unit-disk
-        topo = topo_mod.unit_disk(point.n, point.d, rng=rng)
+    topo = topology.build(spec.topology, point.n, point.d, rng)
     topo.assert_in_class(point.n, point.d)
     return topo
 
 
 def _build_schedule(spec: SweepSpec, point: SweepPoint):
-    from repro.core import nonsleeping
     from repro.core.construction import construct
 
-    if point.family == "tdma":
-        source = nonsleeping.tdma_schedule(point.n)
-    elif point.family == "projective":
-        source = nonsleeping.projective_plane_schedule(point.n, point.d)
-    else:
-        source = getattr(nonsleeping, f"{point.family}_schedule")(
-            point.n, point.d)
+    source = FAMILIES[point.family](point.n, point.d)
     if spec.alpha_t is None:
         return source
     return construct(source, point.d, spec.alpha_t, spec.alpha_r,
@@ -254,12 +224,6 @@ def _evaluate_point(spec: SweepSpec, point: SweepPoint) -> dict[str, Any]:
     """One simulation run -> the canonical result row (never raises for a
     merely infeasible point: those produce deterministic error rows)."""
     from repro.simulation.engine import Simulator
-    from repro.simulation.routing import sink_tree
-    from repro.simulation.traffic import (
-        PeriodicSensingTraffic,
-        PoissonTraffic,
-        SaturatedTraffic,
-    )
 
     envelope = {"format": ROW_FORMAT, "version": ROW_VERSION,
                 "point": point.to_dict()}
@@ -268,15 +232,9 @@ def _evaluate_point(spec: SweepSpec, point: SweepPoint) -> dict[str, Any]:
         sched = _build_schedule(spec, point)
         rng = np.random.default_rng(
             [_TAG_TRAFFIC, point.seed, point.n, point.d])
-        hops = None
-        if point.traffic == "saturated":
-            traffic = SaturatedTraffic(topo)
-        elif point.traffic == "poisson":
-            traffic = PoissonTraffic(topo, spec.rate, rng)
-        else:
-            traffic = PeriodicSensingTraffic(topo, sink=0, period=spec.period)
-            hops = sink_tree(topo, 0)
-        sim = Simulator(topo, sched, traffic, next_hops=hops)
+        generator, hops = traffic.build(point.traffic, topo, rng,
+                                        rate=spec.rate, period=spec.period)
+        sim = Simulator(topo, sched, generator, next_hops=hops)
         m = sim.run(spec.frames)
     except ValueError as exc:
         return {**envelope, "error": f"{type(exc).__name__}: {exc}"}
@@ -305,7 +263,7 @@ def _evaluate_point(spec: SweepSpec, point: SweepPoint) -> dict[str, Any]:
 def render_row(row: dict[str, Any]) -> str:
     """Canonical JSON encoding of a result row: sorted keys, no
     whitespace — the byte-identical merge contract depends on it."""
-    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+    return canonical_json(row)
 
 
 def validate_row(row: object) -> list[str]:
@@ -475,18 +433,11 @@ class SweepRunner:
 
     def _write_checkpoint(self, task: ShardTask,
                           rows: list[dict[str, Any]]) -> None:
-        """Atomic tmp-then-replace write, same discipline as the store."""
-        path = self._checkpoint_path(task.key())
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            tmp.write_text("".join(render_row(row) + "\n" for row in rows))
-            os.replace(tmp, path)
-        except BaseException:
-            # Resume reads only ``<digest>.jsonl``, so a tmp file left by
-            # a failed write would sit in the directory for good.
-            with suppress(OSError):
-                tmp.unlink()
-            raise
+        """Write the shard's rows through the store's atomic writer
+        (:func:`~repro.core.serialization.write_atomic`)."""
+        write_atomic(self._checkpoint_path(task.key()),
+                     "".join(render_row(row) + "\n" for row in rows)
+                     .encode("utf-8"))
 
     def _load_checkpoint(self, task: ShardTask
                          ) -> list[dict[str, Any]] | None:

@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-t", type=int, required=True)
     p.add_argument("--alpha-r", type=int, required=True)
     p.add_argument("--family", default="auto",
-                   choices=["auto", "tdma", "polynomial", "steiner",
-                            "projective", "mols"])
+                   help="a family of repro.core.nonsleeping.FAMILIES, or "
+                        "auto (the default) for the shortest frame")
     p.add_argument("--balanced", action="store_true",
                    help="use the balanced-energy divisions")
     p.add_argument("-o", "--output", required=True, help="output JSON path")
@@ -286,12 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[obs], help="run the slot simulator")
     p.add_argument("schedule")
     p.add_argument("--topology", default="grid",
-                   choices=["grid", "ring", "unit-disk", "regular"])
+                   help="a shape of repro.simulation.topology.SHAPES "
+                        "(default grid)")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--traffic", default="saturated",
-                   choices=["saturated", "poisson", "sensing"])
+                   help="a pattern of repro.simulation.traffic.PATTERNS "
+                        "(default saturated)")
     p.add_argument("--rate", type=float, default=0.01,
                    help="poisson arrival rate (packets/node/slot)")
     p.add_argument("--period", type=int, default=200,
@@ -364,25 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _source(family: str, n: int, d: int):
-    from repro.core.nonsleeping import (
-        best_nonsleeping_schedule,
-        mols_schedule,
-        polynomial_schedule,
-        projective_plane_schedule,
-        steiner_schedule,
-        tdma_schedule,
-    )
+    from repro._validation import check_choice
+    from repro.core.nonsleeping import FAMILIES, best_nonsleeping_schedule
 
     if family == "auto":
         return best_nonsleeping_schedule(n, d)
-    factories = {
-        "tdma": lambda: tdma_schedule(n),
-        "polynomial": lambda: polynomial_schedule(n, d),
-        "steiner": lambda: steiner_schedule(n, d),
-        "projective": lambda: projective_plane_schedule(n, d),
-        "mols": lambda: mols_schedule(n, d),
-    }
-    return family, factories[family]()
+    return family, check_choice(family, FAMILIES, "family")(n, d)
 
 
 def _cmd_build(args) -> int:
@@ -527,6 +516,7 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
+    from repro.core.serialization import write_atomic
     from repro.obs.metrics import default_registry
     from repro.serve.server import ScheduleServer, ServeConfig
     from repro.service.store import ScheduleStore
@@ -561,15 +551,11 @@ def _cmd_serve(args) -> int:
         if args.pid_file:
             # Before the ready file, so ready implies the pid is on disk
             # (chaos drills read it to kill the serving process).
-            tmp = Path(f"{args.pid_file}.tmp")
-            tmp.write_text(f"{os.getpid()}\n")
-            tmp.replace(args.pid_file)
+            write_atomic(Path(args.pid_file), f"{os.getpid()}\n".encode())
         if args.ready_file:
             # Written atomically so a polling script never reads half a
             # line; the file appearing means the listener is accepting.
-            tmp = Path(f"{args.ready_file}.tmp")
-            tmp.write_text(f"{host} {port}\n")
-            tmp.replace(args.ready_file)
+            write_atomic(Path(args.ready_file), f"{host} {port}\n".encode())
         await server.wait_closed()
         print("drained; exiting", file=sys.stderr)
 
@@ -917,44 +903,18 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from math import isqrt
-
     from repro.core.serialization import load_schedule
     from repro.obs.metrics import default_registry
+    from repro.simulation import topology, traffic
     from repro.simulation.engine import Simulator
-    from repro.simulation.routing import sink_tree
-    from repro.simulation.topology import grid, ring, unit_disk, worst_case_regular
-    from repro.simulation.traffic import (
-        PeriodicSensingTraffic,
-        PoissonTraffic,
-        SaturatedTraffic,
-    )
 
     sched = load_schedule(args.schedule)
+    # One stream, seeded by --seed: the topology draws first, then the
+    # Poisson arrivals.
     rng = np.random.default_rng(args.seed)
-    if args.topology == "grid":
-        side = isqrt(args.nodes)
-        if side * side != args.nodes:
-            print("error: --topology grid needs a square node count, "
-                  f"got {args.nodes}", file=sys.stderr)
-            return 2
-        topo = grid(side, side)
-    elif args.topology == "ring":
-        topo = ring(args.nodes)
-    elif args.topology == "unit-disk":
-        topo = unit_disk(args.nodes, args.d, rng=rng)
-    else:
-        topo = worst_case_regular(args.nodes, args.d,
-                                  seed=int(rng.integers(2**31 - 1)))
-    if args.traffic == "saturated":
-        traffic = SaturatedTraffic(topo)
-        hops = None
-    elif args.traffic == "poisson":
-        traffic = PoissonTraffic(topo, args.rate, rng)
-        hops = None
-    else:
-        traffic = PeriodicSensingTraffic(topo, sink=0, period=args.period)
-        hops = sink_tree(topo, 0)
+    topo = topology.build(args.topology, args.nodes, args.d, rng)
+    generator, hops = traffic.build(args.traffic, topo, rng, rate=args.rate,
+                                    period=args.period)
     if args.fault_plan is not None:
         faults = _load_fault_plan(args.fault_plan)
     elif args.node_crash_rate or args.node_recover_rate or args.link_loss:
@@ -966,7 +926,7 @@ def _cmd_simulate(args) -> int:
                            link_loss=args.link_loss)
     else:
         faults = None
-    sim = Simulator(topo, sched, traffic, next_hops=hops, faults=faults,
+    sim = Simulator(topo, sched, generator, next_hops=hops, faults=faults,
                     registry=default_registry())
     metrics = sim.run(frames=args.frames)
     links = topo.directed_links()

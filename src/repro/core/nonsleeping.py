@@ -21,6 +21,11 @@ the :mod:`repro.combinatorics` substrate and exposes them as
                                families above for given ``(n, D)``
 =============================  ============================================
 
+:data:`FAMILIES` names the five families: ``tdma``, ``polynomial``,
+``steiner``, ``projective`` and ``mols``.  The sweep engine, the
+``repro build --family`` option and :func:`best_nonsleeping_schedule`
+build a family by its name through that one table.
+
 Every factory performs automatic parameter selection (smallest admissible
 design for the requested ``(n, D)``) and the mapping is the canonical one:
 node ``x`` transmits exactly in the slots of its block, and — the schedule
@@ -28,6 +33,8 @@ being non-sleeping — receives in all other slots.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro._validation import check_class_params
 from repro.combinatorics.coverfree import CoverFreeFamily, smallest_polynomial_parameters
@@ -42,6 +49,7 @@ __all__ = [
     "projective_plane_schedule",
     "mols_schedule",
     "best_nonsleeping_schedule",
+    "FAMILIES",
 ]
 
 
@@ -209,22 +217,34 @@ def mols_schedule(n: int, d: int, *, m: int | None = None,
     return from_cover_free_family(family, n)
 
 
+#: Family name -> builder ``(n, d) -> Schedule`` of the smallest admissible
+#: design, in the order :func:`best_nonsleeping_schedule` breaks frame-length
+#: ties.  Each builder finds its factory in this module's globals when it
+#: is called, so a wrapper set on a module attribute (a timing harness, a
+#: test's spy) sees every call made through the table.
+FAMILIES: dict[str, Callable[[int, int], Schedule]] = {
+    "tdma": lambda n, d: tdma_schedule(n),
+    "polynomial": lambda n, d: polynomial_schedule(n, d),
+    "steiner": lambda n, d: steiner_schedule(n, d),
+    "projective": lambda n, d: projective_plane_schedule(n, d),
+    "mols": lambda n, d: mols_schedule(n, d),
+}
+
+
 def best_nonsleeping_schedule(n: int, d: int) -> tuple[str, Schedule]:
     """Shortest-frame topology-transparent non-sleeping schedule for ``N_n^D``.
 
-    Tries every family this module can build for the parameters and returns
-    ``(family_name, schedule)`` minimizing the frame length (ties broken by
-    the listed order).  TDMA always qualifies, so the call always succeeds.
+    Tries every family of :data:`FAMILIES` that has a design for the
+    parameters (Steiner triple systems stop at ``D = 2``) and returns
+    ``(family_name, schedule)`` minimizing the frame length (ties broken
+    by the table's order).  TDMA always qualifies, so the call always
+    succeeds.
     """
     n, d = check_class_params(n, d)
-    candidates: list[tuple[str, Schedule]] = [("tdma", tdma_schedule(n))]
-    try:
-        candidates.append(("polynomial", polynomial_schedule(n, d)))
-    except ValueError:  # pragma: no cover - polynomial params always exist
-        pass
-    if d <= 2:
-        candidates.append(("steiner", steiner_schedule(n, d)))
-    candidates.append(("projective", projective_plane_schedule(n, d)))
-    candidates.append(("mols", mols_schedule(n, d)))
-    best = min(candidates, key=lambda item: item[1].frame_length)
-    return best
+    candidates: list[tuple[str, Schedule]] = []
+    for name, build in FAMILIES.items():
+        try:
+            candidates.append((name, build(n, d)))
+        except ValueError:  # no design of this family for (n, D)
+            continue
+    return min(candidates, key=lambda item: item[1].frame_length)

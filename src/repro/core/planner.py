@@ -19,9 +19,9 @@ depend on ``(n, D)`` alone, so the process builds them once per pair
 (:func:`candidate_sources`).
 
 The pieces are public so that :mod:`repro.service.api` can score a
-batch of requests and build each distinct winner once; a cache
-honouring the :mod:`repro.service.store` protocol can be threaded
-through :func:`plan_schedule` to turn repeated plans into lookups.
+batch of requests and build each distinct winner once;
+:func:`repro.service.api.provision_batch` is also the one path that
+plans through a :mod:`repro.service.store` cache.
 """
 
 from __future__ import annotations
@@ -416,9 +416,7 @@ def infeasible_budget_message(n: int, max_duty, balanced: bool) -> str:
 
 
 def plan_schedule(n: int, d: int, max_duty: float | str | Fraction, *,
-                  balanced: bool = False,
-                  families: list[tuple[str, Schedule]] | None = None,
-                  cache=None) -> Plan:
+                  balanced: bool = False) -> Plan:
     """Best topology-transparent schedule within a duty-cycle budget.
 
     Parameters
@@ -431,45 +429,24 @@ def plan_schedule(n: int, d: int, max_duty: float | str | Fraction, *,
         :func:`duty_budget_fraction`).
     balanced:
         Use the balanced-energy divisions (section 7 variant).
-    families:
-        Optional pre-built ``(name, source)`` candidates; defaults to
-        :func:`candidate_sources`.
-    cache:
-        Optional schedule store honouring the plan half of the
-        :class:`repro.service.store.ScheduleStore` protocol
-        (``get_plan``/``put_plan``).  The winning plan is memoized
-        through it, so a repeated request performs zero constructions.
-        Only consulted for the default families — custom substrate
-        lists are not identified by the store's key schema.
 
     Returns the :class:`Plan` maximizing exact average worst-case
-    throughput subject to ``duty_cycle <= max_duty``; ties break toward
-    the shorter frame (lower latency).  Raises ``ValueError`` when the
-    budget admits no schedule (it must allow at least 1 transmitter and 1
-    receiver per slot, i.e. ``max_duty >= 2/n``).
+    throughput over the :func:`candidate_sources` families subject to
+    ``duty_cycle <= max_duty``; ties break toward the shorter frame
+    (lower latency).  Raises ``ValueError`` when the budget admits no
+    schedule (it must allow at least 1 transmitter and 1 receiver per
+    slot, i.e. ``max_duty >= 2/n``).  Every call searches afresh; to
+    memoize plans in a store, use
+    :func:`repro.service.api.provision_batch`.
     """
     n, d = check_class_params(n, d)
     budget = duty_budget_fraction(max_duty)
     with span("planner.plan", n=n, d=d, budget=str(budget),
               balanced=balanced):
-        return _plan_schedule(n, d, max_duty, budget, balanced=balanced,
-                              families=families, cache=cache)
-
-
-def _plan_schedule(n, d, max_duty, budget, *, balanced, families, cache):
-    """The :func:`plan_schedule` body, separated so the public entry can
-    wrap the whole search in one ``planner.plan`` span."""
-    cacheable = cache is not None and families is None
-    if cacheable:
-        hit = cache.get_plan(n, d, budget, balanced)
-        if hit is not None:
-            return hit
-    sources = families if families is not None else candidate_sources(n, d)
-    best = select_winner(n, d, budget, sources, balanced=balanced)
-    if best is None:
-        raise ValueError(infeasible_budget_message(n, max_duty, balanced))
-    plan = confirm_score(best, evaluate_grid_point(best.point, d,
-                                                    balanced=balanced))
-    if cacheable:
-        cache.put_plan(n, d, budget, balanced, plan)
-    return plan
+        best = select_winner(n, d, budget, candidate_sources(n, d),
+                             balanced=balanced)
+        if best is None:
+            raise ValueError(infeasible_budget_message(n, max_duty,
+                                                       balanced))
+        return confirm_score(best, evaluate_grid_point(best.point, d,
+                                                        balanced=balanced))

@@ -1,4 +1,4 @@
-"""Counters, gauges and fixed-bucket histograms with mergeable snapshots.
+"""Counters, gauges and fixed-bucket histograms with JSON snapshots.
 
 The measurement substrate of the whole stack.  Three instrument kinds,
 all label-aware:
@@ -17,12 +17,10 @@ Hot paths bind a series once (``counter.labels(result="hit")``) and pay
 one attribute increment per event; no dict lookup, no string formatting.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain-JSON documents
-with a declared ``format``/``version``, and they **merge**
-(:meth:`MetricsRegistry.merge`): counters and histogram buckets add,
-gauges take the incoming value.  That is how process-pool workers report
-— each worker snapshots a private registry and the parent folds the
-deltas in, so ``--jobs N`` and ``--jobs 1`` produce the same totals.
-Exports: :meth:`~MetricsRegistry.to_json` and
+with a declared ``format``/``version``.  Process-pool workers keep no
+registry: a sweep worker returns its evaluation's duration and the
+parent records it, so ``--jobs N`` and ``--jobs 1`` produce the same
+totals.  Exports: :meth:`~MetricsRegistry.to_json` and
 :meth:`~MetricsRegistry.to_prometheus` (the text exposition format).
 :func:`validate_snapshot` checks a snapshot document against its schema.
 """
@@ -220,7 +218,7 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """A named collection of instruments with snapshot/merge/export.
+    """A named collection of instruments with snapshot and export.
 
     Instrument accessors are idempotent: asking twice for the same name
     returns the same object, and asking for a name already registered as
@@ -290,14 +288,14 @@ class MetricsRegistry:
             self._metrics.clear()
 
     # ------------------------------------------------------------------
-    # snapshot / merge
+    # snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """Plain-JSON document of every series (see docs/observability.md).
 
-        The document is self-describing (``format``/``version``) and is
-        the unit of worker->parent metric transport: feed it to another
-        registry's :meth:`merge` to aggregate.
+        The document is self-describing (``format``/``version``):
+        ``--metrics-out`` writes it and :func:`validate_snapshot` checks
+        it.
         """
         counters: dict[str, Any] = {}
         gauges: dict[str, Any] = {}
@@ -336,51 +334,6 @@ class MetricsRegistry:
         return {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
                 "counters": counters, "gauges": gauges,
                 "histograms": histograms}
-
-    def merge(self, snapshot: dict[str, Any]) -> None:
-        """Fold a snapshot's deltas into this registry.
-
-        Counters and histogram buckets **add**; gauges take the incoming
-        value (last write wins).  Unknown metrics are created on the fly,
-        so merging a worker's registry into a fresh parent just works.
-        Raises ``ValueError`` for documents that do not declare the
-        snapshot format, or histogram merges with mismatched buckets.
-        """
-        if snapshot.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError("not a repro-metrics snapshot document")
-        if snapshot.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported snapshot version {snapshot.get('version')!r}")
-        for name, doc in snapshot.get("counters", {}).items():
-            counter = self.counter(name, doc.get("help", ""))
-            for entry in doc.get("series", ()):
-                counter.labels(**entry["labels"]).inc(entry["value"])
-        for name, doc in snapshot.get("gauges", {}).items():
-            gauge = self.gauge(name, doc.get("help", ""))
-            for entry in doc.get("series", ()):
-                gauge.labels(**entry["labels"]).set(entry["value"])
-        for name, doc in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, doc.get("help", ""),
-                                  buckets=tuple(doc["buckets"]))
-            if list(hist.bounds) != [float(b) for b in doc["buckets"]]:
-                raise ValueError(
-                    f"histogram {name!r} bucket mismatch on merge")
-            for entry in doc.get("series", ()):
-                series = hist.labels(**entry["labels"])
-                for i, c in enumerate(entry["counts"]):
-                    series.counts[i] += c
-                series.sum += entry["sum"]
-                series.count += entry["count"]
-                incoming = entry.get("exemplars")
-                if incoming:
-                    if series.exemplars is None:
-                        series.exemplars = [None] * len(series.counts)
-                    for i, exemplar in enumerate(incoming):
-                        if exemplar is None:
-                            continue
-                        mine = series.exemplars[i]
-                        if mine is None or exemplar["value"] >= mine["value"]:
-                            series.exemplars[i] = dict(exemplar)
 
     # ------------------------------------------------------------------
     # export

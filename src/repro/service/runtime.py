@@ -52,8 +52,8 @@ __all__ = ["RuntimeConfig", "TaskReport", "RuntimeResult", "execute_tasks",
 
 _log = get_logger("service.runtime")
 
-#: Bucket layout shared by the parent- and worker-side duration
-#: histograms, so worker snapshots merge bucket-for-bucket.
+#: Bucket layout of the runtime's queue-wait and exec histograms, a
+#: documented part of the metrics export.
 _DURATION_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
                      0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
@@ -236,6 +236,13 @@ class _Ledger:
             "Wall-clock seconds of one task evaluation (worker-side in "
             "pool mode).", buckets=_DURATION_BUCKETS).labels()
 
+    def worker_evaluated(self) -> None:
+        """Count one evaluation a pool worker completed.  The counter is
+        registered on first use, so an inline run exports none."""
+        self.registry.counter(
+            "repro_runtime_worker_evaluations_total",
+            "Evaluations completed inside pool workers.").inc()
+
     def fault(self, digest: str) -> str | None:
         """The injection for *digest*'s next attempt; None runs it clean."""
         if self.faults is None:
@@ -244,8 +251,10 @@ class _Ledger:
                                         self.result.reports[digest].attempts)
 
     def succeed(self, digest: str, value: Any, duration: float) -> None:
-        """Keep *digest*'s result and checkpoint it."""
+        """Keep *digest*'s result, record its evaluation's *duration* and
+        checkpoint it."""
         report = self.result.reports[digest]
+        self.exec.observe(duration)
         self.result.plans[digest] = value
         report.status = STATUS_RETRIED if report.fault_count else STATUS_OK
         if self.checkpoint is not None:
@@ -292,7 +301,7 @@ class _Ledger:
 # worker side
 # ----------------------------------------------------------------------
 def _worker(task, fault: str | None, hang_seconds: float,
-            slow_seconds: float, evaluate) -> tuple[Any, float, dict]:
+            slow_seconds: float, evaluate) -> tuple[Any, float]:
     """Pool entry point: apply any injected fault, then evaluate.
 
     Module-level so the pool can pickle it by reference; *evaluate* must
@@ -301,10 +310,9 @@ def _worker(task, fault: str | None, hang_seconds: float,
     trip the per-task timeout, ``slow`` adds latency, ``error`` raises —
     the four failure modes the runtime must absorb.
 
-    Returns ``(result, duration_s, metrics_snapshot)``: the
-    evaluation is timed worker-side and recorded into a private
-    registry whose snapshot the parent merges, so per-worker metric
-    deltas survive the process boundary.
+    Returns ``(result, duration_s)``, the evaluation timed worker-side;
+    the parent's ledger records the duration and the evaluation in its
+    own registry.
     """
     if fault == "crash":
         os._exit(13)
@@ -315,18 +323,9 @@ def _worker(task, fault: str | None, hang_seconds: float,
     elif fault == "error":
         raise RuntimeError(
             f"injected worker error for task {task.key()[:12]}")
-    registry = MetricsRegistry()
     start = perf_counter()
     value = evaluate(task)
-    duration = perf_counter() - start
-    registry.histogram(
-        "repro_runtime_task_exec_seconds",
-        "Wall-clock seconds of one task evaluation (worker-side in "
-        "pool mode).", buckets=_DURATION_BUCKETS).observe(duration)
-    registry.counter(
-        "repro_runtime_worker_evaluations_total",
-        "Evaluations completed inside pool workers.").inc()
-    return value, duration, registry.snapshot()
+    return value, perf_counter() - start
 
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
@@ -372,9 +371,9 @@ def execute_tasks(tasks, *, evaluate, config: RuntimeConfig | None = None,
         Optional :class:`~repro.obs.metrics.MetricsRegistry` collecting
         the runtime's counters and duration histograms (see
         docs/observability.md for the catalog); default: the process
-        default registry.  Worker-side metric deltas are merged in and
-        the terminal-status counters reconcile exactly with
-        :meth:`RuntimeResult.summary`.
+        default registry.  Pool workers' evaluations are recorded here
+        from the durations they return, and the terminal-status counters
+        reconcile exactly with :meth:`RuntimeResult.summary`.
     checkpoint:
         Optional parent-side callable ``(task, result) -> None`` invoked
         the moment a task completes, so an interrupted run can resume
@@ -448,7 +447,6 @@ def _attempt_inline(ledger: _Ledger, digest: str, task, evaluate) -> bool:
             duration = perf_counter() - start
     except Exception as exc:
         return ledger.charge(digest, "error", f"{type(exc).__name__}: {exc}")
-    ledger.exec.observe(duration)
     ledger.succeed(digest, value, duration)
     return False
 
@@ -566,8 +564,8 @@ def _run_pool(ledger: _Ledger, config: RuntimeConfig, evaluate) -> None:
                 if digest == solo_digest:
                     solo_digest = None
                 if exc is None:
-                    value, duration, snapshot = future.result()
-                    ledger.registry.merge(snapshot)
+                    value, duration = future.result()
+                    ledger.worker_evaluated()
                     # Worker processes have no ambient trace context: the
                     # span is recorded parent-side, back-dated by the
                     # worker's own timing.

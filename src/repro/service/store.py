@@ -45,12 +45,10 @@ for a caller that must not wait on the disk.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 from collections import OrderedDict
-from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -58,7 +56,13 @@ from typing import Any
 
 from repro._validation import check_int
 from repro.core.planner import Plan
-from repro.core.serialization import FORMAT_VERSION, schedule_to_dict
+from repro.core.serialization import (
+    FORMAT_VERSION,
+    canonical_json,
+    key_digest,
+    schedule_to_dict,
+    write_atomic,
+)
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import default_tracer
@@ -106,64 +110,6 @@ def plan_key(n: int, d: int, budget: Fraction, balanced: bool) -> dict[str, Any]
         "balanced": bool(balanced),
         "version": FORMAT_VERSION,
     }
-
-
-def _canonical_json(doc: dict[str, Any]) -> str:
-    """Sorted keys and no whitespace: the encoding of key digests and of
-    entries on disk.  Without an indent, ``json.dumps`` stays on
-    CPython's C encoder; any indent falls back to the pure-Python one."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-#: ``open(path, "w")``'s flags; the file is created with mode 0o666, which
-#: the umask narrows, as ``open`` does.
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-
-
-def _write_entry(path: Path, data: bytes) -> None:
-    """Write *data* to *path* atomically: a tmp file, then ``os.replace``.
-
-    Four system calls (open, write, close, rename), where a
-    ``mkdir(exist_ok=True)`` and ``Path.write_text`` made about ten: each
-    one drops the GIL, which a serving process may then wait a whole
-    switch interval to take back from a planner thread that computes.
-    The shard directory is made only when the open finds it missing, and
-    the open is then retried once.
-    """
-    # Unique per writer: two pool threads (or processes) storing the
-    # same digest must not share a tmp file, or one writer's replace
-    # consumes the file the other is about to move.
-    tmp = path.with_name(
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
-    except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
-    try:
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        # Entry walks only see ``??/*.json``, so a tmp file left by a
-        # failed write would never be cleared or scrubbed.
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def key_digest(key: dict[str, Any]) -> str:
-    """SHA-256 of the canonical JSON encoding of a key document.
-
-    Canonical means sorted keys and no whitespace, so the digest is
-    stable across processes, machines and Python versions — the property
-    the cross-process key-stability test pins down.
-    """
-    return hashlib.sha256(_canonical_json(key).encode("utf-8")).hexdigest()
 
 
 class StoreStats:
@@ -373,9 +319,8 @@ class ScrubReport:
 class ScheduleStore:
     """Persistent schedule cache with an in-memory LRU front.
 
-    Implements the cache protocol :func:`repro.core.planner.plan_schedule`
-    and :func:`repro.service.api.provision_batch` consume:
-    ``get_plan``/``put_plan`` for winning plans.
+    Implements the cache protocol :func:`repro.service.api.provision_batch`
+    consumes: ``get_plan``/``put_plan`` for winning plans.
     """
 
     def __init__(self, cache_dir: str | Path | None = None, *,
@@ -624,8 +569,8 @@ class ScheduleStore:
         started = perf_counter()
         digest = key_digest(key)
         path = self.cache_dir / digest[:2] / f"{digest}.json"
-        data = _canonical_json(self._encode(key, plan, schedule_doc)) + "\n"
-        _write_entry(path, data.encode("utf-8"))
+        data = canonical_json(self._encode(key, plan, schedule_doc)) + "\n"
+        write_atomic(path, data.encode("utf-8"))
         self.stats.record_store()
         self._remember(digest, plan)
         default_tracer().record("store.put", perf_counter() - started,

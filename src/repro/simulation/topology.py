@@ -6,17 +6,26 @@ nodes and maximum degree at most ``D``.  This module provides an immutable
 deployments actually take — unit-disk fields, degree-capped random graphs,
 grids, rings, stars, random trees and ``D``-regular worst cases — each one
 guaranteed (and checked) to lie in the requested class.
+
+:data:`SHAPES` names six of them for the sweep engine and
+``repro simulate``, which build a network by name through :func:`build`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from math import isqrt
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro._validation import check_class_params, check_int, check_probability
+from repro._validation import (
+    check_choice,
+    check_class_params,
+    check_int,
+    check_probability,
+)
 
 __all__ = [
     "Topology",
@@ -27,6 +36,8 @@ __all__ = [
     "star",
     "random_tree",
     "worst_case_regular",
+    "SHAPES",
+    "build",
 ]
 
 
@@ -303,3 +314,37 @@ def _can_pair(edges: set[tuple[int, int]], clashes: dict[int, int]) -> bool:
             if (u, v) not in edges:
                 return True
     return False
+
+
+def _square_grid(n: int, d: int, rng: np.random.Generator) -> Topology:
+    side = isqrt(n)
+    if side * side != n:
+        raise ValueError(f"grid topology needs a square node count, got {n}")
+    return grid(side, side)
+
+
+#: Shape name -> builder ``(n, d, rng) -> Topology``.  The random shapes
+#: draw from *rng*; ``regular`` draws the seed of its pairing from it.
+#: Each builder finds its generator in this module's globals when it is
+#: called, so a wrapper set on a module attribute sees every call made
+#: through the table.
+SHAPES: dict[str, Callable[[int, int, np.random.Generator], Topology]] = {
+    "regular": lambda n, d, rng: worst_case_regular(
+        n, d, seed=int(rng.integers(2**31 - 1))),
+    "ring": lambda n, d, rng: ring(n),
+    "grid": _square_grid,
+    "star": lambda n, d, rng: star(n, d),
+    "tree": lambda n, d, rng: random_tree(n, d, rng=rng),
+    "unit-disk": lambda n, d, rng: unit_disk(n, d, rng=rng),
+}
+
+
+def build(shape: str, n: int, d: int, rng: np.random.Generator) -> Topology:
+    """The :data:`SHAPES` network called *shape* for ``N_n^D``.
+
+    Random shapes draw from *rng*.  ``ring`` and ``grid`` ignore *d* (a
+    grid needs a square *n* and has degree up to 4), so a caller that
+    needs the class checks :meth:`Topology.assert_in_class`.  An unknown
+    *shape* raises ``ValueError`` listing the names.
+    """
+    return check_choice(shape, SHAPES, "topology")(n, d, rng)

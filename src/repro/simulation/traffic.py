@@ -14,18 +14,24 @@ A generator exposes ``arrivals(slot)``: the list of ``(src, dst)`` demands
 born in that slot, where ``dst`` is a *final* destination (``None`` means
 one-hop: the packet is addressed link-locally and the engine treats each
 neighbour demand separately).
+
+:data:`PATTERNS` names the three for the sweep engine and
+``repro simulate``, which build a generator by name through :func:`build`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
-from repro._validation import check_int, check_positive_float
+from repro._validation import check_choice, check_int, check_positive_float
+from repro.simulation.routing import sink_tree
 from repro.simulation.topology import Topology
 
-__all__ = ["SaturatedTraffic", "PoissonTraffic", "PeriodicSensingTraffic"]
+__all__ = ["SaturatedTraffic", "PoissonTraffic", "PeriodicSensingTraffic",
+           "PATTERNS", "build"]
 
 
 @dataclass(frozen=True)
@@ -113,3 +119,32 @@ class PeriodicSensingTraffic:
     def arrivals(self, slot: int) -> list[tuple[int, int]]:
         """Reports born in this slot, in ascending source order."""
         return list(self._by_phase.get(slot % self.period, ()))
+
+
+#: Pattern name -> builder ``(topology, rng, rate, period) -> (generator,
+#: next_hops)``: the generator, and the forwarding table its final
+#: destinations need (None for one-hop traffic).  ``poisson`` draws from
+#: *rng* at *rate*; ``sensing`` reports to node 0 every *period* slots
+#: over its BFS sink tree.
+PATTERNS: dict[str, Callable[..., tuple[Any, dict[int, int] | None]]] = {
+    "saturated": lambda topology, rng, rate, period: (
+        SaturatedTraffic(topology), None),
+    "poisson": lambda topology, rng, rate, period: (
+        PoissonTraffic(topology, rate, rng), None),
+    "sensing": lambda topology, rng, rate, period: (
+        PeriodicSensingTraffic(topology, sink=0, period=period),
+        sink_tree(topology, 0)),
+}
+
+
+def build(pattern: str, topology: Topology, rng: np.random.Generator, *,
+          rate: float, period: int) -> tuple[Any, dict[int, int] | None]:
+    """The :data:`PATTERNS` generator called *pattern*, and its routes.
+
+    Returns the generator on *topology* and the ``next_hops`` table a
+    :class:`~repro.simulation.engine.Simulator` routes it by (None for
+    one-hop traffic).  An unknown *pattern* raises ``ValueError`` listing
+    the names.
+    """
+    return check_choice(pattern, PATTERNS, "traffic")(
+        topology, rng, rate, period)

@@ -6,7 +6,6 @@ import errno
 import hashlib
 import json
 import os
-from pathlib import Path
 
 import pytest
 
@@ -193,14 +192,13 @@ class TestCheckpointResume:
         """A full disk mid-write or a failed rename: the sweep fails with
         the error and the checkpoint directory holds no stray tmp file."""
         if stage == "write":
-            real_write = Path.write_text
+            real_write = os.write
 
-            def full_disk(self, data, *args, **kwargs):
-                real_write(self, data[:len(data) // 2], *args, **kwargs)
-                raise OSError(errno.ENOSPC, "No space left on device",
-                              str(self))
+            def full_disk(fd, data):
+                real_write(fd, data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
 
-            monkeypatch.setattr(Path, "write_text", full_disk)
+            monkeypatch.setattr(os, "write", full_disk)
         else:
             def vanished(src, dst):
                 raise FileNotFoundError(errno.ENOENT, "No such file or "

@@ -1,9 +1,13 @@
 """Non-sleeping schedule factories and parameter auto-selection."""
 
+import re
+
 import pytest
 
 from repro.combinatorics.coverfree import CoverFreeFamily
+from repro.core import nonsleeping
 from repro.core.nonsleeping import (
+    FAMILIES,
     best_nonsleeping_schedule,
     from_cover_free_family,
     polynomial_schedule,
@@ -171,3 +175,55 @@ class TestBest:
     def test_result_transparent(self):
         _, sched = best_nonsleeping_schedule(20, 2)
         assert is_topology_transparent(sched, 2)
+
+
+#: Each family name's factory in repro.core.nonsleeping, and whether the
+#: factory takes D: the direct calls the table is checked against.
+FACTORIES = {
+    "tdma": ("tdma_schedule", False),
+    "polynomial": ("polynomial_schedule", True),
+    "steiner": ("steiner_schedule", True),
+    "projective": ("projective_plane_schedule", True),
+    "mols": ("mols_schedule", True),
+}
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("n,d", [(12, 2), (25, 3), (40, 5)])
+    def test_each_name_builds_what_its_factory_builds(self, n, d):
+        assert list(FAMILIES) == list(FACTORIES)
+        for name, (factory, takes_d) in FACTORIES.items():
+            args = (n, d) if takes_d else (n,)
+            try:
+                direct = getattr(nonsleeping, factory)(*args)
+            except ValueError as exc:  # Steiner past D = 2
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    FAMILIES[name](n, d)
+                continue
+            assert FAMILIES[name](n, d) == direct
+
+    def test_builders_find_their_factories_when_called(self, monkeypatch):
+        """A wrapper set on the module attribute (the end-to-end
+        harness times the substrates this way) sees the table's call."""
+        for name, (factory, _) in FACTORIES.items():
+            calls = []
+            real = getattr(nonsleeping, factory)
+            monkeypatch.setattr(
+                nonsleeping, factory,
+                lambda *a, _real=real, _calls=calls: _calls.append(a)
+                or _real(*a))
+            FAMILIES[name](12, 2)
+            assert len(calls) == 1, name
+
+    @pytest.mark.parametrize("n,d", [(12, 2), (25, 3), (40, 5)])
+    def test_best_is_the_first_shortest_table_entry(self, n, d):
+        built = []
+        for name, build in FAMILIES.items():
+            try:
+                built.append((name, build(n, d)))
+            except ValueError:
+                continue
+        shortest = min(s.frame_length for _, s in built)
+        want = next((name, s) for name, s in built
+                    if s.frame_length == shortest)
+        assert best_nonsleeping_schedule(n, d) == want

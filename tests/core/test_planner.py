@@ -28,6 +28,7 @@ from repro.core.planner import (
     plan_schedule,
     score_grid,
     select_best,
+    select_winner,
 )
 from repro.core.schedule import Schedule
 from repro.core.throughput import (
@@ -91,11 +92,9 @@ class TestPlan:
         assert is_topology_transparent(plan.schedule, 2)
 
     def test_custom_families(self):
-        from repro.core.nonsleeping import tdma_schedule
-
-        plan = plan_schedule(10, 2, max_duty=0.6,
-                             families=[("tdma", tdma_schedule(10))])
-        assert plan.family == "tdma"
+        best = select_winner(10, 2, Fraction(3, 5),
+                             [("tdma", tdma_schedule(10))])
+        assert best.point.family == "tdma"
 
     def test_plan_is_frozen_dataclass(self):
         plan = plan_schedule(10, 2, max_duty=0.6)
@@ -240,7 +239,7 @@ class TestClosedFormScore:
         with pytest.raises(ValueError) as built:
             evaluate_grid_point(GridPoint("sleepy", sleepy, 1, 1), 2)
         with pytest.raises(ValueError) as closed:
-            plan_schedule(4, 2, 1, families=[("sleepy", sleepy)])
+            select_winner(4, 2, Fraction(1), [("sleepy", sleepy)])
         assert str(closed.value) == str(built.value)
         assert "non-sleeping" in str(closed.value)
 
@@ -264,13 +263,18 @@ class TestClosedFormScore:
 
 
 class TestPlannerCache:
+    """Plans are cached through :func:`repro.service.api.provision_batch`,
+    and a cached plan is the planner's."""
+
     def test_warm_call_returns_identical_plan(self, tmp_path):
+        from repro.service.api import ProvisionRequest, provision_batch
         from repro.service.store import ScheduleStore
 
         store = ScheduleStore(tmp_path / "cache")
-        cold = plan_schedule(12, 2, max_duty=0.5, cache=store)
-        warm = plan_schedule(12, 2, max_duty=0.5, cache=store)
-        assert warm == cold
+        request = [ProvisionRequest(12, 2, 0.5)]
+        cold, = provision_batch(request, store=store)
+        warm, = provision_batch(request, store=store)
+        assert warm.plan == cold.plan == plan_schedule(12, 2, max_duty=0.5)
         assert store.stats.hits >= 1
 
 
@@ -354,11 +358,6 @@ class TestSubstrateMemo:
             candidate_sources(*pair)
             assert _count(registry, LOOKUPS) == i
             assert _count(registry, BUILDS) == builds
-
-    def test_custom_families_make_no_lookup(self, registry):
-        plan_schedule(10, 2, max_duty=0.6,
-                      families=[("tdma", tdma_schedule(10))])
-        assert _count(registry, LOOKUPS) == _count(registry, BUILDS) == 0
 
     def test_threads_sharing_the_memo(self, registry, cold_reference):
         threads, rounds = 8, 3

@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, snapshots, merge, exports."""
+"""The metrics registry: instruments, snapshots, exports."""
 
 import gc
 import json
@@ -70,15 +70,12 @@ class TestInstruments:
 
 
 class TestSnapshotMerge:
-    def _worker_registry(self):
+    def test_snapshot_is_self_describing_json(self):
         reg = MetricsRegistry()
         reg.counter("tasks_total", "Tasks.").labels(status="ok").inc(3)
         reg.gauge("rate").labels().set(7.0)
         reg.histogram("exec_s", buckets=(0.1, 1.0)).labels().observe(0.05)
-        return reg
-
-    def test_snapshot_is_self_describing_json(self):
-        snap = self._worker_registry().snapshot()
+        snap = reg.snapshot()
         assert snap["format"] == SNAPSHOT_FORMAT
         assert snap["version"] == SNAPSHOT_VERSION
         json.dumps(snap)  # plain data, no custom types
@@ -87,49 +84,6 @@ class TestSnapshotMerge:
         hist = snap["histograms"]["exec_s"]
         assert hist["buckets"] == [0.1, 1.0]
         assert hist["series"][0]["counts"] == [1, 0, 0]
-
-    def test_merge_adds_counters_and_buckets(self):
-        parent = MetricsRegistry()
-        parent.counter("tasks_total").labels(status="ok").inc(1)
-        parent.merge(self._worker_registry().snapshot())
-        parent.merge(self._worker_registry().snapshot())
-        assert parent.counter("tasks_total").value(status="ok") == 7
-        series = parent.histogram("exec_s").labels()
-        assert series.counts == [2, 0, 0]
-        assert series.count == 2
-        # gauges take the incoming value instead of adding
-        assert parent.gauge("rate").value() == 7.0
-
-    def test_merge_matches_jobs1_totals(self):
-        # The process-pool contract: merging N worker snapshots equals
-        # recording every event in one registry.
-        inline = MetricsRegistry()
-        merged = MetricsRegistry()
-        for _ in range(4):
-            inline.counter("tasks_total", "Tasks.") \
-                .labels(status="ok").inc(3)
-            inline.histogram("exec_s", buckets=(0.1, 1.0)) \
-                .labels().observe(0.05)
-            merged.merge(self._worker_registry().snapshot())
-        inline_doc = inline.snapshot()
-        merged_doc = merged.snapshot()
-        assert inline_doc["counters"] == merged_doc["counters"]
-        assert inline_doc["histograms"] == merged_doc["histograms"]
-
-    def test_merge_rejects_foreign_documents(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.merge({"format": "something-else"})
-        with pytest.raises(ValueError):
-            reg.merge({"format": SNAPSHOT_FORMAT, "version": 99})
-
-    def test_merge_rejects_bucket_mismatch(self):
-        worker = MetricsRegistry()
-        worker.histogram("h", buckets=(0.5,)).labels().observe(0.1)
-        parent = MetricsRegistry()
-        parent.histogram("h", buckets=(0.1, 1.0))
-        with pytest.raises(ValueError):
-            parent.merge(worker.snapshot())
 
 
 class TestExports:

@@ -204,19 +204,6 @@ class TestExemplars:
         # The extended snapshot still passes the shipped validator.
         assert validate_metrics(snap) == []
 
-    def test_merge_keeps_the_worse_exemplar(self):
-        def build(value, trace_id):
-            reg = MetricsRegistry()
-            hist = reg.histogram("h_seconds", "x", buckets=(1.0,),
-                                 exemplars=True)
-            hist.labels().observe(value, trace_id=trace_id)
-            return reg
-
-        target = build(0.2, "aaaa")
-        target.merge(build(0.7, "bbbb").snapshot())
-        entry = target.snapshot()["histograms"]["h_seconds"]["series"][0]
-        assert entry["exemplars"][0] == {"value": 0.7, "trace_id": "bbbb"}
-
     def test_validator_flags_malformed_exemplars(self):
         snap = _snapshot(fast=1)
         entry = snap["histograms"]["repro_serve_request_seconds"]["series"][0]

@@ -142,7 +142,7 @@ class TestServeProcess:
     def test_sigterm_right_after_ready_file_still_drains(self, tmp_path):
         """A SIGTERM the instant the ready file lands must drain.
 
-        The child patches ``Path.replace`` to signal itself right after
+        The child patches ``os.replace`` to signal itself right after
         the atomic ready-file rename, the earliest moment a script can
         see the server as ready.
         """
@@ -151,15 +151,15 @@ class TestServeProcess:
         env = dict(os.environ)
         env["PYTHONPATH"] = f"{src}:{env.get('PYTHONPATH', '')}"
         child = (
-            "import os, pathlib, signal, sys\n"
+            "import os, signal, sys\n"
             "from repro.cli import main\n"
-            "real = pathlib.Path.replace\n"
-            "def replace(self, target):\n"
-            "    moved = real(self, target)\n"
-            f"    if str(target) == {str(ready)!r}:\n"
+            "real = os.replace\n"
+            "def replace(src, dst):\n"
+            "    moved = real(src, dst)\n"
+            f"    if str(dst) == {str(ready)!r}:\n"
             "        os.kill(os.getpid(), signal.SIGTERM)\n"
             "    return moved\n"
-            "pathlib.Path.replace = replace\n"
+            "os.replace = replace\n"
             f"sys.exit(main(['serve', '--port', '0', '--no-cache', "
             f"'--ready-file', {str(ready)!r}]))\n")
         proc = subprocess.run([sys.executable, "-c", child], env=env,

@@ -283,7 +283,8 @@ class TestEncodeOnce:
         assert text == json.dumps(memory.to_dict())
 
     def test_shared_winner_entries_are_the_canonical_encoding(self, store):
-        from repro.service.store import _canonical_json, plan_key
+        from repro.core.serialization import canonical_json
+        from repro.service.store import plan_key
 
         half, wider = provision_batch([ProvisionRequest(12, 2, "1/2"),
                                        ProvisionRequest(12, 2, "13/24")],
@@ -291,7 +292,7 @@ class TestEncodeOnce:
         assert half.plan == wider.plan
         for budget in (Fraction(1, 2), Fraction(13, 24)):
             key = plan_key(12, 2, budget, False)
-            assert store.entry_path(key).read_text() == _canonical_json(
+            assert store.entry_path(key).read_text() == canonical_json(
                 ScheduleStore._encode(key, half.plan)) + "\n"
 
     @pytest.mark.parametrize("balanced", [False, True])

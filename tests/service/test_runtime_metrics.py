@@ -5,8 +5,8 @@ pooled, clean or fault-injected — the parent-side registry's
 ``repro_runtime_tasks_completed_total`` series match
 :meth:`RuntimeResult.summary` status-for-status, the retry/timeout/
 quarantine counters agree with the per-task reports, and every completed
-task's evaluation time lands in the exec histogram (recorded in the
-parent inline, merged from the workers' snapshots in the pool).
+task's evaluation time lands in the exec histogram (recorded by the
+parent on both paths, from the duration a pool worker returns).
 """
 
 import pytest
@@ -130,7 +130,7 @@ class TestDurations:
         series = _exec_series(registry)
         assert series.count == len(tasks)
         assert series.sum > 0.0
-        # inline, the parent evaluates: no worker deltas to merge
+        # inline, the parent evaluates: no worker evaluations to count
         assert registry.get("repro_runtime_worker_evaluations_total") is None
 
     def test_pool_durations_and_worker_metrics_merge(self, tasks):
@@ -138,7 +138,7 @@ class TestDurations:
         outcome = execute_tasks(tasks, config=RuntimeConfig(jobs=2),
                                 registry=registry)
         assert outcome.complete
-        # worker-side deltas merged into the parent registry
+        # every worker evaluation counted in the parent's registry
         evals = registry.get("repro_runtime_worker_evaluations_total")
         assert evals is not None and evals.total() == len(tasks)
         series = _exec_series(registry)

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.nonsleeping import mols_schedule
-from repro.core.planner import GridPoint, evaluate_grid_point, plan_schedule
+from repro.core.planner import GridPoint, evaluate_grid_point
+from repro.service.api import ProvisionRequest, provision_batch
 from repro.service.store import (
     ScheduleStore,
     default_cache_dir,
@@ -442,17 +443,22 @@ class TestConcurrency:
 
 
 class TestPlannerIntegration:
+    """Planning through a store, which only
+    :func:`repro.service.api.provision_batch` does."""
+
     def test_warm_plan_schedule_does_zero_constructions(
             self, store, monkeypatch):
-        cold = plan_schedule(12, 2, max_duty=0.5, cache=store)
+        request = ProvisionRequest(12, 2, 0.5)
+        cold, = provision_batch([request], store=store)
         calls = []
         import repro.core.planner as planner_mod
         real = planner_mod.construct_detailed
         monkeypatch.setattr(planner_mod, "construct_detailed",
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        warm = plan_schedule(12, 2, max_duty=0.5, cache=store)
+        warm, = provision_batch([request], store=store)
         assert calls == []
-        assert warm == cold
+        assert warm.from_cache and store.stats.memory_hits == 1
+        assert warm.plan == cold.plan
 
     def test_cold_plan_writes_only_its_plan_entry(self, store, monkeypatch):
         """The grid is scored in closed form: one construction, the
@@ -462,17 +468,11 @@ class TestPlannerIntegration:
         calls = []
         monkeypatch.setattr(planner_mod, "construct_detailed",
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        plan = plan_schedule(12, 2, max_duty=0.5, cache=store)
+        result, = provision_batch([ProvisionRequest(12, 2, 0.5)],
+                                  store=store)
         assert len(calls) == 1
         assert len(store) == store.stats.stores == 1
-        assert store.get_plan(12, 2, Fraction(1, 2), False) == plan
-
-    def test_custom_families_bypass_cache(self, store):
-        from repro.core.nonsleeping import tdma_schedule
-
-        plan_schedule(10, 2, max_duty=0.6,
-                      families=[("tdma", tdma_schedule(10))], cache=store)
-        assert len(store) == 0
+        assert store.get_plan(12, 2, Fraction(1, 2), False) == result.plan
 
 
 class TestStats:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.simulation import topology as topology_mod
 from repro.simulation.topology import (
+    SHAPES,
     Topology,
+    build,
     grid,
     random_capped,
     random_tree,
@@ -127,3 +130,50 @@ class TestGenerators:
     def test_probability_validated(self):
         with pytest.raises(ValueError):
             random_capped(10, 3, p=1.5)
+
+
+class TestShapeTable:
+    #: Each shape's generator called directly, as :data:`SHAPES` documents.
+    DIRECT = {
+        "regular": lambda n, d, rng: worst_case_regular(
+            n, d, seed=int(rng.integers(2**31 - 1))),
+        "ring": lambda n, d, rng: ring(n),
+        "grid": lambda n, d, rng: grid(4, 4),
+        "star": lambda n, d, rng: star(n, d),
+        "tree": lambda n, d, rng: random_tree(n, d, rng=rng),
+        "unit-disk": lambda n, d, rng: unit_disk(n, d, rng=rng),
+    }
+    #: The module attribute each shape's builder calls.
+    GENERATORS = {"regular": "worst_case_regular", "ring": "ring",
+                  "grid": "grid", "star": "star", "tree": "random_tree",
+                  "unit-disk": "unit_disk"}
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_each_name_builds_what_its_generator_builds(self, seed):
+        assert list(SHAPES) == list(self.DIRECT)
+        for shape, direct in self.DIRECT.items():
+            built = build(shape, 16, 3, np.random.default_rng(seed))
+            want = direct(16, 3, np.random.default_rng(seed))
+            assert (built.n, built.edges) == (want.n, want.edges), shape
+
+    def test_builders_find_their_generators_when_called(self, monkeypatch):
+        for shape, name in self.GENERATORS.items():
+            calls = []
+            real = getattr(topology_mod, name)
+            monkeypatch.setattr(
+                topology_mod, name,
+                lambda *a, _real=real, _calls=calls, **kw: _calls.append(a)
+                or _real(*a, **kw))
+            build(shape, 16, 3, np.random.default_rng(0))
+            assert len(calls) == 1, shape
+
+    def test_a_grid_needs_a_square_node_count(self):
+        with pytest.raises(ValueError, match="square node count, got 15"):
+            build("grid", 15, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", ["moebius", ["grid"]])
+    def test_an_unknown_shape_lists_the_names(self, shape):
+        with pytest.raises(ValueError, match=r"unknown topology .*; "
+                           r"expected one of \('regular', 'ring', 'grid', "
+                           r"'star', 'tree', 'unit-disk'\)"):
+            build(shape, 16, 3, np.random.default_rng(0))

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.simulation.routing import sink_tree
 from repro.simulation.topology import grid, ring
 from repro.simulation.traffic import (
+    PATTERNS,
     PeriodicSensingTraffic,
     PoissonTraffic,
     SaturatedTraffic,
+    build,
 )
 
 
@@ -71,3 +74,28 @@ class TestPeriodicSensing:
     def test_period_validated(self):
         with pytest.raises(ValueError):
             PeriodicSensingTraffic(grid(2, 2), sink=0, period=0)
+
+
+class TestPatternTable:
+    def test_each_name_builds_its_generator_and_routes(self):
+        assert list(PATTERNS) == ["saturated", "poisson", "sensing"]
+        topo = grid(3, 3)
+        rng = np.random.default_rng(0)
+        built = {name: build(name, topo, rng, rate=0.2, period=7)
+                 for name in PATTERNS}
+        want = {
+            "saturated": (SaturatedTraffic(topo), None),
+            "poisson": (PoissonTraffic(topo, 0.2, rng), None),
+            "sensing": (PeriodicSensingTraffic(topo, sink=0, period=7),
+                        sink_tree(topo, 0)),
+        }
+        for name, (traffic, hops) in built.items():
+            assert type(traffic) is type(want[name][0]), name
+            assert (traffic, hops) == want[name], name
+
+    def test_an_unknown_pattern_lists_the_names(self):
+        with pytest.raises(ValueError, match=r"unknown traffic 'warp'; "
+                           r"expected one of \('saturated', 'poisson', "
+                           r"'sensing'\)"):
+            build("warp", grid(2, 2), np.random.default_rng(0), rate=0.1,
+                  period=5)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.nonsleeping import FAMILIES
 from repro.core.serialization import load_schedule
 from repro.core.transparency import is_topology_transparent
 
@@ -33,6 +34,23 @@ class TestBuild:
         out = tmp_path / "s.json"
         assert main(["build", "-n", "12", "-d", "2", "--alpha-t", "2",
                      "--alpha-r", "4", "--balanced", "-o", str(out)]) == 0
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_build_each_family_of_the_table(self, tmp_path, capsys, family):
+        out = tmp_path / "s.json"
+        assert main(["build", "-n", "12", "-d", "2", "--alpha-t", "2",
+                     "--alpha-r", "4", "--family", family,
+                     "-o", str(out)]) == 0
+        assert f"family={family} " in capsys.readouterr().out
+        assert load_schedule(out).n == 12
+
+    def test_build_unknown_family(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["build", "-n", "12", "-d", "2", "--alpha-t", "2",
+                     "--alpha-r", "4", "--family", "klingon",
+                     "-o", str(out)]) == 2
+        assert "unknown family 'klingon'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_build_invalid_budget(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -234,6 +252,29 @@ class TestSimulate:
         report = json.loads(capsys.readouterr().out)
         assert report.pop("total_energy_mj") > 0
         assert report == expected
+
+    @pytest.mark.parametrize("topology", ["star", "tree"])
+    def test_every_shape_of_the_table_runs(self, tmp_path, capsys,
+                                           topology):
+        out = self.build(tmp_path)
+        capsys.readouterr()  # drop the build line
+        assert main(["simulate", str(out), "--topology", topology,
+                     "--nodes", "16", "-d", "4", "--frames", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["slots"] == 80
+        assert report["min_link_throughput"] >= 1.0  # in N_16^4: guaranteed
+
+    @pytest.mark.parametrize("flag,name,kind", [
+        ("--topology", "moebius", "topology"),
+        ("--traffic", "warp", "traffic")])
+    def test_unknown_names_are_rejected(self, tmp_path, capsys, flag, name,
+                                        kind):
+        out = self.build(tmp_path)
+        capsys.readouterr()
+        assert main(["simulate", str(out), flag, name, "--nodes", "16",
+                     "-d", "4"]) == 2
+        assert f"unknown {kind} {name!r}; expected one of" \
+            in capsys.readouterr().err
 
     def test_non_square_grid_rejected(self, tmp_path, capsys):
         out = self.build(tmp_path)
