@@ -13,9 +13,9 @@ outside the standard library:
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with labels, collected in a
   :class:`~repro.obs.metrics.MetricsRegistry` (a process-global default
-  plus injectable instances), exported as JSON or Prometheus text, and
-  **mergeable**: a process-pool worker snapshots its private registry
-  and the parent folds the deltas in, so ``--jobs N`` loses no signal.
+  plus injectable instances) and exported as JSON or Prometheus text.
+  Process-pool workers keep none: the parent records what a worker
+  returns, so ``--jobs N`` loses no signal.
 * :mod:`repro.obs.tracing` — nestable ``span("name", **attrs)`` context
   managers built on :func:`time.perf_counter`, recording durations into
   a bounded in-memory trace that exports to JSONL and renders the

@@ -186,7 +186,11 @@ class TestCoalescing:
         """Same signature, different spelling: each caller sees its own."""
         release = threading.Event()
         fn = _counting_plan_fn(tiny_plan, release=release)
-        with BackgroundServer(ServeConfig(port=0, jobs=2), plan_fn=fn) as bs:
+        # A registry of its own: _wait_coalesced must count this
+        # server's two requests, not counts earlier servers left in the
+        # process default registry.
+        with BackgroundServer(ServeConfig(port=0, jobs=2),
+                              registry=MetricsRegistry(), plan_fn=fn) as bs:
             client = ServeClient(bs.host, bs.port, retries=0)
             docs = [{"n": 12, "d": 2, "max_duty": 0.5},
                     {"n": 12, "d": 2, "max_duty": "1/2"}]
