@@ -186,6 +186,35 @@ class TestBurnRateTracker:
         assert counter.value(objective=obj.name) == 1.0
 
 
+class TestBurnRatePin:
+    def test_default_windows_over_a_monotone_run(self):
+        """Counts only grow in a live registry; over such a run each
+        default window reads the burn between its oldest and newest
+        sample."""
+        latency, availability = default_serve_objectives()
+        now = [0.0]
+        tracker = BurnRateTracker([latency, availability],
+                                  clock=lambda: now[0])
+        for t, counts in [(0.0, {}),  # outside every window
+                          (1000.0, dict(fast=50, ok=100)),
+                          (3500.0, dict(fast=80, slow=5, ok=180, errors=2)),
+                          (3800.0, dict(fast=90, slow=5, ok=200, errors=2)),
+                          (3950.0, dict(fast=100, slow=8, ok=250, errors=2)),
+                          (4000.0, dict(fast=120, slow=10, ok=250,
+                                        errors=2))]:
+            now[0] = t
+            tracker.sample(_snapshot(**counts))
+        assert tracker.burn_rates() == {
+            latency.name: {"60s": 2 / 22 / (1 - 0.99),
+                           "300s": 5 / 35 / (1 - 0.99),
+                           "3600s": 10 / 80 / (1 - 0.99)},
+            # No request was answered in the last minute.
+            availability.name: {"60s": None,
+                                "300s": 0 / 50 / (1 - 0.999),
+                                "3600s": 2 / 152 / (1 - 0.999)},
+        }
+
+
 class TestExemplars:
     def test_exemplars_capture_the_worst_recent_observation(self):
         reg = MetricsRegistry()

@@ -18,6 +18,7 @@ run the real planner.
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,7 @@ from repro.obs.timeseries import (
 )
 from repro.obs.tracing import Tracer, set_default_tracer
 from repro.serve import protocol
+from repro.serve.chaos import BackgroundProxy
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import BackgroundServer, ServeConfig
 from repro.service.api import (
@@ -482,6 +484,85 @@ class TestMemoryHitsOnTheLoop:
             == spans["serve.plan"]["span_id"]
         assert spans["serve.plan"]["parent_id"] \
             == spans["serve.request"]["span_id"]
+
+
+class TestFlightCount:
+    """One memory hit, one cold flight and one joined waiter."""
+
+    #: The ``/metrics.json`` names of the run, by instrument kind.
+    SERIES = {
+        "counters": ["repro_serve_coalesce_total",
+                     "repro_serve_plans_computed_total",
+                     "repro_serve_requests_total",
+                     "repro_store_corruptions_total",
+                     "repro_store_evictions_total",
+                     "repro_store_lookups_total", "repro_store_writes_total"],
+        "gauges": ["repro_serve_inflight"],
+        "histograms": ["repro_serve_request_seconds"],
+    }
+
+    def test_led_flights_are_plan_fn_calls(self, tmp_path):
+        reg = MetricsRegistry()
+        store = ScheduleStore(tmp_path / "cache", registry=reg)
+        release = threading.Event()
+        calls = []
+
+        def plan_fn(request):
+            calls.append(request)
+            assert release.wait(timeout=30.0)
+            return api.provision_batch_report([request],
+                                              store=store).results[0]
+
+        with BackgroundServer(ServeConfig(port=0, jobs=2), store=store,
+                              registry=reg, plan_fn=plan_fn) as bs:
+            client = ServeClient(bs.host, bs.port, retries=0)
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(client.plan, 12, 2, "1/2",
+                                       include_schedule=False)
+                           for _ in range(2)]
+                _wait_coalesced(bs, 2)
+                release.set()
+                cold = [f.result(timeout=30) for f in futures]
+            hit = client.plan(12, 2, "1/2", include_schedule=False)
+            snapshot = client.metrics_snapshot()
+        assert [doc["from_cache"] for doc in cold] == [False, False]
+        assert hit["from_cache"] is True
+        assert store.stats.memory_hits == 1
+        coalesce = reg.get("repro_serve_coalesce_total")
+        assert coalesce.value(result="joined") == 1
+        assert coalesce.value(result="led") == len(calls) == 1
+        assert {kind: sorted(snapshot[kind]) for kind in self.SERIES} \
+            == self.SERIES
+
+
+def _taken_port_runner(kind, port):
+    if kind == "server":
+        return BackgroundServer(ServeConfig(host="127.0.0.1", port=port))
+    return BackgroundProxy("127.0.0.1", 9, port=port)
+
+
+@pytest.mark.parametrize("kind", ["server", "proxy"])
+class TestRunnerLifecycle:
+    """Both thread-hosted runners start, fail and stop the same way."""
+
+    def test_start_failure_raises_from_enter(self, kind):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            runner = _taken_port_runner(kind, taken.getsockname()[1])
+            with pytest.raises(RuntimeError, match="failed to start") \
+                    as excinfo:
+                runner.__enter__()
+        assert isinstance(excinfo.value.__cause__, OSError)
+        runner._thread.join(timeout=30)
+        assert not runner._thread.is_alive()
+
+    def test_second_stop_does_nothing(self, kind):
+        runner = _taken_port_runner(kind, 0)
+        with runner:
+            assert runner.port != 0
+        runner.stop()
+        assert not runner._thread.is_alive()
 
 
 def _post_raw(bs, path: str, doc: dict) -> bytes:

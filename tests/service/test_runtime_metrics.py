@@ -147,3 +147,18 @@ class TestDurations:
         wait = registry.get("repro_runtime_task_queue_wait_seconds")
         (wait_series,) = list(wait.series())
         assert wait_series.count == len(tasks)
+
+
+class TestExportedLayout:
+    def test_duration_histograms_keep_their_buckets(self, tasks):
+        """The queue-wait and exec bucket bounds are part of the metrics
+        export: a dashboard's quantiles read them."""
+        registry = MetricsRegistry()
+        execute_tasks(tasks[:1], config=RuntimeConfig(jobs=1),
+                      registry=registry)
+        histograms = registry.snapshot()["histograms"]
+        for name in ("repro_runtime_task_queue_wait_seconds",
+                     "repro_runtime_task_exec_seconds"):
+            assert histograms[name]["buckets"] == [
+                0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
+                1.0, 2.5, 5.0, 10.0, 30.0], name
