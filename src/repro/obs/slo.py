@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -51,6 +52,11 @@ SLO_REPORT_VERSION = 1
 
 #: The objective kinds :func:`good_total` can compute.
 KINDS = ("latency", "availability")
+
+#: Windows, in seconds, of :meth:`BurnRateTracker.burn_rates`.
+_BURN_WINDOWS_S = (60.0, 300.0, 3600.0)
+#: Samples a :class:`BurnRateTracker` keeps; the oldest go first.
+_BURN_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -254,95 +260,49 @@ class BurnRateTracker:
 
     Call :meth:`sample` with the current metrics snapshot (the ``/slo``
     endpoint does this per scrape); :meth:`burn_rates` then reports,
-    per objective and window, how fast the error budget burned over
-    that window — ``delta_bad / delta_total / (1 - target)`` summed
-    over adjacent sample pairs inside the window, or None when the
-    window holds fewer than two samples or saw no events.  *clock* is
+    per objective and window (60 s, 300 s and 3600 s), how fast the
+    error budget burned over that window — ``delta_bad / delta_total /
+    (1 - target)`` between the oldest and the newest sample inside the
+    window, or None when the window holds fewer than two samples or saw
+    no events.  The tracker keeps the last 1024 samples.  *clock* is
     injectable so tests pin time.
 
-    **Counter resets are expected input**: a supervised server that
-    crashed and restarted re-reports its counters from zero, so a later
-    sample's totals can be *smaller* than an earlier one's.  The
-    interval spanning the restart is dropped from the delta sums (its
-    true event count is unknowable; the burn never goes negative), and
-    each detected reset increments the ``repro_slo_counter_resets``
-    counter in *registry* (the process default when None) — restarts
-    leave a visible trail instead of silently warping the burn math.
+    The snapshots come from one live registry, whose counts only grow
+    (a counter cannot be decremented, a histogram only adds
+    observations), so a window's delta is its newest counts minus its
+    oldest.
     """
 
     objectives: Sequence[Objective]
-    windows_s: tuple[float, ...] = (60.0, 300.0, 3600.0)
-    capacity: int = 1024
     clock: Callable[[], float] = time.monotonic
-    registry: Any = None
-    _samples: list[tuple[float, dict[str, tuple[float, float]]]] = \
-        field(default_factory=list)
-
-    def _count_reset(self, objective: str) -> None:
-        """Increment the reset counter for *objective*'s metric."""
-        registry = self.registry
-        if registry is None:
-            from repro.obs.metrics import default_registry
-
-            registry = default_registry()
-        registry.counter(
-            "repro_slo_counter_resets",
-            "Counter resets (process restarts) detected between burn-rate "
-            "samples, by objective.").inc(objective=objective)
+    _samples: deque[tuple[float, dict[str, tuple[float, float]]]] = \
+        field(default_factory=lambda: deque(maxlen=_BURN_SAMPLES))
 
     def sample(self, snapshot: Mapping[str, Any]) -> None:
-        """Record ``(good, total)`` of every objective at ``clock()``.
-
-        A total or good count lower than the previous sample's means the
-        underlying counter reset (the process restarted); the reset is
-        counted per objective before the sample is stored verbatim.
-        """
-        counts = {obj.name: good_total(obj, snapshot)
-                  for obj in self.objectives}
-        if self._samples:
-            _, previous = self._samples[-1]
-            for name, (good, total) in counts.items():
-                good0, total0 = previous.get(name, (0.0, 0.0))
-                if total < total0 or good < good0:
-                    self._count_reset(name)
-        self._samples.append((self.clock(), counts))
-        if len(self._samples) > self.capacity:
-            del self._samples[:len(self._samples) - self.capacity]
+        """Record ``(good, total)`` of every objective at ``clock()``."""
+        self._samples.append((self.clock(), {
+            obj.name: good_total(obj, snapshot) for obj in self.objectives}))
 
     def burn_rates(self) -> dict[str, dict[str, float | None]]:
-        """``{objective: {window: burn | None}}`` as of the last sample.
-
-        Deltas are summed over *adjacent* sample pairs inside the
-        window, not oldest-vs-newest, so one reset interval (totals went
-        backwards: the span covering the restart, whose true event count
-        is unknowable) is skipped while every healthy interval around it
-        still contributes — a restart dents the window, it does not
-        blind it.
-        """
-        out: dict[str, dict[str, float | None]] = {}
+        """``{objective: {window: burn | None}}`` as of the last sample."""
         if not self._samples:
-            return {obj.name: {f"{w:g}s": None for w in self.windows_s}
+            return {obj.name: {f"{w:g}s": None for w in _BURN_WINDOWS_S}
                     for obj in self.objectives}
-        now, _ = self._samples[-1]
+        now, newest = self._samples[-1]
+        oldest = {window: next(counts for ts, counts in self._samples
+                               if now - ts <= window)
+                  for window in _BURN_WINDOWS_S}
+        out: dict[str, dict[str, float | None]] = {}
         for obj in self.objectives:
+            good1, total1 = newest[obj.name]
             rates: dict[str, float | None] = {}
-            for window in self.windows_s:
-                in_window = [counts for ts, counts in self._samples
-                             if now - ts <= window]
-                delta_total = delta_bad = 0.0
-                for prev, cur in zip(in_window, in_window[1:]):
-                    good0, total0 = prev.get(obj.name, (0.0, 0.0))
-                    good1, total1 = cur.get(obj.name, (0.0, 0.0))
-                    if total1 < total0 or good1 < good0:
-                        continue  # the restart interval: unknowable
-                    delta_total += total1 - total0
-                    delta_bad += max(
-                        0.0, (total1 - good1) - (total0 - good0))
-                if delta_total <= 0:
-                    rates[f"{window:g}s"] = None
-                    continue
-                rates[f"{window:g}s"] = \
+            for window, counts in oldest.items():
+                good0, total0 = counts[obj.name]
+                delta_total = total1 - total0
+                delta_bad = (total1 - good1) - (total0 - good0)
+                rates[f"{window:g}s"] = (
                     delta_bad / delta_total / (1.0 - obj.target)
+                    if delta_total > 0 else None)
             out[obj.name] = rates
         return out
 

@@ -29,14 +29,14 @@ injected fault) and ``repro_chaos_upstream_failures_total`` land in the
 injected metrics registry, and the per-connection fault log names which
 connection got what.
 
-:class:`BackgroundProxy` mirrors :class:`~repro.serve.server.BackgroundServer`
-for synchronous contexts (tests, benches, the chaos-smoke CI job).
+:class:`BackgroundProxy` runs a proxy on
+:class:`~repro.serve.server.BackgroundServer`'s thread runner for
+synchronous contexts (tests, benches, the chaos-smoke CI job).
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Any
 
 from repro._validation import check_int
@@ -44,6 +44,7 @@ from repro.faults import FaultPlan
 from repro.obs import context as _context
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.serve.server import BackgroundServer
 
 __all__ = ["ChaosProxy", "BackgroundProxy"]
 
@@ -59,9 +60,10 @@ _CUT_WINDOW = 64
 class ChaosProxy:
     """One fault-injecting TCP relay in front of an upstream server.
 
-    Lifecycle mirrors :class:`~repro.serve.server.ScheduleServer`:
-    ``await start()`` binds the listener (port 0 for ephemeral), ``await
-    close()`` aborts the listener and every live relay.
+    Lifecycle is :class:`~repro.serve.server.ScheduleServer`'s:
+    ``await start()`` binds the listener (port 0 for ephemeral),
+    ``begin_drain()`` initiates shutdown, and ``await wait_closed()``
+    then closes the listener and aborts every live relay.
 
     Attributes
     ----------
@@ -71,15 +73,6 @@ class ChaosProxy:
         :data:`~repro.faults.PROXY_FAULT_KINDS` or ``"ok"``.  Two runs
         with the same plan seed and accept order log identical
         sequences.
-    fault_events:
-        The richer record behind :attr:`fault_log`: one dict per
-        accepted connection with ``connection``, ``kind`` and
-        ``trace_id`` — the active
-        :func:`repro.obs.context.current_trace_id` at accept time, so a
-        chaos run embedded in a traced scope ties its injected faults
-        back to the request under test (``None`` for a bare
-        transport-level run, where the proxy cannot see inside the
-        payload).
     """
 
     def __init__(self, upstream_host: str, upstream_port: int, *,
@@ -100,8 +93,8 @@ class ChaosProxy:
         self.host = host
         self.port = port
         self.fault_log: list[tuple[int, str]] = []
-        self.fault_events: list[dict[str, Any]] = []
         self._server: asyncio.base_events.Server | None = None
+        self._closing: asyncio.Event | None = None
         self._connections = 0
         self._relays: set[asyncio.Task] = set()
         self._conn_counter = self.registry.counter(
@@ -119,6 +112,7 @@ class ChaosProxy:
         """Bind the listener; returns the concrete ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError("proxy already started")
+        self._closing = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         sock = self._server.sockets[0]
@@ -129,17 +123,24 @@ class ChaosProxy:
             "seed": self.plan.seed})
         return self.host, self.port
 
-    async def close(self) -> None:
-        """Stop accepting and abort every live relay (idempotent)."""
-        if self._server is None:
+    def begin_drain(self) -> None:
+        """Initiate shutdown (idempotent); :meth:`wait_closed` does it."""
+        if self._closing is not None:
+            self._closing.set()
+
+    async def wait_closed(self) -> None:
+        """Wait for :meth:`begin_drain`, then close the listener and relays."""
+        if self._server is None or self._closing is None:
             return
+        await self._closing.wait()
         self._server.close()
-        await self._server.wait_closed()
+        # Relays first: from Python 3.12 the listener's wait_closed()
+        # also waits for its live connections.
         for task in list(self._relays):
             task.cancel()
         if self._relays:
             await asyncio.gather(*self._relays, return_exceptions=True)
-        self._server = None
+        await self._server.wait_closed()
         _log.info("chaos_proxy_stopped", extra={"host": self.host,
                                                 "port": self.port})
 
@@ -173,8 +174,6 @@ class ChaosProxy:
         kind = self.plan.proxy_fault(index) or "ok"
         trace_id = _context.current_trace_id()
         self.fault_log.append((index, kind))
-        self.fault_events.append({"connection": index, "kind": kind,
-                                  "trace_id": trace_id})
         self._conn_counter.labels(fault=kind).inc()
         if kind != "ok":
             _log.debug("chaos_fault", extra={"connection": index,
@@ -252,79 +251,33 @@ def _abort(writer: asyncio.StreamWriter) -> None:
         pass
 
 
-class BackgroundProxy:
+class BackgroundProxy(BackgroundServer):
     """Run a :class:`ChaosProxy` on a daemon thread (tests, benches).
 
-    Context manager, mirroring
-    :class:`~repro.serve.server.BackgroundServer`::
+    :class:`~repro.serve.server.BackgroundServer`'s context manager,
+    hosting a proxy (``server`` is the :class:`ChaosProxy`)::
 
         with BackgroundProxy("127.0.0.1", upstream_port,
                              plan=FaultPlan(seed=7,
                                             proxy_reset_rate=0.1)) as bp:
             ServeClient(bp.host, bp.port).health()
-            print(bp.proxy.fault_log)
+            print(bp.fault_log)
     """
+
+    _THREAD_NAME = "repro-chaos-bg"
 
     def __init__(self, upstream_host: str, upstream_port: int,
                  **proxy_kwargs: Any) -> None:
         """Arguments pass through to :class:`ChaosProxy`."""
-        self._args = (upstream_host, upstream_port)
+        super().__init__()
+        self._upstream = (upstream_host, upstream_port)
         self._kwargs = proxy_kwargs
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._failure: BaseException | None = None
-        self._thread = threading.Thread(target=self._main, daemon=True,
-                                        name="repro-chaos-bg")
-        self.proxy: ChaosProxy | None = None
-        self.loop: asyncio.AbstractEventLoop | None = None
-        self.host = ""
-        self.port = 0
 
-    def __enter__(self) -> "BackgroundProxy":
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("background proxy failed to start in time")
-        if self._failure is not None:
-            raise RuntimeError("background proxy failed to start") \
-                from self._failure
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+    def _create(self) -> ChaosProxy:
+        return ChaosProxy(*self._upstream, **self._kwargs)
 
     @property
     def fault_log(self) -> list[tuple[int, str]]:
         """The proxy's per-connection fault log (accept order)."""
-        assert self.proxy is not None
-        return list(self.proxy.fault_log)
-
-    @property
-    def fault_events(self) -> list[dict[str, Any]]:
-        """The proxy's trace-aware fault events (accept order)."""
-        assert self.proxy is not None
-        return list(self.proxy.fault_events)
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Close the proxy and join its thread (idempotent)."""
-        if self.loop is not None and self._stop is not None \
-                and self._thread.is_alive():
-            self.loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("background proxy failed to stop in time")
-
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # noqa: BLE001 - surfaced in __enter__
-            self._failure = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        self.proxy = ChaosProxy(*self._args, **self._kwargs)
-        self.loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self.host, self.port = await self.proxy.start()
-        self._ready.set()
-        await self._stop.wait()
-        await self.proxy.close()
+        assert self.server is not None
+        return list(self.server.fault_log)

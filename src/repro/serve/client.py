@@ -37,7 +37,7 @@ from repro.faults import RetryPolicy
 from repro.obs import context as _context
 from repro.obs.tracing import span
 from repro.serve import protocol
-from repro.service.api import ProvisionRequest, ProvisionResult
+from repro.service.api import ProvisionRequest
 
 __all__ = ["ServeClient", "ServeError"]
 
@@ -209,7 +209,8 @@ class ServeClient:
         """``POST /provision`` — returns the raw result documents.
 
         Result lines have exactly the shape ``repro provision`` writes;
-        parse them with :meth:`ProvisionResult.from_dict` (requires
+        parse them with
+        :meth:`~repro.service.api.ProvisionResult.from_dict` (requires
         ``include_schedules=True`` for successful results).
         """
         docs = [r.to_dict() if isinstance(r, ProvisionRequest) else r
@@ -217,13 +218,6 @@ class ServeClient:
         doc = self.call("POST", "/provision", {
             "requests": docs, "include_schedules": include_schedules})
         return doc["results"]
-
-    def provision_results(self, requests: Sequence[ProvisionRequest
-                                                   | dict[str, Any]]
-                          ) -> list[ProvisionResult]:
-        """:meth:`provision`, parsed back into :class:`ProvisionResult`."""
-        return [ProvisionResult.from_dict(doc)
-                for doc in self.provision(requests, include_schedules=True)]
 
     def plan(self, n: int, d: int, max_duty: float | str, *,
              balanced: bool = False,

@@ -20,9 +20,10 @@ Semantics, precisely:
 * failures propagate to every waiter of that flight but are **never
   cached** — the next request for the key leads a fresh computation.
 
-The two counters (:attr:`Coalescer.led` / :attr:`Coalescer.joined`) are
-exported as ``repro_serve_coalesce_total{result=...}``; the bench and
-the acceptance tests read the hit rate straight from them.
+Each outcome is counted in ``repro_serve_coalesce_total``:
+``result="led"`` once per flight started, so it is the number of
+computations run, and ``result="joined"`` once per request that shared
+one.  The bench and the acceptance tests read the join ratio from it.
 """
 
 from __future__ import annotations
@@ -54,26 +55,6 @@ class Coalescer:
             "joined = requests that shared an in-flight computation.")
         self._led = counter.labels(result="led")
         self._joined = counter.labels(result="joined")
-
-    @property
-    def led(self) -> int:
-        """Computations actually started (flight leaders)."""
-        return int(self._led.value)
-
-    @property
-    def joined(self) -> int:
-        """Requests answered by someone else's in-flight computation."""
-        return int(self._joined.value)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests that joined instead of computing."""
-        total = self.led + self.joined
-        return self.joined / total if total else 0.0
-
-    def inflight(self) -> int:
-        """Number of distinct computations currently in flight."""
-        return len(self._inflight)
 
     async def run(self, key: Hashable,
                   compute: Callable[[], Awaitable[Any]]) -> Any:

@@ -70,7 +70,7 @@ ERR_BAD_REQUEST = "bad-request"
 ERR_NOT_FOUND = "not-found"
 #: Endpoint exists but not for this HTTP method.
 ERR_METHOD_NOT_ALLOWED = "method-not-allowed"
-#: Body exceeds the server's ``max_body_bytes``.
+#: Body exceeds the server's body limit (1 MiB).
 ERR_PAYLOAD_TOO_LARGE = "payload-too-large"
 #: Admission bound reached; the request was refused, not queued.  Safe to
 #: retry with backoff.

@@ -123,6 +123,13 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: Seconds a connection may take to deliver its request head and body
 #: before the server hangs up (slow-client protection).
 _READ_TIMEOUT_S = 10.0
+#: Largest request body accepted; beyond it, ``413``.
+_MAX_BODY_BYTES = 1 << 20
+#: Snapshots the ``/metrics/history`` ring keeps: 30 minutes at the
+#: default 5-second scrape interval.
+_HISTORY_CAPACITY = 360
+#: Longest profiling window one ``GET /profilez`` call may request.
+_PROFILEZ_MAX_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
@@ -143,16 +150,14 @@ class ServeConfig:
         (executing + queued).  Beyond it, ``503 overloaded``.
     request_deadline_s:
         Per-request processing budget in seconds; ``None`` disables.
-    max_body_bytes:
-        Largest request body accepted; beyond it, ``413``.
     flight_capacity:
         Server traces ``/debugz`` returns, newest first.
-    history_interval_s, history_capacity:
-        The ``/metrics/history`` scrape cadence and ring depth — the
-        defaults keep 30 minutes of 5-second samples in ~O(capacity)
-        memory.
-    profilez_max_seconds:
-        Longest profiling window one ``GET /profilez`` call may request.
+    history_interval_s:
+        The ``/metrics/history`` scrape cadence.  The ring keeps the
+        last 360 scrapes: 30 minutes at the default 5 seconds.
+
+    The body limit (1 MiB), the ring depth and the longest ``/profilez``
+    window (30 s) are module constants: every caller used one value.
     """
 
     host: str = "127.0.0.1"
@@ -160,26 +165,19 @@ class ServeConfig:
     jobs: int = 2
     max_inflight: int = 64
     request_deadline_s: float | None = 30.0
-    max_body_bytes: int = 1 << 20
     flight_capacity: int = 128
     history_interval_s: float = 5.0
-    history_capacity: int = 360
-    profilez_max_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         check_int(self.port, "port", minimum=0)
         check_int(self.jobs, "jobs", minimum=1)
         check_int(self.max_inflight, "max_inflight", minimum=0)
-        check_int(self.max_body_bytes, "max_body_bytes", minimum=1)
         check_int(self.flight_capacity, "flight_capacity", minimum=1)
-        check_int(self.history_capacity, "history_capacity", minimum=1)
         if self.request_deadline_s is not None \
                 and self.request_deadline_s <= 0:
             raise ValueError("request_deadline_s must be positive or None")
         if self.history_interval_s <= 0:
             raise ValueError("history_interval_s must be positive")
-        if self.profilez_max_seconds <= 0:
-            raise ValueError("profilez_max_seconds must be positive")
 
 
 class ScheduleServer:
@@ -229,14 +227,9 @@ class ScheduleServer:
         self._inflight_gauge = self.registry.gauge(
             "repro_serve_inflight",
             "Provisioning requests currently admitted.").labels()
-        self._computed = self.registry.counter(
-            "repro_serve_plans_computed_total",
-            "Coalesced flights actually run (memory misses only).").labels()
         self._objectives = _slo.default_serve_objectives()
-        self._burn = _slo.BurnRateTracker(self._objectives,
-                                          registry=self.registry)
-        self._history = _timeseries.SnapshotRing(
-            capacity=self.config.history_capacity)
+        self._burn = _slo.BurnRateTracker(self._objectives)
+        self._history = _timeseries.SnapshotRing(capacity=_HISTORY_CAPACITY)
         self._history_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -342,7 +335,6 @@ class ScheduleServer:
         loop = asyncio.get_running_loop()
 
         async def compute() -> ProvisionResult:
-            self._computed.inc()
             with span("serve.pool"):
                 # copy_context(): contextvars do not cross the executor
                 # hop by themselves; the snapshot carries the trace
@@ -426,11 +418,11 @@ class ScheduleServer:
         if length < 0:
             raise protocol.ProtocolError(protocol.ERR_BAD_REQUEST,
                                          "invalid Content-Length header")
-        if length > self.config.max_body_bytes:
+        if length > _MAX_BODY_BYTES:
             raise protocol.ProtocolError(
                 protocol.ERR_PAYLOAD_TOO_LARGE,
                 f"body of {length} bytes exceeds the limit of "
-                f"{self.config.max_body_bytes}")
+                f"{_MAX_BODY_BYTES}")
         body = await reader.readexactly(length) if length else b""
         path, _, query = target.partition("?")
         return method, path, query, body
@@ -518,10 +510,10 @@ class ScheduleServer:
 
         seconds = scalar("seconds", 1.0, float)
         hz = scalar("hz", _profile.DEFAULT_HZ, int)
-        if not 0.0 < seconds <= self.config.profilez_max_seconds:
+        if not 0.0 < seconds <= _PROFILEZ_MAX_SECONDS:
             raise protocol.ProtocolError(
                 protocol.ERR_BAD_REQUEST,
-                f"seconds must be in (0, {self.config.profilez_max_seconds:g}]"
+                f"seconds must be in (0, {_PROFILEZ_MAX_SECONDS:g}]"
                 f", got {seconds:g}")
         try:
             profiler = _profile.SamplingProfiler(hz=hz)
@@ -679,7 +671,13 @@ class BackgroundServer:
 
         with BackgroundServer(ServeConfig(port=0)) as bs:
             ServeClient(bs.host, bs.port).health()
+
+    A subclass overrides :meth:`_create` to host anything else with
+    ``start()``, ``begin_drain()`` and ``wait_closed()``
+    (:class:`~repro.serve.chaos.BackgroundProxy` hosts the chaos proxy).
     """
+
+    _THREAD_NAME = "repro-serve-bg"
 
     def __init__(self, config: ServeConfig | None = None,
                  **server_kwargs: Any) -> None:
@@ -689,26 +687,30 @@ class BackgroundServer:
         self._ready = threading.Event()
         self._failure: BaseException | None = None
         self._thread = threading.Thread(target=self._main, daemon=True,
-                                        name="repro-serve-bg")
-        self.server: ScheduleServer | None = None
+                                        name=self._THREAD_NAME)
+        self.server: Any = None
         self.loop: asyncio.AbstractEventLoop | None = None
         self.host = ""
         self.port = 0
 
+    def _create(self) -> ScheduleServer:
+        """The hosted object, built on the runner's event loop."""
+        return ScheduleServer(self._config, **self._kwargs)
+
     def __enter__(self) -> "BackgroundServer":
         self._thread.start()
+        what = type(self).__name__
         if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("background server failed to start in time")
+            raise RuntimeError(f"{what} failed to start in time")
         if self._failure is not None:
-            raise RuntimeError("background server failed to start") \
-                from self._failure
+            raise RuntimeError(f"{what} failed to start") from self._failure
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Drain the server and join its thread (idempotent)."""
+        """Drain the hosted object and join its thread (idempotent)."""
         if self.loop is not None and self.server is not None \
                 and self._thread.is_alive():
             try:
@@ -720,7 +722,8 @@ class BackgroundServer:
                     raise
         self._thread.join(timeout=timeout)
         if self._thread.is_alive():
-            raise RuntimeError("background server failed to drain in time")
+            raise RuntimeError(
+                f"{type(self).__name__} failed to drain in time")
 
     def _main(self) -> None:
         try:
@@ -730,7 +733,7 @@ class BackgroundServer:
             self._ready.set()
 
     async def _amain(self) -> None:
-        self.server = ScheduleServer(self._config, **self._kwargs)
+        self.server = self._create()
         self.loop = asyncio.get_running_loop()
         self.host, self.port = await self.server.start()
         self._ready.set()

@@ -52,11 +52,6 @@ __all__ = ["RuntimeConfig", "TaskReport", "RuntimeResult", "execute_tasks",
 
 _log = get_logger("service.runtime")
 
-#: Bucket layout of the runtime's queue-wait and exec histograms, a
-#: documented part of the metrics export.
-_DURATION_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-                     0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
-
 #: Task completed cleanly on its first attempt.
 STATUS_OK = "ok"
 #: Task completed after at least one fault (retry, crash recovery, ...).
@@ -230,11 +225,11 @@ class _Ledger:
         self.queue_wait = registry.histogram(
             "repro_runtime_task_queue_wait_seconds",
             "Seconds a task waited between becoming ready and being "
-            "submitted to a worker.", buckets=_DURATION_BUCKETS).labels()
+            "submitted to a worker.").labels()
         self.exec = registry.histogram(
             "repro_runtime_task_exec_seconds",
             "Wall-clock seconds of one task evaluation (worker-side in "
-            "pool mode).", buckets=_DURATION_BUCKETS).labels()
+            "pool mode).").labels()
 
     def worker_evaluated(self) -> None:
         """Count one evaluation a pool worker completed.  The counter is

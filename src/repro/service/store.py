@@ -77,6 +77,9 @@ __all__ = ["ScheduleStore", "StoreStats", "ScrubReport", "eval_key",
 #: (``glob("??/*.json")``) can never pick quarantined files back up.
 QUARANTINE_DIR = "quarantine"
 
+#: Plans the in-memory LRU front of a :class:`ScheduleStore` holds.
+_MEMORY_SLOTS = 256
+
 
 def default_cache_dir() -> Path:
     """The conventional per-user cache location (XDG aware)."""
@@ -320,24 +323,21 @@ class ScheduleStore:
     """Persistent schedule cache with an in-memory LRU front.
 
     Implements the cache protocol :func:`repro.service.api.provision_batch`
-    consumes: ``get_plan``/``put_plan`` for winning plans.
+    consumes: ``get_plan``/``put_plan`` for winning plans.  The LRU front
+    holds the 256 most recently used plans.
     """
 
     def __init__(self, cache_dir: str | Path | None = None, *,
-                 memory_slots: int = 256,
                  registry: MetricsRegistry | None = None) -> None:
         """Create a store rooted at *cache_dir* (default: XDG cache).
 
-        *memory_slots* bounds the LRU front; 0 disables it (every hit
-        reparses from disk — useful only for tests).  *registry* is the
-        metrics registry the store's counters live in; None (default)
-        gives the store a private registry so its :attr:`stats` stay
-        isolated — pass a shared one to export them with
-        ``--metrics-out``.
+        *registry* is the metrics registry the store's counters live in;
+        None (default) gives the store a private registry so its
+        :attr:`stats` stay isolated — pass a shared one to export them
+        with ``--metrics-out``.
         """
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
-        self.memory_slots = check_int(memory_slots, "memory_slots", minimum=0)
         self._memory: OrderedDict[str, Plan] = OrderedDict()
         # The LRU front is shared by every thread of a serving process
         # (repro.serve keeps one store hot across requests); its compound
@@ -595,12 +595,10 @@ class ScheduleStore:
             return not path.exists()
 
     def _remember(self, digest: str, plan: Plan) -> None:
-        if self.memory_slots == 0:
-            return
         with self._memory_lock:
             self._memory[digest] = plan
             self._memory.move_to_end(digest)
-            while len(self._memory) > self.memory_slots:
+            while len(self._memory) > _MEMORY_SLOTS:
                 self._memory.popitem(last=False)
 
     @staticmethod

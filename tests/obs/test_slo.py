@@ -117,73 +117,34 @@ class TestEvaluate:
 class TestBurnRateTracker:
     def test_needs_two_samples_per_window(self):
         obj = default_serve_objectives()[1]
-        tracker = BurnRateTracker([obj], windows_s=(60.0,),
-                                  clock=lambda: 0.0)
-        assert tracker.burn_rates() == {obj.name: {"60s": None}}
+        tracker = BurnRateTracker([obj], clock=lambda: 0.0)
+        empty = {obj.name: {"60s": None, "300s": None, "3600s": None}}
+        assert tracker.burn_rates() == empty
         tracker.sample(_snapshot(ok=10))
-        assert tracker.burn_rates() == {obj.name: {"60s": None}}
+        assert tracker.burn_rates() == empty
 
     def test_rolling_burn_from_deltas(self):
         obj = Objective(name="ok", kind="availability",
                         metric="repro_serve_requests_total", target=0.99)
         now = [0.0]
-        tracker = BurnRateTracker([obj], windows_s=(60.0, 600.0),
-                                  clock=lambda: now[0])
+        tracker = BurnRateTracker([obj], clock=lambda: now[0])
         tracker.sample(_snapshot(ok=100))           # t=0: all good
         now[0] = 90.0
         tracker.sample(_snapshot(ok=150, errors=50))  # t=90: 50 bad / 100
         rates = tracker.burn_rates()[obj.name]
         # The 60s window holds only the newest sample -> no delta.
         assert rates["60s"] is None
-        # Over 600s: 50 bad of 100 new events against a 1% budget.
-        assert rates["600s"] == pytest.approx(50.0)
+        # Over 300s: 50 bad of 100 new events against a 1% budget.
+        assert rates["300s"] == pytest.approx(50.0)
 
     def test_no_new_events_reports_none(self):
         obj = default_serve_objectives()[1]
         now = [0.0]
-        tracker = BurnRateTracker([obj], windows_s=(60.0,),
-                                  clock=lambda: now[0])
+        tracker = BurnRateTracker([obj], clock=lambda: now[0])
         tracker.sample(_snapshot(ok=10))
         now[0] = 10.0
         tracker.sample(_snapshot(ok=10))
         assert tracker.burn_rates()[obj.name]["60s"] is None
-
-    def test_counter_reset_never_reports_negative_burn(self):
-        # A supervised restart re-reports counters from zero, so a
-        # later sample's totals go *down*; every negative delta must
-        # clamp to zero and never surface as a negative burn.
-        obj = Objective(name="ok", kind="availability",
-                        metric="repro_serve_requests_total", target=0.99)
-        reg = MetricsRegistry()
-        now = [0.0]
-        tracker = BurnRateTracker([obj], windows_s=(600.0,),
-                                  clock=lambda: now[0], registry=reg)
-        tracker.sample(_snapshot(ok=100, errors=50))  # before the crash
-        now[0] = 30.0
-        tracker.sample(_snapshot(ok=5))               # restarted: 5 < 150
-        rates = tracker.burn_rates()[obj.name]
-        # Total went down: no window delta, never a negative burn.
-        assert rates["600s"] is None
-        now[0] = 60.0
-        tracker.sample(_snapshot(ok=40, errors=1))
-        rates = tracker.burn_rates()[obj.name]
-        assert rates["600s"] is not None
-        assert rates["600s"] >= 0.0
-
-    def test_counter_reset_is_counted_per_objective(self):
-        obj = default_serve_objectives()[1]
-        reg = MetricsRegistry()
-        now = [0.0]
-        tracker = BurnRateTracker([obj], windows_s=(60.0,),
-                                  clock=lambda: now[0], registry=reg)
-        tracker.sample(_snapshot(ok=100))
-        now[0] = 10.0
-        tracker.sample(_snapshot(ok=3))  # restart
-        now[0] = 20.0
-        tracker.sample(_snapshot(ok=50))  # normal growth: no new reset
-        counter = reg.get("repro_slo_counter_resets")
-        assert counter is not None
-        assert counter.value(objective=obj.name) == 1.0
 
 
 class TestBurnRatePin:

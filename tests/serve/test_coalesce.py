@@ -12,6 +12,12 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def _outcomes(registry):
+    """``(led, joined)`` from ``repro_serve_coalesce_total``."""
+    counter = registry.get("repro_serve_coalesce_total")
+    return counter.value(result="led"), counter.value(result="joined")
+
+
 class TestSingleFlight:
     def test_identical_keys_share_one_computation(self):
         async def main():
@@ -25,18 +31,16 @@ class TestSingleFlight:
                 await release.wait()
                 return "plan"
 
-            c = Coalescer()
+            reg = MetricsRegistry()
+            c = Coalescer(reg)
             tasks = [asyncio.ensure_future(c.run("k", compute))
                      for _ in range(10)]
             await started.wait()
-            assert c.inflight() == 1
             release.set()
             results = await asyncio.gather(*tasks)
             assert results == ["plan"] * 10
             assert len(calls) == 1
-            assert (c.led, c.joined) == (1, 9)
-            assert c.hit_rate == pytest.approx(0.9)
-            assert c.inflight() == 0
+            assert _outcomes(reg) == (1, 9)
 
         run(main())
 
@@ -47,17 +51,19 @@ class TestSingleFlight:
             return compute
 
         async def main():
-            c = Coalescer()
+            reg = MetricsRegistry()
+            c = Coalescer(reg)
             a, b = await asyncio.gather(c.run("a", value("A")),
                                         c.run("b", value("B")))
             assert (a, b) == ("A", "B")
-            assert (c.led, c.joined) == (2, 0)
+            assert _outcomes(reg) == (2, 0)
 
         run(main())
 
     def test_sequential_requests_do_not_coalesce(self):
         async def main():
-            c = Coalescer()
+            reg = MetricsRegistry()
+            c = Coalescer(reg)
             calls = []
 
             async def compute():
@@ -66,7 +72,7 @@ class TestSingleFlight:
 
             assert await c.run("k", compute) == 1
             assert await c.run("k", compute) == 2
-            assert (c.led, c.joined) == (2, 0)
+            assert _outcomes(reg) == (2, 0)
 
         run(main())
 

@@ -116,9 +116,10 @@ class TestEndpoints:
                 assert doc["error"]["code"] == code
                 assert doc["protocol"] == 1
 
-    def test_malformed_json_and_oversized_body(self, tiny_plan):
-        config = ServeConfig(port=0, max_body_bytes=128)
-        with BackgroundServer(config,
+    def test_malformed_json_and_oversized_body(self, tiny_plan,
+                                               monkeypatch):
+        monkeypatch.setattr("repro.serve.server._MAX_BODY_BYTES", 128)
+        with BackgroundServer(ServeConfig(port=0),
                               plan_fn=_counting_plan_fn(tiny_plan)) as bs:
             conn = http.client.HTTPConnection(bs.host, bs.port, timeout=10)
             conn.request("POST", "/provision", body=b"{broken",
@@ -350,16 +351,16 @@ class TestRealPlanner:
         with BackgroundServer(ServeConfig(port=0, jobs=2), store=store,
                               registry=reg) as bs:
             client = ServeClient(bs.host, bs.port, retries=0)
-            results = client.provision_results(
-                [{"n": 12, "d": 2, "max_duty": 0.5}])
+            results = [ProvisionResult.from_dict(doc) for doc in
+                       client.provision([{"n": 12, "d": 2, "max_duty": 0.5}])]
             assert results[0].plan is not None
             assert results[0].plan.duty_cycle <= 0.5
             # Round-trip through the interchange format is exact.
             doc = results[0].to_dict()
             assert ProvisionResult.from_dict(doc).to_dict() == doc
             # Second call: served from the hot plan cache.
-            again = client.provision_results(
-                [{"n": 12, "d": 2, "max_duty": 0.5}])
+            again = [ProvisionResult.from_dict(doc) for doc in
+                     client.provision([{"n": 12, "d": 2, "max_duty": 0.5}])]
             assert again[0].from_cache is True
             assert again[0].plan == results[0].plan
 
@@ -394,7 +395,6 @@ class TestMemoryHitsOnTheLoop:
         assert all(doc["from_cache"] is True for doc in warm)
         assert store.stats.memory_hits == hits
         assert store.stats.misses == 1 and store.stats.disk_hits == 0
-        assert reg.get("repro_serve_plans_computed_total").value() == 1
         coalesce = reg.get("repro_serve_coalesce_total")
         assert coalesce.value(result="led") == 1
         assert coalesce.value(result="joined") == 0
@@ -424,7 +424,7 @@ class TestMemoryHitsOnTheLoop:
         assert len(readers) == 1
         assert readers[0].startswith("repro-serve-plan")
         assert store.stats.disk_hits == 1 and store.stats.memory_hits == 1
-        assert reg.get("repro_serve_plans_computed_total").value() == 1
+        assert reg.get("repro_serve_coalesce_total").value(result="led") == 1
 
     def test_concurrent_cold_requests_build_once(self, tmp_path,
                                                  monkeypatch):
@@ -457,7 +457,6 @@ class TestMemoryHitsOnTheLoop:
         coalesce = reg.get("repro_serve_coalesce_total")
         assert coalesce.value(result="led") == 1
         assert coalesce.value(result="joined") == n_clients - 1
-        assert reg.get("repro_serve_plans_computed_total").value() == 1
 
     def test_a_hits_timeline_has_no_pool_hop(self, tmp_path):
         old = set_default_tracer(Tracer())
@@ -492,7 +491,6 @@ class TestFlightCount:
     #: The ``/metrics.json`` names of the run, by instrument kind.
     SERIES = {
         "counters": ["repro_serve_coalesce_total",
-                     "repro_serve_plans_computed_total",
                      "repro_serve_requests_total",
                      "repro_store_corruptions_total",
                      "repro_store_evictions_total",
@@ -643,10 +641,11 @@ class TestResponseBytes:
 
 
 class TestObservabilityEndpoints:
-    def test_metrics_history_accumulates_and_validates(self, tiny_plan):
+    def test_metrics_history_accumulates_and_validates(self, tiny_plan,
+                                                       monkeypatch):
+        monkeypatch.setattr("repro.serve.server._HISTORY_CAPACITY", 16)
         fn = _counting_plan_fn(tiny_plan)
-        config = ServeConfig(port=0, history_interval_s=0.05,
-                             history_capacity=16)
+        config = ServeConfig(port=0, history_interval_s=0.05)
         with BackgroundServer(config, plan_fn=fn) as bs:
             client = ServeClient(bs.host, bs.port, retries=0)
             client.provision([{"n": 12, "d": 2, "max_duty": 0.5}],
@@ -671,9 +670,9 @@ class TestObservabilityEndpoints:
                               "repro_serve_requests_total")
         assert delta >= 0.0
 
-    def test_history_ring_is_bounded(self, tiny_plan):
-        config = ServeConfig(port=0, history_interval_s=0.01,
-                             history_capacity=3)
+    def test_history_ring_is_bounded(self, tiny_plan, monkeypatch):
+        monkeypatch.setattr("repro.serve.server._HISTORY_CAPACITY", 3)
+        config = ServeConfig(port=0, history_interval_s=0.01)
         with BackgroundServer(config,
                               plan_fn=_counting_plan_fn(tiny_plan)) as bs:
             client = ServeClient(bs.host, bs.port, retries=0)
@@ -713,9 +712,9 @@ class TestObservabilityEndpoints:
         assert any("fn" in label for stack in pool_stacks
                    for label in stack)
 
-    def test_profilez_validates_its_query(self, tiny_plan):
-        config = ServeConfig(port=0, profilez_max_seconds=1.0)
-        with BackgroundServer(config,
+    def test_profilez_validates_its_query(self, tiny_plan, monkeypatch):
+        monkeypatch.setattr("repro.serve.server._PROFILEZ_MAX_SECONDS", 1.0)
+        with BackgroundServer(ServeConfig(port=0),
                               plan_fn=_counting_plan_fn(tiny_plan)) as bs:
             client = ServeClient(bs.host, bs.port, retries=0)
             for query in ("seconds=999", "seconds=0", "seconds=nope",

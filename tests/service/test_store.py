@@ -251,8 +251,9 @@ class TestCorruption:
 
 
 class TestMemoryFront:
-    def test_lru_is_bounded(self, tmp_path):
-        store = ScheduleStore(tmp_path / "cache", memory_slots=2)
+    def test_lru_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.store._MEMORY_SLOTS", 2)
+        store = ScheduleStore(tmp_path / "cache")
         plan = _some_plan()
         for alpha_r in (3, 4, 5):
             store.put_eval(plan.family, 12, 2, 2, alpha_r, False, plan)
@@ -354,9 +355,10 @@ class TestConcurrency:
         assert failures == []
         assert all(r is None for r in results)  # corrupt == miss, always
 
-    def test_lru_trim_races_hot_gets(self, tmp_path):
+    def test_lru_trim_races_hot_gets(self, tmp_path, monkeypatch):
         """A tiny LRU being trimmed by writers must not break readers."""
-        store = ScheduleStore(tmp_path / "cache", memory_slots=2)
+        monkeypatch.setattr("repro.service.store._MEMORY_SLOTS", 2)
+        store = ScheduleStore(tmp_path / "cache")
         plans = {alpha_r: _some_plan(alpha_r=alpha_r)
                  for alpha_r in (3, 4, 5, 6)}
         for alpha_r, plan in plans.items():
@@ -383,7 +385,7 @@ class TestConcurrency:
         assert failures == []
         assert len(store._memory) <= 2
 
-    def test_clear_races_lru_gets_and_puts(self, tmp_path):
+    def test_clear_races_lru_gets_and_puts(self, tmp_path, monkeypatch):
         """clear() empties the LRU front under its lock, so it can never
         land between a reader's or writer's lookup and move_to_end."""
 
@@ -394,7 +396,8 @@ class TestConcurrency:
                 time.sleep(0)
                 super().move_to_end(key, last)
 
-        store = ScheduleStore(tmp_path / "cache", memory_slots=2)
+        monkeypatch.setattr("repro.service.store._MEMORY_SLOTS", 2)
+        store = ScheduleStore(tmp_path / "cache")
         store._memory = YieldingLRU()
         plans = {alpha_r: _some_plan(alpha_r=alpha_r)
                  for alpha_r in (3, 4, 5, 6)}
