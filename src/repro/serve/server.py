@@ -157,7 +157,7 @@ class ServeConfig:
         last 360 scrapes: 30 minutes at the default 5 seconds.
 
     The body limit (1 MiB), the ring depth and the longest ``/profilez``
-    window (30 s) are module constants: every caller used one value.
+    window (30 s) are module constants.
     """
 
     host: str = "127.0.0.1"

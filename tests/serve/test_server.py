@@ -533,7 +533,9 @@ class TestFlightCount:
             == self.SERIES
 
 
-def _taken_port_runner(kind, port):
+def _runner(kind, port):
+    """A thread-hosted server or chaos proxy to listen on *port*; no
+    test dials the proxy's upstream."""
     if kind == "server":
         return BackgroundServer(ServeConfig(host="127.0.0.1", port=port))
     return BackgroundProxy("127.0.0.1", 9, port=port)
@@ -547,7 +549,7 @@ class TestRunnerLifecycle:
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
             taken.listen()
-            runner = _taken_port_runner(kind, taken.getsockname()[1])
+            runner = _runner(kind, taken.getsockname()[1])
             with pytest.raises(RuntimeError, match="failed to start") \
                     as excinfo:
                 runner.__enter__()
@@ -556,7 +558,7 @@ class TestRunnerLifecycle:
         assert not runner._thread.is_alive()
 
     def test_second_stop_does_nothing(self, kind):
-        runner = _taken_port_runner(kind, 0)
+        runner = _runner(kind, 0)
         with runner:
             assert runner.port != 0
         runner.stop()
