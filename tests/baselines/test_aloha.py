@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.aloha import AlohaSimulator
+from repro.simulation.energy import RadioState
 from repro.simulation.routing import sink_tree
 from repro.simulation.topology import Topology, grid, ring, star
 from repro.simulation.traffic import PeriodicSensingTraffic, PoissonTraffic
@@ -46,6 +47,26 @@ class TestAloha:
         sim.run_slots(100)
         assert sim.energy.awake_fraction() == 1.0
         assert (sim.energy.wakeups == 1).all()
+
+    def test_energy_pinned(self):
+        """A seeded run's spend, bit for bit, with its state counts and
+        startups: however the slots are charged, each node must get the
+        additions that one per-node charge per slot gives."""
+        sim = make(grid(3, 3), rate=0.05, p=0.3, seed=2)
+        sim.run_slots(700)
+        energy = sim.energy
+        assert [float(v).hex() for v in energy.spent_mj] == [
+            "0x1.88be353f7cf05p+8", "0x1.8949fbe76c8e0p+8",
+            "0x1.88b374bc6a81ap+8", "0x1.8954bc6a7efc9p+8",
+            "0x1.88e9374bc6aaap+8", "0x1.8954bc6a7efc4p+8",
+            "0x1.88feb851eb87dp+8", "0x1.89347ae147b0bp+8",
+            "0x1.889df3b645a43p+8"]
+        assert energy.state_slots[RadioState.TRANSMIT].tolist() == [
+            51, 38, 52, 37, 47, 37, 45, 40, 54]
+        assert (energy.state_slots[RadioState.TRANSMIT]
+                + energy.state_slots[RadioState.RECEIVE] == 700).all()
+        assert (energy.state_slots[RadioState.SLEEP] == 0).all()
+        assert (energy.wakeups == 1).all()
 
     def test_half_duplex(self):
         """Two mutually-transmitting neighbours cannot hear each other."""
