@@ -31,7 +31,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -206,6 +206,31 @@ def _build_schedule(spec: SweepSpec, point: SweepPoint):
                      balanced=spec.balanced)
 
 
+class _Inputs:
+    """The topology and schedule of a shard's previous point, handed on.
+
+    Within one spec a point's topology is a pure function of its
+    ``(n, d, seed)`` and its schedule of its ``(family, n, d)``, and the
+    grid puts a point's traffics side by side, so the next point often
+    asks for the same ones.  One input of each kind is held, the last
+    one asked for, and it is dropped before a different one is built.
+    """
+
+    def __init__(self) -> None:
+        self._held: dict[str, tuple[tuple, Any]] = {}
+
+    def get(self, kind: str, key: tuple, build: Callable[[], Any]) -> Any:
+        """The *kind* input that *key* names: the held one, or *build*'s."""
+        held = self._held.pop(kind, None)
+        if held is not None and held[0] == key:
+            value = held[1]
+        else:
+            del held  # free the previous input before the build
+            value = build()
+        self._held[kind] = (key, value)
+        return value
+
+
 #: Row schema: the ``point`` members and their types, and the ``metrics``
 #: members :func:`_evaluate_point` writes; True marks the ones that may
 #: be null (mean latency when nothing was delivered).
@@ -220,16 +245,25 @@ _METRIC_FIELDS = {
 }
 
 
-def _evaluate_point(spec: SweepSpec, point: SweepPoint) -> dict[str, Any]:
+def _evaluate_point(spec: SweepSpec, point: SweepPoint,
+                    inputs: _Inputs | None = None) -> dict[str, Any]:
     """One simulation run -> the canonical result row (never raises for a
-    merely infeasible point: those produce deterministic error rows)."""
+    merely infeasible point: those produce deterministic error rows).
+
+    *inputs* holds the previous point's topology and schedule, reused
+    when this point asks for the same ones.
+    """
     from repro.simulation.engine import Simulator
 
     envelope = {"format": ROW_FORMAT, "version": ROW_VERSION,
                 "point": point.to_dict()}
+    if inputs is None:
+        inputs = _Inputs()
     try:
-        topo = _build_topology(spec, point)
-        sched = _build_schedule(spec, point)
+        topo = inputs.get("topology", (point.n, point.d, point.seed),
+                          lambda: _build_topology(spec, point))
+        sched = inputs.get("schedule", (point.family, point.n, point.d),
+                           lambda: _build_schedule(spec, point))
         rng = np.random.default_rng(
             [_TAG_TRAFFIC, point.seed, point.n, point.d])
         generator, hops = traffic.build(point.traffic, topo, rng,
@@ -341,8 +375,12 @@ def _evaluate_shard(task: ShardTask) -> list[dict[str, Any]]:
 
     Module-level so the process pool pickles it by reference (it is the
     ``evaluate=`` hook of :func:`repro.service.runtime.execute_tasks`).
+    A point reuses the previous point's topology or schedule when it
+    asks for the same one.
     """
-    return [_evaluate_point(task.spec, point) for point in task.points]
+    inputs = _Inputs()
+    return [_evaluate_point(task.spec, point, inputs)
+            for point in task.points]
 
 
 # ----------------------------------------------------------------------

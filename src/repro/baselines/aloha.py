@@ -21,7 +21,8 @@ from collections import deque
 import numpy as np
 
 from repro._validation import check_int, check_probability
-from repro.simulation.energy import EnergyAccount, EnergyModel, RadioState
+from repro.simulation.energy import RECEIVE, TRANSMIT, EnergyAccount, \
+    EnergyModel
 from repro.simulation.engine import Packet
 from repro.simulation.metrics import Metrics
 from repro.simulation.topology import Topology
@@ -55,9 +56,11 @@ class AlohaSimulator:
         self.queues: list[deque[Packet]] = [deque() for _ in range(topology.n)]
         self._pid = itertools.count()
         self._slot = 0
-        # ALOHA never sleeps: charge every node one wakeup at start.
+        # ALOHA never sleeps: charge every node one wakeup at start, after
+        # which every slot follows an awake one.
         for x in range(topology.n):
             self.energy.charge_wakeup(x)
+        self._awake = np.ones(topology.n, dtype=bool)
 
     def _route(self, holder: int, final_dst: int) -> int | None:
         if final_dst in self.topology.neighbors(holder):
@@ -121,10 +124,9 @@ class AlohaSimulator:
             if pkt.pid not in handed_off:
                 self.queues[x].appendleft(pkt)
 
-        for x in range(n):
-            self.energy.charge(
-                x, RadioState.TRANSMIT if x in transmitting
-                else RadioState.RECEIVE)
+        states = np.full((1, n), RECEIVE, dtype=np.int8)
+        states[0, list(transmitting)] = TRANSMIT
+        self.energy.charge_slots(states, self._awake)
 
         self._slot += 1
         self.metrics.slots = self._slot

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro._validation import check_int, check_nonnegative_float, check_positive_float
 
-__all__ = ["RadioState", "EnergyModel", "EnergyAccount"]
+__all__ = ["RadioState", "TRANSMIT", "RECEIVE", "SLEEP", "EnergyModel",
+           "EnergyAccount"]
 
 
 class RadioState(enum.Enum):
@@ -29,6 +30,12 @@ class RadioState(enum.Enum):
     TRANSMIT = "transmit"
     RECEIVE = "receive"    # listening and successfully/unsuccessfully receiving
     SLEEP = "sleep"
+
+
+#: Each radio state's code in the state arrays that
+#: :meth:`EnergyAccount.charge_slots` takes: its position in RadioState order.
+TRANSMIT, RECEIVE, SLEEP = (list(RadioState).index(state) for state in (
+    RadioState.TRANSMIT, RadioState.RECEIVE, RadioState.SLEEP))
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,8 @@ class EnergyAccount:
         check_int(self.n, "n", minimum=1)
         self.spent_mj = np.zeros(self.n, dtype=np.float64)
         # Slot counts per node and state (RadioState order); state_slots[s]
-        # is a view of column s, so charge_slot counts a whole slot with
-        # one indexed add on the flat cells node * 3 + state.
+        # is a view of column s, so charge_slots counts a batch with one
+        # bincount over the flat cells node * 3 + state.
         occupancy = np.zeros((self.n, len(RadioState)), dtype=np.int64)
         self.state_slots = dict(zip(RadioState, occupancy.T))
         self._cells = occupancy.reshape(-1)
@@ -95,19 +102,36 @@ class EnergyAccount:
         self.spent_mj[node] += self.model.wakeup_mj
         self.wakeups[node] += 1
 
-    def charge_slot(self, states: np.ndarray, woke: np.ndarray) -> None:
-        """Charge every node one slot, then a startup where *woke* is set.
+    def charge_slots(self, states: np.ndarray,
+                     was_awake: np.ndarray) -> np.ndarray:
+        """Charge every node a run of slots, startups included.
 
-        ``states[x]`` is the position of node x's state in
-        :class:`RadioState` order.  Each node gets the same float64
-        additions in the same order as :meth:`charge` followed by
-        :meth:`charge_wakeup`, so the spend is bit-for-bit the same.
+        ``states[t, x]`` is the code (:data:`TRANSMIT`, :data:`RECEIVE`
+        or :data:`SLEEP`) of node x's state in slot t of the run, and
+        ``was_awake[x]`` tells whether x was awake in the slot before the
+        run.  A node pays a startup in each slot it is awake after one
+        asleep.  Returns the awake flags of the run's last slot.
+
+        Each node gets the same float64 additions in the same order as
+        :meth:`charge` followed by :meth:`charge_wakeup`, slot by slot,
+        so the spend is bit-for-bit the same: one running sum over the
+        spend so far and the run's interleaved slot costs and startups
+        (adding 0.0 where there is no startup leaves a sum unchanged).
         """
-        self.spent_mj += self._costs[states]
-        self._cells[self._rows + states] += 1
-        if woke.any():
-            self.spent_mj[woke] += self.model.wakeup_mj
-            self.wakeups += woke
+        awake = states != SLEEP
+        woke = awake.copy()
+        woke[0] &= ~was_awake
+        woke[1:] &= ~awake[:-1]
+        steps = np.empty((2 * len(states) + 1, self.n))
+        steps[0] = self.spent_mj
+        steps[1::2] = self._costs[states]
+        np.multiply(woke, self.model.wakeup_mj, out=steps[2::2])
+        np.add.accumulate(steps, axis=0, out=steps)
+        self.spent_mj[:] = steps[-1]
+        self._cells += np.bincount((self._rows + states).ravel(),
+                                   minlength=self._cells.size)
+        self.wakeups += woke.sum(axis=0)
+        return awake[-1]
 
     def total_mj(self) -> float:
         """Network-wide energy spend in millijoules."""

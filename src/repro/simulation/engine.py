@@ -46,16 +46,17 @@ from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span
 from repro.simulation.drift import ClockDrift
-from repro.simulation.energy import EnergyAccount, EnergyModel, RadioState
+from repro.simulation.energy import RECEIVE, SLEEP, TRANSMIT, \
+    EnergyAccount, EnergyModel, RadioState
 from repro.simulation.metrics import Metrics
 from repro.simulation.topology import Topology
 
 __all__ = ["Packet", "Simulator"]
 
-# Radio states as positions in RadioState order (EnergyAccount.charge_slot).
-_TRANSMIT, _RECEIVE, _SLEEP = (
-    list(RadioState).index(state) for state in (
-        RadioState.TRANSMIT, RadioState.RECEIVE, RadioState.SLEEP))
+# Most slots the slot step leaves uncharged: it logs each slot's
+# transmitters and crashed nodes, and charges the log's energy in one
+# batch when it holds this many (and before any run call returns).
+_CHARGE_BATCH = 32
 
 
 @dataclass
@@ -140,10 +141,14 @@ class Simulator:
         # Neighbour sets, read once: Topology.neighbors validates its
         # argument on every call, which the slot step cannot afford.
         self._nbrs = tuple(topology.neighbors(x) for x in range(topology.n))
-        # Per-frame-position senders, listening flags and radio states
-        # (see _slot_tables), built at the first step.
-        self._tables: list[tuple[list[int], bytes, np.ndarray]] | None = None
-        # Radio wakeup accounting: who was awake last slot.
+        # Per-frame-position senders and listening flags, and the radio
+        # state table (see _slot_tables), built at the first step.
+        self._tables: list[tuple[list[int], bytes]] | None = None
+        self._states: np.ndarray | None = None
+        # Slots stepped but not yet charged: (frame position,
+        # transmitters, crashed nodes) each, charged by _charge_pending.
+        self._pending: list[tuple[int, dict, list[int]]] = []
+        # Radio wakeup accounting: who was awake in the last charged slot.
         self._was_awake = np.zeros(topology.n, dtype=bool)
         # The watching registry's series, published once per run call
         # (never per slot or frame); unwatched, none exist.
@@ -163,14 +168,16 @@ class Simulator:
         # Lazily built matrices for the vectorized frame kernel.
         self._mats: tuple[np.ndarray, ...] | None = None
 
-    def _slot_tables(self) -> list[tuple[list[int], bytes, np.ndarray]]:
-        """``(senders, listening, states)`` per frame position, built once.
+    def _slot_tables(self) -> list[tuple[list[int], bytes]]:
+        """``(senders, listening)`` per frame position, built once with
+        the state table ``_states``.
 
         *senders* lists the transmit-eligible nodes in ascending order
         (saturated traffic: only those with a neighbour to hear them),
-        ``listening[x]`` is 1 when x listens, and ``states[x]`` is x's
-        radio state, as a position in :class:`RadioState` order, unless
-        it transmits.  A node's local frame position is the true one plus
+        ``listening[x]`` is 1 when x listens, and ``_states[i, x]`` is
+        the code of x's radio state at position i (``RECEIVE`` or
+        ``SLEEP``; see :mod:`repro.simulation.energy`) unless it
+        transmits.  A node's local frame position is the true one plus
         its fixed clock offset, so under drift too the pattern repeats
         every frame.
         """
@@ -184,13 +191,12 @@ class Simulator:
                 local = (np.arange(length)[:, None]
                          + np.asarray(self.drift.offsets[:n])) % length
                 tx, rx = tx[local, np.arange(n)], rx[local, np.arange(n)]
-            states = np.full(tx.shape, _SLEEP, dtype=np.int8)
-            states[rx] = _RECEIVE
+            self._states = np.full(tx.shape, SLEEP, dtype=np.int8)
+            self._states[rx] = RECEIVE
             if self.traffic.saturated:
                 tx = tx & np.array([len(nbrs) > 0 for nbrs in self._nbrs])
-            self._tables = [
-                (tx_row.nonzero()[0].tolist(), rx_row.tobytes(), state_row)
-                for tx_row, rx_row, state_row in zip(tx, rx, states)]
+            self._tables = [(tx_row.nonzero()[0].tolist(), rx_row.tobytes())
+                            for tx_row, rx_row in zip(tx, rx)]
         return self._tables
 
     # ------------------------------------------------------------------
@@ -220,13 +226,21 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the simulation by one slot.
+        """Advance the simulation by one slot, its energy charged."""
+        try:
+            self._step()
+        finally:
+            self._charge_pending()
 
-        The work follows the nodes that act: this position's senders,
+    def _step(self) -> None:
+        """Advance one slot and log it for :meth:`_charge_pending`.
+
+        The work follows the nodes that act: this position's senders and
         the listening neighbours of the actual transmitters (visited in
-        ascending order, so forwarding and latencies keep that order) and
-        one vector charge of every node's energy.  A
-        listener no transmitter reaches hears nothing and draws nothing.
+        ascending order, so forwarding and latencies keep that order).
+        A listener no transmitter reaches hears nothing and draws
+        nothing.  The slot's energy waits in the pending log, charged
+        with up to ``_CHARGE_BATCH`` slots at once.
         """
         slot = self._slot
         m = self.metrics
@@ -236,7 +250,8 @@ class Simulator:
         if not saturated:
             self._admit_arrivals(slot)
         tables = self._tables or self._slot_tables()
-        senders, listening, states = tables[slot % self.schedule.frame_length]
+        position = slot % self.schedule.frame_length
+        senders, listening = tables[position]
 
         # Injected node outages: a crashed node neither transmits nor
         # listens, and sleeps.
@@ -326,18 +341,32 @@ class Simulator:
                 if x not in handed_off:
                     self.queues[x].appendleft(pkt)
 
-        # Energy accounting, including the sleep->awake startup cost.
-        states = states.astype(np.intp)
-        if down:
-            states[down] = _SLEEP
-        if transmissions:
-            states[list(transmissions)] = _TRANSMIT
-        awake = states != _SLEEP
-        self.energy.charge_slot(states, awake > self._was_awake)
-        self._was_awake = awake
+        pending = self._pending
+        pending.append((position, transmissions, down))
+        if len(pending) == _CHARGE_BATCH:
+            self._charge_pending()
 
         self._slot += 1
         m.slots = self._slot
+
+    def _charge_pending(self) -> None:
+        """Charge the energy of the logged slots, startups included.
+
+        A slot's states are its position's row of the state table, with
+        its crashed nodes asleep and its transmitters transmitting.
+        """
+        if not self._pending:
+            return
+        positions, sent, down = zip(*self._pending)
+        self._pending = []
+        states = self._states[list(positions)]
+        rows = np.arange(len(positions))
+        for nodes, state in ((down, SLEEP), (sent, TRANSMIT)):
+            counts = [len(x) for x in nodes]
+            if any(counts):
+                states[rows.repeat(counts),
+                       list(itertools.chain.from_iterable(nodes))] = state
+        self._was_awake = self.energy.charge_slots(states, self._was_awake)
 
     # ------------------------------------------------------------------
     # vectorized saturated-mode frame kernel
@@ -491,9 +520,12 @@ class Simulator:
     def _simulate(self, slots: int, kernel: bool) -> None:
         if kernel:
             self._run_vectorized(slots // self.schedule.frame_length)
-        else:
+            return
+        try:
             for _ in range(slots):
-                self.step()
+                self._step()
+        finally:
+            self._charge_pending()
 
     @property
     def pending_packets(self) -> int:

@@ -6,9 +6,11 @@ import errno
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
+import repro.analysis.sweeps as sweeps
 from repro.analysis.sweeps import (
     ROW_FORMAT,
     ROW_VERSION,
@@ -26,6 +28,11 @@ from repro.service.runtime import STATUS_QUARANTINED, RuntimeConfig
 #: (13 * 3 odd for a regular topology), two traffic modes, two seeds.
 SPEC = SweepSpec(families=("tdma", "polynomial"), ns=(10, 13), ds=(3,),
                  traffics=("saturated", "poisson"), seeds=(0, 1), frames=2)
+
+#: Both queued traffics on one seed: every point shares its topology and
+#: its schedule with its neighbour in the grid.
+QUEUED = SweepSpec(families=("tdma", "polynomial"), ns=(10, 12), ds=(3,),
+                   traffics=("poisson", "sensing"), seeds=(4,), frames=2)
 
 
 class TestSpec:
@@ -101,6 +108,33 @@ class TestDeterminism:
     def test_shard_size_does_not_change_bytes(self, baseline):
         result = SweepRunner(SPEC, shard_size=1).run()
         assert result.to_jsonl() == baseline.to_jsonl()
+
+    def test_reused_inputs_do_not_change_bytes(self):
+        """At shard size 1 no point is handed another's inputs."""
+        rows = [SweepRunner(QUEUED, shard_size=size).run().to_jsonl()
+                for size in (1, 2, 4)]
+        assert rows[1] == rows[0]
+        assert rows[2] == rows[0]
+
+    @pytest.mark.parametrize("spec, topologies, schedules", [
+        (QUEUED, 4, 4),
+        # Seeds alternate, so only the schedule repeats point to point:
+        # the topology two points back is built again.
+        (SweepSpec(families=("tdma",), ns=(10,), ds=(3,),
+                   traffics=("poisson", "sensing"), seeds=(4, 5),
+                   frames=2), 4, 1),
+    ])
+    def test_a_point_reuses_the_previous_points_inputs(
+            self, monkeypatch, spec, topologies, schedules):
+        builds = Counter()
+        for name in ("_build_topology", "_build_schedule"):
+            def counted(spec, point, build=getattr(sweeps, name), name=name):
+                builds[name] += 1
+                return build(spec, point)
+            monkeypatch.setattr(sweeps, name, counted)
+        SweepRunner(spec, shard_size=4).run()
+        assert builds == {"_build_topology": topologies,
+                          "_build_schedule": schedules}
 
     def test_rows_render_canonically(self, baseline):
         for row in baseline.rows:

@@ -1,8 +1,10 @@
 """Energy model and accounting."""
 
+import numpy as np
 import pytest
 
-from repro.simulation.energy import EnergyAccount, EnergyModel, RadioState
+from repro.simulation.energy import SLEEP, EnergyAccount, EnergyModel, \
+    RadioState
 
 
 class TestModel:
@@ -93,6 +95,57 @@ class TestAccount:
         assert acc.wakeups[0] == 2
         assert acc.wakeups[1] == 0
         assert acc.spent_mj[0] == 1.0
+
+
+def charge_node_by_node(account, states, was_awake):
+    """The per-node reference for :meth:`EnergyAccount.charge_slots`:
+    slot by slot, :meth:`~EnergyAccount.charge` then, on a sleep -> awake
+    edge, :meth:`~EnergyAccount.charge_wakeup`; returns the last slot's
+    awake flags."""
+    awake = list(was_awake)
+    for row in states:
+        for x, code in enumerate(row):
+            state = list(RadioState)[code]
+            account.charge(x, state)
+            if state is not RadioState.SLEEP and not awake[x]:
+                account.charge_wakeup(x)
+            awake[x] = state is not RadioState.SLEEP
+    return awake
+
+
+class TestChargeSlots:
+    """The batch charge adds what per-node charges add, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["random", "one slot", "one node",
+                                      "all asleep", "all awake"])
+    def test_equals_per_node_charges(self, case):
+        rng = np.random.default_rng(list(case.encode()))
+        slots, n = {"one slot": (1, 9), "one node": (50, 1)}.get(case, (50, 9))
+        states = rng.integers(0, len(RadioState), size=(slots, n))
+        if case == "all asleep":
+            states[:] = SLEEP
+        elif case == "all awake":
+            states = rng.choice([code for code in range(len(RadioState))
+                                 if code != SLEEP], size=(slots, n))
+        was_awake = rng.random(n) < 0.5
+        # Costs no binary fraction holds, so a reordered sum shows.
+        model = EnergyModel(tx_mj=0.522, rx_mj=0.564, sleep_mj=0.00063,
+                            wakeup_mj=0.085)
+        batched, reference = EnergyAccount(n, model), EnergyAccount(n, model)
+        expected = charge_node_by_node(reference, states, was_awake)
+        # Two calls, the second carrying the first's last awake flags.
+        cut = slots // 2
+        awake = was_awake
+        for part in (states[:cut], states[cut:]):
+            if len(part):
+                awake = batched.charge_slots(part, awake)
+        assert [float(v).hex() for v in batched.spent_mj] \
+            == [float(v).hex() for v in reference.spent_mj]
+        for state in RadioState:
+            assert batched.state_slots[state].tolist() \
+                == reference.state_slots[state].tolist()
+        assert batched.wakeups.tolist() == reference.wakeups.tolist()
+        assert awake.tolist() == expected
 
 
 class TestWakeupAccounting:

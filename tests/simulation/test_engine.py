@@ -165,6 +165,24 @@ class TestEnergyAccounting:
         assert sim.energy.awake_fraction() == \
             pytest.approx(float(sched.average_duty_cycle()))
 
+    def test_slots_before_a_raise_are_charged(self):
+        """The slot step charges energy in batches; a run that raises
+        still leaves every slot it stepped charged."""
+        class Failing:
+            saturated = False
+
+            def arrivals(self, slot):
+                if slot == engine._CHARGE_BATCH + 8:
+                    raise RuntimeError("sensor fault")
+                return []
+
+        sim = Simulator(ring(4), tdma_schedule(4), Failing())
+        with pytest.raises(RuntimeError, match="sensor fault"):
+            sim.run_slots(3 * engine._CHARGE_BATCH)
+        charged = sum(sim.energy.state_slots.values())
+        assert (charged == engine._CHARGE_BATCH + 8).all()
+        assert sim.metrics.slots == engine._CHARGE_BATCH + 8
+
 
 class TestDrift:
     def test_zero_drift_is_default(self):

@@ -11,9 +11,11 @@
   dictionary for dictionary, energy cell for energy cell.
 * :func:`test_step_equals_scalar_reference` — Hypothesis draws in-class
   topologies, random and duty-cycled schedules, all three traffics,
-  clock drift, fault plans and watched or unwatched runs;
-  :meth:`Simulator.run_slots` must leave exactly the state the original
-  scalar step leaves, energy equal bit for bit.
+  clock drift, fault plans and watched or unwatched runs, split over
+  one to three :meth:`Simulator.run_slots` or :meth:`Simulator.step`
+  calls, some longer than the slot step's energy batch; after every
+  call the simulator must be in exactly the state the original scalar
+  step leaves, energy equal bit for bit.
 
 Marked ``slow``: the fast tier (``-m "not slow"``) skips them, CI's full
 matrix runs them.
@@ -36,7 +38,7 @@ from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.drift import ClockDrift
 from repro.simulation.energy import RadioState
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import _CHARGE_BATCH, Simulator
 from repro.simulation.routing import sink_tree
 from repro.simulation.topology import Topology
 from repro.simulation.traffic import (
@@ -128,11 +130,12 @@ def test_vectorized_equals_scalar_equals_theory(seed):
 
 @st.composite
 def scenarios(draw):
-    """A builder of identical simulators, and a slot count to run.
+    """A builder of identical simulators, and the calls to run.
 
     Each build makes its own traffic and random stream, so two
     simulators share nothing but their inputs; it returns the simulator
-    and that stream.
+    and that stream.  Each call is a slot count for
+    :meth:`Simulator.run_slots`, or None for one :meth:`Simulator.step`.
     """
     rnd = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
@@ -168,8 +171,9 @@ def scenarios(draw):
                 max_size=2))))
     queue_limit = draw(st.sampled_from([1, 3, 64]))
     watched = draw(st.booleans())
-    slots = draw(st.integers(min_value=1,
-                             max_value=min(3 * sched.frame_length, 300)))
+    longest = max(min(3 * sched.frame_length, 300), 3 * _CHARGE_BATCH)
+    calls = draw(st.lists(st.none() | st.integers(1, longest),
+                          min_size=1, max_size=3))
 
     def build() -> tuple[Simulator, np.random.Generator]:
         rng = np.random.default_rng(seed)
@@ -187,15 +191,20 @@ def scenarios(draw):
                         registry=MetricsRegistry() if watched else None)
         return sim, rng
 
-    return build, slots
+    return build, calls
 
 
 @given(case=scenarios())
 @settings(max_examples=150, deadline=None)
 def test_step_equals_scalar_reference(case):
-    build, slots = case
+    build, calls = case
     (sparse, sparse_rng), (reference, reference_rng) = build(), build()
-    sparse.run_slots(slots)
-    for _ in range(slots):
-        slow_slot_step(reference)
-    assert_same_state(sparse, sparse_rng, reference, reference_rng)
+    for slots in calls:
+        if slots is None:
+            sparse.step()
+            slots = 1
+        else:
+            sparse.run_slots(slots)
+        for _ in range(slots):
+            slow_slot_step(reference)
+        assert_same_state(sparse, sparse_rng, reference, reference_rng)
