@@ -112,14 +112,26 @@ class TestSimValidation:
         assert duty_row["awake_fraction"] < 1.0
 
 
-# The default-size E8 and E10 tables as printed, six significant digits:
-# the kernel and the slot step must render the same bytes.
+# The default-size E8, E9 and E10 tables as printed, six significant
+# digits: the kernel and the slot step must render the same bytes, and
+# E9's schemes, ALOHA included, the bytes they rendered when ALOHA kept
+# its own slot loop.
 SIM_VALIDATION_TABLE = "\n".join([
     "Simulation vs theory (saturated worst case, n=26, D=3)",
     "schedule      frame  links  exact_match  mean_successes_per_frame  awake_fraction",
     "------------  -----  -----  -----------  ------------------------  --------------",
     "non-sleeping  49     78     yes          4.91026                   1             ",
     "constructed   147    78     yes          5.26923                   0.450549      ",
+])
+
+ENERGY_LATENCY_TABLE = "\n".join([
+    "Energy/latency under light traffic (5x5 grid, rate=0.01/node/slot)",
+    "scheme          frame  delivery_ratio  collisions  latency_p50  latency_p95  awake_fraction  mj_per_delivered",
+    "--------------  -----  --------------  ----------  -----------  -----------  --------------  ----------------",
+    "always-on TDMA  25     0.998966        0           16           40           0.96966         56.8416         ",
+    "naive 1-of-k    8      0.31696         12123       4            8            0.28135         55.6706         ",
+    "constructed TT  200    0.998449        172         26           79           0.250635        16.4892         ",
+    "slotted ALOHA   -      0.999483        63          4            15           1               58.3129         ",
 ])
 
 BALANCED_ENERGY_TABLE = "\n".join([
@@ -150,6 +162,9 @@ class TestEnergyLatency:
         assert naive["delivery_ratio"] < tt["delivery_ratio"]
         assert tt["awake_fraction"] < 0.6 < tdma["awake_fraction"]
         assert tt["mj_per_delivered"] < tdma["mj_per_delivered"]
+
+    def test_rendered_table_is_pinned(self):
+        assert energy_latency_study().render() == ENERGY_LATENCY_TABLE
 
 
 class TestBalanced:

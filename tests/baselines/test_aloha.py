@@ -1,5 +1,8 @@
 """Slotted p-persistent ALOHA baseline."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.simulation.energy import RadioState
 from repro.simulation.routing import sink_tree
 from repro.simulation.topology import Topology, grid, ring, star
 from repro.simulation.traffic import PeriodicSensingTraffic, PoissonTraffic
+from tests.simulation.scalar_reference import state_document
 
 
 def make(topo, rate, p, seed=0, **kw):
@@ -103,3 +107,84 @@ class TestAloha:
         # Under this load the hub's success rate per attempt collapses.
         rates = [m.link_success_rate(x, 0) for x in range(1, 5)]
         assert min(rates) < 0.5
+
+# SHA-256 of the full state after each of three run_slots calls (1, 45
+# and 254 slots): every Metrics counter, the queued packets, per-state
+# slot counts, wakeups, per-node spend as float.hex and the position of
+# the coin's stream (tests/simulation/scalar_reference.py's
+# state_document).  Recorded while ALOHA still kept its own slot loop.
+ALOHA_DIGESTS = {
+    ("grid", "poisson", 0.0):
+        "72a364f1eec37803df58f2c3074f2886e2685f91b3dfbbf808af2b71da1d702a",
+    ("grid", "poisson", 0.15):
+        "e2f8badaedec8c2bdbbad3684447594e315ac0b25c9e30bf1359bffe82beaa6f",
+    ("grid", "poisson", 0.5):
+        "4024504dfcb8c3a4f719f5b507104aff0e3589e0b7cca8b9b77fb3f06d04d74f",
+    ("grid", "poisson", 1.0):
+        "66b3e2ec123539e08aa90ed9abaf7036759df204de393063cf78dae15a149a81",
+    ("grid", "sensing", 0.0):
+        "721ce6ce9209525ab1efdd5ab543c097fa8a3166f29a2b87dc1a1c1548750309",
+    ("grid", "sensing", 0.15):
+        "02f46c25bafca75df8ef09685048cc1b30f40567fc5d59f574a54e7fb275d405",
+    ("grid", "sensing", 0.5):
+        "dfc6d9214cc3149cdd0dade28f1e6fa8e6a56a523ea7eff869473dbef8c0e8b9",
+    ("grid", "sensing", 1.0):
+        "5fdd7ea214caf198192ef580a9372b561f01ce38bfb310d8411514b4fbe4bf9e",
+    ("ring", "poisson", 0.0):
+        "dc79acd75e7c154f8e5b963176e8f798d34b0d646e7b9586fdea1a51b1d2799b",
+    ("ring", "poisson", 0.15):
+        "febea6a6c1cf83637ffd2774b410eae456cefffaa2dc9029c38f8eba1bc63204",
+    ("ring", "poisson", 0.5):
+        "4f0a9b4f7b0b4289e95843c941cd5de05c767316b503535823ae9b990ebc4b49",
+    ("ring", "poisson", 1.0):
+        "31d57748806977091c2e2dfd26f58f4532961c952dfbbb51bfa3777f8a621e37",
+    ("ring", "sensing", 0.0):
+        "1806360cc889fc4736a80dcd130f5c92995d6b6eac25bd211a7bababf5e6fcbf",
+    ("ring", "sensing", 0.15):
+        "0231d90d98baea9aa6c31edbb7df66d69ca6ace76e063b82f1bdd8463103997a",
+    ("ring", "sensing", 0.5):
+        "9c0681bfd43d68bc84abb1a65e9fa5f48f6efaff8675aa96b737ef5ef8401cbe",
+    ("ring", "sensing", 1.0):
+        "2efe26c64d60b3bb98f9537e77abceaa2c4d48970b61d189c34abe104a6e5ebe",
+    ("star", "poisson", 0.0):
+        "0db9b02fe19ebecf8fcd17ab174c4b52791421c00256e6841126914f77c25f4e",
+    ("star", "poisson", 0.15):
+        "8afad1c85a5b7aa04ea2d8a2e10927cf40d4db3e78279f8ef267f36c20aecfaa",
+    ("star", "poisson", 0.5):
+        "02d73caf5c4290cacf625f8ff0d7467d182adbed5c0cecb2dc0d36f2e7c99af1",
+    ("star", "poisson", 1.0):
+        "086c2aca68684f2a0f3efdbd99efd9048cd9eab64a3cb939bb91e947d5edca55",
+    ("star", "sensing", 0.0):
+        "3e6aa91857d25e97bde9740486eec9d1dd7378db7879a9742e8517274d53c3bb",
+    ("star", "sensing", 0.15):
+        "9cba848a1c06d3bb7f24d46c37c65f7bd82a5d07c131e84f4185aedd56d7b845",
+    ("star", "sensing", 0.5):
+        "da8adfcea222db2b0abfe38eb804b110d2682c35d33aef72df7ed05c570d3498",
+    ("star", "sensing", 1.0):
+        "595198cb9a30d336392d426bd31f3320c4ef735cbb849d2b5e3d72b78307e645",
+}
+
+TOPOLOGIES = {"ring": lambda: ring(8), "grid": lambda: grid(3, 3),
+              "star": lambda: star(7, 6)}
+
+
+def aloha_case(shape, traffic, p):
+    topo = TOPOLOGIES[shape]()
+    source, hops = PoissonTraffic(topo, 0.06, np.random.default_rng(21)), None
+    if traffic == "sensing":
+        source = PeriodicSensingTraffic(topo, sink=0, period=12)
+        hops = sink_tree(topo, 0)
+    return AlohaSimulator(topo, source, p, np.random.default_rng(22),
+                          next_hops=hops, queue_limit=12)
+
+
+@pytest.mark.parametrize("case", sorted(ALOHA_DIGESTS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_state_pinned(case):
+    sim = aloha_case(*case)
+    states = []
+    for slots in (1, 45, 254):
+        sim.run_slots(slots)
+        states.append(state_document(sim, sim.rng))
+    text = json.dumps(states, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ALOHA_DIGESTS[case]
