@@ -11,7 +11,8 @@
   changes — the foil that motivates topology transparency.
 * :mod:`repro.baselines.aloha` — slotted p-persistent ALOHA: the
   unscheduled pole.  No synchronized frame, no guarantee of any kind,
-  full-time listening energy.
+  full-time listening energy.  It runs on the engine's slot step with a
+  coin in place of the schedule's choice of transmitters.
 """
 
 from repro.baselines.naive import naive_duty_cycle

@@ -240,7 +240,9 @@ class Simulator:
         ascending order, so forwarding and latencies keep that order).
         A listener no transmitter reaches hears nothing and draws
         nothing.  The slot's energy waits in the pending log, charged
-        with up to ``_CHARGE_BATCH`` slots at once.
+        with up to ``_CHARGE_BATCH`` slots at once.  Who transmits comes
+        from :meth:`_transmit`, the one part a subclass replaces
+        (:class:`repro.baselines.aloha.AlohaSimulator` does).
         """
         slot = self._slot
         m = self.metrics
@@ -251,43 +253,8 @@ class Simulator:
             self._admit_arrivals(slot)
         tables = self._tables or self._slot_tables()
         position = slot % self.schedule.frame_length
-        senders, listening = tables[position]
-
-        # Injected node outages: a crashed node neither transmits nor
-        # listens, and sleeps.
-        down: list[int] = []
-        if faults is not None:
-            down = [x for x in range(self.topology.n)
-                    if not faults.node_up(x, slot)]
-            if down:
-                m.record_nodes_down(len(down))
-                dead = set(down)
-                senders = [x for x in senders if x not in dead]
-                listening = bytearray(listening)
-                for x in down:
-                    listening[x] = 0
-
-        transmissions: dict[int, Packet | None] = {}
-        attempts = m.attempts
-        if saturated:
-            for x in senders:
-                transmissions[x] = None  # broadcast measurement frame
-                for y in nbrs[x]:
-                    attempts[(x, y)] += 1
-        else:
-            queues = self.queues
-            for x in senders:
-                queue = queues[x]
-                if not queue:
-                    continue
-                # Receiver-aware send: first queued packet whose next hop
-                # listens this slot (by the *receiver's* clock).
-                for idx, pkt in enumerate(queue):
-                    if listening[pkt.next_hop]:
-                        del queue[idx]
-                        transmissions[x] = pkt
-                        attempts[(x, pkt.next_hop)] += 1
-                        break
+        transmissions, listening, down = self._transmit(
+            slot, *tables[position])
 
         # Collision resolution at the listening neighbours of this slot's
         # transmitters: heard[y] is y's one talker, or None for two or more.
@@ -334,8 +301,8 @@ class Simulator:
                     self._enqueue(y, pkt)
 
         # In queued mode an unheard unicast stays with the sender: the
-        # packet was removed above, so requeue at the front on failure
-        # (including when only bystanders overheard it).
+        # packet left its queue in _transmit, so requeue at the front on
+        # failure (including when only bystanders overheard it).
         if not saturated:
             for x, pkt in transmissions.items():
                 if x not in handed_off:
@@ -348,6 +315,54 @@ class Simulator:
 
         self._slot += 1
         m.slots = self._slot
+
+    def _transmit(self, slot: int, senders: list[int], listening: bytes
+                  ) -> tuple[dict[int, Packet | None], bytes, list[int]]:
+        """This slot's transmissions, listening flags and crashed nodes.
+
+        *senders* and *listening* are the slot's row of
+        :meth:`_slot_tables`.  Saturated, every sender broadcasts a
+        measurement frame (``None``); queued, a sender dequeues the
+        first packet whose next hop listens.  Each transmission counts
+        its attempts.
+        """
+        # Injected node outages: a crashed node neither transmits nor
+        # listens, and sleeps.
+        down: list[int] = []
+        faults = self._faults
+        if faults is not None:
+            down = [x for x in range(self.topology.n)
+                    if not faults.node_up(x, slot)]
+            if down:
+                self.metrics.record_nodes_down(len(down))
+                dead = set(down)
+                senders = [x for x in senders if x not in dead]
+                listening = bytearray(listening)
+                for x in down:
+                    listening[x] = 0
+
+        transmissions: dict[int, Packet | None] = {}
+        attempts = self.metrics.attempts
+        if self.traffic.saturated:
+            for x in senders:
+                transmissions[x] = None  # broadcast measurement frame
+                for y in self._nbrs[x]:
+                    attempts[(x, y)] += 1
+        else:
+            queues = self.queues
+            for x in senders:
+                queue = queues[x]
+                if not queue:
+                    continue
+                # Receiver-aware send: first queued packet whose next hop
+                # listens this slot (by the *receiver's* clock).
+                for idx, pkt in enumerate(queue):
+                    if listening[pkt.next_hop]:
+                        del queue[idx]
+                        transmissions[x] = pkt
+                        attempts[(x, pkt.next_hop)] += 1
+                        break
+        return transmissions, listening, down
 
     def _charge_pending(self) -> None:
         """Charge the energy of the logged slots, startups included.

@@ -102,23 +102,22 @@ class Metrics:
 
     def link_throughput(self, src: int, dst: int, frame_length: int) -> float:
         """Successful receptions per frame on directed link ``(src, dst)``."""
-        check_int(frame_length, "frame_length", minimum=1)
-        frames = self.slots / frame_length
-        if frames == 0:
-            return 0.0
-        return self.successes.get((src, dst), 0) / frames
+        return self._link_throughputs([(src, dst)], frame_length)[0]
 
     def min_link_throughput(self, links, frame_length: int) -> float:
         """Minimum per-frame success count over the given directed links."""
-        return min(
-            (self.link_throughput(s, d, frame_length) for s, d in links),
-            default=0.0,
-        )
+        return min(self._link_throughputs(links, frame_length), default=0.0)
 
     def mean_link_throughput(self, links, frame_length: int) -> float:
         """Mean per-frame success count over the given directed links."""
-        values = [self.link_throughput(s, d, frame_length) for s, d in links]
+        values = self._link_throughputs(links, frame_length)
         return float(np.mean(values)) if values else 0.0
+
+    def _link_throughputs(self, links, frame_length: int) -> list[float]:
+        """Successful receptions per frame on each directed link, in order."""
+        frames = self.slots / check_int(frame_length, "frame_length", minimum=1)
+        return [self.successes.get((s, d), 0) / frames if frames else 0.0
+                for s, d in links]
 
     def delivery_ratio(self) -> float:
         """Delivered / generated end-to-end packets (1.0 when none generated)."""

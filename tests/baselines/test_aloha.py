@@ -10,7 +10,11 @@ from repro.baselines.aloha import AlohaSimulator
 from repro.simulation.energy import RadioState
 from repro.simulation.routing import sink_tree
 from repro.simulation.topology import Topology, grid, ring, star
-from repro.simulation.traffic import PeriodicSensingTraffic, PoissonTraffic
+from repro.simulation.traffic import (
+    PeriodicSensingTraffic,
+    PoissonTraffic,
+    SaturatedTraffic,
+)
 from tests.simulation.scalar_reference import state_document
 
 
@@ -188,3 +192,23 @@ def test_state_pinned(case):
         states.append(state_document(sim, sim.rng))
     text = json.dumps(states, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ALOHA_DIGESTS[case]
+
+
+@pytest.mark.parametrize("traffic", ["poisson", "saturated"])
+def test_run_takes_the_slot_step(traffic):
+    """ALOHA's frame is one slot and its coin is drawn in every slot, so
+    run(frames) steps each slot, as run_slots does, never the kernel."""
+    def build():
+        topo = grid(3, 3)
+        source = SaturatedTraffic(topo) if traffic == "saturated" else \
+            PoissonTraffic(topo, 0.05, np.random.default_rng(1))
+        return AlohaSimulator(topo, source, 0.3, np.random.default_rng(0))
+
+    ran, stepped = build(), build()
+    ran.run(70)
+    stepped.run_slots(70)
+    assert state_document(ran, ran.rng) == state_document(stepped, stepped.rng)
+    coin = np.random.default_rng(0)
+    for _ in range(70):
+        coin.random(9)
+    assert ran.rng.bit_generator.state == coin.bit_generator.state

@@ -74,3 +74,26 @@ class TestReporting:
 
     def test_mean_link_throughput_empty(self):
         assert Metrics().mean_link_throughput([], 5) == 0.0
+
+    @pytest.mark.parametrize("frame_length, error", [
+        (0, ValueError), (2.0, TypeError)])
+    @pytest.mark.parametrize("summary", ["min_link_throughput",
+                                         "mean_link_throughput"])
+    def test_frame_length_checked_without_links(self, summary, frame_length,
+                                                error):
+        with pytest.raises(error):
+            getattr(Metrics(), summary)([], frame_length)
+
+    def test_frame_length_checked_once_per_call(self, monkeypatch):
+        import repro.simulation.metrics as module
+
+        names = []
+        monkeypatch.setattr(module, "check_int", lambda value, name, **kw:
+                            names.append(name) or value)
+        m = Metrics()
+        m.slots = 7
+        m.record_success(2, 1)
+        links = [(0, 1), (1, 0), (2, 1)]
+        assert m.min_link_throughput(links, 3) == 0.0
+        assert m.mean_link_throughput(links, 3) == (1 / (7 / 3)) / 3
+        assert names == ["frame_length", "frame_length"]
